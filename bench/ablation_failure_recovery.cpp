@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
 
   const std::string path = flags.get("out");
   std::ofstream out(path);
-  require(out.good(), "ablation_failure_recovery: cannot open " + path);
+  ELAN_REQUIRE(out.good(), "ablation_failure_recovery: cannot open " + path);
   out << "{\n  \"seed\": " << seed << ",\n  \"plans\": " << plans
       << ",\n  \"failed\": " << failed << ",\n  \"adjustments_completed\": " << adjustments
       << ",\n  \"sweep_digest\": " << sweep_digest << ",\n  \"distributions\": [\n";

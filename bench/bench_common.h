@@ -104,9 +104,9 @@ inline std::string json_number(double value) {
 /// a silently-empty artifact.
 inline void write_json_file(const std::string& path, const std::string& json) {
   std::ofstream out(path);
-  require(out.good(), "bench: cannot open " + path);
+  ELAN_REQUIRE(out.good(), "bench: cannot open " + path);
   out << json;
-  require(out.good(), "bench: short write to " + path);
+  ELAN_REQUIRE(out.good(), "bench: short write to " + path);
   std::printf("wrote %s\n", path.c_str());
 }
 
@@ -115,7 +115,7 @@ inline void write_json_file(const std::string& path, const std::string& json) {
 /// write_json_file above, one "key": value pair per line.
 inline std::map<std::string, double> read_json_gate(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "bench: cannot read baseline " + path);
+  ELAN_REQUIRE(in.good(), "bench: cannot read baseline " + path);
   std::map<std::string, double> gate;
   std::string line;
   bool inside = false;
@@ -135,7 +135,7 @@ inline std::map<std::string, double> read_json_gate(const std::string& path) {
     gate[line.substr(open + 1, close - open - 1)] =
         std::strtod(line.c_str() + colon + 1, nullptr);
   }
-  require(!gate.empty(), "bench: no gate object in " + path);
+  ELAN_REQUIRE(!gate.empty(), "bench: no gate object in " + path);
   return gate;
 }
 

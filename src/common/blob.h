@@ -22,6 +22,13 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> data);
 /// full fnv1a scan still guards final correctness.
 std::uint64_t quick_fingerprint(std::span<const std::uint8_t> data);
 
+/// XORs the xorshift64* keystream that starts from `state` into `bytes`. The
+/// generator steps once per 64-bit word, whose bytes apply in little-endian
+/// order on every host; a sub-word tail takes the low bytes of one more
+/// word. Blob::fill_pattern and the simulated optimizer step (train/
+/// optimizer.h) both run on this one loop.
+void xor_keystream(std::span<std::uint8_t> bytes, std::uint64_t state);
+
 class Blob {
  public:
   Blob() = default;

@@ -8,6 +8,8 @@ namespace {
 std::atomic<CheckFailureHook> g_check_failure_hook{nullptr};
 }  // namespace
 
+void require_failed(const std::string& what) { throw InvalidArgument(what); }
+
 CheckFailureHook set_check_failure_hook(CheckFailureHook hook) noexcept {
   return g_check_failure_hook.exchange(hook, std::memory_order_acq_rel);
 }

@@ -30,12 +30,25 @@ class NotFound : public Error {
   explicit NotFound(const std::string& what) : Error("not found: " + what) {}
 };
 
-/// Throws InvalidArgument if `cond` is false.
+/// Throws InvalidArgument if `cond` is false. `what` is a literal: nothing
+/// is allocated unless the check fails. A message that has to be composed
+/// goes through ELAN_REQUIRE, which builds it only on failure.
+inline void require(bool cond, const char* what) {
+  if (!cond) [[unlikely]] throw InvalidArgument(what);
+}
+
+/// The eager form: its caller composes `what` on every call, passing or not.
+/// perfbench/src/main.cpp still calls it; everywhere else the build turns a
+/// call into an error (-Werror=deprecated-declarations).
+[[deprecated("composes its message on every call; use ELAN_REQUIRE")]]
 inline void require(bool cond, const std::string& what) {
   if (!cond) throw InvalidArgument(what);
 }
 
 namespace detail {
+
+/// Out-of-line failure path of ELAN_REQUIRE (defined in error.cpp).
+[[noreturn]] void require_failed(const std::string& what);
 
 /// Process-wide hook invoked on every ELAN_CHECK / ELAN_DCHECK failure,
 /// before the InternalError is thrown. The flight recorder (src/obs/flight)
@@ -82,6 +95,21 @@ void invoke_check_failure_hook(const char* expr, const char* file, int line,
     if (!(cond)) [[unlikely]]                                              \
       ::elan::detail::check_failed(#cond, __FILE__,                        \
                                    __LINE__ __VA_OPT__(, ) __VA_ARGS__);   \
+  } while (0)
+
+/// Caller-mistake check with a composed message. Like ELAN_CHECK's note,
+/// the message expression is evaluated only when `cond` is false, so a
+/// passing check allocates nothing. Throws InvalidArgument(message):
+///
+///   ELAN_REQUIRE(gpu < total, "GPU id out of range: " + std::to_string(gpu));
+///
+/// Checks on hot paths run millions of times per job; none of them may pay
+/// for a message it does not throw. A literal message needs no macro:
+/// `require(cond, "literal")` takes a const char*.
+#define ELAN_REQUIRE(cond, ...)                                            \
+  do {                                                                     \
+    if (!(cond)) [[unlikely]]                                              \
+      ::elan::detail::require_failed(__VA_ARGS__);                         \
   } while (0)
 
 /// Debug-only variant: compiled out (condition not evaluated) under NDEBUG,

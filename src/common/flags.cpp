@@ -10,8 +10,8 @@ namespace elan {
 void Flags::define(const std::string& name, const std::string& default_value,
                    const std::string& help) {
   require(!name.empty() && name[0] != '-', "flag names are given without dashes");
-  require(specs_.emplace(name, Spec{default_value, help, std::nullopt}).second,
-          "duplicate flag: " + name);
+  ELAN_REQUIRE(specs_.emplace(name, Spec{default_value, help, std::nullopt}).second,
+               "duplicate flag: " + name);
   order_.push_back(name);
 }
 
@@ -42,7 +42,7 @@ std::vector<std::string> Flags::parse(int argc, const char* const* argv) {
       have_value = true;
     }
     auto it = specs_.find(arg);
-    require(it != specs_.end(), "unknown flag --" + arg);
+    ELAN_REQUIRE(it != specs_.end(), "unknown flag --" + arg);
     if (!have_value) {
       // Allow "--flag value" unless the next token is a flag (boolean form).
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
@@ -67,8 +67,8 @@ std::int64_t Flags::get_int(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
   const auto out = std::strtoll(v.c_str(), &end, 10);
-  require(end != nullptr && *end == '\0' && !v.empty(),
-          "flag --" + name + " expects an integer, got '" + v + "'");
+  ELAN_REQUIRE(end != nullptr && *end == '\0' && !v.empty(),
+               "flag --" + name + " expects an integer, got '" + v + "'");
   return out;
 }
 
@@ -76,8 +76,8 @@ double Flags::get_double(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
   const double out = std::strtod(v.c_str(), &end);
-  require(end != nullptr && *end == '\0' && !v.empty(),
-          "flag --" + name + " expects a number, got '" + v + "'");
+  ELAN_REQUIRE(end != nullptr && *end == '\0' && !v.empty(),
+               "flag --" + name + " expects a number, got '" + v + "'");
   return out;
 }
 
@@ -100,7 +100,7 @@ void define_log_level_flag(Flags& flags) {
 void apply_log_level_flag(const Flags& flags) {
   const std::string v = flags.get("log-level");
   const auto level = parse_log_level(v);
-  require(level.has_value(), "flag --log-level: unknown level '" + v + "'");
+  ELAN_REQUIRE(level.has_value(), "flag --log-level: unknown level '" + v + "'");
   Logger::set_level(*level);
 }
 

@@ -1,19 +1,21 @@
-// Open-addressed hash map keyed by packed 64-bit integers.
+// Open-addressed hash map and set keyed by 64-bit integers.
 //
 // The scheduler and simulator hot paths hit their memo/index maps millions of
-// times per run; std::unordered_map pays a heap allocation per node and a
-// pointer chase per probe, and std::map adds a comparison tree on top. This
-// map stores key/value slots inline in one power-of-two array with linear
-// probing and backward-shift deletion (no tombstones), so a hit is typically
-// one or two adjacent cache lines.
+// times per run, and every reliable endpoint checks each received message id
+// against its dedup set; std::unordered_map pays a heap allocation per node
+// and a pointer chase per probe, and std::map adds a comparison tree on top.
+// These tables store their slots inline in one power-of-two array with
+// linear probing (the map deletes by backward shift, no tombstones), so a
+// hit is typically one or two adjacent cache lines.
 //
-// Determinism: the table is never iterated — there is deliberately no
+// Determinism: the tables are never iterated — there is deliberately no
 // begin()/end() — so probe layout cannot leak into observable behaviour. The
 // hash is a fixed integer mix (splitmix64 finalizer), identical on every
 // platform and run.
 //
 // Not thread-safe; callers synchronise externally (the simulator holds its
-// mutex, the cluster simulator is single-threaded).
+// mutex, the cluster simulator is single-threaded, an endpoint holds its
+// own lock).
 #pragma once
 
 #include <cstddef>
@@ -24,6 +26,17 @@
 #include "common/error.h"
 
 namespace elan {
+namespace detail {
+
+/// splitmix64 finalizer: full avalanche, fixed constants.
+inline std::uint64_t flat_hash_mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace detail
 
 /// Maps std::uint64_t keys to V. One key value is reserved as the
 /// empty-slot sentinel (all-ones); callers never use it (packed keys in this
@@ -116,16 +129,8 @@ class FlatMap64 {
 
   std::size_t mask() const { return slots_.size() - 1; }
 
-  static std::uint64_t mix(std::uint64_t x) {
-    // splitmix64 finalizer: full avalanche, fixed constants.
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
   std::size_t index_of(std::uint64_t key) const {
-    return static_cast<std::size_t>(mix(key)) & mask();
+    return static_cast<std::size_t>(detail::flat_hash_mix(key)) & mask();
   }
 
   void grow() {
@@ -140,6 +145,60 @@ class FlatMap64 {
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
+};
+
+/// Insert-only set of std::uint64_t values: 8 bytes per slot at a load of at
+/// most 3/4. Unlike FlatMap64 it reserves no value. The all-ones value that
+/// marks an empty slot is held by a flag instead, so any 64-bit pattern is
+/// storable (socket-backend message ids start at (pid << 48) ^ ns and may
+/// take any bits).
+class FlatSet64 {
+ public:
+  std::size_t size() const { return in_slots_ + (has_empty_value_ ? 1 : 0); }
+
+  /// Adds `v`; returns false when it was already present.
+  bool insert(std::uint64_t v) {
+    if (v == kEmpty) return !std::exchange(has_empty_value_, true);
+    std::size_t i = index_of(v);
+    for (; slots_[i] != kEmpty; i = (i + 1) & mask()) {
+      if (slots_[i] == v) return false;
+    }
+    if ((in_slots_ + 1) * 4 > slots_.size() * 3) {
+      grow();
+      i = free_slot(v);
+    }
+    slots_[i] = v;
+    ++in_slots_;
+    return true;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  std::size_t mask() const { return slots_.size() - 1; }
+
+  std::size_t index_of(std::uint64_t v) const {
+    return static_cast<std::size_t>(detail::flat_hash_mix(v)) & mask();
+  }
+
+  /// First empty slot on `v`'s probe run (v is known to be absent).
+  std::size_t free_slot(std::uint64_t v) const {
+    std::size_t i = index_of(v);
+    while (slots_[i] != kEmpty) i = (i + 1) & mask();
+    return i;
+  }
+
+  void grow() {
+    std::vector<std::uint64_t> old(slots_.size() * 2, kEmpty);
+    old.swap(slots_);
+    for (std::uint64_t v : old) {
+      if (v != kEmpty) slots_[free_slot(v)] = v;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(8, kEmpty);
+  std::size_t in_slots_ = 0;
+  bool has_empty_value_ = false;
 };
 
 }  // namespace elan

@@ -58,9 +58,9 @@ StateSnapshot StateSnapshot::deserialize(std::span<const std::uint8_t> data) {
 
 void HookRegistry::register_hook(StateHook hook) {
   require(!hook.name.empty(), "register_hook: empty name");
-  require(static_cast<bool>(hook.save) && static_cast<bool>(hook.load),
-          "register_hook: save/load must both be set for " + hook.name);
-  require(!has_hook(hook.name), "register_hook: duplicate hook " + hook.name);
+  ELAN_REQUIRE(static_cast<bool>(hook.save) && static_cast<bool>(hook.load),
+               "register_hook: save/load must both be set for " + hook.name);
+  ELAN_REQUIRE(!has_hook(hook.name), "register_hook: duplicate hook " + hook.name);
   hooks_.push_back(std::move(hook));
 }
 

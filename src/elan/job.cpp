@@ -599,6 +599,7 @@ void ElasticJob::on_adjust_reply(const AdjustReplyMsg& reply) {
                               config_.job_id.c_str(), nullptr, reply.request_id,
                               reply.ok ? 1 : 0, /*duplicate=*/0);
   if (!reply.ok) {
+    ++adjustments_rejected_;
     log_warn() << config_.job_id << ": adjustment request " << reply.request_id
                << " rejected: " << reply.error;
     return;

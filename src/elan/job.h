@@ -259,6 +259,10 @@ class ElasticJob {
   /// Requests in flight at the scheduler façade (0 when quiescent).
   int requests_in_flight() const { return requests_in_flight_; }
 
+  /// Adjust requests the AM rejected, one per request: a replayed
+  /// duplicate reply is not counted again.
+  int adjustments_rejected() const { return adjustments_rejected_; }
+
   /// Coordination replies the current round is still waiting for (0 when no
   /// round is in flight). Chaos diagnostics: a wedged round shows up here.
   int decisions_outstanding() const { return decisions_outstanding_; }
@@ -312,6 +316,7 @@ class ElasticJob {
   /// when the reply arrives.
   std::map<std::uint64_t, sim::EventId> adjust_resend_timers_;
   int requests_in_flight_ = 0;
+  int adjustments_rejected_ = 0;
   /// Request ids awaiting replies. An AM recovery loses the endpoint-level
   /// duplicate suppression, so a resent request can draw a second reply;
   /// replies for ids not in this set are discarded.

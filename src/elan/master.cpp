@@ -231,7 +231,7 @@ void ApplicationMaster::scale_in_locked(const std::vector<int>& victims) {
   require(!victims.empty(), "scale_in: no victims");
   require(victims.size() < workers_.size(), "scale_in: cannot remove all workers");
   for (int v : victims) {
-    require(workers_.count(v) > 0, "scale_in: unknown worker " + std::to_string(v));
+    ELAN_REQUIRE(workers_.count(v) > 0, "scale_in: unknown worker " + std::to_string(v));
   }
   plan_ = AdjustmentPlan{};
   plan_.version = next_version_++;
@@ -254,7 +254,7 @@ std::vector<WorkerLaunchSpec> ApplicationMaster::migrate_locked(
   require(!victims.empty() && victims.size() == target_gpus.size(),
           "migrate: victims/targets mismatch");
   for (int v : victims) {
-    require(workers_.count(v) > 0, "migrate: unknown worker " + std::to_string(v));
+    ELAN_REQUIRE(workers_.count(v) > 0, "migrate: unknown worker " + std::to_string(v));
   }
   plan_ = AdjustmentPlan{};
   plan_.version = next_version_++;

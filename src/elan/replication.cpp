@@ -293,7 +293,8 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
       auto consider = [&](int worker, topo::GpuId gpu, Seconds available, Seconds send_busy,
                           int load, bool is_relay) {
         Candidate c;
-        c.level = static_cast<int>(topology_->link_level(gpu, d.gpu));
+        const topo::LinkLevel level = topology_->link_level(gpu, d.gpu);
+        c.level = static_cast<int>(level);
         c.start = std::max({available, send_busy, d.busy_recv});
         for (std::size_t key : keys_for(gpu, d.gpu)) {
           c.start = std::max(c.start, resource_free[key]);
@@ -302,7 +303,7 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
         c.relay = is_relay;
         c.worker = worker;
         c.gpu = gpu;
-        c.duration = bytes_time(topology_->link_level(gpu, d.gpu));
+        c.duration = bytes_time(level);
         if (c.better_than(dest_best)) dest_best = c;
       };
 

@@ -90,9 +90,9 @@ void WorkerProcess::launch(std::function<void()> on_ready) {
 
 void WorkerProcess::coordinate(std::uint64_t iteration,
                                std::function<void(const DecisionMsg&)> on_decision) {
-  require(state_ == WorkerState::kTraining || state_ == WorkerState::kReady,
-          "coordinate: worker " + name_ + " not running");
-  require(!pending_decision_, "coordinate: decision already pending on " + name_);
+  ELAN_REQUIRE(state_ == WorkerState::kTraining || state_ == WorkerState::kReady,
+               "coordinate: worker " + name_ + " not running");
+  ELAN_REQUIRE(!pending_decision_, "coordinate: decision already pending on " + name_);
   pending_decision_ = std::move(on_decision);
   pending_iteration_ = iteration;
   send_coordinate();

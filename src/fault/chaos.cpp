@@ -274,6 +274,7 @@ ChaosResult ChaosRunner::run_plan(const ChaosPlan& plan) {
   result.end_time = sim.now();
   result.final_workers = job.num_workers();
   result.adjustments_completed = static_cast<int>(job.adjustments().size());
+  result.adjustments_rejected = job.adjustments_rejected();
   result.worker_failures = job.worker_failures();
   result.evictions = job.master().evictions();
   result.master_crashes = injector.master_crashes();
@@ -329,7 +330,8 @@ ChaosResult ChaosRunner::run_plan(const ChaosPlan& plan) {
     }
   }
 
-  // Determinism digest over everything externally observable.
+  // Determinism digests over everything externally observable: the outcome
+  // first, then the replica bytes on top of it.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   h = fnv_mix(h, result.iterations);
   h = fnv_mix(h, static_cast<std::uint64_t>(result.final_workers));
@@ -343,6 +345,7 @@ ChaosResult ChaosRunner::run_plan(const ChaosPlan& plan) {
   const double end_time = result.end_time;
   std::memcpy(&time_bits, &end_time, sizeof(time_bits));
   h = fnv_mix(h, time_bits);
+  result.outcome_digest = h;
   for (std::uint64_t checksum : job.worker_checksums()) h = fnv_mix(h, checksum);
   result.fingerprint = h;
 

@@ -70,14 +70,20 @@ struct ChaosResult {
   Seconds end_time = 0;
   int final_workers = 0;
   int adjustments_completed = 0;
+  /// Adjust requests the AM refused (duplicate replies not counted). Not
+  /// part of either digest.
   int adjustments_rejected = 0;
   int worker_failures = 0;
   std::uint64_t evictions = 0;
   int master_crashes = 0;
   int kills = 0;
-  /// Digest of the final state (iteration, replica checksums, sampler
-  /// cursor, clock). Two runs of the same plan must produce equal
-  /// fingerprints — the determinism contract.
+  /// Digest of the run's outcome: iterations, final workers, adjustments,
+  /// worker failures, evictions, epoch, samples processed and the bits of
+  /// the end time. A change to how replica bytes evolve (the optimizer
+  /// keystream) moves `fingerprint` but must leave this digest alone.
+  std::uint64_t outcome_digest = 0;
+  /// outcome_digest with the replica checksums folded in. Two runs of the
+  /// same plan must produce equal fingerprints — the determinism contract.
   std::uint64_t fingerprint = 0;
   /// Training pause of each completed adjustment (bench percentile input).
   std::vector<Seconds> adjustment_pauses;

@@ -155,7 +155,7 @@ std::vector<int> DataParallelTrainer::scale_out(int count) {
 void DataParallelTrainer::scale_in(const std::vector<int>& victims) {
   require(victims.size() < replicas_.size(), "scale_in: cannot remove all replicas");
   for (int v : victims) {
-    require(replicas_.erase(v) == 1, "scale_in: unknown replica " + std::to_string(v));
+    ELAN_REQUIRE(replicas_.erase(v) == 1, "scale_in: unknown replica " + std::to_string(v));
   }
 }
 

@@ -101,7 +101,7 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(const std::string& name,
                                                         const std::string& help, Kind kind) {
   for (auto& e : entries_) {
     if (e->name == name) {
-      require(e->kind == kind, "metrics: " + name + " re-registered as a different kind");
+      ELAN_REQUIRE(e->kind == kind, "metrics: " + name + " re-registered as a different kind");
       return *e;
     }
   }
@@ -134,8 +134,8 @@ Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<doubl
   if (!e.histogram) {
     e.histogram = std::make_unique<Histogram>(std::move(bounds));
   } else {
-    require(e.histogram->bounds() == bounds,
-            "metrics: histogram " + name + " re-registered with different bounds");
+    ELAN_REQUIRE(e.histogram->bounds() == bounds,
+                 "metrics: histogram " + name + " re-registered with different bounds");
   }
   return *e.histogram;
 }

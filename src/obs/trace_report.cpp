@@ -45,8 +45,8 @@ class JsonParser {
   JsonValue parse() {
     JsonValue v = value();
     skip_ws();
-    require(pos_ == text_.size(), "trace json: trailing content at offset " +
-                                      std::to_string(pos_));
+    ELAN_REQUIRE(pos_ == text_.size(), "trace json: trailing content at offset " +
+                                           std::to_string(pos_));
     return v;
   }
 
@@ -325,7 +325,7 @@ TraceSummary summarize_trace_json(const std::string& json_text) {
 
 TraceSummary summarize_trace_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "trace report: cannot open " + path);
+  ELAN_REQUIRE(in.good(), "trace report: cannot open " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return summarize_trace_json(buffer.str());

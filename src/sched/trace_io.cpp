@@ -36,12 +36,12 @@ void write_trace_csv(std::ostream& os, const std::vector<SchedJobSpec>& trace) {
 std::vector<SchedJobSpec> read_trace_csv(std::istream& is) {
   std::string line;
   require(static_cast<bool>(std::getline(is, line)), "trace csv: empty input");
-  require(line == kHeader, "trace csv: unexpected header: " + line);
+  ELAN_REQUIRE(line == kHeader, "trace csv: unexpected header: " + line);
   std::vector<SchedJobSpec> trace;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto cells = split_csv_line(line);
-    require(cells.size() == 8, "trace csv: bad row: " + line);
+    ELAN_REQUIRE(cells.size() == 8, "trace csv: bad row: " + line);
     SchedJobSpec j;
     j.id = std::stoi(cells[0]);
     j.submit_time = std::stod(cells[1]);
@@ -51,8 +51,8 @@ std::vector<SchedJobSpec> read_trace_csv(std::istream& is) {
     j.max_res = std::stoi(cells[5]);
     j.base_total_batch = std::stoi(cells[6]);
     j.total_samples = std::stoull(cells[7]);
-    require(j.min_res > 0 && j.min_res <= j.req_res && j.req_res <= j.max_res,
-            "trace csv: inconsistent resource bounds in row: " + line);
+    ELAN_REQUIRE(j.min_res > 0 && j.min_res <= j.req_res && j.req_res <= j.max_res,
+                 "trace csv: inconsistent resource bounds in row: " + line);
     trace.push_back(std::move(j));
   }
   return trace;

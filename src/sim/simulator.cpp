@@ -43,6 +43,12 @@ EventId Simulator::schedule_at(Seconds when, Callback fn) {
   return heap_.push(EventKey{when, next_seq_++}, std::move(fn));
 }
 
+EventId Simulator::schedule_no_earlier(Seconds when, Callback fn) {
+  require(static_cast<bool>(fn), "Simulator::schedule_no_earlier: empty callback");
+  MutexLock lock(mu_);
+  return heap_.push(EventKey{std::max(when, now_), next_seq_++}, std::move(fn));
+}
+
 bool Simulator::cancel(EventId id) {
   MutexLock lock(mu_);
   return heap_.erase(id);

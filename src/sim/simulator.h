@@ -62,6 +62,12 @@ class Simulator {
   /// Schedules `fn` at an absolute virtual time (must be >= now()).
   EventId schedule_at(Seconds when, Callback fn);
 
+  /// Schedules `fn` at max(`when`, now()), reading the clock under the same
+  /// lock as the insertion. For a producer off the driver thread whose
+  /// `when` derives from an earlier now() that the driver may since have
+  /// advanced past; with a single thread it is exactly schedule_at.
+  EventId schedule_no_earlier(Seconds when, Callback fn);
+
   /// Cancels a pending event, removing it from the queue in place (O(log n),
   /// no tombstone). Cancelling an already-fired or unknown event is a no-op
   /// (returns false).

@@ -26,12 +26,16 @@ void TopologySpec::validate() const {
 Topology::Topology(TopologySpec spec) : spec_(spec) { spec_.validate(); }
 
 void Topology::check_gpu(GpuId gpu) const {
-  require(gpu >= 0 && gpu < total_gpus(),
-          "GPU id out of range: " + std::to_string(gpu));
+  ELAN_REQUIRE(gpu >= 0 && gpu < total_gpus(),
+               "GPU id out of range: " + std::to_string(gpu));
 }
 
 GpuLocation Topology::location(GpuId gpu) const {
   check_gpu(gpu);
+  return locate(gpu);
+}
+
+GpuLocation Topology::locate(GpuId gpu) const {
   GpuLocation loc;
   int rest = gpu;
   loc.slot = rest % spec_.gpus_per_switch;
@@ -75,8 +79,8 @@ LinkLevel Topology::link_level(GpuId a, GpuId b) const {
   check_gpu(a);
   check_gpu(b);
   if (a == b) return LinkLevel::kSelf;
-  const GpuLocation la = location(a);
-  const GpuLocation lb = location(b);
+  const GpuLocation la = locate(a);
+  const GpuLocation lb = locate(b);
   if (la.node != lb.node) return LinkLevel::kL4;
   if (la.socket != lb.socket) return LinkLevel::kL3;
   if (la.host_bridge != lb.host_bridge) return LinkLevel::kL3;
@@ -85,9 +89,9 @@ LinkLevel Topology::link_level(GpuId a, GpuId b) const {
 }
 
 std::vector<std::string> Topology::transfer_resources(GpuId a, GpuId b) const {
-  const LinkLevel level = link_level(a, b);
-  const GpuLocation la = location(a);
-  const GpuLocation lb = location(b);
+  const LinkLevel level = link_level(a, b);  // checks both ids
+  const GpuLocation la = locate(a);
+  const GpuLocation lb = locate(b);
   std::vector<std::string> keys;
   switch (level) {
     case LinkLevel::kSelf:

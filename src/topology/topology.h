@@ -94,6 +94,8 @@ class Topology {
   TopologySpec spec_;
 
   void check_gpu(GpuId gpu) const;
+  /// location() without the range check, for callers that already did it.
+  GpuLocation locate(GpuId gpu) const;
 };
 
 }  // namespace elan::topo

@@ -14,13 +14,10 @@ SgdOptimizer::SgdOptimizer(const ModelSpec& model)
 }
 
 void SgdOptimizer::mix(Blob& blob, std::uint64_t seed) {
-  std::uint64_t x = seed ^ (blob.quick_fingerprint() * 0x9e3779b97f4a7c15ULL);
-  for (auto& b : blob.mutable_bytes()) {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    b = static_cast<std::uint8_t>(b ^ ((x * 0x2545f4914f6cdd1dULL) >> 56));
-  }
+  // The key folds in the blob's own content, so a replica's next state
+  // depends on its history, not only on the seed.
+  xor_keystream(blob.mutable_bytes(),
+                seed ^ (blob.quick_fingerprint() * 0x9e3779b97f4a7c15ULL));
 }
 
 void SgdOptimizer::step(std::uint64_t gradient_seed) {

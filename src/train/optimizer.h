@@ -43,14 +43,16 @@ class SgdOptimizer {
   /// Overwrites this optimizer's state from another (state replication).
   void load_from(const SgdOptimizer& other);
 
+  /// The update step applies to one blob: XORs in a keystream (common/
+  /// blob.h) keyed by `seed` and the blob's quick fingerprint.
+  static void mix(Blob& blob, std::uint64_t seed);
+
  private:
   Blob parameters_;
   Blob momentum_;
   Bytes nominal_param_bytes_;
   Bytes nominal_momentum_bytes_;
   std::uint64_t steps_ = 0;
-
-  static void mix(Blob& blob, std::uint64_t seed);
 };
 
 }  // namespace elan::train

@@ -101,7 +101,7 @@ int ThroughputModel::optimal_workers(const ModelSpec& model, int total_batch) co
       best_n = n;
     }
   }
-  require(best_n > 0, "optimal_workers: no feasible configuration for " + model.name);
+  ELAN_REQUIRE(best_n > 0, "optimal_workers: no feasible configuration for " + model.name);
   return best_n;
 }
 

@@ -69,8 +69,11 @@ MessageId MessageBus::send(Message msg) {
   const MessageId id = msg.id;
   obs::FlightRecorder::record(obs::FlightEventKind::kMsgSend, msg.from.c_str(),
                               msg.type.c_str(), id);
-  sim_.schedule_at(deliver_at,
-                   [this, msg = std::move(msg)]() { deliver(msg); });
+  // A driver on another thread may have run the clock past deliver_at since
+  // now() was read above; the message then lands at the new now(). Equal
+  // times keep FIFO through the insertion-order tiebreak.
+  sim_.schedule_no_earlier(deliver_at,
+                           [this, msg = std::move(msg)]() { deliver(msg); });
   return id;
 }
 
@@ -141,7 +144,7 @@ void ReliableEndpoint::restart() {
 MessageId ReliableEndpoint::send(const std::string& to, const std::string& type,
                                  Payload payload) {
   MutexLock lock(mu_);
-  require(alive_, "ReliableEndpoint::send on dead endpoint " + name_);
+  ELAN_REQUIRE(alive_, "ReliableEndpoint::send on dead endpoint " + name_);
   Message msg;
   msg.from = name_;
   msg.to = to;
@@ -228,7 +231,8 @@ void ReliableEndpoint::on_raw(const Message& msg) {
   bool fresh = false;
   {
     MutexLock lock(mu_);
-    fresh = seen_.insert({msg.from, msg.id}).second;
+    // try_emplace copies the sender's name only the first time it is seen.
+    fresh = seen_.try_emplace(msg.from).first->second.insert(msg.id);
   }
   if (!fresh) {
     log_trace() << name_ << ": duplicate message " << msg.id << " suppressed";

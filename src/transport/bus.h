@@ -23,11 +23,11 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/rng.h"
 #include "common/sync.h"
 #include "common/units.h"
@@ -194,10 +194,12 @@ class ReliableEndpoint {
   mutable Mutex mu_{"reliable_endpoint"};
   bool alive_ ELAN_GUARDED_BY(mu_) = false;
   std::map<MessageId, Pending> pending_ ELAN_GUARDED_BY(mu_);
-  /// Receiver-side dedup, keyed (sender, id): ids are only unique per
-  /// sending transport instance, and with the socket backend every process
-  /// allocates its own.
-  std::set<std::pair<std::string, MessageId>> seen_ ELAN_GUARDED_BY(mu_);
+  /// Receiver-side dedup: the ids received from each sender. Ids are only
+  /// unique per sending transport instance (with the socket backend every
+  /// process allocates its own), so each sender name gets its own set of
+  /// full 64-bit ids. Grows with the messages received, about 11-21 bytes
+  /// per id; nothing is evicted (DESIGN.md §5l).
+  std::map<std::string, FlatSet64> seen_ ELAN_GUARDED_BY(mu_);
   std::uint64_t retries_ ELAN_GUARDED_BY(mu_) = 0;
   std::uint64_t gave_up_ ELAN_GUARDED_BY(mu_) = 0;
   // Guards callbacks that may fire after destruction.

@@ -1,10 +1,15 @@
 // Unit tests for the common utilities (units, blobs, serialisation, stats,
-// tables, RNG).
+// tables, RNG, checks, flat sets).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/blob.h"
+#include "common/error.h"
+#include "common/flat_hash.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/stats.h"
@@ -92,10 +97,75 @@ TEST(Blob, QuickFingerprintTracksContent) {
   EXPECT_NE(f1, a.quick_fingerprint());
 }
 
+TEST(Blob, KeystreamTailTakesTheLowBytesOfTheNextWord) {
+  // One generator step per 8-byte word: a 13-byte stream is the first 13
+  // bytes of the 16-byte one, on every host byte order.
+  std::vector<std::uint8_t> shorter(13, 0);
+  std::vector<std::uint8_t> longer(16, 0);
+  xor_keystream(shorter, 99);
+  xor_keystream(longer, 99);
+  EXPECT_TRUE(std::equal(shorter.begin(), shorter.end(), longer.begin()));
+  EXPECT_NE(shorter, std::vector<std::uint8_t>(13, 0));
+}
+
 TEST(Blob, EmptyChecksumIsStable) {
   Blob a;
   Blob b;
   EXPECT_EQ(a.checksum(), b.checksum());
+}
+
+// ---------------------------------------------------------------------------
+// Checks
+// ---------------------------------------------------------------------------
+
+TEST(Require, ComposedMessageIsBuiltOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&built] {
+    ++built;
+    return "GPU id out of range: " + std::to_string(99);
+  };
+  ELAN_REQUIRE(1 < 2, message());
+  EXPECT_EQ(built, 0);
+  try {
+    ELAN_REQUIRE(2 < 1, message());
+    FAIL() << "ELAN_REQUIRE did not throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "invalid argument: GPU id out of range: 99");
+  }
+  EXPECT_EQ(built, 1);
+}
+
+// ---------------------------------------------------------------------------
+// FlatSet64
+// ---------------------------------------------------------------------------
+
+TEST(FlatSet64, InsertReportsFreshness) {
+  FlatSet64 set;
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(set.insert(42));
+  EXPECT_FALSE(set.insert(42));
+  EXPECT_TRUE(set.insert(43));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(FlatSet64, StoresEveryValueIncludingTheEmptyMarker) {
+  FlatSet64 set;
+  const std::uint64_t all_ones = ~std::uint64_t{0};
+  EXPECT_TRUE(set.insert(all_ones));
+  EXPECT_FALSE(set.insert(all_ones));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(FlatSet64, GrowsKeepingEveryMember) {
+  // Socket-style ids: a pid in the high bits, a counter below.
+  FlatSet64 set;
+  const std::uint64_t base = (std::uint64_t{4321} << 48) ^ 987654321ULL;
+  for (std::uint64_t i = 0; i < 10'000; ++i) ASSERT_TRUE(set.insert(base + i)) << i;
+  EXPECT_EQ(set.size(), 10'000u);
+  for (std::uint64_t i = 0; i < 10'000; ++i) ASSERT_FALSE(set.insert(base + i)) << i;
+  EXPECT_TRUE(set.insert(base + 10'000));
 }
 
 // ---------------------------------------------------------------------------

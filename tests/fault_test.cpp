@@ -33,20 +33,30 @@ TEST_F(FaultTest, SamplePlanIsSeedDeterministic) {
   EXPECT_NE(ChaosRunner::sample_plan(1).describe(), ChaosRunner::sample_plan(2).describe());
 }
 
+// The combined outcome_digest of plans 1-200: per-plan digests folded with
+// FNV-1a in seed order. It pins what the runs do (iterations, workers,
+// adjustments, failures, evictions, epochs, samples, end times) but not the
+// replica bytes, so a new optimizer keystream moves every fingerprint and
+// leaves this alone. A change that moves it changes behaviour.
+constexpr std::uint64_t kSweepOutcomeDigest = 0x762f863d8a6e9cf7ULL;
+
 // The acceptance sweep: 200 consecutive seeds, every plan passes its
-// invariants, and a second full run of the same plans reproduces every
-// fingerprint bit for bit.
+// invariants, the outcomes match the pinned digest, and a second full run of
+// the same plans reproduces every fingerprint bit for bit.
 TEST_F(FaultTest, TwoHundredPlanSweepPassesTwiceDeterministically) {
   constexpr int kPlans = 200;
   constexpr std::uint64_t kBase = 1;
   std::vector<std::uint64_t> fingerprints;
   fingerprints.reserve(kPlans);
+  std::uint64_t outcomes = 0xcbf29ce484222325ULL;
   for (int i = 0; i < kPlans; ++i) {
     const auto plan = ChaosRunner::sample_plan(kBase + static_cast<std::uint64_t>(i));
     const auto result = ChaosRunner::run_plan(plan);
     ASSERT_TRUE(result.ok()) << plan.describe() << "\n" << result.describe();
     fingerprints.push_back(result.fingerprint);
+    outcomes = (outcomes ^ result.outcome_digest) * 0x100000001b3ULL;
   }
+  EXPECT_EQ(outcomes, kSweepOutcomeDigest) << "the sweep's outcomes changed";
   for (int i = 0; i < kPlans; ++i) {
     const std::uint64_t seed = kBase + static_cast<std::uint64_t>(i);
     const auto result = ChaosRunner::run_seed(seed);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "storage/filesystem.h"
 
 namespace elan {
@@ -68,6 +70,30 @@ TEST(ElasticJob, ScaleOutAddsWorkersAndKeepsConsistency) {
   EXPECT_EQ(adj.workers_after, 6);
   EXPECT_TRUE(job->consistent());
   EXPECT_EQ(job->master().phase(), AmPhase::kSteady);
+}
+
+TEST(ElasticJob, RejectedRequestCountedOnceDespiteReplayedReplies) {
+  JobFixture f;
+  auto c = f.config(4, 128);
+  // Shorter than a reply's round trip: the job re-sends the request before
+  // the verdict lands, and the AM answers each re-send with its cached
+  // verdict, so the job also receives duplicate replies.
+  c.adjust_reply_timeout = 1e-5;
+  auto job = f.make_job(std::move(c));
+  std::set<transport::MessageId> replies;
+  f.bus.set_fault_filter([&](const transport::Message& m, Seconds) {
+    if (m.type == "adjust_reply") replies.insert(m.id);
+    return transport::FaultDecision{};
+  });
+  job->stop_after_iterations(50);
+  job->start();
+  f.sim.schedule(0.5, [&] { job->request_scale_in({42}); });  // no worker 42
+  f.sim.run();
+  EXPECT_GE(replies.size(), 2u) << "no duplicate reply reached the job";
+  EXPECT_EQ(job->adjustments_rejected(), 1);
+  EXPECT_EQ(job->requests_in_flight(), 0);
+  EXPECT_TRUE(job->adjustments().empty());
+  EXPECT_EQ(job->num_workers(), 4);
 }
 
 TEST(ElasticJob, ChunkedReplicationPipelinesAndStaysConsistent) {

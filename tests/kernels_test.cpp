@@ -129,7 +129,7 @@ TEST(IsaDispatch, ChoiceIsLoggedExactlyOnce) {
 // ---------------------------------------------------------------------------
 
 TEST(TensorAlignment, StorageIs64ByteAligned) {
-  for (const auto [r, c] : {std::pair{1, 1}, {3, 7}, {64, 256}, {13, 513}}) {
+  for (const auto& [r, c] : {std::pair{1, 1}, {3, 7}, {64, 256}, {13, 513}}) {
     Tensor t(r, c);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.data().data()) % kTensorAlignment, 0u)
         << r << "x" << c;

@@ -260,6 +260,70 @@ TYPED_TEST(TransportConformance, ReliableShutdownStopsRetries) {
 }
 
 // ---------------------------------------------------------------------------
+// Receiver-side dedup. Raw sends with chosen ids stand in for peers whose
+// transports number their messages independently (every socket-backend
+// process allocates its own ids). The endpoint acks every copy, so counting
+// acks at the raw sender tells when each copy has been seen.
+
+TYPED_TEST(TransportConformance, ReliableDedupIsPerSender) {
+  auto ctx = this->make();
+  std::atomic<int> received{0};
+  std::atomic<int> acks{0};
+  for (const char* sender : {"x", "y"}) {
+    ctx->transport().attach(sender, [&](const Message&) { acks.fetch_add(1); });
+  }
+  ReliableEndpoint b(ctx->transport(), "b",
+                     [&](const Message&) { received.fetch_add(1); });
+  for (const char* sender : {"x", "y", "x", "y"}) {
+    Message m = this->make_message(sender, "b", "hello");
+    m.id = 77;  // the same id from both senders
+    ctx->transport().send(std::move(m));
+  }
+  ASSERT_TRUE(ctx->wait_until([&] { return acks.load() == 4; }));
+  ctx->settle();
+  EXPECT_EQ(received.load(), 2);
+}
+
+TYPED_TEST(TransportConformance, ReliableDedupSurvivesRestart) {
+  auto ctx = this->make();
+  std::atomic<int> received{0};
+  std::atomic<int> acks{0};
+  ctx->transport().attach("x", [&](const Message&) { acks.fetch_add(1); });
+  ReliableEndpoint b(ctx->transport(), "b",
+                     [&](const Message&) { received.fetch_add(1); });
+  Message m = this->make_message("x", "b", "hello");
+  m.id = 5;
+  ctx->transport().send(m);
+  ASSERT_TRUE(ctx->wait_until([&] { return received.load() == 1 && acks.load() == 1; }));
+  b.shutdown();
+  b.restart();
+  // A re-send whose first ack was lost lands on the restarted endpoint.
+  ctx->transport().send(m);
+  ASSERT_TRUE(ctx->wait_until([&] { return acks.load() == 2; }));
+  ctx->settle();
+  EXPECT_EQ(received.load(), 1);
+}
+
+TYPED_TEST(TransportConformance, ReliableDedupAcceptsEveryIdValue) {
+  // All-ones marks an empty slot inside the dedup set; as a message id it
+  // must still be delivered once and then suppressed.
+  auto ctx = this->make();
+  std::atomic<int> received{0};
+  std::atomic<int> acks{0};
+  ctx->transport().attach("x", [&](const Message&) { acks.fetch_add(1); });
+  ReliableEndpoint b(ctx->transport(), "b",
+                     [&](const Message&) { received.fetch_add(1); });
+  for (const MessageId id : {~MessageId{0}, ~MessageId{0}, MessageId{1}, ~MessageId{0}}) {
+    Message m = this->make_message("x", "b", "hello");
+    m.id = id;
+    ctx->transport().send(std::move(m));
+  }
+  ASSERT_TRUE(ctx->wait_until([&] { return acks.load() == 4; }));
+  ctx->settle();
+  EXPECT_EQ(received.load(), 2);
+}
+
+// ---------------------------------------------------------------------------
 // Zero-copy payload contract.
 
 TYPED_TEST(TransportConformance, ZeroCopyPayloadDelivery) {

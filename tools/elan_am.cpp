@@ -32,7 +32,7 @@ std::vector<elan::WorkerLaunchSpec> parse_initial(const std::string& spec) {
     if (comma == std::string::npos) comma = spec.size();
     const std::string item = spec.substr(pos, comma - pos);
     const std::size_t colon = item.find(':');
-    elan::require(colon != std::string::npos, "--initial: expected worker:gpu, got " + item);
+    ELAN_REQUIRE(colon != std::string::npos, "--initial: expected worker:gpu, got " + item);
     elan::WorkerLaunchSpec ws;
     ws.worker = std::stoi(item.substr(0, colon));
     ws.gpu = std::stoi(item.substr(colon + 1));

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     std::vector<sched::SchedJobSpec> trace;
     if (!flags.get("trace-in").empty()) {
       std::ifstream in(flags.get("trace-in"));
-      require(in.good(), "cannot open " + flags.get("trace-in"));
+      ELAN_REQUIRE(in.good(), "cannot open " + flags.get("trace-in"));
       trace = sched::read_trace_csv(in);
     } else {
       sched::TraceParams tp;

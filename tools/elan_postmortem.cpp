@@ -24,6 +24,8 @@
 #include "common/error.h"
 #include "common/flags.h"
 #include "obs/flight.h"
+#include "transport/socket_error.h"
+#include "transport/socket_transport.h"
 
 namespace {
 
@@ -99,6 +101,18 @@ std::string describe_args(const FlightEvent& e) {
       return "lock-order violation; process dying";
     case FlightEventKind::kCheckFailed:
       return detail + ":" + u(e.a);
+    case FlightEventKind::kSockError:
+      // The recorded detail is the name cut to the field's width; the code
+      // names it in full.
+      return std::string(elan::transport::to_string(
+                 static_cast<elan::transport::SocketError>(e.a))) +
+             " code=" + u(e.a);
+    case FlightEventKind::kLinkState: {
+      const auto state = [](std::uint64_t v) {
+        return elan::transport::to_string(static_cast<elan::transport::LinkState>(v));
+      };
+      return std::string(state(e.a)) + " -> " + state(e.b);
+    }
   }
   return detail;
 }
