@@ -1,7 +1,9 @@
 // A live elastic cluster: several real training jobs (each with its own
 // application master, workers and state) share one simulated 64-GPU cluster
 // under the elastic scheduling policy — admission at min_workers,
-// marginal-gain growth into idle GPUs, reclamation when new jobs queue.
+// marginal-gain growth into idle GPUs, reclamation when a job queues. The
+// growth, reclamation and placement decisions come from the same rule the
+// trace simulator uses (sched/allocation.h).
 //
 // Everything here is the real control plane: the scheduler talks to each
 // job's AM through the Table III service API, new workers start

@@ -19,7 +19,8 @@ struct RunState {
   int n = 0;
   Seconds step_time = 0;  // synchronous step duration (slowest ring edge)
   Seconds started_at = 0;
-  std::function<void()> done;
+  /// Completion: records the run's duration, then calls the caller's done.
+  std::function<void(Seconds duration)> done;
 };
 
 std::pair<std::size_t, std::size_t> chunk_range(const RunState& s, int chunk) {
@@ -92,6 +93,45 @@ void allgather_step(RunState& s, int step) {
   });
 }
 
+/// Runs step `step` of the ring at the end of its window, then schedules the
+/// next one; the last step reports completion.
+void run_step(sim::Simulator& sim, const std::shared_ptr<RunState>& state, int step) {
+  const int n = state->n;
+  if (step < n - 1) {
+    reduce_scatter_step(*state, step);
+  } else {
+    allgather_step(*state, step - (n - 1));
+  }
+  if (obs::Tracer::enabled()) {
+    // This callback runs at the *end* of the step, so the span covers the
+    // preceding [now - step_time, now) virtual interval. Explicit sim-time
+    // timestamps — the tracer clock is bypassed on purpose.
+    obs::Tracer::instance().complete(
+        "comm", step < n - 1 ? "reduce_scatter" : "allgather",
+        (sim.now() - state->step_time) * 1e6, state->step_time * 1e6,
+        "{\"step\":" + std::to_string(step) + "}");
+  }
+  if (step + 1 == 2 * (n - 1)) {
+    // This callback runs at the end of the final step: all time charged.
+    const Seconds duration = sim.now() - state->started_at;
+    if (obs::Tracer::enabled()) {
+      obs::Tracer::instance().complete("comm", "ring_allreduce", state->started_at * 1e6,
+                                       duration * 1e6,
+                                       "{\"ranks\":" + std::to_string(n) + "}");
+    }
+    static auto& runs_total = obs::MetricsRegistry::instance().counter(
+        "elan_ring_allreduce_runs_total", "Completed simulated ring allreduces");
+    static auto& duration_hist = obs::MetricsRegistry::instance().histogram(
+        "elan_ring_allreduce_duration_seconds",
+        obs::MetricsRegistry::latency_seconds_bounds(), "Simulated ring allreduce durations");
+    runs_total.add(1);
+    duration_hist.observe(duration);
+    sim.schedule(0.0, [state, duration] { state->done(duration); });
+    return;
+  }
+  sim.schedule(state->step_time, [&sim, state, step] { run_step(sim, state, step + 1); });
+}
+
 }  // namespace
 
 void RingAllreduce::run(std::vector<std::vector<double>*> per_rank,
@@ -117,7 +157,6 @@ void RingAllreduce::run(std::vector<std::vector<double>*> per_rank,
   state->n = n;
   state->chunk_len = (len + static_cast<std::size_t>(n) - 1) / static_cast<std::size_t>(n);
   state->started_at = sim_->now();
-  state->done = std::move(done);
 
   // Synchronous steps: every rank sends one chunk per step; the step lasts as
   // long as the slowest ring edge needs for one chunk.
@@ -133,46 +172,12 @@ void RingAllreduce::run(std::vector<std::vector<double>*> per_rank,
   state->step_time = slowest;
   transfers_ = static_cast<std::uint64_t>(n) * (2u * static_cast<std::uint64_t>(n) - 2u);
 
-  // Schedule the 2(N-1) steps back to back.
-  auto run_step = std::make_shared<std::function<void(int)>>();
-  *run_step = [this, state, run_step](int step) {
-    const int n_ = state->n;
-    if (step < n_ - 1) {
-      reduce_scatter_step(*state, step);
-    } else {
-      allgather_step(*state, step - (n_ - 1));
-    }
-    if (obs::Tracer::enabled()) {
-      // This callback runs at the *end* of the step, so the span covers the
-      // preceding [now - step_time, now) virtual interval. Explicit sim-time
-      // timestamps — the tracer clock is bypassed on purpose.
-      obs::Tracer::instance().complete(
-          "comm", step < n_ - 1 ? "reduce_scatter" : "allgather",
-          (sim_->now() - state->step_time) * 1e6, state->step_time * 1e6,
-          "{\"step\":" + std::to_string(step) + "}");
-    }
-    if (step + 1 == 2 * (n_ - 1)) {
-      // This callback runs at the end of the final step: all time charged.
-      last_duration_ = sim_->now() - state->started_at;
-      if (obs::Tracer::enabled()) {
-        obs::Tracer::instance().complete("comm", "ring_allreduce", state->started_at * 1e6,
-                                         last_duration_ * 1e6,
-                                         "{\"ranks\":" + std::to_string(n_) + "}");
-      }
-      static auto& runs_total = obs::MetricsRegistry::instance().counter(
-          "elan_ring_allreduce_runs_total", "Completed simulated ring allreduces");
-      static auto& duration_hist = obs::MetricsRegistry::instance().histogram(
-          "elan_ring_allreduce_duration_seconds",
-          obs::MetricsRegistry::latency_seconds_bounds(),
-          "Simulated ring allreduce durations");
-      runs_total.add(1);
-      duration_hist.observe(last_duration_);
-      sim_->schedule(0.0, [state] { state->done(); });
-      return;
-    }
-    sim_->schedule(state->step_time, [run_step, step] { (*run_step)(step + 1); });
+  state->done = [this, done = std::move(done)](Seconds duration) {
+    last_duration_ = duration;
+    done();
   };
-  sim_->schedule(state->step_time, [run_step] { (*run_step)(0); });
+  // Schedule the 2(N-1) steps back to back.
+  sim_->schedule(state->step_time, [sim = sim_, state] { run_step(*sim, state, 0); });
 }
 
 }  // namespace elan::comm

@@ -6,13 +6,14 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 // The lock-order detector (see sync.h for the model). All bookkeeping lives
 // behind one internal std::mutex; the fast path — acquiring while holding no
 // other lock, which covers every hot-path acquisition in the thread pool —
-// touches only a thread_local vector and never takes it.
+// touches only a thread_local array and never takes it.
 //
 // This file is the one place naked std:: primitives are allowed (the
 // detector cannot be built on elan::Mutex without infinite recursion);
@@ -35,12 +36,29 @@ struct HeldLock {
   std::source_location loc;
 };
 
-// Locks currently held by this thread, acquisition order. Leaked vector so
-// thread exit during static destruction cannot touch a dead object.
-std::vector<HeldLock>& held_stack() {
-  thread_local std::vector<HeldLock>* held = new std::vector<HeldLock>();
-  return *held;
-}
+// Capacity of a thread's held-lock stack. A thread never holds two locks of
+// one class (same-class nesting aborts), and the lock-order DAG of DESIGN.md
+// §5c nests at most four classes: application_master -> reliable_endpoint
+// -> message_bus -> simulator. Leaf locks (logger, trace_buffer,
+// metrics_registry, ...) can sit on top of that chain. Sixteen leaves room
+// for all of them; a deeper stack is a nesting the DAG does not know, and
+// note_acquired dies on it.
+constexpr std::size_t kMaxHeldLocks = 16;
+
+// Locks currently held by this thread, in acquisition order. Fixed capacity
+// and trivially destructible: locking keeps working while static
+// destructors run, and an exiting thread leaves nothing behind.
+struct HeldStack {
+  HeldLock locks[kMaxHeldLocks];
+  std::size_t size;
+
+  const HeldLock* begin() const { return locks; }
+  const HeldLock* end() const { return locks + size; }
+  bool empty() const { return size == 0; }
+};
+static_assert(std::is_trivially_destructible_v<HeldStack>);
+
+constinit thread_local HeldStack t_held{};
 
 std::uint64_t edge_key(std::uint32_t from, std::uint32_t to) {
   return (static_cast<std::uint64_t>(from) << 32) | to;
@@ -69,11 +87,11 @@ std::string format_site(const std::source_location& loc) {
   return std::string(loc.file_name()) + ":" + std::to_string(loc.line());
 }
 
-std::string format_held_stack(const std::vector<HeldLock>& held) {
+std::string format_held_stack(const HeldStack& held) {
   std::string out;
-  for (std::size_t i = held.size(); i-- > 0;) {
-    out += "    #" + std::to_string(held.size() - 1 - i) + " \"" + held[i].name +
-           "\" acquired at " + format_site(held[i].loc) + "\n";
+  for (std::size_t i = held.size; i-- > 0;) {
+    out += "    #" + std::to_string(held.size - 1 - i) + " \"" + held.locks[i].name +
+           "\" acquired at " + format_site(held.locks[i].loc) + "\n";
   }
   return out;
 }
@@ -126,7 +144,7 @@ bool reachable(Registry& reg, std::uint32_t from, std::uint32_t to,
 // hanging silently.
 void before_blocking_lock(const Mutex* mu, std::uint32_t cls, const char* name,
                           const std::source_location& loc) {
-  auto& held = held_stack();
+  const HeldStack& held = t_held;
   for (const HeldLock& h : held) {
     if (h.mu == mu) {
       die("elan::Mutex: FATAL: recursive lock of \"" + std::string(name) + "\" at " +
@@ -172,16 +190,28 @@ void before_blocking_lock(const Mutex* mu, std::uint32_t cls, const char* name,
   }
 }
 
+// Out of line, so note_acquired stays small enough to inline into
+// Mutex::lock.
+[[noreturn]] void die_held_stack_full(const char* name, const std::source_location& loc) {
+  die("elan::Mutex: FATAL: acquiring \"" + std::string(name) + "\" at " + format_site(loc) +
+      " while holding " + std::to_string(kMaxHeldLocks) +
+      " locks, more than the lock-order DAG nests\n  held locks:\n" +
+      format_held_stack(t_held));
+}
+
 void note_acquired(const Mutex* mu, std::uint32_t cls, const char* name,
                    const std::source_location& loc) {
-  held_stack().push_back(HeldLock{mu, cls, name, loc});
+  HeldStack& held = t_held;
+  if (held.size == kMaxHeldLocks) [[unlikely]] die_held_stack_full(name, loc);
+  held.locks[held.size++] = HeldLock{mu, cls, name, loc};
 }
 
 void note_released(const Mutex* mu, const char* name) {
-  auto& held = held_stack();
-  for (std::size_t i = held.size(); i-- > 0;) {
-    if (held[i].mu == mu) {
-      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+  HeldStack& held = t_held;
+  for (std::size_t i = held.size; i-- > 0;) {
+    if (held.locks[i].mu == mu) {
+      std::copy(held.locks + i + 1, held.locks + held.size, held.locks + i);
+      --held.size;
       return;
     }
   }

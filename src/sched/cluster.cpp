@@ -1,14 +1,12 @@
 #include "sched/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 
 #include "common/error.h"
 #include "elan/hybrid_scaling.h"
-#include "sim/indexed_heap.h"
+#include "sched/allocation.h"
 
 namespace elan::sched {
 
@@ -62,7 +60,6 @@ ClusterSim::ClusterSim(const train::ThroughputModel& throughput,
       system_(system),
       params_(params) {
   require(params_.total_gpus > 0, "cluster: total_gpus must be positive");
-  require(params_.tick > 0, "cluster: tick must be positive");
 }
 
 int ClusterSim::hybrid_batch(const SchedJob& job, int workers) const {
@@ -94,53 +91,6 @@ Seconds ClusterSim::estimated_remaining(const SchedJob& job, int workers) const 
   const double tput = job_throughput(job, workers);
   if (tput <= 0) return std::numeric_limits<double>::infinity();
   return job.remaining_samples / tput;
-}
-
-std::vector<topo::GpuId> ClusterSim::take_gpus(int count,
-                                               const std::vector<topo::GpuId>& near) {
-  ELAN_CHECK(static_cast<int>(free_gpu_set_.size()) >= count, "take_gpus: pool exhausted");
-  const auto& topology = throughput_->topology();
-  // Prefer nodes the job already occupies, then the fullest free nodes
-  // (compact-first), taking whole-node runs where possible.
-  std::map<int, int> affinity;
-  for (auto g : near) ++affinity[topology.node_of(g)];
-  std::map<int, std::vector<topo::GpuId>> by_node;
-  for (auto g : free_gpu_set_) by_node[topology.node_of(g)].push_back(g);
-  std::vector<std::pair<int, std::vector<topo::GpuId>>> nodes(by_node.begin(),
-                                                              by_node.end());
-  std::sort(nodes.begin(), nodes.end(), [&](const auto& a, const auto& b) {
-    const int aa = affinity.count(a.first) ? affinity.at(a.first) : 0;
-    const int ab = affinity.count(b.first) ? affinity.at(b.first) : 0;
-    if (aa != ab) return aa > ab;
-    if (a.second.size() != b.second.size()) return a.second.size() > b.second.size();
-    return a.first < b.first;
-  });
-  std::vector<topo::GpuId> out;
-  for (const auto& [node, gpus] : nodes) {
-    for (auto g : gpus) {
-      if (static_cast<int>(out.size()) == count) break;
-      out.push_back(g);
-      free_gpu_set_.erase(g);
-    }
-    if (static_cast<int>(out.size()) == count) break;
-  }
-  return out;
-}
-
-void ClusterSim::release_gpus(SchedJob& job, int count) {
-  // Release from the job's least-populated nodes first so the remainder
-  // stays compact.
-  const auto& topology = throughput_->topology();
-  std::map<int, int> population;
-  for (auto g : job.gpus) ++population[topology.node_of(g)];
-  std::stable_sort(job.gpus.begin(), job.gpus.end(), [&](topo::GpuId a, topo::GpuId b) {
-    return population.at(topology.node_of(a)) > population.at(topology.node_of(b));
-  });
-  for (int i = 0; i < count; ++i) {
-    ELAN_CHECK(!job.gpus.empty(), "release_gpus: nothing to release");
-    free_gpu_set_.insert(job.gpus.back());
-    job.gpus.pop_back();
-  }
 }
 
 double ClusterSim::measured_throughput(const SchedJob& job) const {
@@ -183,7 +133,9 @@ void ClusterSim::start_job(int index, int workers) {
   job.total_batch = hybrid_batch(job, workers);
   job.start_time = now_;
   free_gpus_ -= workers;
-  if (params_.placement_aware) job.gpus = take_gpus(workers, {});
+  if (params_.placement_aware) {
+    job.gpus = take_gpus(free_gpu_set_, workers, {}, throughput_->topology());
+  }
   job_tput_[static_cast<std::size_t>(index)].phase = -1;
   running_.push_back(index);
   metrics_.pending_time.add(job.pending_time());
@@ -226,11 +178,15 @@ void ClusterSim::apply_allocation(SchedJob& job, int new_workers) {
   job.paused_until = now_ + start_window + pause;
   free_gpus_ += job.workers - new_workers;
   if (params_.placement_aware) {
+    const auto& topology = throughput_->topology();
     if (new_workers > job.workers) {
-      const auto added = take_gpus(new_workers - job.workers, job.gpus);
+      const auto added =
+          take_gpus(free_gpu_set_, new_workers - job.workers, job.gpus, topology);
       job.gpus.insert(job.gpus.end(), added.begin(), added.end());
     } else {
-      release_gpus(job, job.workers - new_workers);
+      for (auto g : release_gpus(job.gpus, job.workers - new_workers, topology)) {
+        free_gpu_set_.insert(g);
+      }
     }
   }
   job.workers = new_workers;
@@ -246,14 +202,14 @@ bool ClusterSim::progress_running() {
     for (int index : running_) {
       SchedJob& job = jobs_[static_cast<std::size_t>(index)];
       if (job.paused(now_)) continue;
-      job.remaining_samples -= measured_throughput_cached(index) * params_.tick;
+      job.remaining_samples -= measured_throughput_cached(index) * kTick;
       if (job.remaining_samples <= 0) finished.push_back(index);
     }
   } else {
     for (int index : running_) {
       SchedJob& job = jobs_[static_cast<std::size_t>(index)];
       if (job.paused(now_)) continue;
-      job.remaining_samples -= measured_throughput(job) * params_.tick;
+      job.remaining_samples -= measured_throughput(job) * kTick;
       if (job.remaining_samples <= 0) finished.push_back(index);
     }
   }
@@ -333,7 +289,7 @@ void ClusterSim::schedule_elastic() {
   if (admitted || rebalance_requested_ || now_ >= next_rebalance_) {
     rebalance();
     rebalance_requested_ = false;
-    next_rebalance_ = now_ + params_.rebalance_interval;
+    next_rebalance_ = now_ + kRebalanceInterval;
   }
 }
 
@@ -367,70 +323,29 @@ bool ClusterSim::scheduling_is_noop() const {
 
 void ClusterSim::rebalance() {
   if (running_.empty()) return;
-  // Allocation rule (paper §VI-C): give each job min_res, then repeatedly
-  // add one worker to the job with the greatest marginal gain (estimated
-  // JCT reduction per added worker, as in Optimus) until GPUs run out, every
-  // job hits max_res, or no gain is positive.
-  int budget = params_.total_gpus;
+  // Allocation rule (paper §VI-C): every running job starts at min_res and
+  // the waterfill hands out the rest of the cluster by marginal gain, the
+  // estimated JCT reduction per added worker (as in Optimus).
   const std::size_t n = running_.size();
   std::vector<int> target(n);
+  std::vector<int> cap(n);
   for (std::size_t pos = 0; pos < n; ++pos) {
     const SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
     target[pos] = job.spec.min_res;
-    budget -= job.spec.min_res;
+    cap[pos] = job.spec.max_res;
   }
-  ELAN_CHECK(budget >= 0, "rebalance: min allocations exceed cluster");
-
-  // Incremental waterfilling: a max-heap of per-job marginal gains replaces
-  // the historical O(budget x jobs) full rescan — only the job that just
-  // received a worker changes gain, so only it is re-keyed. Tie-breaking
-  // reproduces the rescan's strict `gain > best` first-wins scan: equal
-  // gains resolve to the earliest job in running_ via the position
-  // component. Non-finite NaN gains (0/0 estimates) are never pushed — the
-  // rescan's `gain > 0` test rejected them too.
-  struct GainKey {
-    double gain;
-    std::size_t pos;
-  };
-  struct GainBefore {
-    bool operator()(const GainKey& a, const GainKey& b) const {
-      if (a.gain != b.gain) return a.gain > b.gain;
-      return a.pos < b.pos;
-    }
-  };
-  const auto gain_at = [&](std::size_t pos) {
+  waterfill(target, cap, params_.total_gpus, [&](std::size_t pos, int workers) {
     const SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
-    const int cur = target[pos];
-    return estimated_remaining(job, cur) - estimated_remaining(job, cur + 1);
-  };
-  sim::IndexedHeap<GainKey, std::size_t, GainBefore> gains;
-  gains.reserve(n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
-    if (target[pos] >= job.spec.max_res) continue;
-    const double gain = gain_at(pos);
-    if (!std::isnan(gain)) gains.push(GainKey{gain, pos}, pos);
-  }
-  while (budget > 0 && !gains.empty()) {
-    if (!(gains.top_priority().gain > 0.0)) break;
-    const std::size_t pos = gains.pop();
-    ++target[pos];
-    --budget;
-    const SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
-    if (target[pos] >= job.spec.max_res) continue;
-    const double gain = gain_at(pos);
-    if (!std::isnan(gain)) gains.push(GainKey{gain, pos}, pos);
-  }
+    return estimated_remaining(job, workers) - estimated_remaining(job, workers + 1);
+  });
 
   // Apply shrinks before grows: in placement-aware mode the grown jobs take
   // concrete GPUs from the pool the shrunk jobs just returned.
   for (const bool shrink_pass : {true, false}) {
     for (std::size_t pos = 0; pos < n; ++pos) {
       SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
-      const int want = target[pos];
-      if ((want < job.workers) != shrink_pass) continue;
-      if (std::abs(want - job.workers) < std::max(1, params_.rebalance_hysteresis)) continue;
-      apply_allocation(job, want);
+      if ((target[pos] < job.workers) != shrink_pass) continue;
+      apply_allocation(job, target[pos]);
     }
   }
 }
@@ -478,7 +393,7 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
   rebalance_requested_ = false;
   job_tput_.assign(jobs_.size(), JobTput{});
 
-  // The clock always advances by exact `tick` increments (never t0 + i*tick
+  // The clock always advances by exact `kTick` increments (never t0 + i*kTick
   // in one multiply — repeated addition keeps the sums bit-identical between
   // the event-driven and fixed-tick modes). Event-driven mode only elides
   // the scheduling pass on ticks where it is provably a no-op.
@@ -500,7 +415,7 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
     const int busy = params_.total_gpus - free_gpus_;
     metrics_.utilization.push_back(
         {now_, static_cast<double>(busy) / params_.total_gpus});
-    now_ += params_.tick;
+    now_ += kTick;
   }
   return metrics_;
 }

@@ -1,23 +1,31 @@
 // Discrete-time cluster-scheduling simulator (paper §VI-C).
 //
-// Replays a job trace on a GPU cluster under four policies:
+// Replays a job trace on a GPU cluster under five policies:
 //   FIFO          — start the queue head when req_res GPUs are free.
 //   Backfill (BF) — EASY backfilling on top of FIFO: a later job may start
 //                   now if it fits and finishes before the head's reserved
 //                   start (Slurm's default policy, the paper's second
 //                   baseline).
 //   E-FIFO / E-BF — the paper's elastic variants: a job may *start* with as
-//                   few as min_res workers (admission rule), and a
-//                   marginal-gain waterfilling loop reallocates all GPUs
-//                   across running jobs (allocation rule), with batch size /
-//                   LR following the hybrid scaling mechanism.
+//                   few as min_res workers. E-FIFO admits in queue order;
+//                   E-BF lets any queued job that fits slip in.
+//   E-SRTF        — elastic admission, shortest estimated job first.
+//
+// The elastic policies allocate with the rule ClusterSim shares with
+// LiveScheduler (sched/allocation.h). On every admission and completion, and
+// every kRebalanceInterval, each running job starts at min_res and the
+// marginal-gain waterfill hands out the rest of the cluster. Placement-aware
+// mode then moves concrete GPUs with take_gpus / release_gpus. ClusterSim
+// prices a width with the batch hybrid scaling picks from the job's tuned
+// configuration (req_res, base_total_batch) and with the elastic system's
+// runtime overhead, so a job's estimate depends on the width alone.
 //
 // The elastic system executing the adjustments (Ideal / Elan / S&R) sets the
 // pause each reallocation costs and the runtime overhead — exactly the
 // paper's Fig 22 ablation.
 //
 // Replay is event-driven by default: the clock still advances in exact
-// `tick` increments (floating-point sums stay bit-identical to the fixed-tick
+// `kTick` increments (floating-point sums stay bit-identical to the fixed-tick
 // loop), but ticks where nothing can happen — no arrival due, no job
 // finishing, no rebalance horizon crossed, no admission possible — run a lean
 // path that only integrates progress from per-job cached throughputs. The
@@ -47,13 +55,6 @@ bool is_elastic(PolicyKind policy);
 
 struct ClusterParams {
   int total_gpus = 128;
-  Seconds tick = 10.0;
-  /// How often the elastic allocation rule re-runs (also runs on every
-  /// arrival and completion).
-  Seconds rebalance_interval = 300.0;
-  /// Ignore marginal-gain reallocations that change a job by less than this
-  /// many workers (hysteresis against thrash).
-  int rebalance_hysteresis = 1;
   /// When set, jobs are bound to concrete GPUs (compact-first allocation)
   /// and their *measured* throughput follows the actual placement's
   /// communication bottleneck — fragmentation physically slows jobs. The
@@ -67,6 +68,12 @@ struct ClusterParams {
 
 class ClusterSim {
  public:
+  /// The replay clock's step.
+  static constexpr Seconds kTick = 10.0;
+  /// How often the elastic allocation rule re-runs (it also runs on every
+  /// admission and completion).
+  static constexpr Seconds kRebalanceInterval = 300.0;
+
   ClusterSim(const train::ThroughputModel& throughput,
              const baselines::AdjustmentCostModel& costs, PolicyKind policy,
              baselines::System system, ClusterParams params = {});
@@ -121,9 +128,7 @@ class ClusterSim {
   void finish_job(int index);
   void apply_allocation(SchedJob& job, int new_workers);
 
-  // Placement-aware mode helpers.
-  std::vector<topo::GpuId> take_gpus(int count, const std::vector<topo::GpuId>& near);
-  void release_gpus(SchedJob& job, int count);
+  // Placement-aware mode: the job's throughput on its actual GPUs.
   double measured_throughput(const SchedJob& job) const;
   double measured_throughput_cached(int index);
 

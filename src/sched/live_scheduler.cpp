@@ -1,37 +1,38 @@
 #include "sched/live_scheduler.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "elan/hybrid_scaling.h"
+#include "sched/allocation.h"
 
 namespace elan::sched {
+
+namespace {
+
+std::vector<topo::GpuId> gpus_of(const ElasticJob& job) {
+  std::vector<topo::GpuId> gpus;
+  for (int id : job.worker_ids()) gpus.push_back(job.worker(id).gpu());
+  return gpus;
+}
+
+}  // namespace
 
 LiveScheduler::LiveScheduler(sim::Simulator& simulator, const topo::Topology& topology,
                              const topo::BandwidthModel& bandwidth,
                              storage::SimFilesystem& filesystem, transport::MessageBus& bus,
-                             transport::KvStore& kv, LiveSchedulerParams params)
+                             transport::KvStore& kv)
     : sim_(simulator),
       topology_(topology),
       bandwidth_(bandwidth),
       fs_(filesystem),
       bus_(bus),
       kv_(kv),
-      params_(params),
       throughput_(topology, bandwidth),
       memory_pool_(topology) {
   for (topo::GpuId g = 0; g < topology_.total_gpus(); ++g) free_.insert(g);
-}
-
-bool LiveScheduler::gpu_in_use(topo::GpuId gpu) const {
-  if (free_.count(gpu) > 0) return true;  // "in use" by the free pool
-  for (const auto& [id, rj] : running_) {
-    for (int w : rj.job->worker_ids()) {
-      if (rj.job->worker(w).gpu() == gpu) return true;
-    }
-  }
-  return false;
 }
 
 void LiveScheduler::submit(LiveJobSpec spec) {
@@ -55,73 +56,24 @@ const ElasticJob* LiveScheduler::job(const std::string& job_id) const {
   return it == running_.end() ? nullptr : it->second.job.get();
 }
 
-std::vector<topo::GpuId> LiveScheduler::allocate_gpus(int n) {
-  ELAN_CHECK(static_cast<int>(free_.size()) >= n, "live: not enough free GPUs");
-  // Group free GPUs by node; take from the fullest nodes first so jobs stay
-  // compact (fast replication/allreduce links).
-  std::map<int, std::vector<topo::GpuId>> by_node;
-  for (auto g : free_) by_node[topology_.node_of(g)].push_back(g);
-  std::vector<std::pair<int, std::vector<topo::GpuId>>> nodes(by_node.begin(), by_node.end());
-  std::sort(nodes.begin(), nodes.end(), [](const auto& a, const auto& b) {
-    if (a.second.size() != b.second.size()) return a.second.size() > b.second.size();
-    return a.first < b.first;
-  });
-  std::vector<topo::GpuId> out;
-  for (const auto& [node, gpus] : nodes) {
-    for (auto g : gpus) {
-      if (static_cast<int>(out.size()) == n) break;
-      out.push_back(g);
-      free_.erase(g);
-    }
-    if (static_cast<int>(out.size()) == n) break;
-  }
-  return out;
-}
-
-std::vector<int> LiveScheduler::pick_victims(const ElasticJob& job, int count) const {
-  // Prefer removing workers from the job's least-populated nodes: the
-  // survivors stay compact and whole nodes free up for other jobs.
-  std::map<int, std::vector<int>> by_node;  // node -> worker ids
-  for (int id : job.worker_ids()) {
-    by_node[topology_.node_of(job.worker(id).gpu())].push_back(id);
-  }
-  std::vector<std::pair<int, std::vector<int>>> nodes(by_node.begin(), by_node.end());
-  std::sort(nodes.begin(), nodes.end(), [](const auto& a, const auto& b) {
-    if (a.second.size() != b.second.size()) return a.second.size() < b.second.size();
-    return a.first < b.first;
-  });
-  std::vector<int> victims;
-  for (const auto& [node, ids] : nodes) {
-    for (int id : ids) {
-      if (static_cast<int>(victims.size()) == count) return victims;
-      victims.push_back(id);
-    }
-  }
-  return victims;
-}
-
 std::uint64_t LiveScheduler::remaining_samples(const RunningJob& rj) const {
   const auto processed = rj.job->samples_processed();
   return processed >= rj.spec.target_samples ? 0 : rj.spec.target_samples - processed;
 }
 
-double LiveScheduler::marginal_gain(const RunningJob& rj, int extra) const {
-  const int cur = rj.job->num_workers();
-  const int next = cur + extra;
-  if (next < rj.spec.min_workers || next > rj.spec.max_workers) return -1.0;
-  const HybridScaling hybrid(throughput_, rj.spec.model);
-  const auto cur_tbs = rj.job->total_batch();
-  const auto next_tbs = hybrid.decide(cur, cur_tbs, next).total_batch;
-  const double rem = static_cast<double>(remaining_samples(rj));
-  const double t_cur = rem / throughput_.throughput(rj.spec.model, cur, cur_tbs);
-  const double t_next = rem / throughput_.throughput(rj.spec.model, next, next_tbs);
-  return t_cur - t_next;  // positive when adding helps, negative when removing hurts
+Seconds LiveScheduler::estimated_remaining(const RunningJob& rj, int workers) const {
+  const int tbs = HybridScaling(throughput_, rj.spec.model)
+                      .decide(rj.job->num_workers(), rj.job->total_batch(), workers)
+                      .total_batch;
+  const double tput = throughput_.throughput(rj.spec.model, workers, tbs);
+  if (tput <= 0) return std::numeric_limits<double>::infinity();
+  return static_cast<double>(remaining_samples(rj)) / tput;
 }
 
 void LiveScheduler::try_admit() {
-  while (!queue_.empty()) {
-    auto& [spec, submitted] = queue_.front();
-    if (static_cast<int>(free_.size()) < spec.min_workers) break;
+  // E-FIFO: the queue head starts once min_workers GPUs are free.
+  while (!queue_.empty() && free_gpus() >= queue_.front().first.min_workers) {
+    const auto& [spec, submitted] = queue_.front();
 
     RunningJob rj;
     rj.spec = spec;
@@ -133,18 +85,21 @@ void LiveScheduler::try_admit() {
     cfg.job_id = spec.job_id;
     cfg.model = spec.model;
     cfg.initial_workers = spec.min_workers;
-    cfg.initial_gpus = allocate_gpus(spec.min_workers);
+    cfg.initial_gpus = take_gpus(free_, spec.min_workers, {}, topology_);
     cfg.initial_total_batch = spec.per_worker_batch * spec.min_workers;
     cfg.base_lr = 0.1 * cfg.initial_total_batch / 256.0;
-    cfg.coordination_interval = params_.coordination_interval;
+    cfg.coordination_interval = kCoordinationInterval;
     auto job = std::make_unique<ElasticJob>(sim_, topology_, bandwidth_, fs_, bus_, kv_,
                                             std::move(cfg), &memory_pool_);
     const std::string id = spec.job_id;
     job->on_iteration = [this, id](std::uint64_t) {
       auto it = running_.find(id);
-      if (it != running_.end() && remaining_samples(it->second) == 0) {
-        it->second.job->stop();
-      }
+      if (it == running_.end()) return;
+      RunningJob& rj = it->second;
+      settle(rj);
+      // Stop only between adjustments: joining workers must not outlive
+      // their job.
+      if (remaining_samples(rj) == 0 && !rj.job->adjustment_pending()) rj.job->stop();
     };
     job->on_stopped = [this, id] {
       // Defer: on_stopped fires inside the job's own call stack.
@@ -172,84 +127,77 @@ void LiveScheduler::finish_job(const std::string& job_id) {
   sim_.schedule(0.0, [this] { tick(); });
 }
 
-void LiveScheduler::rebalance() {
-  // Grow: hand spare GPUs to the job with the best marginal gain, one
-  // adjustment per job per tick (the AM serialises adjustments anyway).
-  bool progress = true;
-  while (progress && !free_.empty()) {
-    progress = false;
-    RunningJob* best = nullptr;
-    double best_gain = 0.0;
-    for (auto& [id, rj] : running_) {
-      if (rj.job->adjustment_pending()) continue;  // adjustment already in flight
-      const double gain = marginal_gain(rj, +1);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = &rj;
-      }
-    }
-    if (best == nullptr) break;
-    // Give as many GPUs as keep paying off, up to the spare pool.
-    int grant = 0;
-    while (grant < static_cast<int>(free_.size()) &&
-           best->job->num_workers() + grant < best->spec.max_workers &&
-           marginal_gain(*best, grant + 1) > marginal_gain(*best, grant)) {
-      ++grant;
-    }
-    grant = std::max(grant, 1);
-    grant = std::min(grant, static_cast<int>(free_.size()));
-    grant = std::min(grant, best->spec.max_workers - best->job->num_workers());
-    if (grant <= 0) break;
-    best->job->request_scale_out(allocate_gpus(grant));
-    progress = true;
-  }
+void LiveScheduler::scale_out(RunningJob& rj, int count) {
+  rj.in_flight = take_gpus(free_, count, gpus_of(*rj.job), topology_);
+  rj.shrinking = false;
+  rj.job->request_scale_out(rj.in_flight);
+}
 
-  // Shrink: when jobs queue, reclaim GPUs from the running job whose
-  // marginal loss is smallest, down to its min_workers.
-  if (!queue_.empty()) {
-    const int needed = queue_.front().first.min_workers - static_cast<int>(free_.size());
-    if (needed > 0) {
-      RunningJob* cheapest = nullptr;
-      double cheapest_loss = 0.0;
-      for (auto& [id, rj] : running_) {
-        if (rj.job->adjustment_pending()) continue;
-        const int removable = rj.job->num_workers() - rj.spec.min_workers;
-        if (removable < needed) continue;
-        const double loss = -marginal_gain(rj, -needed);
-        if (cheapest == nullptr || loss < cheapest_loss) {
-          cheapest = &rj;
-          cheapest_loss = loss;
-        }
-      }
-      if (cheapest != nullptr) {
-        const auto victims = pick_victims(*cheapest->job, needed);
-        // The freed GPUs come back when the adjustment completes; reclaim
-        // them lazily on the next tick after the workers are gone.
-        const std::string id = cheapest->spec.job_id;
-        cheapest->job->request_scale_in(victims);
-        std::vector<topo::GpuId> gpus;
-        for (int v : victims) gpus.push_back(cheapest->job->worker(v).gpu());
-        // Track released GPUs once the scale-in lands.
-        auto poll = std::make_shared<std::function<void()>>();
-        *poll = [this, id, gpus, poll] {
-          auto jt = running_.find(id);
-          const bool victims_gone =
-              jt == running_.end() || !jt->second.job->adjustment_pending();
-          if (!victims_gone) {
-            sim_.schedule(1.0, *poll);
-            return;
-          }
-          // Free the victims' GPUs unless someone already owns them (the job
-          // may have finished first, in which case finish_job freed its
-          // remaining workers but not these).
-          for (auto g : gpus) {
-            if (!gpu_in_use(g)) free_.insert(g);
-          }
-          sim_.schedule(0.0, [this] { tick(); });
-        };
-        sim_.schedule(1.0, *poll);
-      }
+void LiveScheduler::scale_in(RunningJob& rj, int count) {
+  const ElasticJob& job = *rj.job;
+  auto held = gpus_of(job);
+  rj.in_flight = release_gpus(held, count, topology_);
+  rj.shrinking = true;
+  const auto ids = job.worker_ids();
+  std::vector<int> victims;
+  for (auto g : rj.in_flight) {
+    for (int id : ids) {
+      if (job.worker(id).gpu() == g) victims.push_back(id);
     }
+  }
+  rj.job->request_scale_in(victims);
+}
+
+void LiveScheduler::settle(RunningJob& rj) {
+  if (rj.in_flight.empty() || rj.job->adjustment_pending()) return;
+  const auto held = gpus_of(*rj.job);
+  bool returned = false;
+  for (auto g : rj.in_flight) {
+    if (std::find(held.begin(), held.end(), g) != held.end()) continue;
+    free_.insert(g);
+    returned = true;
+  }
+  rj.in_flight.clear();
+  if (returned) sim_.schedule(0.0, [this] { tick(); });
+}
+
+void LiveScheduler::rebalance() {
+  // One waterfill over the running jobs in id order. While the queue head
+  // waits it reclaims, otherwise it grows into the free GPUs; the header
+  // gives each trigger's bounds and budget.
+  std::vector<RunningJob*> jobs;
+  int held = 0;
+  int owed = 0;  // GPUs that in-flight scale-ins will return
+  for (auto& [id, rj] : running_) {
+    jobs.push_back(&rj);
+    held += rj.job->num_workers();
+    if (rj.shrinking) owed += static_cast<int>(rj.in_flight.size());
+  }
+  const bool reclaim = !queue_.empty();
+  const int needed = reclaim ? queue_.front().first.min_workers - free_gpus() - owed : 0;
+  if (reclaim ? needed <= 0 : free_.empty()) return;
+
+  std::vector<int> width;
+  std::vector<int> cap;
+  int lower_sum = 0;
+  for (RunningJob* rj : jobs) {
+    const int cur = rj->job->num_workers();
+    // In flight until settled: a landed scale-in still owes its GPUs.
+    const bool pinned = !rj->in_flight.empty() || rj->job->adjustment_pending();
+    width.push_back(pinned || !reclaim ? cur : rj->spec.min_workers);
+    cap.push_back(pinned || reclaim ? cur : rj->spec.max_workers);
+    lower_sum += width.back();
+  }
+  const int budget = reclaim ? held - needed : held + free_gpus();
+  if (lower_sum > budget) return;  // the unpinned jobs cannot free enough yet
+  waterfill(width, cap, budget, [&](std::size_t i, int workers) {
+    return estimated_remaining(*jobs[i], workers) -
+           estimated_remaining(*jobs[i], workers + 1);
+  });
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const int cur = jobs[i]->job->num_workers();
+    if (width[i] < cur) scale_in(*jobs[i], cur - width[i]);
+    if (width[i] > cur) scale_out(*jobs[i], width[i] - cur);
   }
 }
 
@@ -264,7 +212,7 @@ void LiveScheduler::tick() {
       {sim_.now(), static_cast<double>(busy) / topology_.total_gpus()});
 
   if (!all_done()) {
-    sim_.schedule(params_.rebalance_interval, [this] { tick(); });
+    sim_.schedule(kRebalanceInterval, [this] { tick(); });
   }
 }
 

@@ -8,14 +8,23 @@
 // discrete-event cluster, driving them through the Table III service API
 // exactly the way a production scheduler would (paper Fig 2, step 1).
 //
-// Policy (a live rendition of the paper's §VI-C elastic policy):
-//   * admission — a submitted job starts once min_workers GPUs are free;
-//   * allocation — at every rebalance tick, greedily hand spare GPUs to the
-//     job with the highest marginal gain (estimated remaining-time drop per
-//     added worker), and reclaim GPUs from jobs whose marginal loss is
-//     smallest when pending jobs need them;
-//   * placement — GPUs are allocated most-compact-node-first so replication
-//     and allreduce stay on fast links.
+// Policy (the paper's §VI-C elastic policy, E-FIFO flavour). Allocation and
+// placement are the rule LiveScheduler shares with ClusterSim
+// (sched/allocation.h); only the admission test and the estimate are its own.
+//   * admission — the queue head starts on min_workers compactly placed
+//     GPUs once that many are free; later jobs wait behind it.
+//   * reclaim — while the head needs n more GPUs than are free or on their
+//     way back from earlier scale-ins, the waterfill runs over the running
+//     jobs with bounds [min_workers, current width] and a budget of n GPUs
+//     fewer than they hold. Each job it shrinks scales in the workers on
+//     the GPUs release_gpus picks; those GPUs return to the pool once the
+//     scale-in has landed.
+//   * grow — with nobody waiting, the waterfill runs with bounds [current
+//     width, max_workers] over the free GPUs plus the held ones. Each job it
+//     widens scales out onto GPUs take_gpus picks near its own.
+//   * a job with an adjustment in flight is pinned at its current width.
+// A width is priced the way ElasticJob itself decides: hybrid scaling from
+// the job's current width and batch.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +52,6 @@ struct LiveJobSpec {
   std::uint64_t target_samples = 0;
 };
 
-struct LiveSchedulerParams {
-  Seconds rebalance_interval = 30.0;
-  std::uint64_t coordination_interval = 1;
-};
-
 struct LiveJobStats {
   std::string job_id;
   Seconds submitted_at = -1;
@@ -60,10 +64,15 @@ struct LiveJobStats {
 
 class LiveScheduler {
  public:
+  /// How often the scheduling pass re-runs (it also runs whenever a job is
+  /// submitted, finishes or hands GPUs back).
+  static constexpr Seconds kRebalanceInterval = 30.0;
+  /// Every job coordinates with its AM once per iteration.
+  static constexpr std::uint64_t kCoordinationInterval = 1;
+
   LiveScheduler(sim::Simulator& simulator, const topo::Topology& topology,
                 const topo::BandwidthModel& bandwidth, storage::SimFilesystem& filesystem,
-                transport::MessageBus& bus, transport::KvStore& kv,
-                LiveSchedulerParams params = {});
+                transport::MessageBus& bus, transport::KvStore& kv);
 
   /// Submits a job (queues it; admission happens on the next tick).
   void submit(LiveJobSpec spec);
@@ -86,6 +95,12 @@ class LiveScheduler {
     LiveJobSpec spec;
     std::unique_ptr<ElasticJob> job;
     LiveJobStats stats;
+    /// GPUs whose owner the job's in-flight adjustment decides: a
+    /// scale-out's new GPUs, or (shrinking) a scale-in's victims' GPUs. Once
+    /// the adjustment settles, those no worker of the job holds go back to
+    /// the free pool.
+    std::vector<topo::GpuId> in_flight;
+    bool shrinking = false;
   };
 
   sim::Simulator& sim_;
@@ -94,7 +109,6 @@ class LiveScheduler {
   storage::SimFilesystem& fs_;
   transport::MessageBus& bus_;
   transport::KvStore& kv_;
-  LiveSchedulerParams params_;
   train::ThroughputModel throughput_;
   /// Shared device-memory pool: placement conflicts across jobs become hard
   /// OutOfMemory errors instead of silent oversubscription.
@@ -110,14 +124,16 @@ class LiveScheduler {
   void tick();
   void try_admit();
   void rebalance();
+  void scale_out(RunningJob& rj, int count);
+  void scale_in(RunningJob& rj, int count);
+  /// Returns the GPUs of a landed (or rejected) adjustment that the job does
+  /// not hold to the free pool.
+  void settle(RunningJob& rj);
   void finish_job(const std::string& job_id);
-  /// Picks `n` free GPUs, most-compact node first; removes them from free_.
-  std::vector<topo::GpuId> allocate_gpus(int n);
-  /// Chooses scale-in victims: workers on the job's least-populated nodes.
-  std::vector<int> pick_victims(const ElasticJob& job, int count) const;
-  double marginal_gain(const RunningJob& rj, int extra) const;
   std::uint64_t remaining_samples(const RunningJob& rj) const;
-  bool gpu_in_use(topo::GpuId gpu) const;
+  /// Remaining time at `workers` GPUs, with the batch hybrid scaling would
+  /// pick moving the job from its current width and batch.
+  Seconds estimated_remaining(const RunningJob& rj, int workers) const;
 };
 
 }  // namespace elan::sched

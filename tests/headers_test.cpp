@@ -33,6 +33,7 @@
 #include "minidl/mlp.h"
 #include "minidl/parallel.h"
 #include "minidl/tensor.h"
+#include "sched/allocation.h"
 #include "sched/cluster.h"
 #include "sched/job.h"
 #include "sched/live_scheduler.h"

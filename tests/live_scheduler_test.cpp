@@ -78,24 +78,46 @@ TEST(LiveScheduler, ManyJobsAllFinishAndGpusBalance) {
 }
 
 TEST(LiveScheduler, QueuedJobTriggersReclamation) {
-  // Fill the cluster with one wide job, then submit another: the scheduler
-  // must scale the first one in to admit the second.
+  // A MobileNet-v2 job grows to fill the whole cluster; a job submitted later
+  // can start only after the scheduler scales the first one in.
   LiveFixture f;
-  f.scheduler.submit(f.spec("wide", 8, 64, 5'000'000));
+  auto wide = f.spec("wide", 8, 64, 5'000'000);
+  wide.model = train::mobilenet_v2();
+  f.scheduler.submit(wide);
   f.scheduler.start();
-  f.sim.schedule(120.0, [&] { f.scheduler.submit(f.spec("late", 8, 16, 100'000)); });
+  int wide_width_at_submit = 0;
+  f.sim.schedule(120.0, [&] {
+    if (const auto* job = f.scheduler.job("wide")) wide_width_at_submit = job->num_workers();
+    f.scheduler.submit(f.spec("late", 8, 16, 100'000));
+  });
+  // wide's adjustment records, copied while it runs (the job is gone once it
+  // finishes).
+  std::vector<AdjustmentRecord> wide_adjustments;
+  std::function<void()> probe = [&] {
+    if (const auto* job = f.scheduler.job("wide")) wide_adjustments = job->adjustments();
+    if (!f.scheduler.all_done()) f.sim.schedule(1.0, probe);
+  };
+  f.sim.schedule(1.0, probe);
   f.sim.run();
+
   EXPECT_TRUE(f.scheduler.all_done());
   ASSERT_EQ(f.scheduler.finished().size(), 2u);
-  // The late job did start and finish.
-  bool late_done = false;
+  EXPECT_EQ(wide_width_at_submit, 64);
+  const LiveJobStats* late = nullptr;
   for (const auto& s : f.scheduler.finished()) {
-    if (s.job_id == "late") {
-      late_done = true;
-      EXPECT_GE(s.pending_time(), 0.0);
+    if (s.job_id == "late") late = &s;
+  }
+  ASSERT_NE(late, nullptr);
+  EXPECT_GT(late->pending_time(), 0.0);
+  // late waited for a scale-in of wide, which landed before late started.
+  bool reclaimed = false;
+  for (const auto& a : wide_adjustments) {
+    if (a.type == AdjustmentType::kScaleIn && a.workers_before == 64 &&
+        a.completed_at <= late->started_at) {
+      reclaimed = true;
     }
   }
-  EXPECT_TRUE(late_done);
+  EXPECT_TRUE(reclaimed);
   EXPECT_EQ(f.scheduler.free_gpus(), 64);
 }
 

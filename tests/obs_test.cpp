@@ -213,11 +213,15 @@ TEST_F(TracerTest, ScaleOutTraceShowsConcurrentReplication) {
 
 TEST_F(TracerTest, ThreadPoolQueueWaitSpansUnderParallelFor) {
   obs::Tracer::instance().set_enabled(true);
-  ThreadPool pool(4);
   std::atomic<int> sum{0};
-  pool.parallel_for(0, 64, 1, [&](std::int64_t b, std::int64_t e) {
-    sum += static_cast<int>(e - b);
-  });
+  {
+    ThreadPool pool(4);
+    pool.parallel_for(0, 64, 1, [&](std::int64_t b, std::int64_t e) {
+      sum += static_cast<int>(e - b);
+    });
+    // A worker closes its task_run span after the chunk has signalled
+    // parallel_for; joining the pool makes every span visible.
+  }
   EXPECT_EQ(sum.load(), 64);
   const auto events = obs::Tracer::instance().snapshot();
   std::size_t runs = 0;

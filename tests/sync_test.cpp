@@ -7,6 +7,8 @@
 // sequence inside the EXPECT_DEATH statement: it executes only in the forked
 // child, leaving the parent process's graph untouched.
 
+#include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -117,6 +119,30 @@ TEST_F(SyncDeathTest, SameClassNestingAborts) {
         first.unlock();
       },
       "two locks of class");
+}
+
+// Locks `mutexes` nested, each inside the previous one.
+void lock_nested(std::span<const std::unique_ptr<Mutex>> mutexes) {
+  if (mutexes.empty()) return;
+  MutexLock lock(*mutexes.front());
+  lock_nested(mutexes.subspan(1));
+}
+
+TEST_F(SyncDeathTest, NestingDeeperThanTheHeldStackAborts) {
+  // Distinct classes in one consistent order, so no cycle: sixteen nested
+  // locks fit the per-thread held stack, a seventeenth does not.
+  static constexpr const char* kNames[] = {
+      "death_depth_00", "death_depth_01", "death_depth_02", "death_depth_03",
+      "death_depth_04", "death_depth_05", "death_depth_06", "death_depth_07",
+      "death_depth_08", "death_depth_09", "death_depth_10", "death_depth_11",
+      "death_depth_12", "death_depth_13", "death_depth_14", "death_depth_15",
+      "death_depth_16"};
+  std::vector<std::unique_ptr<Mutex>> mutexes;
+  for (const char* name : kNames) mutexes.push_back(std::make_unique<Mutex>(name));
+  const std::span<const std::unique_ptr<Mutex>> all(mutexes);
+  lock_nested(all.first(16));
+  lock_nested(all.first(16));  // the stack unwound completely
+  EXPECT_DEATH(lock_nested(all), "while holding 16 locks, more than the lock-order DAG nests");
 }
 
 TEST(SyncTest, ConsistentNestingDoesNotAbort) {
