@@ -6,7 +6,7 @@
 //
 // Table 2 is the chunk-pipelining ablation: for each source:joiner ratio it
 // reports the whole-blob makespan, the chunk-pipelined makespan
-// (ReplicationPlanner::chunk_plan, default ELAN_REPL_CHUNK_BYTES = 4 MiB),
+// (ReplicationPlanner::chunk_plan, default 4 MiB chunk),
 // their ratio, the serialised transfer time and the achieved concurrency
 // (serial / makespan). The headline scenario is 2 sources feeding 6 joiners
 // across a single QPI link: whole-blob planning serialises every
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Ablation — replication mechanism design choices",
       "State: ResNet-50 (195 MiB GPU + 65 KiB CPU). Times in ms.\n"
-      "Chunked columns use the default 4 MiB chunk (ELAN_REPL_CHUNK_BYTES).");
+      "Chunked columns use the default 4 MiB chunk.");
 
   const auto m = train::resnet50();
   const Bytes gpu_bytes = m.gpu_state_bytes();
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
 
   // ---- JSON sidecar. -----------------------------------------------------
   std::ostringstream json;
-  json << "{\n  \"chunk_bytes\": " << default_replication_chunk_bytes()
+  json << "{\n  \"chunk_bytes\": " << kDefaultReplicationChunkBytes
        << ",\n  \"gpu_state_bytes\": " << gpu_bytes << ",\n  \"rows\": [\n"
        << rows_json.str() << "\n  ],\n  \"gate\": {\n"
        << gate_json.str() << "    \"2s6j_qpi_elan_pipelining_ratio\": "
@@ -251,27 +251,13 @@ int main(int argc, char** argv) {
   }
 
   // ---- Baseline regression gate (CI perf-smoke). -------------------------
-  if (!flags.get("baseline").empty()) {
-    const double max_regression = flags.get_double("max-regression");
-    const auto current = bench::read_json_gate(flags.get("out"));
-    const auto baseline = bench::read_json_gate(flags.get("baseline"));
-    for (const auto& [key, base] : baseline) {
-      const auto it = current.find(key);
-      if (it == current.end()) {
-        std::fprintf(stderr, "FAIL: gate key '%s' missing from current run\n",
-                     key.c_str());
-        rc = 1;
-        continue;
-      }
-      const double allowed = base * (1.0 + max_regression);
-      const bool ok = it->second <= allowed || base <= 0;
-      std::printf("gate %-32s base %-10s now %-10s %s\n", key.c_str(),
-                  bench::json_number(base).c_str(),
-                  bench::json_number(it->second).c_str(), ok ? "ok" : "REGRESSED");
-      if (!ok) rc = 1;
-    }
-    if (rc == 0) std::printf("baseline gate passed (max regression %.0f%%)\n",
-                             100.0 * max_regression);
+  // Gate values are makespans and a makespan ratio — smaller is better.
+  if (!flags.get("baseline").empty() &&
+      !bench::check_baseline_gate(bench::read_json_gate(flags.get("out")),
+                                  flags.get("baseline"),
+                                  flags.get_double("max-regression"),
+                                  bench::Better::kLower)) {
+    rc = 1;
   }
 
   return rc;

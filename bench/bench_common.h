@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -137,6 +138,40 @@ inline std::map<std::string, double> read_json_gate(const std::string& path) {
   }
   ELAN_REQUIRE(!gate.empty(), "bench: no gate object in " + path);
   return gate;
+}
+
+/// Which way a gate value improves.
+enum class Better { kHigher, kLower };
+
+/// The --baseline regression gate every bench shares (CI perf-smoke). Each
+/// key of the committed baseline's gate object must be in `current`. A
+/// bigger-is-better value fails when it falls more than `max_regression`
+/// below its baseline; a smaller-is-better one fails when it rises more than
+/// `max_regression` above it, unless the baseline is <= 0. Prints one line
+/// per key, and a summary line when every key passes; returns that verdict.
+inline bool check_baseline_gate(const std::map<std::string, double>& current,
+                                const std::string& baseline_path, double max_regression,
+                                Better better) {
+  bool passed = true;
+  for (const auto& [key, base] : read_json_gate(baseline_path)) {
+    const auto it = current.find(key);
+    if (it == current.end()) {
+      std::fprintf(stderr, "FAIL: gate key '%s' missing from current run\n", key.c_str());
+      passed = false;
+      continue;
+    }
+    const bool ok = better == Better::kHigher
+                        ? it->second >= base * (1.0 - max_regression)
+                        : it->second <= base * (1.0 + max_regression) || base <= 0;
+    std::printf("gate %-32s base %-10s now %-10s %s\n", key.c_str(),
+                json_number(base).c_str(), json_number(it->second).c_str(),
+                ok ? "ok" : "REGRESSED");
+    passed = passed && ok;
+  }
+  if (passed) {
+    std::printf("baseline gate passed (max regression %.0f%%)\n", max_regression * 100.0);
+  }
+  return passed;
 }
 
 /// Worker-letter labels used by Fig 15 ("Models are denoted by A - E").

@@ -460,30 +460,11 @@ int run_bench(int argc, char** argv) {
     }
 
     // ---- Baseline regression gate (CI perf-smoke). -------------------------
-    // Gate values are speedup ratios — bigger is better — so a regression is
-    // the current ratio falling more than --max-regression BELOW baseline.
-    if (!flags.get("baseline").empty()) {
-      const double max_regression = flags.get_double("max-regression");
-      const auto baseline = read_json_gate(flags.get("baseline"));
-      for (const auto& [key, base] : baseline) {
-        const auto it = gate.find(key);
-        if (it == gate.end()) {
-          std::fprintf(stderr, "FAIL: gate key '%s' missing from current run\n",
-                       key.c_str());
-          rc = 1;
-          continue;
-        }
-        const double allowed = base * (1.0 - max_regression);
-        const bool ok = it->second >= allowed;
-        std::printf("gate %-32s base %-8s now %-8s %s\n", key.c_str(),
-                    json_number(base).c_str(), json_number(it->second).c_str(),
-                    ok ? "ok" : "REGRESSED");
-        if (!ok) rc = 1;
-      }
-      if (rc == 0) {
-        std::printf("baseline gate passed (max regression %.0f%%)\n",
-                    max_regression * 100.0);
-      }
+    // Gate values are speedup ratios — bigger is better.
+    if (!flags.get("baseline").empty() &&
+        !check_baseline_gate(gate, flags.get("baseline"),
+                             flags.get_double("max-regression"), Better::kHigher)) {
+      rc = 1;
     }
     return rc;
   } catch (const Error& e) {

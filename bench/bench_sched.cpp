@@ -1,5 +1,5 @@
 // Scheduler hot-path benchmark: the indexed-heap simulator core and the
-// event-driven ClusterSim replay at production scale (see DESIGN.md §5k).
+// ClusterSim replay at production scale (see DESIGN.md §5k).
 // Prints an ASCII summary and writes BENCH_sched.json (machine-readable,
 // gated in CI against bench/BENCH_sched_baseline.json).
 //
@@ -8,41 +8,30 @@
 //                 [--baseline bench/BENCH_sched_baseline.json]
 //                 [--max-regression 0.20]
 //
-// Three sections:
-//   1. Simulator events/sec — the new in-place-cancel core against an
-//      in-file replica of the historical priority_queue + unordered_map
-//      core, on a 10^6-event mix where 50% of scheduled events are
-//      cancelled before they fire (the ReliableEndpoint retransmit-timer
-//      shape). The replica leaks every cancelled event into the queue as a
-//      tombstone, exactly as the old core did.
-//   2. ClusterSim 5k-job replay — a production-scale trace
-//      (production_trace_params) on a 1024-GPU placement-aware cluster,
-//      event-driven vs fixed-tick, with every metric checked bit-identical
-//      between the two modes.
-//   3. Equivalence matrix — all five policies x 3 seeds on the paper's
-//      128-GPU testbed, event-driven vs fixed-tick, bit-compared.
+// Two measurements, both of production code:
+//   1. Simulator event mix — sim::Simulator holding 10^6 pending
+//      retransmit timers, re-armed in place and 50% cancelled before they
+//      fire (the ReliableEndpoint retransmit-timer shape), in M ops/s.
+//   2. ClusterSim 5k-job replay — E-BF on a production-scale trace
+//      (production_trace_params) on a 1024-GPU placement-aware cluster, in
+//      jobs/s.
 //
 // Gates (process exit status, used by CI perf-smoke):
-//   * events/sec ratio below 5x                         -> fail
-//   * 5k-job replay speedup below 3x                    -> fail
-//   * any metric differing between the two replay modes -> fail
-//   * with --baseline: any gate ratio more than --max-regression below the
-//     committed baseline                                -> fail
+//   * the event mix firing other than the unacked half of its timers -> fail
+//   * the replay finishing fewer jobs than the trace holds           -> fail
+//   * with --baseline: a throughput more than --max-regression below its
+//     committed floor                                                 -> fail
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/flags.h"
-#include "common/sync.h"
 #include "sched/cluster.h"
 #include "sched/trace.h"
 #include "sim/simulator.h"
@@ -60,139 +49,27 @@ double now_ms() {
 // Section 1: simulator event core.
 // ---------------------------------------------------------------------------
 
-/// Replica of the pre-indexed-heap Simulator core: a std::priority_queue of
-/// (time, seq, id) plus an out-of-line callback map. cancel() erases only
-/// the callback — the queue entry stays behind as a tombstone until popped,
-/// which is precisely the leak the indexed heap removed; keeping the replica
-/// here preserves an honest baseline for the events/sec gate.
-class LegacySimulatorCore {
- public:
-  using Callback = std::function<void()>;
-
-  Seconds now() const {
-    MutexLock lock(mu_);
-    return now_;
-  }
-
-  std::uint64_t schedule(Seconds delay, Callback fn) {
-    require(delay >= 0.0 && std::isfinite(delay), "legacy: bad delay");
-    require(static_cast<bool>(fn), "legacy: empty callback");
-    MutexLock lock(mu_);
-    const std::uint64_t id = next_id_++;
-    callbacks_.emplace(id, std::move(fn));
-    queue_.push(Event{now_ + delay, next_seq_++, id});
-    return id;
-  }
-
-  bool cancel(std::uint64_t id) {
-    MutexLock lock(mu_);
-    return callbacks_.erase(id) > 0;
-  }
-
-  bool step() {
-    Callback fn;
-    {
-      MutexLock lock(mu_);
-      for (;;) {
-        if (queue_.empty()) return false;
-        const Event ev = queue_.top();
-        queue_.pop();
-        auto it = callbacks_.find(ev.id);
-        if (it == callbacks_.end()) continue;  // cancelled: tombstone
-        fn = std::move(it->second);
-        callbacks_.erase(it);
-        now_ = ev.time;
-        ++executed_;
-        break;
-      }
-    }
-    fn();
-    return true;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  Seconds run_until(Seconds deadline) {
-    for (;;) {
-      {
-        MutexLock lock(mu_);
-        // Skip over cancelled events without advancing time.
-        while (!queue_.empty() &&
-               callbacks_.find(queue_.top().id) == callbacks_.end()) {
-          queue_.pop();
-        }
-        if (queue_.empty() || queue_.top().time > deadline) break;
-      }
-      step();
-    }
-    MutexLock lock(mu_);
-    now_ = std::max(now_, deadline);
-    return now_;
-  }
-
-  std::uint64_t executed() const {
-    MutexLock lock(mu_);
-    return executed_;
-  }
-
- private:
-  struct Event {
-    Seconds time;
-    std::uint64_t seq;
-    std::uint64_t id;
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-
-  mutable Mutex mu_{"legacy-sim-core"};
-  Seconds now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  // elan-lint: allow(adhoc-event-queue) — deliberate replica of the old core.
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
-};
-
 struct EventMixResult {
   double ms = 0.0;
   std::uint64_t fired = 0;
-  std::uint64_t ops = 0;  // schedules + cancels + fired callbacks
+  std::uint64_t ops = 0;  // schedules + re-arms + cancels + fired callbacks
 
-  double events_per_sec() const {
-    return ms > 0.0 ? static_cast<double>(ops) / (ms / 1000.0) : 0.0;
-  }
+  double mops() const { return ms > 0.0 ? static_cast<double>(ops) / (ms * 1000.0) : 0.0; }
 };
 
-/// Replays the identical deterministic logical workload on either core —
-/// the ReliableEndpoint retransmit-timer lifecycle at cluster scale:
+/// The ReliableEndpoint retransmit-timer lifecycle at cluster scale:
 ///
 ///   1. `total_events` message sends each arm a retransmit timer, so the
-///      core holds 10^6 pending events at peak.
+///      simulator holds 10^6 pending events at peak.
 ///   2. A busy subset of flows keeps transmitting: every delivered segment
 ///      re-arms its flow's retransmit timer to a later deadline (the
-///      standard per-ack timer reset), 24x`total_events` re-arms in all. On
-///      the new core a re-arm is one in-place `reschedule`; the seed core
-///      can only spell it cancel + schedule — destroying and
-///      reconstructing the callback, inserting a fresh id into the
-///      million-entry callback map, growing the queue by a tombstone, and
-///      paying for that tombstone again at the drain. Both spellings
-///      consume one sequence number, so event ordering stays bit-identical.
-///   3. Acks arrive for 50% of the messages and cancel their timers — the
-///      50% cancellation mix. The other 50% go unacked: their retransmit
-///      timers genuinely fire in the final run(), where the legacy core
-///      must also chew through one tombstone per re-arm and per ack.
-///
-/// Ops counts the logical timeline (sends + re-arms + acks + fires) and is
-/// identical across cores by construction.
-template <typename Core>
+///      standard per-ack timer reset), 24x`total_events` in-place
+///      `reschedule`s in all.
+///   3. Acks arrive for 50% of the messages and cancel their timers. The
+///      other 50% go unacked: their retransmit timers fire in the final
+///      run().
 EventMixResult run_event_mix(int total_events) {
-  Core core;
+  sim::Simulator sim;
   std::uint64_t fired = 0;
   const auto fn = [&fired] { ++fired; };
   std::uint64_t lcg = 0x5deece66dULL;
@@ -201,30 +78,18 @@ EventMixResult run_event_mix(int total_events) {
   // every message exactly once per walk, in scattered order.
   const std::size_t kStride = 15485863;
   require(n < kStride, "event mix: --events too large for the walk stride");
-  std::vector<std::uint64_t> timers(n);
+  std::vector<sim::EventId> timers(n);
 
   const auto jitter = [&lcg] {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
     return static_cast<double>(lcg >> 40) / static_cast<double>(1 << 24);
-  };
-  // Re-arm = move a pending timer to a new deadline. The indexed-heap core
-  // has the in-place primitive; the seed core's only spelling is cancel +
-  // schedule (which is exactly why its queue bloats).
-  const auto rearm = [&](std::uint64_t id, double delay) -> std::uint64_t {
-    if constexpr (requires { core.reschedule(id, delay); }) {
-      if (core.reschedule(id, delay)) return id;
-      return core.schedule(delay, fn);
-    } else {
-      core.cancel(id);
-      return core.schedule(delay, fn);
-    }
   };
 
   EventMixResult result;
   const double t0 = now_ms();
   // Phase 1: every message send arms a retransmit timer.
   for (std::size_t i = 0; i < n; ++i) {
-    timers[i] = core.schedule(1.0e6 + jitter(), fn);
+    timers[i] = sim.schedule(1.0e6 + jitter(), fn);
   }
   // Phase 2: a busy subset of flows keeps delivering segments, each
   // delivery re-arming that flow's timer to a later deadline.
@@ -239,7 +104,8 @@ EventMixResult run_event_mix(int total_events) {
   double band = 2.0e6;
   for (std::size_t r = 0; r < rounds; ++r) {
     for (const std::size_t f : flow) {
-      timers[f] = rearm(timers[f], band + jitter());
+      require(sim.reschedule(timers[f], band + jitter()),
+              "event mix: re-arm of a pending timer failed");
       ++result.ops;
     }
     band += 2.0;  // deadlines only ever move later, as backoff does
@@ -247,13 +113,12 @@ EventMixResult run_event_mix(int total_events) {
   // Phase 3: acks arrive for half the messages, cancelling their timers.
   std::size_t idx = 0;
   for (std::size_t i = 0; i < n / 2; ++i) {
-    core.cancel(timers[idx]);
+    sim.cancel(timers[idx]);
     idx = (idx + kStride) % n;
     ++result.ops;
   }
-  // Phase 4: the unacked half genuinely retransmit; the legacy core also
-  // drains one tombstone per re-arm and per ack here.
-  core.run();
+  // Phase 4: the unacked half genuinely retransmit.
+  sim.run();
   result.ms = now_ms() - t0;
   result.fired = fired;
   result.ops += static_cast<std::uint64_t>(n) + fired;
@@ -261,7 +126,7 @@ EventMixResult run_event_mix(int total_events) {
 }
 
 // ---------------------------------------------------------------------------
-// Sections 2 and 3: ClusterSim replay.
+// Section 2: ClusterSim replay.
 // ---------------------------------------------------------------------------
 
 /// The production-scale cluster: 128 servers x 8 GPUs = 1024 GPUs.
@@ -273,45 +138,21 @@ struct BigSchedTestbed {
   baselines::AdjustmentCostModel costs{topology, bandwidth, fs};
 };
 
-/// The double bit patterns that must match between replay modes.
-struct MetricBits {
-  std::uint64_t jpt = 0;
-  std::uint64_t jct = 0;
-  std::uint64_t makespan = 0;
-  int adjustments = 0;
+struct ReplayResult {
+  double ms = 0.0;
   int finished = 0;
-
-  bool operator==(const MetricBits& other) const = default;
 };
 
-std::uint64_t bits_of(double v) {
-  std::uint64_t u;
-  static_assert(sizeof(u) == sizeof(v));
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
-
-MetricBits metric_bits(const sched::ScheduleMetrics& m) {
-  MetricBits b;
-  b.jpt = bits_of(m.pending_time.mean());
-  b.jct = bits_of(m.completion_time.mean());
-  b.makespan = bits_of(m.makespan);
-  b.adjustments = m.total_adjustments;
-  b.finished = m.jobs_finished;
-  return b;
-}
-
-template <typename Testbed>
-std::pair<MetricBits, double> timed_replay(const Testbed& bed,
-                                           const std::vector<sched::SchedJobSpec>& trace,
-                                           sched::PolicyKind policy,
-                                           sched::ClusterParams params) {
-  sched::ClusterSim sim(bed.throughput, bed.costs, policy, baselines::System::kElan,
-                        params);
+ReplayResult timed_replay(const BigSchedTestbed& bed,
+                          const std::vector<sched::SchedJobSpec>& trace) {
+  sched::ClusterParams params;
+  params.total_gpus = bed.topology.total_gpus();
+  params.placement_aware = true;
+  sched::ClusterSim sim(bed.throughput, bed.costs, sched::PolicyKind::kElasticBackfill,
+                        baselines::System::kElan, params);
   const double t0 = now_ms();
   const auto metrics = sim.run(trace);
-  const double ms = now_ms() - t0;
-  return {metric_bits(metrics), ms};
+  return {now_ms() - t0, metrics.jobs_finished};
 }
 
 int run_bench(int argc, char** argv) {
@@ -321,10 +162,10 @@ int run_bench(int argc, char** argv) {
   flags.define("repeats", "2", "timing repetitions; best-of is reported");
   flags.define("out", "BENCH_sched.json", "output JSON path");
   flags.define("baseline", "",
-               "committed BENCH_sched_baseline.json to gate the ratios against");
+               "committed BENCH_sched_baseline.json to gate the throughputs against");
   flags.define("max-regression", "0.20",
-               "allowed fractional ratio shortfall vs --baseline (ratios are "
-               "speedups: bigger is better)");
+               "allowed fractional throughput shortfall vs --baseline (throughputs "
+               "are bigger-is-better)");
   define_log_level_flag(flags);
   try {
     flags.parse(argc, argv);
@@ -333,7 +174,7 @@ int run_bench(int argc, char** argv) {
       return 0;
     }
     apply_log_level_flag(flags);
-    print_header("bench_sched: indexed-heap simulator core + event-driven ClusterSim");
+    print_header("bench_sched: indexed-heap simulator core + ClusterSim replay");
     const int jobs = static_cast<int>(flags.get_int("jobs"));
     const int events = static_cast<int>(flags.get_int("events"));
     const int repeats = static_cast<int>(flags.get_int("repeats"));
@@ -341,144 +182,67 @@ int run_bench(int argc, char** argv) {
             "--jobs, --events, --repeats must be >= 1");
     int rc = 0;
 
-    // ---- 1. Simulator events/sec. ----------------------------------------
-    EventMixResult legacy, indexed;
+    // ---- 1. Simulator event mix. -----------------------------------------
+    EventMixResult mix;
     for (int r = 0; r < repeats; ++r) {
-      const auto l = run_event_mix<LegacySimulatorCore>(events);
-      const auto n = run_event_mix<sim::Simulator>(events);
-      require(l.fired == n.fired,
-              "bench_sched: cores fired a different number of events");
-      if (r == 0 || l.ms < legacy.ms) legacy = l;
-      if (r == 0 || n.ms < indexed.ms) indexed = n;
+      const auto m = run_event_mix(events);
+      if (r == 0 || m.ms < mix.ms) mix = m;
     }
-    const double events_ratio = indexed.events_per_sec() / legacy.events_per_sec();
     std::printf(
         "simulator event mix (%d pending retransmit timers, 24 hot-flow "
         "re-arms each, 50%% acked/cancelled):\n",
         events);
-    std::printf("  legacy core   %9.1f ms  %8.2f M ops/s\n", legacy.ms,
-                legacy.events_per_sec() / 1e6);
-    std::printf("  indexed heap  %9.1f ms  %8.2f M ops/s  (%.2fx)\n", indexed.ms,
-                indexed.events_per_sec() / 1e6, events_ratio);
-    if (events_ratio < 5.0) {
-      std::fprintf(stderr, "FAIL: events/sec ratio %.2fx below the 5x floor\n",
-                   events_ratio);
+    std::printf("  indexed heap  %9.1f ms  %8.2f M ops/s  %llu fired\n", mix.ms, mix.mops(),
+                static_cast<unsigned long long>(mix.fired));
+    const auto unacked = static_cast<std::uint64_t>(events - events / 2);
+    if (mix.fired != unacked) {
+      std::fprintf(stderr, "FAIL: event mix fired %llu callbacks, expected %llu\n",
+                   static_cast<unsigned long long>(mix.fired),
+                   static_cast<unsigned long long>(unacked));
       rc = 1;
     }
 
-    // ---- 2. Production-scale replay: event-driven vs fixed-tick. ---------
+    // ---- 2. Production-scale replay. -------------------------------------
     BigSchedTestbed big;
     const auto trace =
         sched::TraceGenerator(big.throughput, sched::production_trace_params(jobs))
             .generate();
-    sched::ClusterParams big_params;
-    big_params.total_gpus = big.topology.total_gpus();
-    big_params.placement_aware = true;
-
-    big_params.event_driven = false;
-    const auto [fixed_bits, fixed_ms] =
-        timed_replay(big, trace, sched::PolicyKind::kElasticBackfill, big_params);
-    big_params.event_driven = true;
-    const auto [event_bits, event_ms] =
-        timed_replay(big, trace, sched::PolicyKind::kElasticBackfill, big_params);
-    const double replay_speedup = event_ms > 0.0 ? fixed_ms / event_ms : 0.0;
+    ReplayResult replay;
+    for (int r = 0; r < repeats; ++r) {
+      const auto m = timed_replay(big, trace);
+      if (r == 0 || m.ms < replay.ms) replay = m;
+    }
+    const double jobs_per_s =
+        replay.ms > 0.0 ? static_cast<double>(trace.size()) / (replay.ms / 1000.0) : 0.0;
     std::printf("\nE-BF replay, %zu jobs, %d GPUs, placement-aware:\n", trace.size(),
-                big_params.total_gpus);
-    std::printf("  fixed-tick    %9.1f ms\n", fixed_ms);
-    std::printf("  event-driven  %9.1f ms  (%.2fx)\n", event_ms, replay_speedup);
-    if (!(fixed_bits == event_bits)) {
-      std::fprintf(stderr,
-                   "FAIL: 5k replay metrics differ between event-driven and "
-                   "fixed-tick modes\n");
-      rc = 1;
-    }
-    // Both loops run the same placement and throughput code; the fixed-tick
-    // one runs it on every tick, so cheaper per-call checks shrink its time
-    // the most. Five runs on a 4-vCPU x86-64 VM measured 2.02-2.53x (median
-    // 2.34x, the committed baseline). The floor sits below the slowest of
-    // them with room for runner noise; the baseline gate catches drift.
-    constexpr double kReplayFloor = 1.5;
-    if (replay_speedup < kReplayFloor) {
-      std::fprintf(stderr, "FAIL: replay speedup %.2fx below the %.1fx floor\n",
-                   replay_speedup, kReplayFloor);
-      rc = 1;
-    }
-
-    // ---- 3. Equivalence matrix: 5 policies x 3 seeds, both modes. --------
-    SchedTestbed bed;
-    std::printf("\nequivalence matrix (event-driven vs fixed-tick, paper testbed):\n");
-    int matrix_mismatches = 0;
-    for (const std::uint64_t seed : {2020ULL, 2021ULL, 2022ULL}) {
-      sched::TraceParams tp;
-      tp.seed = seed;
-      const auto small_trace = sched::TraceGenerator(bed.throughput, tp).generate();
-      for (const auto policy :
-           {sched::PolicyKind::kFifo, sched::PolicyKind::kBackfill,
-            sched::PolicyKind::kElasticFifo, sched::PolicyKind::kElasticBackfill,
-            sched::PolicyKind::kElasticSrtf}) {
-        sched::ClusterParams params;
-        params.event_driven = false;
-        const auto [a, a_ms] = timed_replay(bed, small_trace, policy, params);
-        params.event_driven = true;
-        const auto [b, b_ms] = timed_replay(bed, small_trace, policy, params);
-        const bool same = a == b;
-        if (!same) ++matrix_mismatches;
-        std::printf("  seed %llu %-6s  fixed %7.1f ms  event %7.1f ms  %s\n",
-                    static_cast<unsigned long long>(seed), sched::to_string(policy),
-                    a_ms, b_ms, same ? "bit-identical" : "MISMATCH");
-      }
-    }
-    if (matrix_mismatches > 0) {
-      std::fprintf(stderr, "FAIL: %d equivalence-matrix mismatches\n",
-                   matrix_mismatches);
+                big.topology.total_gpus());
+    std::printf("  replay        %9.1f ms  %8.0f jobs/s  %d finished\n", replay.ms,
+                jobs_per_s, replay.finished);
+    if (replay.finished != static_cast<int>(trace.size())) {
+      std::fprintf(stderr, "FAIL: replay finished %d of %zu jobs\n", replay.finished,
+                   trace.size());
       rc = 1;
     }
 
     // ---- JSON sidecar + baseline gate. -----------------------------------
-    std::map<std::string, double> gate;
-    gate["sim_events_per_sec_ratio"] = events_ratio;
-    gate["replay_speedup_5k"] = replay_speedup;
-
     std::ostringstream os;
     os << "{\n";
     os << "  \"events\": " << events << ",\n";
     os << "  \"jobs\": " << trace.size() << ",\n";
-    os << "  \"legacy_ms\": " << json_number(legacy.ms) << ",\n";
-    os << "  \"indexed_ms\": " << json_number(indexed.ms) << ",\n";
-    os << "  \"legacy_mops\": " << json_number(legacy.events_per_sec() / 1e6) << ",\n";
-    os << "  \"indexed_mops\": " << json_number(indexed.events_per_sec() / 1e6)
-       << ",\n";
-    os << "  \"replay_fixed_ms\": " << json_number(fixed_ms) << ",\n";
-    os << "  \"replay_event_ms\": " << json_number(event_ms) << ",\n";
-    os << "  \"equivalence_mismatches\": " << matrix_mismatches << ",\n";
+    os << "  \"event_mix_ms\": " << json_number(mix.ms) << ",\n";
+    os << "  \"replay_ms\": " << json_number(replay.ms) << ",\n";
     os << "  \"gate\": {\n";
-    os << "    \"sim_events_per_sec_ratio\": " << json_number(events_ratio) << ",\n";
-    os << "    \"replay_speedup_5k\": " << json_number(replay_speedup) << "\n";
+    os << "    \"event_mix_mops\": " << json_number(mix.mops()) << ",\n";
+    os << "    \"replay_jobs_per_s\": " << json_number(jobs_per_s) << "\n";
     os << "  }\n}\n";
     write_json_file(flags.get("out"), os.str());
 
-    if (!flags.get("baseline").empty()) {
-      const double max_regression = flags.get_double("max-regression");
-      const auto baseline = read_json_gate(flags.get("baseline"));
-      for (const auto& [key, base] : baseline) {
-        const auto it = gate.find(key);
-        if (it == gate.end()) {
-          std::fprintf(stderr, "FAIL: gate key '%s' missing from current run\n",
-                       key.c_str());
-          rc = 1;
-          continue;
-        }
-        const double allowed = base * (1.0 - max_regression);
-        const bool ok = it->second >= allowed;
-        std::printf("gate %-28s base %-8s now %-8s %s\n", key.c_str(),
-                    json_number(base).c_str(), json_number(it->second).c_str(),
-                    ok ? "ok" : "REGRESSED");
-        if (!ok) rc = 1;
-      }
-      if (rc == 0) {
-        std::printf("baseline gate passed (max regression %.0f%%)\n",
-                    max_regression * 100.0);
-      }
+    const std::map<std::string, double> gate{{"event_mix_mops", mix.mops()},
+                                             {"replay_jobs_per_s", jobs_per_s}};
+    if (!flags.get("baseline").empty() &&
+        !check_baseline_gate(gate, flags.get("baseline"),
+                             flags.get_double("max-regression"), Better::kHigher)) {
+      rc = 1;
     }
     return rc;
   } catch (const Error& e) {

@@ -4,7 +4,10 @@
 // cluster under FIFO/Backfill and their elastic variants, comparing job
 // pending time, completion time, makespan and utilisation — and shows why a
 // high-performance elastic mechanism matters (Ideal vs Elan vs S&R).
+// Exits 1 unless each elastic policy beats its static counterpart on mean
+// JCT and Elan beats S&R.
 #include <cstdio>
+#include <map>
 
 #include "sched/cluster.h"
 #include "sched/trace.h"
@@ -25,6 +28,7 @@ int main() {
 
   std::printf("%-8s %10s %10s %12s %8s %12s\n", "policy", "JPT (s)", "JCT (s)",
               "makespan (h)", "util %", "adjustments");
+  std::map<sched::PolicyKind, double> policy_jct;
   for (auto policy : {sched::PolicyKind::kFifo, sched::PolicyKind::kElasticFifo,
                       sched::PolicyKind::kBackfill, sched::PolicyKind::kElasticBackfill}) {
     sched::ClusterSim sim(throughput, costs, policy, baselines::System::kElan);
@@ -32,14 +36,24 @@ int main() {
     std::printf("%-8s %10.0f %10.0f %12.1f %8.1f %12d\n", sched::to_string(policy),
                 m.pending_time.mean(), m.completion_time.mean(), m.makespan / 3600.0,
                 100.0 * m.average_utilization(), m.total_adjustments);
+    policy_jct[policy] = m.completion_time.mean();
   }
 
   std::printf("\nelastic policy by mechanism (why adjustment speed matters):\n");
+  std::map<baselines::System, double> system_jct;
   for (auto system : {baselines::System::kIdeal, baselines::System::kElan,
                       baselines::System::kShutdownRestart}) {
     sched::ClusterSim sim(throughput, costs, sched::PolicyKind::kElasticBackfill, system);
     const auto m = sim.run(trace);
     std::printf("  %-6s JCT %7.0fs\n", to_string(system), m.completion_time.mean());
+    system_jct[system] = m.completion_time.mean();
   }
-  return 0;
+
+  using sched::PolicyKind;
+  const bool ok =
+      policy_jct[PolicyKind::kElasticFifo] < policy_jct[PolicyKind::kFifo] &&
+      policy_jct[PolicyKind::kElasticBackfill] < policy_jct[PolicyKind::kBackfill] &&
+      system_jct[baselines::System::kElan] < system_jct[baselines::System::kShutdownRestart];
+  std::printf("\nmean JCT: E-FIFO < FIFO, E-BF < BF and Elan < S&R: %s\n", ok ? "yes" : "NO");
+  return ok ? 0 : 1;
 }

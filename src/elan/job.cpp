@@ -815,7 +815,6 @@ void ElasticJob::execute_elan_adjustment(AdjustmentRecord record, const Adjustme
     request.cpu_state_bytes = any_worker.cpu_state_bytes();
     ChunkPlanOptions chunk_options;
     chunk_options.chunk_bytes = config_.replication_chunk_bytes;
-    chunk_options.relay_sources = config_.replication_relay;
     const auto schedule = planner_.chunk_plan(request, chunk_options);
     replication_time = schedule.total_time;
 
@@ -917,7 +916,6 @@ void ElasticJob::complete_elan_replication(AdjustmentRecord record, AdjustmentPl
     ELAN_CHECK(!request.existing.empty(), "replication re-plan: no surviving replica");
     ChunkPlanOptions chunk_options;
     chunk_options.chunk_bytes = config_.replication_chunk_bytes;
-    chunk_options.relay_sources = config_.replication_relay;
     std::uint32_t kept = 0;
     for (int dest_id : resume) {
       auto& dest = session->dests.at(dest_id);

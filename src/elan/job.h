@@ -84,13 +84,10 @@ struct JobConfig {
   /// re-sending the request (same request id; the AM replays its cached
   /// verdict for duplicates). Covers the reply being lost in an AM crash.
   Seconds adjust_reply_timeout = 2.0;
-  /// Replication data-plane chunk size; 0 uses ELAN_REPL_CHUNK_BYTES (4 MiB
-  /// default). Whole-blob behaviour is the degenerate single-chunk schedule
-  /// (set this >= the model's GPU state bytes).
+  /// Replication data-plane chunk size; 0 uses the 4 MiB default
+  /// (kDefaultReplicationChunkBytes). Whole-blob behaviour is the degenerate
+  /// single-chunk schedule (set this >= the model's GPU state bytes).
   Bytes replication_chunk_bytes = 0;
-  /// Relay pipelining: a joining worker serves its verified chunk prefix to
-  /// later joiners (§IV-3 extended into a transfer tree).
-  bool replication_relay = true;
   std::uint64_t seed = 1;
 };
 

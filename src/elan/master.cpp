@@ -304,10 +304,15 @@ void ApplicationMaster::on_coordinate(const CoordinateMsg& msg, const std::strin
   {
     MutexLock lock(mu_);
     ++coordinations_;
+    std::uint64_t& last = coordinated_[msg.worker];
+    const bool stale = msg.iteration < last;
+    last = std::max(last, msg.iteration);
     // Instruct the adjustment only when every joining worker is ready;
     // workers that coordinate earlier simply proceed with training
-    // (asynchronous coordination, §V-B).
-    if (phase_ == AmPhase::kReady || phase_ == AmPhase::kAdjusting) {
+    // (asynchronous coordination, §V-B). The worker discards the answer to
+    // a stale coordinate, so only a current one may start the adjustment;
+    // otherwise, if no later round comes, the AM waits in Adjusting forever.
+    if ((phase_ == AmPhase::kReady && !stale) || phase_ == AmPhase::kAdjusting) {
       decision.adjust = true;
       decision.plan = plan_;
       if (phase_ == AmPhase::kReady) {
@@ -337,7 +342,10 @@ void ApplicationMaster::complete_locked(const std::vector<int>& failed_joins) {
     }
     workers_.emplace(id, gpu);
   }
-  for (int v : plan_.leave) workers_.erase(v);
+  for (int v : plan_.leave) {
+    workers_.erase(v);
+    coordinated_.erase(v);
+  }
   plan_ = AdjustmentPlan{};
   plan_.version = 0;
   set_phase_locked(AmPhase::kSteady);
@@ -376,6 +384,7 @@ void ApplicationMaster::on_status(const StatusRequestMsg& msg, const std::string
 void ApplicationMaster::remove_failed(int worker) {
   MutexLock lock(mu_);
   workers_.erase(worker);
+  coordinated_.erase(worker);
   persist();
 }
 
@@ -397,6 +406,11 @@ void ApplicationMaster::persist() {
   for (const auto& [id, reply] : replied_) {
     w.write(id);
     w.write_bytes(reply.serialize());
+  }
+  w.write<std::uint64_t>(coordinated_.size());
+  for (const auto& [id, iteration] : coordinated_) {
+    w.write(id);
+    w.write(iteration);
   }
   kv_.put(kv_key(), w.take());
 }
@@ -425,6 +439,12 @@ void ApplicationMaster::restore_from_bytes(std::span<const std::uint8_t> data) {
   for (std::uint64_t i = 0; i < nr; ++i) {
     const auto id = r.read<std::uint64_t>();
     replied_.emplace(id, AdjustReplyMsg::deserialize(r.read_bytes()));
+  }
+  coordinated_.clear();
+  const auto nc = r.read<std::uint64_t>();
+  for (std::uint64_t i = 0; i < nc; ++i) {
+    const int id = r.read<int>();
+    coordinated_.emplace(id, r.read<std::uint64_t>());
   }
   // A recovery landing mid-wait restarts the report-timeout clock: the
   // workers get a fresh window before eviction.

@@ -184,6 +184,12 @@ class ApplicationMaster {
   /// rest of the AM state; pruned to the most recent entries (request ids
   /// are monotonic).
   std::map<std::uint64_t, AdjustReplyMsg> replied_ ELAN_GUARDED_BY(mu_);
+  /// Highest iteration each worker has coordinated at. A coordinate below it
+  /// is a retransmission from a round that worker already finished (its
+  /// reliable endpoint keeps retrying a message that a decision-timeout
+  /// re-send replaced); it must not start an adjustment. Persisted, so a
+  /// recovered AM still recognises such a retransmission.
+  std::map<int, std::uint64_t> coordinated_ ELAN_GUARDED_BY(mu_);
   int next_worker_id_ ELAN_GUARDED_BY(mu_) = 0;
   std::uint64_t next_version_ ELAN_GUARDED_BY(mu_) = 1;
   std::uint64_t reports_received_ ELAN_GUARDED_BY(mu_) = 0;

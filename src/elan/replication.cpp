@@ -1,7 +1,6 @@
 #include "elan/replication.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <tuple>
 
@@ -10,18 +9,6 @@
 #include "obs/trace.h"
 
 namespace elan {
-
-Bytes default_replication_chunk_bytes() {
-  static const Bytes cached = [] {
-    if (const char* env = std::getenv("ELAN_REPL_CHUNK_BYTES")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) return static_cast<Bytes>(parsed);
-    }
-    return static_cast<Bytes>(4_MiB);
-  }();
-  return cached;
-}
 
 const char* to_string(ReplicationStrategy strategy) {
   switch (strategy) {
@@ -170,7 +157,7 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
 
   ChunkSchedule sched;
   sched.chunk_bytes =
-      options.chunk_bytes > 0 ? options.chunk_bytes : default_replication_chunk_bytes();
+      options.chunk_bytes > 0 ? options.chunk_bytes : kDefaultReplicationChunkBytes;
   if (request.joining.empty()) return sched;
 
   const Bytes gpu_bytes = request.gpu_state_bytes;

@@ -82,9 +82,8 @@ struct ReplicationRequest {
 // prefix); each endpoint issues at most one outgoing and one incoming chunk
 // at a time, and shared physical resources carry one chunk at a time.
 
-/// Chunk size used when ChunkPlanOptions::chunk_bytes == 0: the
-/// ELAN_REPL_CHUNK_BYTES environment variable, or 4 MiB.
-Bytes default_replication_chunk_bytes();
+/// Chunk size used when ChunkPlanOptions::chunk_bytes == 0.
+inline constexpr Bytes kDefaultReplicationChunkBytes = 4_MiB;
 
 struct ChunkTransfer {
   int source_worker = -1;
@@ -117,7 +116,7 @@ struct ChunkSchedule {
 };
 
 struct ChunkPlanOptions {
-  /// Chunk size; 0 uses default_replication_chunk_bytes().
+  /// Chunk size; 0 uses kDefaultReplicationChunkBytes.
   Bytes chunk_bytes = 0;
   /// Let destinations serve their verified prefix onward (kElan only). Off,
   /// the schedule is the whole-blob plan cut into chunks.

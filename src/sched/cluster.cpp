@@ -198,20 +198,11 @@ void ClusterSim::apply_allocation(SchedJob& job, int new_workers) {
 
 bool ClusterSim::progress_running() {
   std::vector<int> finished;
-  if (params_.event_driven) {
-    for (int index : running_) {
-      SchedJob& job = jobs_[static_cast<std::size_t>(index)];
-      if (job.paused(now_)) continue;
-      job.remaining_samples -= measured_throughput_cached(index) * kTick;
-      if (job.remaining_samples <= 0) finished.push_back(index);
-    }
-  } else {
-    for (int index : running_) {
-      SchedJob& job = jobs_[static_cast<std::size_t>(index)];
-      if (job.paused(now_)) continue;
-      job.remaining_samples -= measured_throughput(job) * kTick;
-      if (job.remaining_samples <= 0) finished.push_back(index);
-    }
+  for (int index : running_) {
+    SchedJob& job = jobs_[static_cast<std::size_t>(index)];
+    if (job.paused(now_)) continue;
+    job.remaining_samples -= measured_throughput_cached(index) * kTick;
+    if (job.remaining_samples <= 0) finished.push_back(index);
   }
   for (int index : finished) finish_job(index);
   return !finished.empty();
@@ -295,7 +286,7 @@ void ClusterSim::schedule_elastic() {
 
 bool ClusterSim::scheduling_is_noop() const {
   // True only when the scheduling pass at now_ is provably a no-op, so the
-  // event-driven loop may skip it without perturbing a single decision.
+  // replay loop may skip it without perturbing a single decision.
   if (is_elastic(policy_)) {
     if (rebalance_requested_ || now_ >= next_rebalance_) return false;
     if (queue_.empty()) return true;
@@ -394,17 +385,16 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
   job_tput_.assign(jobs_.size(), JobTput{});
 
   // The clock always advances by exact `kTick` increments (never t0 + i*kTick
-  // in one multiply — repeated addition keeps the sums bit-identical between
-  // the event-driven and fixed-tick modes). Event-driven mode only elides
-  // the scheduling pass on ticks where it is provably a no-op.
+  // in one multiply — repeated addition keeps the sums, and so the pinned
+  // metrics, bit-identical). The scheduling pass is elided only on ticks
+  // where it is provably a no-op.
   std::size_t next_arrival = 0;
   while (next_arrival < trace.size() || !all_done()) {
     const bool arrivals_due =
         next_arrival < trace.size() && trace[next_arrival].submit_time <= now_;
     if (arrivals_due) admit_arrivals(trace, next_arrival);
     const bool finished_any = progress_running();
-    const bool lean = params_.event_driven && !arrivals_due && !finished_any &&
-                      scheduling_is_noop();
+    const bool lean = !arrivals_due && !finished_any && scheduling_is_noop();
     if (!lean) {
       if (is_elastic(policy_)) {
         schedule_elastic();

@@ -24,14 +24,13 @@
 // pause each reallocation costs and the runtime overhead — exactly the
 // paper's Fig 22 ablation.
 //
-// Replay is event-driven by default: the clock still advances in exact
-// `kTick` increments (floating-point sums stay bit-identical to the fixed-tick
-// loop), but ticks where nothing can happen — no arrival due, no job
-// finishing, no rebalance horizon crossed, no admission possible — run a lean
-// path that only integrates progress from per-job cached throughputs. The
-// scheduling pass is skipped only when it is provably a no-op, so
-// ScheduleMetrics are bit-identical between the two modes (bench_sched
-// asserts this across all five policies).
+// Replay advances the clock in exact `kTick` increments. Every tick
+// integrates each running job's progress from a per-job cached throughput;
+// the scheduling pass then runs unless it is provably a no-op (no arrival
+// due, no job finished, no rebalance horizon crossed, no admission
+// possible). Skipping a no-op pass changes no decision:
+// tests/sched_golden_test.cpp pins every bit of the metrics for all five
+// policies.
 #pragma once
 
 #include <set>
@@ -60,10 +59,6 @@ struct ClusterParams {
   /// communication bottleneck — fragmentation physically slows jobs. The
   /// default (off) is the paper's count-based simulator.
   bool placement_aware = false;
-  /// When set (the default), uneventful ticks take the lean fast-forward
-  /// path (see the file comment). Metrics are bit-identical either way;
-  /// turn off to benchmark against the honest fixed-tick baseline.
-  bool event_driven = true;
 };
 
 class ClusterSim {
@@ -99,7 +94,7 @@ class ClusterSim {
   Seconds next_rebalance_ = 0;
   bool rebalance_requested_ = false;
 
-  // Per-job measured-throughput memo for the event-driven lean path. A
+  // Per-job measured-throughput memo for the progress integration. A
   // job's measured throughput is constant within one phase of its
   // adjustment timeline (pre-window / paused / steady), so the cached value
   // is bit-identical to a fresh computation until the phase flips or the

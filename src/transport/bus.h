@@ -132,9 +132,6 @@ class MessageBus final : public RawTransport {
   void deliver(const Message& msg);
 };
 
-/// Historical name for the retry knobs, kept for sim-side call sites.
-using ReliableParams = TransportOptions;
-
 /// Reliable messaging endpoint: unique ids, ack, timeout-based resend and
 /// receiver-side de-duplication, over any RawTransport backend. Thread-safe
 /// (see the file comment); the application handler runs with no endpoint

@@ -17,6 +17,11 @@
 //       inconsistent (fix: re-planning in complete_elan_replication)
 //   R6  joiner never reports -> AM waits in WaitingReady forever
 //       (fix: report-timeout eviction)
+//   R7  a worker's endpoint retransmits a coordinate from a round it has
+//       long finished; the AM, ready after the job stopped, answers it by
+//       moving to Adjusting and no round ever carries the adjustment out
+//       (fix: the AM starts an adjustment only on a coordinate at or above
+//       the worker's highest one, which it persists)
 //
 // The first section re-runs the original failing chaos seeds verbatim; the
 // second section reconstructs each bug as a minimal scripted scenario so the
@@ -57,6 +62,15 @@ TEST_F(FaultRegression, Seed124LostDecisionWedge) {
 
 TEST_F(FaultRegression, Seed200LostDecisionWedge) {
   const auto result = ChaosRunner::run_seed(200);
+  EXPECT_TRUE(result.ok()) << result.describe();
+}
+
+// R7: seed 2118124287 ended "AM wedged in phase adjusting" — after the job
+// stopped at t=20 s, w1 retransmitted coordinate 1277 (attempt 9) from an
+// early round, replaced long before by a decision-timeout re-send, and the
+// freshly ready AM took it as the signal to adjust.
+TEST_F(FaultRegression, Seed2118124287StaleCoordinateWedge) {
+  const auto result = ChaosRunner::run_seed(2118124287ULL);
   EXPECT_TRUE(result.ok()) << result.describe();
 }
 
@@ -228,6 +242,65 @@ TEST_F(FaultRegression, ReplyCacheSurvivesAmRecovery) {
   EXPECT_TRUE(replies[1].ok) << replies[1].error;
   EXPECT_EQ(replies[0].launch, replies[1].launch);
 
+  sched.shutdown();
+}
+
+// R7. A ready AM must answer a coordinate below the worker's highest one
+// without starting the adjustment — also after a crash and recovery — while
+// a current coordinate still starts it.
+TEST_F(FaultRegression, StaleCoordinateDoesNotStartAdjustment) {
+  sim::Simulator sim;
+  topo::BandwidthModel bandwidth;
+  transport::MessageBus bus{sim, bandwidth};
+  transport::KvStore kv{sim};
+  std::vector<WorkerLaunchSpec> initial{{0, 0}, {1, 1}};
+  auto am = std::make_unique<ApplicationMaster>(bus, kv, "job0", initial);
+
+  // A bare endpoint posing as worker 0 (and as the joiner, for its report).
+  std::vector<DecisionMsg> decisions;
+  transport::ReliableEndpoint w0(bus, "w0/job0", [&](const transport::Message& m) {
+    if (m.type == "decision") decisions.push_back(DecisionMsg::deserialize(m.payload));
+  });
+  transport::ReliableEndpoint sched(bus, "sched/job0", [](const transport::Message&) {});
+  const auto coordinate = [&](std::uint64_t iteration, Seconds until) {
+    CoordinateMsg msg;
+    msg.worker = 0;
+    msg.iteration = iteration;
+    w0.send(am->name(), "coordinate", msg.serialize());
+    sim.run_until(until);
+  };
+
+  coordinate(5, 0.5);  // steady: trains on
+  AdjustRequestMsg req;
+  req.request_id = 1;
+  req.type = AdjustmentType::kScaleOut;
+  req.gpus = {2};
+  sched.send(am->name(), "adjust_request", req.serialize());
+  sim.run_until(1.0);
+  ReportMsg report;
+  report.worker = 2;
+  report.gpu = 2;
+  w0.send(am->name(), "report", report.serialize());
+  sim.run_until(1.5);
+  ASSERT_EQ(am->phase(), AmPhase::kReady);
+
+  coordinate(3, 2.0);  // retransmission from a finished round
+  EXPECT_EQ(am->phase(), AmPhase::kReady) << "stale coordinate started the adjustment";
+  am->crash();
+  am = ApplicationMaster::recover(bus, kv, "job0");
+  coordinate(4, 2.5);
+  EXPECT_EQ(am->phase(), AmPhase::kReady) << "recovered AM forgot the worker's round";
+  ASSERT_EQ(decisions.size(), 3u);
+  EXPECT_FALSE(decisions[1].adjust);
+  EXPECT_FALSE(decisions[2].adjust);
+
+  coordinate(6, 3.0);  // the worker's next round
+  EXPECT_EQ(am->phase(), AmPhase::kAdjusting);
+  ASSERT_EQ(decisions.size(), 4u);
+  EXPECT_TRUE(decisions[3].adjust);
+  EXPECT_EQ(decisions[3].iteration, 6u);
+
+  w0.shutdown();
   sched.shutdown();
 }
 

@@ -79,8 +79,7 @@ def main():
 
         # --- full fixture sweep: every family fires, waivers hold ----------
         proc = run([sys.executable, ANALYZE, "--format=json",
-                    f"--repo-root={FIXTURE_ROOT}", f"--compile-db={db}",
-                    "--frontend=internal"])
+                    f"--repo-root={FIXTURE_ROOT}", f"--compile-db={db}"])
         check(proc.returncode == 1,
               f"fixture sweep exits 1 on violations (got {proc.returncode}, "
               f"stderr: {proc.stderr.strip()!r})")
@@ -115,7 +114,7 @@ def main():
         waived_paths = [os.path.join(FIXTURE_ROOT, "src", "elan", v[2])
                         for v in EXPECTED.values()]
         proc = run([sys.executable, ANALYZE, "--format=json",
-                    f"--repo-root={FIXTURE_ROOT}", "--frontend=internal"]
+                    f"--repo-root={FIXTURE_ROOT}"]
                    + waived_paths)
         check(proc.returncode == 0,
               f"waived-only subset exits 0 (got {proc.returncode})")

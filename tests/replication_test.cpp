@@ -195,8 +195,9 @@ void expect_equal_schedules(const ChunkSchedule& a, const ChunkSchedule& b) {
 }
 
 TEST(ChunkPlan, DefaultChunkSizeIsFourMiB) {
-  // ELAN_REPL_CHUNK_BYTES is unset in the test environment.
-  EXPECT_EQ(default_replication_chunk_bytes(), 4_MiB);
+  // chunk_bytes == 0 selects the default chunk size.
+  PlannerFixture f;
+  EXPECT_EQ(f.planner.chunk_plan(f.request({0}, {1})).chunk_bytes, 4_MiB);
 }
 
 TEST(ChunkPlan, OneChunkNoRelayMatchesWholeBlobMakespan) {

@@ -1,9 +1,9 @@
 // Golden pins of ClusterSim's decisions: every bit of the replay metrics for
-// all five policies, count-based on the paper testbed (bench_sched's 15-row
-// equivalence matrix) and placement-aware on a 1024-GPU cluster (the only
-// mode that runs take_gpus / release_gpus). bench_sched only compares the
-// event-driven loop with the fixed-tick one, and a change to the shared
-// allocation rule would move both together; these values would not move.
+// all five policies, count-based on the paper testbed (5 policies x 3 seeds)
+// and placement-aware on a 1024-GPU cluster (the only mode that runs
+// take_gpus / release_gpus). They are the replay loop's only bit-identity
+// reference: a change to the loop's no-op skipping, its throughput memo or
+// the shared allocation rule that alters any decision moves them.
 //
 // On a mismatch the test prints the row the code now computes, in source
 // form. Re-pin only for a change that is meant to alter scheduling.
@@ -83,8 +83,7 @@ struct Testbed {
   baselines::AdjustmentCostModel costs{topology, bandwidth, fs};
 };
 
-// bench_sched's equivalence matrix: the paper's 128-GPU testbed, default
-// two-day traces, count-based.
+// The paper's 128-GPU testbed, default two-day traces, count-based.
 constexpr GoldenRow kCountBased[] = {
     {2020, PolicyKind::kFifo,
      {793, 0, 0x410ed5c000000000, 0x40d5ff7db86a4e87, 0x40dba0f1c69e9ab8, 0x3fe973bec6bb4cde}},

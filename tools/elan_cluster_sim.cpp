@@ -44,9 +44,6 @@ int main(int argc, char** argv) {
   flags.define("peak", "22", "peak arrivals per hour");
   flags.define("trough", "10", "trough arrivals per hour");
   flags.define("placement", "false", "placement-aware mode (bind jobs to real GPUs)");
-  flags.define("event-driven", "true",
-               "skip idle time between arrivals/completions/adjustments; "
-               "false replays with the fixed-tick reference loop");
   flags.define("trace-in", "", "read the trace from this CSV instead of generating");
   flags.define("trace-out", "", "write the (generated) trace to this CSV");
   flags.define("utilization-out", "", "write the utilisation timeline to this CSV");
@@ -93,7 +90,6 @@ int main(int argc, char** argv) {
     sched::ClusterParams cp;
     cp.total_gpus = gpus;
     cp.placement_aware = flags.get_bool("placement");
-    cp.event_driven = flags.get_bool("event-driven");
     sched::ClusterSim sim(throughput, costs, policy, system, cp);
     const auto m = sim.run(trace);
 

@@ -263,7 +263,7 @@ def emit(tool, findings, files_scanned, waived_count, fmt, repo_root, out=None):
 
 
 # ---------------------------------------------------------------------------
-# Token stream (used by elan_analyze's internal frontend)
+# Token stream (used by elan_analyze)
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
