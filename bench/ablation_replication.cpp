@@ -1,8 +1,10 @@
 // Ablation: what each ingredient of the concurrent IO-free replication
 // mechanism (§IV) buys, and what chunk pipelining adds on top.
 //
-// Table 1 compares the whole-blob planners against the checkpoint path
-// (GPU->CPU->shared FS->CPU->GPU) Elan's "IO-free" design avoids.
+// Table 1 compares the whole-blob schedules of the four source strategies
+// (ReplicationPlanner::chunk_plan with whole_blob_options) against the
+// checkpoint path (GPU->CPU->shared FS->CPU->GPU) Elan's "IO-free" design
+// avoids.
 //
 // Table 2 is the chunk-pipelining ablation: for each source:joiner ratio it
 // reports the whole-blob makespan, the chunk-pipelined makespan
@@ -132,7 +134,8 @@ int main(int argc, char** argv) {
            {ReplicationStrategy::kElan, ReplicationStrategy::kNearestSerial,
             ReplicationStrategy::kSingleSource, ReplicationStrategy::kBlindSources}) {
         const ReplicationPlanner planner(tb.topology, tb.bandwidth, strategy);
-        row.push_back(fmt(1000.0 * planner.plan(req).total_time, "%.0f"));
+        const ChunkSchedule blob = planner.chunk_plan(req, whole_blob_options(req));
+        row.push_back(fmt(1000.0 * blob.total_time, "%.0f"));
       }
       // Checkpoint path: rank 0 D2H + FS write, then all joiners read + H2D.
       const Seconds ckpt = tb.bandwidth.host_device_copy_time(req.gpu_state_bytes) +
@@ -187,7 +190,7 @@ int main(int argc, char** argv) {
          {ReplicationStrategy::kElan, ReplicationStrategy::kNearestSerial,
           ReplicationStrategy::kSingleSource, ReplicationStrategy::kBlindSources}) {
       const ReplicationPlanner planner(topology, bandwidth, strategy);
-      const ReplicationPlan blob = planner.plan(req);
+      const ChunkSchedule blob = planner.chunk_plan(req, whole_blob_options(req));
       const ChunkSchedule chunked = planner.chunk_plan(req);
       const double ratio = chunked.total_time / blob.total_time;
       const double concurrency =

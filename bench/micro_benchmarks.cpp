@@ -35,8 +35,9 @@ void BM_ReplicationPlan(benchmark::State& state) {
   for (int i = 0; i < joining; ++i) req.joining.emplace(existing + i, existing + i);
   req.gpu_state_bytes = 200_MiB;
   req.cpu_state_bytes = 64_KiB;
+  const ChunkPlanOptions whole_blob = whole_blob_options(req);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.plan(req));
+    benchmark::DoNotOptimize(planner.chunk_plan(req, whole_blob));
   }
 }
 BENCHMARK(BM_ReplicationPlan)->Args({4, 4})->Args({16, 16})->Args({16, 48});

@@ -9,9 +9,11 @@
 #include <cstdio>
 
 #include "experiments/adabatch.h"
+#include "obs/obs.h"
 
 int main() {
   using namespace elan;
+  obs::init_from_env();
 
   topo::Topology topology{topo::TopologySpec{}};
   topo::BandwidthModel bandwidth;

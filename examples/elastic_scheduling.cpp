@@ -9,11 +9,13 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/obs.h"
 #include "sched/cluster.h"
 #include "sched/trace.h"
 
 int main() {
   using namespace elan;
+  obs::init_from_env();
 
   topo::Topology topology{topo::TopologySpec{.nodes = 16}};  // 128 GPUs
   topo::BandwidthModel bandwidth;

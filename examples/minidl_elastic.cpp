@@ -12,11 +12,13 @@
 
 #include "elan/replication.h"
 #include "minidl/parallel.h"
+#include "obs/obs.h"
 #include "topology/bandwidth.h"
 #include "train/lr_schedule.h"
 
 int main() {
   using namespace elan;
+  obs::init_from_env();
 
   const auto data = minidl::make_spirals(120, 3, /*seed=*/5);
   minidl::ParallelConfig cfg;
@@ -60,7 +62,7 @@ int main() {
     req.joining = {{2, 2}, {3, 3}};
     req.gpu_state_bytes = trainer.hooks(0).nominal_bytes(StateLocation::kGpu);
     req.cpu_state_bytes = 1_KiB;
-    const auto plan = planner.plan(req);
+    const auto plan = planner.chunk_plan(req, whole_blob_options(req));
     std::printf("replication plan: %zu transfers, %s over %s links\n",
                 plan.transfers.size(), format_seconds(plan.total_time).c_str(),
                 topo::to_string(plan.transfers.front().level));

@@ -11,10 +11,12 @@
 // sizes/learning rates follow the hybrid scaling mechanism.
 #include <cstdio>
 
+#include "obs/obs.h"
 #include "sched/live_scheduler.h"
 
 int main() {
   using namespace elan;
+  obs::init_from_env();
 
   sim::Simulator sim;
   topo::Topology topology{topo::TopologySpec{}};  // 8 nodes x 8 GPUs

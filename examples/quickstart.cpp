@@ -6,10 +6,12 @@
 #include <cstdio>
 
 #include "elan/job.h"
+#include "obs/obs.h"
 #include "storage/filesystem.h"
 
 int main() {
   using namespace elan;
+  obs::init_from_env();  // ELAN_TRACE= / ELAN_METRICS= / ELAN_FLIGHT= sidecars
 
   // --- Substrate: the paper's testbed (8 servers x 8 GPUs), virtual time ---
   sim::Simulator sim;

@@ -9,10 +9,12 @@
 #include <cstdio>
 
 #include "elan/job.h"
+#include "obs/obs.h"
 #include "storage/filesystem.h"
 
 int main() {
   using namespace elan;
+  obs::init_from_env();
 
   sim::Simulator sim;
   topo::Topology topology{topo::TopologySpec{}};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 
@@ -14,6 +15,11 @@ const char* to_string(System system) {
     case System::kShutdownRestart: return "S&R";
   }
   return "?";
+}
+
+int elan_joining_workers(AdjustmentType type, int workers_before, int workers_after) {
+  return type == AdjustmentType::kMigrate ? workers_after
+                                          : std::max(0, workers_after - workers_before);
 }
 
 AdjustmentCostModel::AdjustmentCostModel(const topo::Topology& topology,
@@ -31,21 +37,32 @@ Seconds AdjustmentCostModel::group_reconstruct_time(int workers) const {
   return group_params_.reconstruct_fixed + group_params_.reconstruct_per_rank * workers;
 }
 
-Seconds AdjustmentCostModel::elan_replication_time(const train::ModelSpec& model,
-                                                   int workers_before, int new_workers) const {
-  if (new_workers <= 0) return 0.0;
+ChunkSchedule AdjustmentCostModel::elan_replication_schedule(const train::ModelSpec& model,
+                                                             int workers_before,
+                                                             int new_workers) const {
   require(workers_before > 0, "replication: no existing workers");
+  require(new_workers >= 0, "replication: negative joiner count");
+  ELAN_REQUIRE(workers_before + new_workers <= topology_->total_gpus(),
+               "replication: " + std::to_string(workers_before) + " existing + " +
+                   std::to_string(new_workers) + " joining workers exceed the cluster's " +
+                   std::to_string(topology_->total_gpus()) + " GPUs");
   ReplicationRequest request;
-  // Compact placement: existing workers on GPUs [0, before), new workers on
-  // the next GPUs — the same placement the benches and ElasticJob use.
-  const int total = std::min(workers_before + new_workers, topology_->total_gpus());
-  for (int i = 0; i < workers_before && i < total; ++i) request.existing.emplace(i, i);
-  for (int i = workers_before; i < total; ++i) request.joining.emplace(i, i);
+  // Compact placement, the same placement the benches and ElasticJob use.
+  for (int i = 0; i < workers_before; ++i) request.existing.emplace(i, i);
+  for (int i = workers_before; i < workers_before + new_workers; ++i) {
+    request.joining.emplace(i, i);
+  }
   request.gpu_state_bytes = model.gpu_state_bytes();
   request.cpu_state_bytes = worker_params_.loader_state_bytes +
                             worker_params_.runtime_state_bytes;
   const ReplicationPlanner planner(*topology_, *bandwidth_);
-  return planner.plan(request).total_time;
+  return planner.chunk_plan(request, whole_blob_options(request));
+}
+
+Seconds AdjustmentCostModel::elan_replication_time(const train::ModelSpec& model,
+                                                   int workers_before, int new_workers) const {
+  if (new_workers <= 0) return 0.0;
+  return elan_replication_schedule(model, workers_before, new_workers).total_time;
 }
 
 Seconds AdjustmentCostModel::new_worker_ready_time() const {
@@ -90,13 +107,10 @@ Seconds AdjustmentCostModel::pause_time(System system, AdjustmentType type,
   switch (system) {
     case System::kIdeal:
       return 0.0;
-    case System::kElan: {
-      const int joining = type == AdjustmentType::kMigrate
-                              ? workers_after
-                              : std::max(0, workers_after - workers_before);
-      return elan_replication_time(model, workers_before, joining) +
+    case System::kElan:
+      return elan_replication_time(model, workers_before,
+                                   elan_joining_workers(type, workers_before, workers_after)) +
              group_reconstruct_time(workers_after);
-    }
     case System::kShutdownRestart:
       return snr_pause(type, model, workers_before, workers_after);
   }

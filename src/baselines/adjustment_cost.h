@@ -22,6 +22,11 @@ enum class System { kIdeal, kElan, kShutdownRestart };
 
 const char* to_string(System system);
 
+/// Workers that receive the state when Elan adjusts `workers_before` ->
+/// `workers_after`: the new workers of a scale-out, every worker of a
+/// migration (each moves to a fresh GPU), nobody on a scale-in.
+int elan_joining_workers(AdjustmentType type, int workers_before, int workers_after);
+
 class AdjustmentCostModel {
  public:
   AdjustmentCostModel(const topo::Topology& topology, const topo::BandwidthModel& bandwidth,
@@ -38,6 +43,13 @@ class AdjustmentCostModel {
   double runtime_overhead(System system, const train::ModelSpec& model, int workers,
                           int total_batch) const;
 
+  /// The whole-blob replication schedule Elan runs when `new_workers` join
+  /// `workers_before` under compact placement: existing workers on GPUs
+  /// [0, before), joiners on the next GPUs. Throws when they do not fit the
+  /// cluster.
+  ChunkSchedule elan_replication_schedule(const train::ModelSpec& model, int workers_before,
+                                          int new_workers) const;
+  /// That schedule's makespan; 0 when nobody joins.
   Seconds elan_replication_time(const train::ModelSpec& model, int workers_before,
                                 int new_workers) const;
   Seconds group_reconstruct_time(int workers) const;

@@ -20,133 +20,6 @@ const char* to_string(ReplicationStrategy strategy) {
   return "?";
 }
 
-ReplicationPlan ReplicationPlanner::plan(const ReplicationRequest& request) const {
-  require(!request.existing.empty(), "replication: no source workers");
-  static auto& plans_total = obs::MetricsRegistry::instance().counter(
-      "elan_replication_plans_total", "Replication plans computed");
-  plans_total.add(1);
-  ELAN_TRACE_SCOPE("replication", "plan");
-
-  ReplicationPlan plan;
-  if (request.joining.empty()) return plan;
-  ELAN_TRACE_COUNTER("replication", "joining_workers",
-                     static_cast<double>(request.joining.size()));
-
-  // --- Source selection -----------------------------------------------------
-  //
-  // kElan / kNearestSerial: prefer the highest-bandwidth link level; among
-  // equal levels, prefer the source whose physical resources (its own GPU,
-  // the NIC/QPI/bridge the transfer would cross) are projected to free up
-  // earliest — this spreads concurrent replications over distinct NICs and
-  // sockets to "maximize the bandwidth utilization" (§IV-3).
-  //
-  // kSingleSource: everything from the lowest-id worker (what a centralised
-  // PS/checkpoint design effectively does).
-  //
-  // kBlindSources: round-robin over existing workers, ignoring topology.
-  std::map<std::string, Seconds> projected_busy;
-  auto resource_keys = [&](topo::GpuId src_gpu, int src_worker, topo::GpuId dst_gpu) {
-    auto keys = topology_->transfer_resources(src_gpu, dst_gpu);
-    keys.push_back("src-worker-" + std::to_string(src_worker));
-    return keys;
-  };
-  auto earliest_start = [&](const std::vector<std::string>& keys) {
-    Seconds start = 0;
-    for (const auto& k : keys) {
-      auto it = projected_busy.find(k);
-      if (it != projected_busy.end()) start = std::max(start, it->second);
-    }
-    return start;
-  };
-
-  std::size_t round_robin = 0;
-  std::map<int, int> source_load;  // tie-break: spread over equally-placed sources
-  for (const auto& [dest_worker, dest_gpu] : request.joining) {
-    int best_source = -1;
-    switch (strategy_) {
-      case ReplicationStrategy::kSingleSource:
-        best_source = request.existing.begin()->first;
-        break;
-      case ReplicationStrategy::kBlindSources: {
-        auto it = request.existing.begin();
-        std::advance(it, static_cast<std::ptrdiff_t>(round_robin++ %
-                                                     request.existing.size()));
-        best_source = it->first;
-        break;
-      }
-      case ReplicationStrategy::kElan:
-      case ReplicationStrategy::kNearestSerial: {
-        int best_level = 1 << 30;
-        Seconds best_start = 0;
-        int best_load = 1 << 30;
-        for (const auto& [src_worker, src_gpu] : request.existing) {
-          const int level = static_cast<int>(topology_->link_level(dest_gpu, src_gpu));
-          const Seconds start =
-              earliest_start(resource_keys(src_gpu, src_worker, dest_gpu));
-          const int load = source_load[src_worker];
-          const bool better = level < best_level ||
-                              (level == best_level && start < best_start) ||
-                              (level == best_level && start == best_start &&
-                               load < best_load);
-          if (better) {
-            best_level = level;
-            best_start = start;
-            best_load = load;
-            best_source = src_worker;
-          }
-        }
-        break;
-      }
-    }
-    ELAN_CHECK(best_source >= 0, "replication: no source selected");
-    ++source_load[best_source];
-
-    ReplicationTransfer t;
-    t.source_worker = best_source;
-    t.dest_worker = dest_worker;
-    t.source_gpu = request.existing.at(best_source);
-    t.dest_gpu = dest_gpu;
-    t.level = topology_->link_level(t.source_gpu, t.dest_gpu);
-    t.gpu_transfer_time = bandwidth_->transfer_time(t.level, request.gpu_state_bytes);
-    // CPU states go over the control network ("even we use web socket to
-    // replicate them" — §IV-3) and overlap with the GPU transfer.
-    t.cpu_transfer_time = bandwidth_->control_transfer_time(request.cpu_state_bytes);
-
-    // Reserve this transfer's resources so the next source choice sees them.
-    {
-      const Seconds start = earliest_start(resource_keys(t.source_gpu, best_source,
-                                                         t.dest_gpu));
-      const Seconds finish = start + t.duration();
-      for (const auto& k : resource_keys(t.source_gpu, best_source, t.dest_gpu)) {
-        projected_busy[k] = std::max(projected_busy[k], finish);
-      }
-    }
-    plan.transfers.push_back(t);
-  }
-
-  // --- Scheduling -------------------------------------------------------------
-  // A transfer starts when every physical resource it crosses is free, and a
-  // source worker's GPU issues one outgoing copy at a time. The serial
-  // strategies additionally funnel everything through one virtual token.
-  const bool serial = strategy_ == ReplicationStrategy::kNearestSerial ||
-                      strategy_ == ReplicationStrategy::kSingleSource;
-  std::map<std::string, Seconds> resource_free_at;
-  for (auto& t : plan.transfers) {
-    auto keys = resource_keys(t.source_gpu, t.source_worker, t.dest_gpu);
-    if (serial) keys.push_back("global-serial-token");
-    Seconds start = 0;
-    for (const auto& k : keys) {
-      auto it = resource_free_at.find(k);
-      if (it != resource_free_at.end()) start = std::max(start, it->second);
-    }
-    t.start = start;
-    for (const auto& k : keys) resource_free_at[k] = t.finish();
-    plan.total_time = std::max(plan.total_time, t.finish());
-    plan.serial_time += t.duration();
-  }
-  return plan;
-}
-
 ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
                                              const ChunkPlanOptions& options) const {
   require(!request.existing.empty(), "replication: no source workers");
@@ -165,6 +38,8 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
       gpu_bytes == 0 ? 1
                      : static_cast<std::uint32_t>((gpu_bytes + sched.chunk_bytes - 1) /
                                                   sched.chunk_bytes);
+  // CPU states go over the control network ("even we use web socket to
+  // replicate them" — §IV-3), overlapped with the GPU chunks.
   sched.cpu_time = bandwidth_->control_transfer_time(request.cpu_state_bytes);
   auto chunk_size = [&](std::uint32_t chunk) -> Bytes {
     if (gpu_bytes == 0) return 0;
@@ -243,8 +118,8 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
   for (const auto& d : dests) remaining += sched.num_chunks - d.have;
 
   // Greedy work-conserving list scheduler: each round ranks, for every
-  // destination, the best source for its next needed chunk — the whole-blob
-  // selection order (link level, then earliest start, then source load) — and
+  // destination, the best source for its next needed chunk — link level,
+  // then earliest start, then source load (the §IV selection order) — and
   // commits the globally earliest-starting candidate (ties to the lowest
   // destination id). Strictly one chunk ahead per destination keeps delivery
   // in stream order, which is what makes the received prefix relayable.

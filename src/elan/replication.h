@@ -1,21 +1,26 @@
 // Concurrent IO-free state replication (paper §IV).
 //
 // Given the topology, the set of existing workers and the set of new workers,
-// the planner:
-//   1. assigns each new worker the *nearest* existing worker as its source
-//      (P2P > SHM > NET), exploiting that every existing worker holds an
-//      identical copy of the state (data parallelism);
-//   2. spreads load: among equally-near sources, prefers the one serving the
-//      fewest destinations;
-//   3. runs replications concurrently, except where they contend on a shared
+// the planner schedules the state stream onto the links between them:
+//   1. each new worker draws from the *nearest* eligible source (P2P > SHM >
+//      NET), exploiting that every existing worker holds an identical copy of
+//      the state (data parallelism);
+//   2. among equally-near sources it prefers the one that frees up earliest,
+//      then the one serving the fewest transfers, spreading load;
+//   3. transfers run concurrently, except where they contend on a shared
 //      physical resource (e.g. two transfers both crossing one node's QPI
-//      link), which are serialised (§IV-3);
-//   4. overlaps the small CPU-state transfer (over the control network) with
-//      the large GPU-state transfer, so the pair costs max(gpu, cpu).
+//      link), which carries one transfer at a time (§IV-3);
+//   4. the small CPU state travels over the control network, overlapped with
+//      the large GPU-state transfer, so a destination costs max(gpu, cpu).
 //
-// The plan is pure data: callers execute it (moving real blob bytes) and/or
-// price it. No filesystem IO and no CPU-GPU copies appear anywhere — that is
-// the "IO-free" property the benches contrast with checkpoint-based S&R.
+// One scheduler, ReplicationPlanner::chunk_plan, does all of this. The
+// paper's whole-blob design is its one-chunk, relay-free case
+// (whole_blob_options); ElasticJob runs the chunk-pipelined case.
+//
+// The schedule is pure data: callers execute it (moving real blob bytes)
+// and/or price it. No filesystem IO and no CPU-GPU copies appear anywhere —
+// that is the "IO-free" property the benches contrast with checkpoint-based
+// S&R.
 #pragma once
 
 #include <map>
@@ -28,29 +33,6 @@
 
 namespace elan {
 
-struct ReplicationTransfer {
-  int source_worker = -1;
-  int dest_worker = -1;
-  topo::GpuId source_gpu = -1;
-  topo::GpuId dest_gpu = -1;
-  topo::LinkLevel level = topo::LinkLevel::kL1;
-  Seconds gpu_transfer_time = 0;  // parameters + optimizer over the GPU link
-  Seconds cpu_transfer_time = 0;  // loader/runtime state over the control net
-  Seconds start = 0;              // scheduled start (contention-adjusted)
-  Seconds duration() const { return std::max(gpu_transfer_time, cpu_transfer_time); }
-  Seconds finish() const { return start + duration(); }
-};
-
-struct ReplicationPlan {
-  std::vector<ReplicationTransfer> transfers;
-  /// Makespan of the contention-aware schedule — the replication step's
-  /// contribution to adjustment latency.
-  Seconds total_time = 0;
-  /// Sum of all per-transfer durations (what a serial executor would pay);
-  /// total_time / serial_time measures the concurrency win.
-  Seconds serial_time = 0;
-};
-
 struct ReplicationRequest {
   /// worker id -> GPU for workers that already hold the state.
   std::map<int, topo::GpuId> existing;
@@ -62,15 +44,12 @@ struct ReplicationRequest {
 
 // --- Chunk-granular data plane -----------------------------------------------
 //
-// The whole-blob plan above moves each destination's state as one atomic
-// transfer, so two transfers contending on a shared link (one QPI, one NIC)
-// head-of-line block each other for a full blob time, and a freshly
-// replicated joiner contributes nothing while later joiners still wait. The
-// chunk schedule splits the state stream into fixed-size chunks and assigns
+// The schedule splits the state stream into fixed-size chunks and assigns
 // every (destination, chunk) pair its own source, start and duration:
 //
 //   - contending transfers interleave chunk-by-chunk on the shared resource
-//     instead of serialising wholesale;
+//     instead of serialising wholesale (a whole-blob transfer holds a shared
+//     QPI or NIC for a full blob time and head-of-line blocks the next one);
 //   - delivery per destination is strictly in stream order, so the received
 //     chunks always form a *verified prefix* — which makes a destination an
 //     eligible source for exactly that prefix (relay/tree pipelining: 1->N
@@ -119,12 +98,23 @@ struct ChunkPlanOptions {
   /// Chunk size; 0 uses kDefaultReplicationChunkBytes.
   Bytes chunk_bytes = 0;
   /// Let destinations serve their verified prefix onward (kElan only). Off,
-  /// the schedule is the whole-blob plan cut into chunks.
+  /// every chunk comes from an existing worker, the pre-relay §IV design.
   bool relay_sources = true;
   /// Resume after a source death: chunks each destination already holds.
   /// Destinations listed here skip the (already delivered) CPU-state copy.
   std::map<int, std::uint32_t> verified;
 };
+
+/// The paper's whole-blob replication: one chunk covering the request's GPU
+/// state (a 0-byte state is one chunk already), relays off, so each
+/// destination receives its state in one transfer from one existing worker.
+/// The cost model, the estimator and the paper-figure benches price this.
+inline ChunkPlanOptions whole_blob_options(const ReplicationRequest& request) {
+  ChunkPlanOptions options;
+  options.chunk_bytes = request.gpu_state_bytes;
+  options.relay_sources = false;
+  return options;
+}
 
 /// Planner strategies. kElan is the paper's design; the others are ablation
 /// baselines quantifying what each ingredient buys (bench/ablation_replication).
@@ -145,12 +135,8 @@ class ReplicationPlanner {
 
   ReplicationStrategy strategy() const { return strategy_; }
 
-  ReplicationPlan plan(const ReplicationRequest& request) const;
-
   /// Chunk-granular, work-conserving schedule (see the data-plane comment
-  /// above). With relay off and chunk_bytes >= gpu_state_bytes this
-  /// degenerates to plan(): one chunk per destination, same sources, same
-  /// starts, same makespan.
+  /// above); whole_blob_options(request) gives one transfer per destination.
   ChunkSchedule chunk_plan(const ReplicationRequest& request,
                            const ChunkPlanOptions& options = {}) const;
 

@@ -33,6 +33,16 @@ std::uint64_t pack_batch_key(int kind, int req, int base, int workers) {
          (static_cast<std::uint64_t>(base) << 16) | static_cast<std::uint64_t>(workers);
 }
 
+std::uint64_t pack_pause_key(AdjustmentType type, int kind, int before, int after) {
+  const int t = static_cast<int>(type);
+  ELAN_CHECK(t >= 0 && t < (1 << 8), "pause key: adjustment type out of range");
+  ELAN_CHECK(kind >= 0 && kind < (1 << 8), "pause key: model kind out of range");
+  ELAN_CHECK(before >= 0 && before < (1 << 16), "pause key: workers before out of range");
+  ELAN_CHECK(after >= 0 && after < (1 << 16), "pause key: workers after out of range");
+  return (static_cast<std::uint64_t>(t) << 40) | (static_cast<std::uint64_t>(kind) << 32) |
+         (static_cast<std::uint64_t>(before) << 16) | static_cast<std::uint64_t>(after);
+}
+
 }  // namespace
 
 const char* to_string(PolicyKind policy) {
@@ -158,12 +168,22 @@ void ClusterSim::finish_job(int index) {
   rebalance_requested_ = true;  // freed resources: re-run the allocation rule
 }
 
+Seconds ClusterSim::adjustment_pause(AdjustmentType type, const SchedJob& job,
+                                     int new_workers) {
+  const std::uint64_t key =
+      pack_pause_key(type, static_cast<int>(job.spec.model.kind), job.workers, new_workers);
+  if (const double* hit = pause_cache_.find(key)) return *hit;
+  const Seconds pause =
+      costs_->pause_time(system_, type, job.spec.model, job.workers, new_workers);
+  pause_cache_.insert(key, pause);
+  return pause;
+}
+
 void ClusterSim::apply_allocation(SchedJob& job, int new_workers) {
   if (new_workers == job.workers) return;
   const auto type = new_workers > job.workers ? AdjustmentType::kScaleOut
                                               : AdjustmentType::kScaleIn;
-  const Seconds pause = costs_->pause_time(system_, type, job.spec.model, job.workers,
-                                           new_workers);
+  const Seconds pause = adjustment_pause(type, job, new_workers);
   // Scale-out cannot take effect before the new workers have spawned and
   // initialised, but under both Elan and S&R they do that *asynchronously*:
   // the job keeps training on its old workers during the window and only

@@ -112,6 +112,10 @@ class ClusterSim {
   // of a red-black-tree walk.
   mutable FlatMap64<double> tput_cache_;
   mutable FlatMap64<int> batch_cache_;
+  // Adjustment pauses (see pack_pause_key): an Elan price runs the
+  // replication scheduler, and a replay repeats a few hundred shapes
+  // thousands of times.
+  FlatMap64<double> pause_cache_;
 
   void admit_arrivals(const std::vector<SchedJobSpec>& trace, std::size_t& next_arrival);
   bool progress_running();
@@ -122,6 +126,7 @@ class ClusterSim {
   void start_job(int index, int workers);
   void finish_job(int index);
   void apply_allocation(SchedJob& job, int new_workers);
+  Seconds adjustment_pause(AdjustmentType type, const SchedJob& job, int new_workers);
 
   // Placement-aware mode: the job's throughput on its actual GPUs.
   double measured_throughput(const SchedJob& job) const;

@@ -104,6 +104,33 @@ TEST(AdjustmentCost, ElanPausesAreSeconds) {
   }
 }
 
+TEST(AdjustmentCost, ElanReplicationPricesTheWholeBlobSchedule) {
+  // ResNet-50 from 2 to 5 workers on node 0: the schedule commits the
+  // earliest-starting transfer first, so w1 -> w4 crosses the QPI alongside
+  // w0 -> w2 and w0 -> w3 follows; the makespan is two SHM copies
+  // (2 x 27.30 ms), not an SHM copy followed by a QPI copy.
+  BaselineFixture f;
+  const auto m = train::resnet50();
+  EXPECT_DOUBLE_EQ(f.costs.elan_replication_time(m, 2, 3), 0.054593716566903254);
+  const ChunkSchedule schedule = f.costs.elan_replication_schedule(m, 2, 3);
+  EXPECT_EQ(schedule.num_chunks, 1u);
+  EXPECT_EQ(schedule.transfers.size(), 3u);
+  EXPECT_DOUBLE_EQ(schedule.total_time, f.costs.elan_replication_time(m, 2, 3));
+}
+
+TEST(AdjustmentCost, RefusesAdjustmentsBeyondTheCluster) {
+  // 48 -> 80 workers cannot fit 64 GPUs; the price must not quietly drop
+  // the joiners that have no GPU.
+  BaselineFixture f;
+  const auto m = train::resnet50();
+  ASSERT_EQ(f.topology.total_gpus(), 64);
+  EXPECT_THROW(f.costs.pause_time(System::kElan, AdjustmentType::kScaleOut, m, 48, 80),
+               InvalidArgument);
+  EXPECT_THROW(f.costs.elan_replication_time(m, 48, 32), InvalidArgument);
+  EXPECT_THROW(f.costs.elan_replication_schedule(m, 65, 0), InvalidArgument);
+  EXPECT_GT(f.costs.elan_replication_time(m, 48, 16), 0.0);  // exactly full
+}
+
 TEST(AdjustmentCost, SnrScaleOutIsTensOfSeconds) {
   BaselineFixture f;
   const auto m = train::resnet50();

@@ -99,10 +99,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Property: replication plans are well-formed for any (existing, joining)
-// shape — every joiner served by an existing worker, no resource used by two
-// overlapping transfers, makespan between the slowest single transfer and
-// the serial sum.
+// Property: whole-blob replication schedules are well-formed for any
+// (existing, joining) shape — every joiner served by an existing worker, no
+// resource used by two overlapping transfers, makespan between the slowest
+// single transfer and the serial sum.
 // ---------------------------------------------------------------------------
 
 using PlanCase = std::tuple<int, int>;  // existing count, joining count
@@ -123,7 +123,7 @@ TEST_P(ReplicationPlanProperties, WellFormed) {
   req.gpu_state_bytes = 200_MiB;
   req.cpu_state_bytes = 64_KiB;
 
-  const auto plan = planner.plan(req);
+  const auto plan = planner.chunk_plan(req, whole_blob_options(req));
   ASSERT_EQ(plan.transfers.size(), static_cast<std::size_t>(joining_count));
 
   double max_single = 0;
@@ -133,8 +133,8 @@ TEST_P(ReplicationPlanProperties, WellFormed) {
     EXPECT_TRUE(req.joining.count(t.dest_worker));
     served.insert(t.dest_worker);
     EXPECT_GE(t.start, 0.0);
-    EXPECT_GT(t.duration(), 0.0);
-    max_single = std::max(max_single, t.duration());
+    EXPECT_GT(t.duration, 0.0);
+    max_single = std::max(max_single, t.duration);
   }
   EXPECT_EQ(served.size(), static_cast<std::size_t>(joining_count));
   EXPECT_GE(plan.total_time, max_single);

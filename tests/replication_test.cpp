@@ -1,5 +1,5 @@
-// Tests of the concurrent IO-free replication planner (paper §IV) and its
-// chunk-pipelined data plane (chunk_plan).
+// Tests of the concurrent IO-free replication scheduler (paper §IV): its
+// whole-blob case (whole_blob_options) and its chunk-pipelined data plane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "elan/replication.h"
+#include "train/models.h"
 
 namespace elan {
 namespace {
@@ -29,18 +30,22 @@ struct PlannerFixture {
     r.cpu_state_bytes = cpu_bytes;
     return r;
   }
+
+  ChunkSchedule whole_blob(const ReplicationRequest& r) const {
+    return planner.chunk_plan(r, whole_blob_options(r));
+  }
 };
 
 TEST(Replication, EmptyJoinIsFree) {
   PlannerFixture f;
-  const auto plan = f.planner.plan(f.request({0, 1}, {}));
+  const auto plan = f.whole_blob(f.request({0, 1}, {}));
   EXPECT_TRUE(plan.transfers.empty());
   EXPECT_DOUBLE_EQ(plan.total_time, 0.0);
 }
 
 TEST(Replication, RequiresSources) {
   PlannerFixture f;
-  EXPECT_THROW(f.planner.plan(f.request({}, {1})), InvalidArgument);
+  EXPECT_THROW(f.whole_blob(f.request({}, {1})), InvalidArgument);
 }
 
 TEST(Replication, PicksNearestNeighbour) {
@@ -49,7 +54,7 @@ TEST(Replication, PicksNearestNeighbour) {
   PlannerFixture f;
   // Existing: GPU 0 (node 0) and GPU 8 (node 1). New: GPU 1 (switch peer of
   // GPU 0) must choose GPU 0 over GPU 8.
-  const auto plan = f.planner.plan(f.request({0, 8}, {1}));
+  const auto plan = f.whole_blob(f.request({0, 8}, {1}));
   ASSERT_EQ(plan.transfers.size(), 1u);
   EXPECT_EQ(plan.transfers[0].source_gpu, 0);
   EXPECT_EQ(plan.transfers[0].level, topo::LinkLevel::kL1);
@@ -65,7 +70,7 @@ TEST(Replication, Fig9Scenario) {
   r.joining = {{4, 5}, {5, 9}};                   // E (socket of C), F (node of D)
   r.gpu_state_bytes = 200_MiB;
   r.cpu_state_bytes = 64_KiB;
-  const auto plan = f.planner.plan(r);
+  const auto plan = f.whole_blob(r);
   ASSERT_EQ(plan.transfers.size(), 2u);
   const auto& e = plan.transfers[0].dest_gpu == 5 ? plan.transfers[0] : plan.transfers[1];
   const auto& ff = plan.transfers[0].dest_gpu == 9 ? plan.transfers[0] : plan.transfers[1];
@@ -74,7 +79,7 @@ TEST(Replication, Fig9Scenario) {
   // Concurrent: both start at time zero; makespan = slower of the two.
   EXPECT_DOUBLE_EQ(e.start, 0.0);
   EXPECT_DOUBLE_EQ(ff.start, 0.0);
-  EXPECT_DOUBLE_EQ(plan.total_time, std::max(e.duration(), ff.duration()));
+  EXPECT_DOUBLE_EQ(plan.total_time, std::max(e.duration, ff.duration));
 }
 
 TEST(Replication, SpreadsLoadAcrossEqualSources) {
@@ -83,7 +88,7 @@ TEST(Replication, SpreadsLoadAcrossEqualSources) {
   PlannerFixture f;
   // Existing on GPUs 0 and 2 (node 0, different switches); joining on GPUs 1
   // (peer of 0) and 3 (peer of 2).
-  const auto plan = f.planner.plan(f.request({0, 2}, {1, 3}));
+  const auto plan = f.whole_blob(f.request({0, 2}, {1, 3}));
   ASSERT_EQ(plan.transfers.size(), 2u);
   EXPECT_NE(plan.transfers[0].source_worker, plan.transfers[1].source_worker);
 }
@@ -92,7 +97,7 @@ TEST(Replication, ConcurrentWhenIndependent) {
   // Many same-switch replications across distinct switches: all concurrent,
   // makespan ~= a single transfer.
   PlannerFixture f;
-  const auto plan = f.planner.plan(f.request({0, 2, 8, 10}, {1, 3, 9, 11}));
+  const auto plan = f.whole_blob(f.request({0, 2, 8, 10}, {1, 3, 9, 11}));
   ASSERT_EQ(plan.transfers.size(), 4u);
   for (const auto& t : plan.transfers) EXPECT_DOUBLE_EQ(t.start, 0.0);
   EXPECT_NEAR(plan.total_time, plan.serial_time / 4.0, plan.total_time * 0.01);
@@ -104,7 +109,7 @@ TEST(Replication, SerializesQpiContention) {
   PlannerFixture f;
   // Existing on socket 0 of node 0 (GPUs 0,1); joining on socket 1 (GPUs 4,5):
   // both transfers cross node0's QPI.
-  const auto plan = f.planner.plan(f.request({0, 1}, {4, 5}));
+  const auto plan = f.whole_blob(f.request({0, 1}, {4, 5}));
   ASSERT_EQ(plan.transfers.size(), 2u);
   const auto& first = plan.transfers[0];
   const auto& second = plan.transfers[1];
@@ -117,7 +122,7 @@ TEST(Replication, SerializesQpiContention) {
 TEST(Replication, SerializesSharedNic) {
   // Two transfers leaving the same node over the network contend on its NIC.
   PlannerFixture f;
-  const auto plan = f.planner.plan(f.request({0, 1}, {16, 24}));
+  const auto plan = f.whole_blob(f.request({0, 1}, {16, 24}));
   ASSERT_EQ(plan.transfers.size(), 2u);
   EXPECT_GT(plan.transfers[1].start, 0.0);
 }
@@ -126,21 +131,23 @@ TEST(Replication, CpuStateOverlapsGpuState) {
   // CPU states ride the control network concurrently with the GPU transfer;
   // the pair costs max(gpu, cpu), and for realistic sizes GPU dominates.
   PlannerFixture f;
-  const auto plan = f.planner.plan(f.request({0}, {1}, 200_MiB, 64_KiB));
+  const auto plan = f.whole_blob(f.request({0}, {1}, 200_MiB, 64_KiB));
   ASSERT_EQ(plan.transfers.size(), 1u);
   const auto& t = plan.transfers[0];
-  EXPECT_GT(t.gpu_transfer_time, t.cpu_transfer_time);
-  EXPECT_DOUBLE_EQ(t.duration(), t.gpu_transfer_time);
+  EXPECT_GT(t.duration, plan.cpu_time);
+  EXPECT_DOUBLE_EQ(plan.total_time, t.duration);
   // A pathological CPU state would dominate instead.
-  const auto plan2 = f.planner.plan(f.request({0}, {1}, 1_MiB, 1_GiB));
-  EXPECT_DOUBLE_EQ(plan2.transfers[0].duration(), plan2.transfers[0].cpu_transfer_time);
+  const auto plan2 = f.whole_blob(f.request({0}, {1}, 1_MiB, 1_GiB));
+  ASSERT_EQ(plan2.transfers.size(), 1u);
+  EXPECT_GT(plan2.cpu_time, plan2.transfers[0].duration);
+  EXPECT_DOUBLE_EQ(plan2.total_time, plan2.cpu_time);
 }
 
 TEST(Replication, PrefersFastLinksForTime) {
   PlannerFixture f;
   // Same-switch replication (P2P) vs forced cross-node replication.
-  const auto p2p = f.planner.plan(f.request({0}, {1}));
-  const auto net = f.planner.plan(f.request({0}, {8}));
+  const auto p2p = f.whole_blob(f.request({0}, {1}));
+  const auto net = f.whole_blob(f.request({0}, {8}));
   EXPECT_LT(p2p.total_time * 2, net.total_time);
 }
 
@@ -153,7 +160,7 @@ TEST(Replication, ScalesToManyJoiners) {
   std::vector<topo::GpuId> joining;
   for (int g = 0; g < 16; ++g) existing.push_back(g);
   for (int g = 16; g < 64; ++g) joining.push_back(g);
-  const auto plan = f.planner.plan(f.request(existing, joining));
+  const auto plan = f.whole_blob(f.request(existing, joining));
   ASSERT_EQ(plan.transfers.size(), 48u);
   EXPECT_LT(plan.total_time, plan.serial_time / 2.0);
   for (const auto& t : plan.transfers) {
@@ -166,18 +173,31 @@ TEST(Replication, SubSecondForRealisticStates) {
   // The headline property: replicating ~200 MiB of GPU state to new workers
   // takes well under a second (vs tens of seconds for checkpoint paths).
   PlannerFixture f;
-  const auto plan = f.planner.plan(f.request({0, 1, 2, 3}, {4, 5, 6, 7}));
+  const auto plan = f.whole_blob(f.request({0, 1, 2, 3}, {4, 5, 6, 7}));
   EXPECT_LT(plan.total_time, 0.5);
 }
 
-// ---- Chunk-pipelined data plane (ReplicationPlanner::chunk_plan). --------
-
-ChunkPlanOptions whole_blob_options() {
-  ChunkPlanOptions o;
-  o.chunk_bytes = 1_GiB;  // >= any test state: a single chunk, no pipeline
-  o.relay_sources = false;
-  return o;
+TEST(Replication, WholeBlobIsOneChunkOfTheRequestedState) {
+  // The whole-blob chunk is sized to the request: VGG-19's 1,149,337,920-byte
+  // state (more than 1 GiB) still moves as one transfer per destination, and
+  // a 0-byte state is one empty chunk.
+  PlannerFixture f;
+  const Bytes vgg = train::vgg19().gpu_state_bytes();
+  ASSERT_GT(vgg, 1_GiB);
+  const auto plan = f.whole_blob(f.request({0, 1}, {2, 3, 4}, vgg));
+  EXPECT_EQ(plan.num_chunks, 1u);
+  ASSERT_EQ(plan.transfers.size(), 3u);
+  for (const auto& t : plan.transfers) {
+    EXPECT_EQ(t.chunk, 0u);
+    EXPECT_EQ(t.bytes, vgg);
+    EXPECT_FALSE(t.relay);
+  }
+  const auto empty = f.whole_blob(f.request({0}, {1, 2}, 0));
+  EXPECT_EQ(empty.num_chunks, 1u);
+  EXPECT_EQ(empty.transfers.size(), 2u);
 }
+
+// ---- Chunk-pipelined data plane (ReplicationPlanner::chunk_plan). --------
 
 void expect_equal_schedules(const ChunkSchedule& a, const ChunkSchedule& b) {
   ASSERT_EQ(a.transfers.size(), b.transfers.size());
@@ -200,67 +220,6 @@ TEST(ChunkPlan, DefaultChunkSizeIsFourMiB) {
   EXPECT_EQ(f.planner.chunk_plan(f.request({0}, {1})).chunk_bytes, 4_MiB);
 }
 
-TEST(ChunkPlan, OneChunkNoRelayMatchesWholeBlobMakespan) {
-  // A chunk covering the whole state with relaying off degenerates to one
-  // transfer per destination, and the makespan equals plan()'s exactly for
-  // every strategy. (Per-transfer packing may differ in multi-resource
-  // scenarios: the chunk scheduler commits globally by earliest start, so
-  // it can use a source slot plan()'s destination-order pass leaves idle —
-  // never producing a later makespan.)
-  for (auto strategy :
-       {ReplicationStrategy::kElan, ReplicationStrategy::kNearestSerial,
-        ReplicationStrategy::kSingleSource, ReplicationStrategy::kBlindSources}) {
-    PlannerFixture f;
-    const ReplicationPlanner planner(f.topology, f.bandwidth, strategy);
-    const auto req = f.request({0, 1, 2, 3}, {4, 5, 6, 7, 8, 9});
-    const auto blob = planner.plan(req);
-    const auto chunked =
-        planner.chunk_plan(req, whole_blob_options());
-    EXPECT_EQ(chunked.num_chunks, 1u);
-    ASSERT_EQ(chunked.transfers.size(), blob.transfers.size());
-    for (const auto& ct : chunked.transfers) EXPECT_FALSE(ct.relay);
-    EXPECT_DOUBLE_EQ(chunked.total_time, blob.total_time)
-        << "strategy " << static_cast<int>(strategy);
-  }
-}
-
-TEST(ChunkPlan, OneChunkNoRelayIsTransferIdenticalWhenOrderIsForced) {
-  // Where the commit order is unambiguous the degenerate schedule matches
-  // plan() transfer-for-transfer. Serial strategies force a global order;
-  // the QPI-contention scenario forces it for kElan (a single shared link
-  // chains every transfer).
-  struct Case {
-    ReplicationStrategy strategy;
-    std::vector<topo::GpuId> existing, joining;
-  };
-  const std::vector<Case> cases = {
-      {ReplicationStrategy::kNearestSerial, {0, 1, 2, 3}, {4, 5, 6, 7, 8, 9}},
-      {ReplicationStrategy::kSingleSource, {0, 1, 2, 3}, {4, 5, 6, 7, 8, 9}},
-      {ReplicationStrategy::kElan, {0, 1}, {4, 5}},
-  };
-  for (const auto& c : cases) {
-    PlannerFixture f;
-    const ReplicationPlanner planner(f.topology, f.bandwidth, c.strategy);
-    const auto req = f.request(c.existing, c.joining);
-    const auto blob = planner.plan(req);
-    const auto chunked =
-        planner.chunk_plan(req, whole_blob_options());
-    ASSERT_EQ(chunked.transfers.size(), blob.transfers.size());
-    for (const auto& bt : blob.transfers) {
-      bool found = false;
-      for (const auto& ct : chunked.transfers) {
-        if (ct.dest_worker != bt.dest_worker) continue;
-        found = true;
-        EXPECT_EQ(ct.source_worker, bt.source_worker);
-        EXPECT_DOUBLE_EQ(ct.start, bt.start);
-        EXPECT_DOUBLE_EQ(ct.duration, bt.gpu_transfer_time);
-      }
-      EXPECT_TRUE(found) << "no chunk transfer for dest " << bt.dest_worker;
-    }
-    EXPECT_DOUBLE_EQ(chunked.total_time, blob.total_time);
-  }
-}
-
 TEST(ChunkPlan, QpiContentionSerialisesChunksOnSharedLink) {
   // Same scenario as Replication.SerializesQpiContention: both destinations
   // sit across node 0's QPI from both sources. Chunk transfers crossing the
@@ -269,7 +228,7 @@ TEST(ChunkPlan, QpiContentionSerialisesChunksOnSharedLink) {
   // the second over its local switch, beating the whole-blob makespan.
   PlannerFixture f;
   const auto req = f.request({0, 1}, {4, 5});
-  const auto blob = f.planner.plan(req);
+  const auto blob = f.whole_blob(req);
   const auto chunked = f.planner.chunk_plan(req);
   ASSERT_GT(chunked.num_chunks, 1u);
 
@@ -300,8 +259,7 @@ TEST(ChunkPlan, TieBreaksByPendingDestinationCount) {
   // of queueing both on the first.
   PlannerFixture f;
   const auto req = f.request({0, 1}, {2, 3});
-  const auto chunked =
-      f.planner.chunk_plan(req, whole_blob_options());
+  const auto chunked = f.whole_blob(req);
   ASSERT_EQ(chunked.transfers.size(), 2u);
   EXPECT_NE(chunked.transfers[0].source_worker, chunked.transfers[1].source_worker);
 }

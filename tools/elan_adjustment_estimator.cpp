@@ -3,13 +3,15 @@
 //   elan_adjustment_estimator --model ResNet-50 --type scale-out --from 16 --to 32
 //
 // Prints the predicted training pause under Elan and Shutdown-&-Restart plus
-// the replication plan Elan would execute (source -> destination, link,
-// schedule), and the cluster topology in play.
+// the replication schedule Elan's pause prices (source -> destination, link,
+// start, duration), and the cluster topology in play. Adjustments that do not
+// fit the cluster are refused before any price is printed.
 #include <cstdio>
 
 #include "baselines/adjustment_cost.h"
 #include "common/flags.h"
 #include "elan/replication.h"
+#include "obs/obs.h"
 #include "topology/printer.h"
 
 namespace {
@@ -31,10 +33,12 @@ int main(int argc, char** argv) {
                "ResNet-50, VGG-19, MobileNet-v2, Seq2Seq or Transformer");
   flags.define("type", "scale-out", "scale-out, scale-in or migrate");
   flags.define("from", "16", "workers before the adjustment");
-  flags.define("to", "32", "workers after (for migrate: number moved)");
+  flags.define("to", "32",
+               "workers after a scale-out or scale-in (a migration moves all --from "
+               "workers to fresh GPUs and ignores it)");
   flags.define("nodes", "8", "cluster nodes (8 GPUs each)");
   flags.define("show-topology", "false", "print the link matrix of one node");
-  flags.define("show-plan", "true", "print Elan's replication plan");
+  flags.define("show-plan", "true", "print the replication schedule Elan's pause prices");
   define_log_level_flag(flags);
 
   try {
@@ -43,51 +47,52 @@ int main(int argc, char** argv) {
       std::fputs(flags.usage("elan_adjustment_estimator").c_str(), stdout);
       return 0;
     }
+    obs::init_from_env();
     apply_log_level_flag(flags);
 
     const auto model = train::model_by_name(flags.get("model"));
     const auto type = parse_type(flags.get("type"));
     const int from = static_cast<int>(flags.get_int("from"));
-    const int to = static_cast<int>(flags.get_int("to"));
+    const int after =
+        type == AdjustmentType::kMigrate ? from : static_cast<int>(flags.get_int("to"));
     topo::Topology topology{
         topo::TopologySpec{.nodes = static_cast<int>(flags.get_int("nodes"))}};
     topo::BandwidthModel bandwidth;
     storage::SimFilesystem fs;
     baselines::AdjustmentCostModel costs(topology, bandwidth, fs);
 
+    // Price everything first: a refused adjustment prints no price.
+    const Seconds elan_pause =
+        costs.pause_time(baselines::System::kElan, type, model, from, after);
+    const Seconds snr_pause =
+        costs.pause_time(baselines::System::kShutdownRestart, type, model, from, after);
+    const ChunkSchedule schedule = costs.elan_replication_schedule(
+        model, from, baselines::elan_joining_workers(type, from, after));
+
     if (flags.get_bool("show-topology")) {
       std::printf("%s\n%s\n", topo::link_matrix(topology).c_str(),
                   topo::legend().c_str());
     }
 
-    const int after = type == AdjustmentType::kMigrate ? from : to;
     std::printf("%s %s: %d -> %d workers (state: %s GPU + loader/runtime CPU)\n",
                 model.name.c_str(), to_string(type), from, after,
                 format_bytes(model.gpu_state_bytes()).c_str());
-    for (auto system : {baselines::System::kElan, baselines::System::kShutdownRestart}) {
-      const auto t = costs.pause_time(system, type, model, from, after);
-      std::printf("  %-5s pause: %s\n", to_string(system), format_seconds(t).c_str());
-    }
+    std::printf("  Elan  pause: %s (replication %s + group rebuild %s)\n",
+                format_seconds(elan_pause).c_str(), format_seconds(schedule.total_time).c_str(),
+                format_seconds(costs.group_reconstruct_time(after)).c_str());
+    std::printf("  S&R   pause: %s\n", format_seconds(snr_pause).c_str());
     std::printf("  new-worker ready (async, off critical path): %s\n",
                 format_seconds(costs.new_worker_ready_time()).c_str());
 
-    if (flags.get_bool("show-plan") && type != AdjustmentType::kScaleIn) {
-      ReplicationRequest req;
-      const int joining = type == AdjustmentType::kMigrate ? to : to - from;
-      for (int i = 0; i < from; ++i) req.existing.emplace(i, i);
-      for (int i = 0; i < joining; ++i) req.joining.emplace(from + i, from + i);
-      req.gpu_state_bytes = model.gpu_state_bytes();
-      req.cpu_state_bytes = 65_KiB;
-      const ReplicationPlanner planner(topology, bandwidth);
-      const auto plan = planner.plan(req);
-      std::printf("\nreplication plan (%zu transfers, makespan %s, %.1fx concurrency):\n",
-                  plan.transfers.size(), format_seconds(plan.total_time).c_str(),
-                  plan.total_time > 0 ? plan.serial_time / plan.total_time : 1.0);
-      for (const auto& t : plan.transfers) {
+    if (flags.get_bool("show-plan") && !schedule.transfers.empty()) {
+      std::printf("\nreplication schedule (%zu transfers, makespan %s, %.1fx concurrency):\n",
+                  schedule.transfers.size(), format_seconds(schedule.total_time).c_str(),
+                  schedule.total_time > 0 ? schedule.serial_time / schedule.total_time : 1.0);
+      for (const auto& t : schedule.transfers) {
         std::printf("  w%-3d(GPU%-2d) -> w%-3d(GPU%-2d)  %-11s start %-9s dur %s\n",
                     t.source_worker, t.source_gpu, t.dest_worker, t.dest_gpu,
                     topo::to_string(t.level), format_seconds(t.start).c_str(),
-                    format_seconds(t.duration()).c_str());
+                    format_seconds(t.duration).c_str());
       }
     }
     return 0;

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "common/flags.h"
+#include "obs/obs.h"
 #include "sched/cluster.h"
 #include "sched/trace.h"
 #include "sched/trace_io.h"
@@ -55,6 +56,7 @@ int main(int argc, char** argv) {
       std::fputs(flags.usage("elan_cluster_sim").c_str(), stdout);
       return 0;
     }
+    obs::init_from_env();
     apply_log_level_flag(flags);
 
     const int gpus = static_cast<int>(flags.get_int("gpus"));
