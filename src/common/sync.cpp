@@ -17,7 +17,7 @@
 //
 // This file is the one place naked std:: primitives are allowed (the
 // detector cannot be built on elan::Mutex without infinite recursion);
-// tools/elan_lint whitelists sync.h/sync.cpp for exactly that reason.
+// tools/elan_analyze whitelists sync.h/sync.cpp for exactly that reason.
 
 namespace elan {
 

@@ -1,8 +1,9 @@
 // Concurrency-correctness layer: annotated synchronisation primitives.
 //
-// Every mutex in the repository goes through this header — `tools/elan_lint`
-// bans naked std::mutex / std::lock_guard / std::condition_variable outside
-// this file and its .cpp. Two independent safety nets ride on that rule:
+// Every mutex in the repository goes through this header —
+// `tools/elan_analyze` bans naked std::mutex / std::lock_guard /
+// std::condition_variable outside this file and its .cpp. Two independent
+// safety nets ride on that rule:
 //
 //   1. *Static*: the ELAN_* macros carry Clang Thread Safety Analysis
 //      attributes. Fields annotated ELAN_GUARDED_BY(mu) may only be touched

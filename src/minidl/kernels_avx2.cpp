@@ -1,7 +1,7 @@
 // AVX2/FMA intrinsics kernels — the fast half of the KernelMode::kVector
 // backend (see kernels.h for the contract). This is the ONLY translation
 // unit in the repository allowed to contain raw SIMD intrinsics; everything
-// else goes through the dispatcher (enforced by tools/elan_lint's raw-simd
+// else goes through the dispatcher (enforced by tools/elan_analyze's raw-simd
 // rule). Compiled with -mavx2 -mfma -ffp-contract=off (src/CMakeLists.txt):
 // fusion happens exactly where an _mm256_fmadd_ps is written, never behind
 // the compiler's back, so the operation sequence — and therefore the

@@ -53,18 +53,21 @@ enum class FlightEventKind : std::uint8_t {
   kMsgGaveUp = 5,    // reliable endpoint exhausted max_retries
 
   // Adjustment Manager (src/elan/master.cpp).
-  kAmPhase = 10,       // a = prev phase, b = next phase; detail = next name
+  kAmPhase = 10,       // a = prev phase, b = next phase, c = plan version;
+                       // detail = next name
   kAdjustRequest = 11, // a = request_id; detail = request type
-  kAdjustReplay = 12,  // a = request_id (duplicate served from reply cache)
-  kAdjustVerdict = 13, // a = request_id, b = ok
-  kWorkerReport = 14,  // a = worker id
-  kWorkerEvicted = 15, // a = worker id (report timeout)
+  kAdjustReplay = 12,  // a = request_id, b = cached ok (duplicate served
+                       // from reply cache)
+  kAdjustVerdict = 13, // a = request_id, b = ok, c = plan version
+  kWorkerReport = 14,  // a = worker id, b = plan version
+  kWorkerEvicted = 15, // a = worker id, b = plan version (report timeout)
 
   // Worker protocol state machine (src/elan/worker.cpp).
-  kCoordinateSend = 20,   // a = iteration
+  kCoordinateSend = 20,   // a = iteration, b = worker id
   kCoordinateResend = 21, // a = iteration, b = resend count
   kDecisionRecv = 22,     // a = iteration, b = adjust flag
-  kDecisionStale = 23,    // a = iteration, b = 0 no-pending dup, 1 stale iter
+  kDecisionStale = 23,    // a = iteration, b = 0 no-pending dup, 1 stale iter;
+                          // c = awaited iteration (stale iter only)
 
   // Job coordination rounds + adjustment lifecycle (src/elan/job.cpp).
   kRoundStart = 30,    // a = iteration, b = worker count

@@ -290,9 +290,9 @@ TimerId SocketTransport::schedule_after(Seconds delay, std::function<void()> fn)
 }
 
 void SocketTransport::cancel_timer(TimerId id) {
-  // elan-analyze: allow(blocking-handler) -- the wait below is only taken off
-  // the epoll thread; a handler cancelling a timer runs ON the epoll thread
-  // (or the app's dispatcher) and returns immediately.
+  // The wait below is only taken off the epoll thread; a handler cancelling
+  // a timer runs ON the epoll thread (or the app's dispatcher) and returns
+  // immediately.
   MutexLock lock(mu_);
   timers_.erase(id);
   // If the callback was already collected for execution this tick, erasing

@@ -12,8 +12,8 @@ namespace elan {
 double waived_wall_clock() {
   // Same-line waiver form.
   const auto t0 = std::chrono::steady_clock::now();  // elan-analyze: allow(determinism) -- fixture: real-time budget check
-  // Line-above waiver form, legacy elan-lint tag.
-  // elan-lint: allow(determinism) -- fixture: diagnostics-only timestamp
+  // Line-above waiver form.
+  // elan-analyze: allow(determinism) -- fixture: diagnostics-only timestamp
   const auto t1 = std::chrono::system_clock::now();
   return std::chrono::duration<double>(t1.time_since_epoch()).count() +
          std::chrono::duration<double>(t0.time_since_epoch()).count();

@@ -50,7 +50,7 @@ TEST(ThreadPool, ParallelForPropagatesTaskExceptions) {
     EXPECT_THROW(pool.parallel_for(0, 100, 3,
                                    [](std::int64_t b, std::int64_t) {
                                      // This test exercises first-exception-wins propagation.
-                                     // elan-lint: allow(throw-in-parallel-for)
+                                     // elan-analyze: allow(throw-in-parallel-for)
                                      if (b >= 42) throw InvalidArgument("chunk failed");
                                    }),
                  InvalidArgument);

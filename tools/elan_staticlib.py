@@ -1,17 +1,14 @@
-"""Shared infrastructure for the repo's static-analysis tools.
+"""Shared infrastructure for `tools/elan_analyze`, the repo's static analyzer.
 
-Both `tools/elan_lint` (regex/structural rules) and `tools/elan_analyze`
-(semantic rules over a lexed token stream) import this module, so that:
+Kept apart from the rule families so that:
 
   * comment/string stripping — including C++11 raw string literals, which a
-    naive char scan corrupts — is implemented exactly once;
-  * the `// elan-lint: allow(<rule>)` waiver syntax means the same thing to
-    every tool (elan_analyze additionally accepts `// elan-analyze:` as the
-    tag, so a waiver can name the tool it silences);
-  * both tools emit the *same* machine-readable finding schema under
-    `--format=json`, so CI consumes one artifact shape; and
-  * "compile_commands.json is missing but required" is one error path with
-    one exit code (2), not two slightly different ones.
+    naive char scan corrupts — is implemented exactly once, for both the
+    structural regexes and the semantic lexer;
+  * the `// elan-analyze: allow(<rule>)` waiver syntax means the same thing
+    to every rule family; and
+  * the machine-readable finding schema under `--format=json` is defined in
+    one place, so CI consumes one artifact shape.
 
 Finding schema (--format=json)
 ------------------------------
@@ -38,15 +35,14 @@ violations, so `exit 1 iff findings non-empty` holds for every consumer.
 """
 
 import json
-import os
 import re
 
 SCHEMA_VERSION = 1
 
-# Matches both tags so a waiver can be addressed to the tool that fires:
-#   // elan-lint: allow(naked-sync)      -- why it is safe here
+# The one waiver tag, on the offending line or the line above; a waiver may
+# name several rules, comma-separated:
 #   // elan-analyze: allow(determinism)  -- why it is safe here
-WAIVER_RE = re.compile(r"//\s*elan-(?:lint|analyze):\s*allow\(([a-z0-9\-,\s]+)\)")
+WAIVER_RE = re.compile(r"//\s*elan-analyze:\s*allow\(([a-z0-9\-,\s]+)\)")
 
 _RAW_PREFIX_RE = re.compile(r'(?:u8|[uUL])?R$')
 
@@ -179,60 +175,6 @@ def waived(raw_lines, line, rule):
             if m and rule in [r.strip() for r in m.group(1).split(",")]:
                 return True
     return False
-
-
-def find_compile_db(repo_root, explicit=None):
-    """Returns the path of the compilation database to use, or None.
-
-    `explicit` (from --compile-db) wins; otherwise the repo root and any
-    build*/ directory under it are searched, newest-mtime first so a fresh
-    reconfigure is preferred over a stale side build.
-    """
-    if explicit:
-        return explicit if os.path.isfile(explicit) else None
-    candidates = [os.path.join(repo_root, "compile_commands.json")]
-    try:
-        entries = sorted(os.listdir(repo_root))
-    except OSError:
-        entries = []
-    for entry in entries:
-        if entry.startswith("build"):
-            candidates.append(os.path.join(repo_root, entry, "compile_commands.json"))
-    found = [c for c in candidates if os.path.isfile(c)]
-    if not found:
-        return None
-    return max(found, key=os.path.getmtime)
-
-
-def load_compile_db(db_path):
-    """Parses a compile_commands.json into a sorted list of absolute source
-    paths. Raises ValueError (with a human message) on malformed input."""
-    try:
-        with open(db_path) as f:
-            entries = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValueError(f"cannot read compilation database {db_path}: {e}")
-    files = set()
-    for entry in entries:
-        try:
-            path = os.path.normpath(
-                os.path.join(entry.get("directory", ""), entry["file"]))
-        except (TypeError, KeyError):
-            continue
-        if os.path.isfile(path):
-            files.add(path)
-    return sorted(files)
-
-
-def missing_compile_db_message(tool, repo_root):
-    return (
-        f"{tool}: compile_commands.json is required but was not found under "
-        f"{repo_root} (looked in the repo root and build*/ directories).\n"
-        f"Generate one with:\n"
-        f"    cmake -B build -S {repo_root}\n"
-        f"(CMAKE_EXPORT_COMPILE_COMMANDS is ON by default for this repo), or "
-        f"pass --compile-db=<path>."
-    )
 
 
 def emit(tool, findings, files_scanned, waived_count, fmt, repo_root, out=None):
