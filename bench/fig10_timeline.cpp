@@ -35,7 +35,7 @@ AdjustmentRecord run(Mechanism mech) {
   // With ELAN_TRACE set, each mechanism's run lands in its own pid lane on
   // the simulator's virtual clock — Perfetto shows the two timelines side by
   // side, S&R's serial restart chain vs Elan's overlapping replication.
-  obs::ScopedSimClock trace_clock(sim);
+  obs::RunScope trace_run(sim);
   obs::Tracer::instance().set_pid(mech == Mechanism::kElan ? 2 : 1, to_string(mech));
   topo::Topology topology{topo::TopologySpec{}};
   topo::BandwidthModel bandwidth;

@@ -1,11 +1,12 @@
 // Google-benchmark microbenchmarks of the hot control-plane paths: the
-// replication planner, the hybrid-scaling decision, the event engine and the
-// collective cost model. These are the operations that sit on Elan's
-// adjustment critical path, so their own CPU cost must be negligible against
-// the transfers they schedule.
+// replication planner, the hybrid-scaling decision, the event engine, the
+// collective cost model and a nested lock acquisition. These are the
+// operations that sit on Elan's adjustment critical path, so their own CPU
+// cost must be negligible against the transfers they schedule.
 #include <benchmark/benchmark.h>
 
 #include "comm/group.h"
+#include "common/sync.h"
 #include "elan/hybrid_scaling.h"
 #include "elan/replication.h"
 #include "sim/simulator.h"
@@ -82,6 +83,20 @@ void BM_TopologyProximity(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopologyProximity);
+
+// One outer+inner acquisition pair whose ordering edge is already recorded:
+// the lock-order detector's known-edge check (DESIGN.md §5c). Every thread
+// locks mutexes of its own from the same two classes, so at four threads
+// they share only the detector's state.
+void BM_NestedLockKnownEdge(benchmark::State& state) {
+  Mutex outer("bm_nested_outer");
+  Mutex inner("bm_nested_inner");
+  for (auto _ : state) {
+    MutexLock lock_outer(outer);
+    MutexLock lock_inner(inner);
+  }
+}
+BENCHMARK(BM_NestedLockKnownEdge)->Threads(1)->Threads(4);
 
 }  // namespace
 

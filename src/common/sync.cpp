@@ -11,9 +11,10 @@
 #include <vector>
 
 // The lock-order detector (see sync.h for the model). All bookkeeping lives
-// behind one internal std::mutex; the fast path — acquiring while holding no
-// other lock, which covers every hot-path acquisition in the thread pool —
-// touches only a thread_local array and never takes it.
+// behind one internal std::mutex, which two fast paths never take:
+// acquiring while holding no other lock (every hot-path acquisition in the
+// thread pool) touches only a thread_local array, and a nested acquisition
+// whose edges are all known reads only an atomic adjacency bitset.
 //
 // This file is the one place naked std:: primitives are allowed (the
 // detector cannot be built on elan::Mutex without infinite recursion);
@@ -81,6 +82,24 @@ struct Registry {
 Registry& registry() {
   static Registry* r = new Registry();
   return *r;
+}
+
+// Recorded edges between the first kBitsetClasses classes, one word per
+// source class: bit (to - 1) of word (from - 1) is set once from -> to is in
+// the registry. An edge is set only after it is recorded (release), so a set
+// bit proves the registry holds it and the acquisition can skip
+// registry().m. A clear bit or a class past the bitset goes to the registry.
+constexpr std::uint32_t kBitsetClasses = 64;
+std::atomic<std::uint64_t> g_known_edges[kBitsetClasses];
+
+bool edge_known(std::uint32_t from, std::uint32_t to) {
+  if (from > kBitsetClasses || to > kBitsetClasses) return false;
+  return (g_known_edges[from - 1].load(std::memory_order_acquire) >> (to - 1)) & 1;
+}
+
+void mark_edge_known(std::uint32_t from, std::uint32_t to) {
+  if (from > kBitsetClasses || to > kBitsetClasses) return;
+  g_known_edges[from - 1].fetch_or(std::uint64_t{1} << (to - 1), std::memory_order_release);
 }
 
 std::string format_site(const std::source_location& loc) {
@@ -153,6 +172,10 @@ void before_blocking_lock(const Mutex* mu, std::uint32_t cls, const char* name,
     }
   }
   if (held.empty()) return;  // fast path: no ordering to record
+  if (std::all_of(held.begin(), held.end(),
+                  [cls](const HeldLock& h) { return edge_known(h.cls, cls); })) {
+    return;  // every edge already recorded
+  }
 
   Registry& reg = registry();
   std::lock_guard<std::mutex> guard(reg.m);
@@ -187,6 +210,7 @@ void before_blocking_lock(const Mutex* mu, std::uint32_t cls, const char* name,
     reg.edge_stacks.emplace(
         key, format_held_stack(held) + "    then acquired \"" + name + "\" at " +
                  format_site(loc) + "\n");
+    mark_edge_known(h.cls, cls);
   }
 }
 

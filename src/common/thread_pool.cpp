@@ -35,12 +35,16 @@ void ThreadPool::enqueue(std::function<void()> task) {
   tasks_total.add(1);
   if (obs::Tracer::enabled()) {
     // Wrap the task so the trace shows queue-wait separately from run time.
-    // The wrapper allocates, but only when tracing is on.
-    const double enqueued_us = obs::Tracer::instance().now_us();
-    task = [inner = std::move(task), enqueued_us] {
+    // The wrapper allocates, but only when tracing is on. Inside a sim run
+    // (obs::RunScope) the enqueue time is virtual and cannot be compared
+    // with a worker's real clock, so such a task gets no queue-wait span.
+    auto& tracer = obs::Tracer::instance();
+    const bool real_clock = !tracer.has_custom_clock();
+    const double enqueued_us = tracer.now_us();
+    task = [inner = std::move(task), enqueued_us, real_clock] {
       auto& tracer = obs::Tracer::instance();
       const double start_us = tracer.now_us();
-      if (start_us > enqueued_us) {
+      if (real_clock && start_us > enqueued_us) {
         tracer.complete("threadpool", "queue_wait", enqueued_us, start_us - enqueued_us);
       }
       ELAN_TRACE_SCOPE("threadpool", "task_run");

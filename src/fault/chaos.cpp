@@ -1,14 +1,16 @@
 #include "fault/chaos.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <functional>
-#include <map>
+#include <future>
 #include <memory>
 #include <sstream>
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "obs/obs.h"
 #include "storage/filesystem.h"
 #include "train/models.h"
@@ -31,6 +33,49 @@ std::string& flight_prefix_storage() {
 }
 
 }  // namespace
+
+void ConsumptionLedger::record(std::uint64_t epoch, const data::SampleRange& range) {
+  if (range.empty()) return;
+  Epoch& e = epochs_[epoch];
+  if (e.bits.empty()) e.bits.resize((num_samples_ + 63) / 64);
+  e.covered += range.size();
+  e.lowest_begin = std::min(e.lowest_begin, range.begin);
+  e.highest_end = std::max(e.highest_end, range.end);
+  // Mark the in-dataset part a word at a time; samples past the dataset
+  // only show in highest_end.
+  const std::uint64_t end = std::min(range.end, num_samples_);
+  for (std::uint64_t i = range.begin; i < end;) {
+    const std::uint64_t bit = i % 64;
+    const std::uint64_t n = std::min<std::uint64_t>(64 - bit, end - i);
+    const std::uint64_t mask =
+        (n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1) << bit;
+    std::uint64_t& word = e.bits[i / 64];
+    if ((word & mask) != 0) e.repeated = true;
+    word |= mask;
+    i += n;
+  }
+}
+
+std::vector<std::string> ConsumptionLedger::failures(std::uint64_t final_epoch,
+                                                     bool serial) const {
+  std::vector<std::string> out;
+  for (const auto& [epoch, e] : epochs_) {
+    const std::string at = "epoch " + std::to_string(epoch) + ": ";
+    if (e.repeated) out.push_back(at + "sample consumed twice");
+    if (e.highest_end > num_samples_) {
+      out.push_back(at + "consumed samples up to " + std::to_string(e.highest_end) +
+                    " of a " + std::to_string(num_samples_) + "-sample dataset (out of range)");
+    }
+    if (epoch < final_epoch && e.covered != num_samples_) {
+      out.push_back(at + "consumed " + std::to_string(e.covered) + "/" +
+                    std::to_string(num_samples_) + " samples (skip or repeat)");
+    }
+    if (serial && !e.repeated && (e.lowest_begin != 0 || e.highest_end != e.covered)) {
+      out.push_back(at + "serial consumption not contiguous");
+    }
+  }
+  return out;
+}
 
 std::string ChaosPlan::describe() const {
   std::ostringstream os;
@@ -160,10 +205,10 @@ ChaosResult ChaosRunner::run_plan(const ChaosPlan& plan) {
   const auto fail = [&result](std::string why) { result.failures.push_back(std::move(why)); };
 
   sim::Simulator sim;
-  // Flight events carry sim timestamps for the scope of the run; the ring
-  // restarts per plan so a dump holds exactly this run's history.
-  obs::ScopedSimClock flight_clock(sim);
-  if (obs::FlightRecorder::enabled()) obs::FlightRecorder::instance().clear();
+  // Trace and flight events of this thread carry sim timestamps for the
+  // scope of the run, and flight events go to the run's own ring: a dump
+  // holds exactly this run's history, whichever thread ran it.
+  obs::RunScope run_scope(sim);
   topo::TopologySpec spec;
   spec.nodes = 2;  // 16 GPUs: enough headroom for every sampled workload
   topo::Topology topology{spec};
@@ -197,13 +242,10 @@ ChaosResult ChaosRunner::run_plan(const ChaosPlan& plan) {
 
   // --- Invariant instrumentation -------------------------------------------
 
-  std::map<std::uint64_t, std::vector<data::SampleRange>> consumed;
+  ConsumptionLedger consumed(num_samples);
   job.on_data_consumed = [&](std::uint64_t epoch,
                              const std::vector<data::SampleRange>& shards) {
-    auto& ranges = consumed[epoch];
-    for (const auto& r : shards) {
-      if (!r.empty()) ranges.push_back(r);
-    }
+    for (const auto& r : shards) consumed.record(epoch, r);
   };
   Seconds last_iteration_at = 0;
   job.on_iteration = [&](std::uint64_t) {
@@ -303,31 +345,9 @@ ChaosResult ChaosRunner::run_plan(const ChaosPlan& plan) {
 
   // Exactly-once data consumption (§V-C): within every epoch no sample may
   // repeat, and every *completed* epoch must account for the whole dataset.
-  const std::uint64_t final_epoch = job.epoch();
-  for (auto& [epoch, ranges] : consumed) {
-    std::sort(ranges.begin(), ranges.end(),
-              [](const data::SampleRange& x, const data::SampleRange& y) {
-                return x.begin < y.begin || (x.begin == y.begin && x.end < y.end);
-              });
-    std::uint64_t covered = 0;
-    std::uint64_t prev_end = 0;
-    bool overlapped = false;
-    for (const auto& r : ranges) {
-      if (r.begin < prev_end) overlapped = true;
-      covered += r.size();
-      prev_end = std::max(prev_end, r.end);
-    }
-    if (overlapped) {
-      fail("epoch " + std::to_string(epoch) + ": sample consumed twice");
-    }
-    if (epoch < final_epoch && covered != num_samples) {
-      fail("epoch " + std::to_string(epoch) + ": consumed " + std::to_string(covered) +
-           "/" + std::to_string(num_samples) + " samples (skip or repeat)");
-    }
-    if (plan.semantics == DataSemantics::kSerial && !overlapped && covered != 0 &&
-        (ranges.front().begin != 0 || prev_end != covered)) {
-      fail("epoch " + std::to_string(epoch) + ": serial consumption not contiguous");
-    }
+  for (std::string& why :
+       consumed.failures(job.epoch(), plan.semantics == DataSemantics::kSerial)) {
+    fail(std::move(why));
   }
 
   // Determinism digests over everything externally observable: the outcome
@@ -374,11 +394,30 @@ ChaosResult ChaosRunner::run_seed(std::uint64_t seed) {
 }
 
 std::vector<ChaosResult> ChaosRunner::sweep(std::uint64_t seed_base, int count) {
-  std::vector<ChaosResult> results;
-  results.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    results.push_back(run_seed(seed_base + static_cast<std::uint64_t>(i)));
-  }
+  count = std::max(count, 0);
+  std::vector<ChaosResult> results(static_cast<std::size_t>(count));
+  // Plans share no simulation state, and each binds its observability
+  // context to its thread (obs::RunScope). Every runner claims the next plan
+  // and writes that plan's slot. The caller does not run plans itself: each
+  // thread that runs one keeps a malloc arena as large as the heaviest plan
+  // it ran, so the pool's threads alone bound the sweep's memory.
+  ThreadPool& pool = ThreadPool::global();
+  std::atomic<int> next{0};
+  const auto runner = [&] {
+    try {
+      for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+        results[static_cast<std::size_t>(i)] =
+            run_seed(seed_base + static_cast<std::uint64_t>(i));
+      }
+    } catch (...) {
+      next.store(count);  // the other runners stop after their current plan
+      throw;
+    }
+  };
+  std::vector<std::future<void>> runners;
+  for (int r = 0; r < std::min(pool.size(), count); ++r) runners.push_back(pool.submit(runner));
+  for (auto& f : runners) f.wait();  // every runner is done with `results`
+  for (auto& f : runners) f.get();   // then rethrow the first error
   return results;
 }
 

@@ -22,9 +22,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "data/sampler.h"
 #include "elan/job.h"
 #include "fault/fault.h"
 
@@ -98,6 +100,36 @@ struct ChaosResult {
   std::string describe() const;
 };
 
+/// Exactly-once ledger of one run's data consumption (paper §V-C). Per
+/// epoch it keeps a bitmap of the samples consumed, the summed range sizes,
+/// the lowest begin and the highest end: num_samples / 8 bytes per epoch, not
+/// a copy of every range.
+class ConsumptionLedger {
+ public:
+  explicit ConsumptionLedger(std::uint64_t num_samples) : num_samples_(num_samples) {}
+
+  /// Records one range consumed in `epoch`; empty ranges are ignored.
+  void record(std::uint64_t epoch, const data::SampleRange& range);
+
+  /// One message per violated invariant, epochs in ascending order: a sample
+  /// consumed twice, a sample past the dataset, a completed epoch (below
+  /// `final_epoch`) whose range sizes do not sum to the dataset, and, for
+  /// serial semantics, an epoch that is not one prefix [0, n).
+  std::vector<std::string> failures(std::uint64_t final_epoch, bool serial) const;
+
+ private:
+  struct Epoch {
+    std::vector<std::uint64_t> bits;  // one bit per sample of the dataset
+    std::uint64_t covered = 0;        // summed range sizes
+    std::uint64_t lowest_begin = ~std::uint64_t{0};
+    std::uint64_t highest_end = 0;
+    bool repeated = false;
+  };
+
+  std::uint64_t num_samples_;
+  std::map<std::uint64_t, Epoch> epochs_;
+};
+
 class ChaosRunner {
  public:
   /// Deterministically expands a seed into a scenario.
@@ -122,9 +154,14 @@ class ChaosRunner {
   /// Convenience: sample_plan + run_plan.
   static ChaosResult run_seed(std::uint64_t seed);
 
-  /// Runs `count` seeded plans starting at `seed_base`. Stops early only on
-  /// an event-budget exhaustion bug, never on ordinary invariant failures —
-  /// callers inspect the per-plan results.
+  /// Runs the `count` seeded plans starting at `seed_base` and returns their
+  /// results in plan order, failing ones included — callers inspect them.
+  /// Plans run concurrently on ThreadPool::global(), one runner per pool
+  /// thread, while the caller waits; each result is the one run_seed gives
+  /// on any thread, so the output does not depend on the pool size
+  /// (ELAN_THREADS=1 runs the plans one at a time on the caller's thread).
+  /// Call it from outside the pool: a pool thread that waits here holds a
+  /// runner slot.
   static std::vector<ChaosResult> sweep(std::uint64_t seed_base, int count);
 };
 

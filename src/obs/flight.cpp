@@ -14,6 +14,7 @@
 #include "common/error.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace elan::obs {
 
@@ -32,17 +33,10 @@ namespace {
 //   metrics_len bytes              MetricsRegistry text exposition
 constexpr char kMagic[8] = {'E', 'L', 'A', 'N', 'F', 'L', 'T', '\x01'};
 
-struct Ring {
-  std::atomic<std::uint64_t> head{0};  // events ever written; single writer
-  std::uint32_t thread = 0;
-  FlightEvent slots[FlightRecorder::kRingCapacity];
-};
-
-std::atomic<Ring*> g_rings[FlightRecorder::kMaxThreads];
+// Every thread's own ring, indexed by this_thread_index(). Never freed:
+// crash dumps read them from any thread.
+std::atomic<FlightRing*> g_rings[FlightRecorder::kMaxThreads];
 std::atomic<std::uint64_t> g_seq{0};
-
-std::atomic<FlightRecorder::ClockFn> g_clock{nullptr};
-std::atomic<void*> g_clock_ctx{nullptr};
 
 // Crash-dump state. Preconfigured by arm_crash_dump (normal context, may
 // allocate); consumed by the async-signal-safe dump path, which may not.
@@ -66,18 +60,18 @@ void copy_field(char* dst, std::size_t cap, const char* src) {
   dst[i] = '\0';
 }
 
-Ring* ring_for_this_thread() {
-  thread_local Ring* t_ring = nullptr;
+FlightRing* ring_for_this_thread() {
+  thread_local FlightRing* t_ring = nullptr;
   if (t_ring != nullptr) return t_ring;
   const std::uint32_t idx =
       static_cast<std::uint32_t>(this_thread_index());
   if (idx >= FlightRecorder::kMaxThreads) return nullptr;
-  Ring* ring = g_rings[idx].load(std::memory_order_acquire);
+  FlightRing* ring = g_rings[idx].load(std::memory_order_acquire);
   if (ring == nullptr) {
-    // Once-per-thread registration: the only allocation on the record path.
-    auto* fresh = new Ring();
+    // Once-per-thread registration.
+    auto* fresh = new FlightRing();
     fresh->thread = idx;
-    Ring* expected = nullptr;
+    FlightRing* expected = nullptr;
     if (g_rings[idx].compare_exchange_strong(expected, fresh,
                                              std::memory_order_acq_rel)) {
       ring = fresh;
@@ -110,18 +104,36 @@ bool write_all_sigsafe(int fd, const void* buf, std::size_t len) {
   return true;
 }
 
+// The rings a dump on this thread writes: its run's ring inside a RunScope
+// (none before the run's first event), every thread's own ring elsewhere.
+struct RingView {
+  const FlightRing* rings[FlightRecorder::kMaxThreads];
+  std::uint32_t count = 0;
+};
+
+void view_signal_safe(RingView& view) {
+  view.count = 0;
+  if (const RunScope* run = RunScope::current(); run != nullptr) {
+    if (const FlightRing* ring = run->recorded_flight_ring(); ring != nullptr) {
+      view.rings[view.count++] = ring;
+    }
+    return;
+  }
+  for (std::uint32_t i = 0; i < FlightRecorder::kMaxThreads; ++i) {
+    const FlightRing* ring = g_rings[i].load(std::memory_order_acquire);
+    if (ring != nullptr) view.rings[view.count++] = ring;
+  }
+}
+
 bool write_rings_signal_safe(int fd) {
+  RingView view;
+  view_signal_safe(view);
   if (!write_all_sigsafe(fd, kMagic, sizeof(kMagic))) return false;
   const std::uint32_t event_size = sizeof(FlightEvent);
-  std::uint32_t ring_count = 0;
-  for (std::uint32_t i = 0; i < FlightRecorder::kMaxThreads; ++i) {
-    if (g_rings[i].load(std::memory_order_acquire) != nullptr) ++ring_count;
-  }
   if (!write_all_sigsafe(fd, &event_size, sizeof(event_size))) return false;
-  if (!write_all_sigsafe(fd, &ring_count, sizeof(ring_count))) return false;
-  for (std::uint32_t i = 0; i < FlightRecorder::kMaxThreads; ++i) {
-    Ring* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
+  if (!write_all_sigsafe(fd, &view.count, sizeof(view.count))) return false;
+  for (std::uint32_t i = 0; i < view.count; ++i) {
+    const FlightRing* ring = view.rings[i];
     const std::uint64_t total = ring->head.load(std::memory_order_acquire);
     const std::uint32_t stored =
         total < FlightRecorder::kRingCapacity
@@ -217,11 +229,17 @@ void FlightRecorder::record(FlightEventKind kind, const char* actor,
                             const char* detail, std::uint64_t a,
                             std::uint64_t b, std::uint64_t c) {
   if (!enabled()) return;
-  Ring* ring = ring_for_this_thread();
+  RunScope* run = RunScope::current();
+  FlightRing* ring = run != nullptr ? &run->flight_ring() : ring_for_this_thread();
   if (ring == nullptr) return;
   FlightEvent ev;
-  ev.ts_us = now_us();
-  ev.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
+  if (run != nullptr) {
+    ev.ts_us = run->now_us();
+    ev.seq = run->flight_seq_++;
+  } else {
+    ev.ts_us = real_now_us();
+    ev.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
+  }
   ev.a = a;
   ev.b = b;
   ev.c = c;
@@ -234,32 +252,20 @@ void FlightRecorder::record(FlightEventKind kind, const char* actor,
   ring->head.store(head + 1, std::memory_order_release);
 }
 
-void FlightRecorder::set_clock(ClockFn fn, void* ctx) {
-  // Clear first so a racing reader never pairs the new fn with a stale ctx.
-  g_clock.store(nullptr, std::memory_order_release);
-  g_clock_ctx.store(ctx, std::memory_order_release);
-  g_clock.store(fn, std::memory_order_release);
-}
-
-double FlightRecorder::now_us() {
-  const ClockFn fn = g_clock.load(std::memory_order_acquire);
-  if (fn != nullptr) return fn(g_clock_ctx.load(std::memory_order_relaxed));
-  return real_now_us();
-}
-
 void FlightRecorder::clear() {
   g_seq.store(0, std::memory_order_relaxed);
   for (std::uint32_t i = 0; i < kMaxThreads; ++i) {
-    Ring* ring = g_rings[i].load(std::memory_order_acquire);
+    FlightRing* ring = g_rings[i].load(std::memory_order_acquire);
     if (ring != nullptr) ring->head.store(0, std::memory_order_release);
   }
 }
 
 std::uint64_t FlightRecorder::total_recorded() const {
+  RingView view;
+  view_signal_safe(view);
   std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < kMaxThreads; ++i) {
-    Ring* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring != nullptr) total += ring->head.load(std::memory_order_acquire);
+  for (std::uint32_t i = 0; i < view.count; ++i) {
+    total += view.rings[i]->head.load(std::memory_order_acquire);
   }
   return total;
 }

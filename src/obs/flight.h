@@ -1,37 +1,45 @@
 // Black-box flight recorder (DESIGN.md §5i).
 //
-// An always-on, bounded, per-thread ring buffer of compact structured
-// protocol events: message send/deliver/drop, AM phase transitions, worker
-// coordination-round state changes, adjustment decisions, replication chunk
-// milestones, fault injections, lock-order-detector hits. Unlike the tracer
-// (which grows unbounded vectors and exports only on clean shutdown), the
-// recorder keeps the newest `kRingCapacity` events per thread in
-// preallocated storage, so a crash record of "what each party believed at
-// the moment of death" is always available.
+// Bounded ring buffers of compact structured protocol events: message
+// send/deliver/drop, AM phase transitions, worker coordination-round state
+// changes, adjustment decisions, replication chunk milestones, fault
+// injections, lock-order-detector hits. The recorder is off unless
+// ELAN_FLIGHT (obs::init_from_env) or a tool flag such as
+// `elan_chaos --flight` turns it on. Unlike the tracer (which grows
+// unbounded vectors and exports only on clean shutdown), it keeps the newest
+// `kRingCapacity` events per ring in preallocated storage, so a crash record
+// of "what each party believed at the moment of death" is always available.
+//
+// Rings: every thread records into a ring of its own. A thread inside an
+// obs::RunScope records into that run's ring instead, stamped with the run's
+// virtual clock and numbered from the run's own sequence 0, so a run's record
+// is a function of the run alone — whichever thread ran it and whatever ran
+// beside it (the parallel chaos sweep relies on this).
 //
 // Cost contract:
 //   - disabled path: one relaxed atomic load (`FlightRecorder::enabled()`),
 //     then return;
-//   - enabled hot path: one relaxed fetch_add on the global sequence
-//     counter, one on the ring head, a struct store into preallocated
-//     slots. Never takes a lock, never allocates. The only exception is the
-//     once-per-thread ring registration (a single `new` the first time a
-//     thread records) and a pluggable clock (the sim clock reads
-//     `Simulator::now()`, which takes the simulator's leaf mutex — same
-//     trade the tracer makes; the default real clock is lock-free).
+//   - enabled hot path: one thread-local read (the run binding), one relaxed
+//     fetch_add on the global sequence counter (or a plain increment of the
+//     run's), a struct store into preallocated slots and a release store of
+//     the ring head. Never takes a lock. The only allocations are a thread's
+//     ring on its first event and a run's ring on the run's first event. The
+//     run clock reads `Simulator::now()`, which takes the simulator's leaf
+//     mutex — the same trade the tracer makes; the real clock is lock-free.
 //
 // Dump paths:
-//   - `dump(path)` — normal context; versioned binary record of the merged
-//     rings plus a MetricsRegistry snapshot.
+//   - `dump(path)` — normal context; versioned binary record of the rings in
+//     the calling thread's view (its run's ring inside a RunScope, every
+//     thread's ring elsewhere) plus a MetricsRegistry snapshot.
 //   - crash dumps (`ELAN_CHECK` failure hook, lock-order `die()` hook,
 //     SIGSEGV/SIGABRT handler) — async-signal-safe: raw write(2) of the
-//     preallocated rings to the preconfigured path, no allocation, no
+//     crashing thread's view to the preconfigured path, no allocation, no
 //     locks, no stdio. Crash records carry an empty metrics section (the
 //     registry lock is not signal-safe).
 //
 // `tools/elan_postmortem` merges one or more records into a causally
-// ordered timeline (timestamp + global sequence + send→deliver edges) and
-// renders per-actor "last N ms before death" narratives.
+// ordered timeline (timestamp + sequence + send→deliver edges) and renders
+// per-actor "last N ms before death" narratives.
 #pragma once
 
 #include <atomic>
@@ -99,27 +107,29 @@ const char* to_string(FlightEventKind kind);
 /// written to disk as raw structs (prefixed by sizeof for sanity), so keep
 /// the layout padding-free and append-only.
 struct FlightEvent {
-  double ts_us = 0.0;       // recorder clock (sim µs under ScopedSimClock)
-  std::uint64_t seq = 0;    // global monotone sequence — causal tiebreak
+  double ts_us = 0.0;       // recorder clock (sim µs under a RunScope)
+  std::uint64_t seq = 0;    // monotone sequence (global, or the run's) —
+                            // causal tiebreak
   std::uint64_t a = 0;      // kind-specific (see FlightEventKind comments)
   std::uint64_t b = 0;
   std::uint64_t c = 0;
-  std::uint32_t thread = 0; // this_thread_index() of the recording thread
+  std::uint32_t thread = 0; // this_thread_index() of the recording thread;
+                            // 0 in a run's ring
   std::uint8_t kind = 0;
   char actor[17] = {};      // NUL-terminated, truncated endpoint/actor name
   char detail[18] = {};     // NUL-terminated kind-specific string
 };
 static_assert(sizeof(FlightEvent) == 80, "flight record layout is versioned");
 
+struct FlightRing;
+
 class FlightRecorder {
  public:
-  /// Events kept per thread (newest win on wrap). Power of two.
+  /// Events kept per ring (newest win on wrap). Power of two.
   static constexpr std::uint32_t kRingCapacity = 2048;
   /// Dense thread indices above this stop recording (never happens in
   /// practice: the pool sizes to the machine).
   static constexpr std::uint32_t kMaxThreads = 256;
-
-  using ClockFn = double (*)(void*);
 
   static FlightRecorder& instance();
 
@@ -129,31 +139,26 @@ class FlightRecorder {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Records one event (no-op unless enabled). `actor`/`detail` may be
+  /// Records one event (no-op unless enabled) into the calling thread's
+  /// ring, or into its run's ring inside a RunScope. `actor`/`detail` may be
   /// nullptr; both are truncated to the struct fields. Lock-free and
-  /// allocation-free apart from the once-per-thread ring registration.
+  /// allocation-free apart from a ring's allocation on its first event.
   static void record(FlightEventKind kind, const char* actor,
                      const char* detail = nullptr, std::uint64_t a = 0,
                      std::uint64_t b = 0, std::uint64_t c = 0);
 
-  /// Timestamp source. nullptr restores the real (steady) clock, µs since
-  /// first use. The fn must be callable from any recording thread.
-  static void set_clock(ClockFn fn, void* ctx);
-
-  /// Current recorder time in µs (whatever clock is installed).
-  static double now_us();
-
-  /// Drops all recorded events. Callers must ensure no thread is
-  /// concurrently recording (the chaos runner clears between plans, with
-  /// the simulator stopped).
+  /// Drops the events of every thread's own ring and restarts the global
+  /// sequence (runs' rings are not touched: each run starts empty). Callers
+  /// must ensure no thread is concurrently recording outside a run.
   void clear();
 
-  /// Total events ever recorded (across wraps, all threads).
+  /// Total events ever recorded (across wraps) in the calling thread's view:
+  /// its run's ring inside a RunScope, every thread's ring elsewhere.
   std::uint64_t total_recorded() const;
 
-  /// Writes the versioned binary record: merged ring contents plus the
-  /// MetricsRegistry text snapshot. Normal (allocating) context only.
-  /// Returns false on I/O error.
+  /// Writes the versioned binary record: the rings in the calling thread's
+  /// view (see total_recorded) plus the MetricsRegistry text snapshot.
+  /// Normal (allocating) context only. Returns false on I/O error.
   bool dump(const std::string& path);
 
   /// Configures the crash-dump destination and installs the crash hooks:
@@ -165,13 +170,22 @@ class FlightRecorder {
   /// The armed crash path ("" when arm_crash_dump has not run).
   std::string crash_path() const;
 
-  /// Async-signal-safe core: writes header + rings + an empty metrics
-  /// section to `fd` using only write(2). Safe from signal handlers.
+  /// Async-signal-safe core: writes header + the calling thread's view of
+  /// the rings + an empty metrics section to `fd` using only write(2). Safe
+  /// from signal handlers.
   void dump_to_fd_signal_safe(int fd) const;
 
  private:
   FlightRecorder() = default;
   static std::atomic<bool> enabled_;
+};
+
+/// The newest FlightRecorder::kRingCapacity events of one thread or of one
+/// run. Single writer; readers load `head` with acquire.
+struct FlightRing {
+  std::atomic<std::uint64_t> head{0};  // events ever written
+  std::uint32_t thread = 0;            // FlightEvent::thread of its events
+  FlightEvent slots[FlightRecorder::kRingCapacity];
 };
 
 /// Parsed form of a record file, for tests and elan_postmortem.

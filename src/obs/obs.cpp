@@ -27,6 +27,8 @@ std::string& flight_path_storage() {
   return path;
 }
 
+thread_local RunScope* t_run = nullptr;  // the thread's innermost RunScope
+
 void dump_observability() {
   if (!trace_path().empty()) {
     try {
@@ -87,6 +89,17 @@ void init_from_env() {
     want_dump = true;
   }
   if (want_dump) std::atexit(dump_observability);
+}
+
+RunScope::RunScope(sim::Simulator& sim) : sim_(sim), outer_(t_run) { t_run = this; }
+
+RunScope::~RunScope() { t_run = outer_; }
+
+RunScope* RunScope::current() { return t_run; }
+
+FlightRing& RunScope::flight_ring() {
+  if (!flight_ring_) flight_ring_ = std::make_unique<FlightRing>();
+  return *flight_ring_;
 }
 
 bool trace_requested() { return !trace_path().empty(); }

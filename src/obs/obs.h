@@ -12,12 +12,15 @@
 //                         aborts, SIGSEGV/SIGABRT), and writes the record
 //                         to <path> at process exit as well.
 //
-//   obs::ScopedSimClock — switches the tracer AND the flight recorder onto
-//   a simulator's virtual clock for the scope of a sim run, so spans and
-//   flight events carry virtual timestamps comparable to the explicitly-
-//   timestamped spans the job runtime emits (paper Figs 10-11 timelines).
+//   obs::RunScope — binds one simulated run's observability context to the
+//   calling thread: the tracer and the flight recorder stamp the thread's
+//   events with the simulator's virtual clock (comparable to the explicitly-
+//   timestamped spans the job runtime emits, paper Figs 10-11 timelines),
+//   and its flight events go to a ring and sequence of the run's own.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <string>
 
 #include "obs/flight.h"
@@ -43,25 +46,43 @@ std::string flight_path();
 /// this to write files before printing a "wrote ..." line).
 void dump_now();
 
-/// Tracer and flight-recorder timestamps come from `sim.now()` while this
-/// object lives; the real-time clock is restored on destruction.
-class ScopedSimClock {
+/// One simulated run's observability context, bound to the calling thread
+/// while the scope lives (DESIGN.md §5d, §5i):
+///   - the thread's tracer and flight-recorder timestamps come from
+///     `sim.now()`;
+///   - its flight events go to a ring of the run's own (allocated on the
+///     run's first event), numbered from sequence 0, and a
+///     FlightRecorder::dump() on the thread writes that ring.
+/// A run's record therefore depends only on the run: not on which thread ran
+/// it, nor on what other threads ran beside it. Other threads keep their own
+/// binding; the tracer's event buffers and the metrics registry stay
+/// process-wide. Scopes nest: the innermost one binds until it ends.
+class RunScope {
  public:
-  explicit ScopedSimClock(sim::Simulator& sim) {
-    Tracer::instance().set_clock([&sim] { return sim.now() * 1e6; });
-    FlightRecorder::set_clock(
-        [](void* ctx) {
-          return static_cast<sim::Simulator*>(ctx)->now() * 1e6;
-        },
-        &sim);
-  }
-  ~ScopedSimClock() {
-    Tracer::instance().set_clock(nullptr);
-    FlightRecorder::set_clock(nullptr, nullptr);
-  }
+  explicit RunScope(sim::Simulator& sim);
+  ~RunScope();
 
-  ScopedSimClock(const ScopedSimClock&) = delete;
-  ScopedSimClock& operator=(const ScopedSimClock&) = delete;
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+  /// The calling thread's innermost scope, or nullptr outside any run.
+  static RunScope* current();
+
+  /// The run's virtual time in µs.
+  double now_us() const { return sim_.now() * 1e6; }
+
+  /// The run's flight ring, or nullptr before its first flight event.
+  const FlightRing* recorded_flight_ring() const { return flight_ring_.get(); }
+
+ private:
+  friend class FlightRecorder;
+
+  FlightRing& flight_ring();  // allocated on first use
+
+  sim::Simulator& sim_;
+  RunScope* outer_;
+  std::unique_ptr<FlightRing> flight_ring_;
+  std::uint64_t flight_seq_ = 0;
 };
 
 }  // namespace elan::obs

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "obs/obs.h"
 
 namespace elan::obs {
 
@@ -27,21 +28,11 @@ Tracer& Tracer::instance() {
   return *tracer;
 }
 
-void Tracer::set_clock(Clock clock) {
-  MutexLock lock(clock_mu_);
-  clock_ = std::move(clock);
-  custom_clock_.store(static_cast<bool>(clock_), std::memory_order_release);
-}
+bool Tracer::has_custom_clock() const { return RunScope::current() != nullptr; }
 
 double Tracer::now_us() {
-  // The common (real-clock) path takes no lock at all.
-  if (!custom_clock_.load(std::memory_order_acquire)) return real_now_us();
-  Clock clock;
-  {
-    MutexLock lock(clock_mu_);
-    clock = clock_;
-  }
-  return clock ? clock() : real_now_us();
+  if (const RunScope* run = RunScope::current()) return run->now_us();
+  return real_now_us();
 }
 
 void Tracer::set_pid(int pid, const std::string& name) {

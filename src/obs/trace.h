@@ -21,12 +21,13 @@
 //      mutex, taking each buffer mutex one at a time (lock order:
 //      trace_registry -> trace_buffer; appends take only trace_buffer).
 //   3. *Two clock domains.* By default timestamps come from a monotonic
-//      real-time clock (microseconds since process start). set_clock()
-//      installs a virtual clock — e.g. the discrete-event simulator's now()
-//      — so sim runs produce virtual-time timelines comparable to the
-//      paper's Figs 10-11. Instrumentation that already knows its virtual
-//      interval (replication transfer plans, allreduce steps) bypasses the
-//      clock entirely and records explicit timestamps via complete().
+//      real-time clock (microseconds since process start). A thread inside
+//      an obs::RunScope (obs/obs.h) reads its run's discrete-event simulator
+//      instead, so sim runs produce virtual-time timelines comparable to the
+//      paper's Figs 10-11, and concurrent runs never share a clock.
+//      Instrumentation that already knows its virtual interval (replication
+//      transfer plans, allreduce steps) bypasses the clock entirely and
+//      records explicit timestamps via complete().
 //
 // Event model (Chrome trace-event format):
 //   'X' complete  — a span: ts + dur. ELAN_TRACE_SCOPE or explicit complete().
@@ -39,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,14 +68,12 @@ class Tracer {
   static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
-  /// Virtual clock returning microseconds. Installing one switches every
-  /// subsequently recorded event to that domain; pass nullptr to restore the
-  /// real-time clock. See ScopedSimClock (obs/obs.h) for the RAII form.
-  using Clock = std::function<double()>;
-  void set_clock(Clock clock);
-  bool has_custom_clock() const { return custom_clock_.load(std::memory_order_acquire); }
+  /// True when the calling thread's clock is a run's virtual clock (it is
+  /// inside an obs::RunScope).
+  bool has_custom_clock() const;
 
-  /// Microseconds in the active clock domain (real: since process start).
+  /// Microseconds in the calling thread's clock domain (real: since process
+  /// start).
   double now_us();
 
   /// Logical process lane stamped on subsequent events (default 1); `name`
@@ -128,10 +126,6 @@ class Tracer {
   static std::atomic<bool> enabled_;
 
   std::atomic<int> pid_{1};
-  std::atomic<bool> custom_clock_{false};
-
-  mutable Mutex clock_mu_{"trace_clock"};
-  Clock clock_ ELAN_GUARDED_BY(clock_mu_);
 
   mutable Mutex registry_mu_{"trace_registry"};
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_ ELAN_GUARDED_BY(registry_mu_);

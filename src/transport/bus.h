@@ -194,8 +194,9 @@ class ReliableEndpoint {
   /// Receiver-side dedup: the ids received from each sender. Ids are only
   /// unique per sending transport instance (with the socket backend every
   /// process allocates its own), so each sender name gets its own set of
-  /// full 64-bit ids. Grows with the messages received, about 11-21 bytes
-  /// per id; nothing is evicted (DESIGN.md §5l).
+  /// full 64-bit ids. Grows with the messages received, about 5-11 bytes
+  /// per id (a sender's ids share their high word, so the set keeps 4-byte
+  /// low words); nothing is evicted (DESIGN.md §5l).
   std::map<std::string, FlatSet64> seen_ ELAN_GUARDED_BY(mu_);
   std::uint64_t retries_ ELAN_GUARDED_BY(mu_) = 0;
   std::uint64_t gave_up_ ELAN_GUARDED_BY(mu_) = 0;

@@ -168,6 +168,61 @@ TEST(FlatSet64, GrowsKeepingEveryMember) {
   EXPECT_TRUE(set.insert(base + 10'000));
 }
 
+// The compact tier keeps the low word of values sharing the first value's
+// high word; everything else lands in the 64-bit side set. Membership must
+// not depend on which tier holds a value.
+TEST(FlatSet64, IdsCrossingA32BitBoundaryStayDistinct) {
+  FlatSet64 set;
+  const std::uint64_t boundary = std::uint64_t{7} << 32;
+  for (std::uint64_t v = boundary - 2'000; v < boundary + 2'000; ++v) {
+    ASSERT_TRUE(set.insert(v)) << v;
+  }
+  EXPECT_EQ(set.size(), 4'000u);
+  for (std::uint64_t v = boundary - 2'000; v < boundary + 2'000; ++v) {
+    ASSERT_FALSE(set.insert(v)) << v;
+  }
+  // Same low words under the other high word are different values.
+  EXPECT_TRUE(set.insert(boundary + (std::uint64_t{1} << 32)));
+  EXPECT_TRUE(set.insert((boundary - 1) - (std::uint64_t{1} << 32)));
+}
+
+TEST(FlatSet64, LowWordOfAllOnesIsStored) {
+  FlatSet64 set;
+  const std::uint64_t high = std::uint64_t{0x1234} << 32;
+  EXPECT_TRUE(set.insert(high | 1));
+  EXPECT_TRUE(set.insert(high | 0xFFFFFFFFULL));  // the 4-byte empty marker
+  EXPECT_FALSE(set.insert(high | 0xFFFFFFFFULL));
+  EXPECT_TRUE(set.insert(0xFFFFFFFFULL));  // same low word, high word 0
+  EXPECT_FALSE(set.insert(high | 1));
+  EXPECT_EQ(set.size(), 3u);
+}
+
+TEST(FlatSet64, AllOnesValueUnderAnyFirstHighWord) {
+  const std::uint64_t all_ones = ~std::uint64_t{0};
+  for (const std::uint64_t first : {std::uint64_t{5}, all_ones - 1, all_ones}) {
+    FlatSet64 set;
+    EXPECT_TRUE(set.insert(first)) << first;
+    EXPECT_EQ(set.insert(all_ones), first != all_ones) << first;
+    EXPECT_FALSE(set.insert(all_ones)) << first;
+    EXPECT_FALSE(set.insert(first)) << first;
+    EXPECT_EQ(set.size(), first == all_ones ? 1u : 2u) << first;
+  }
+}
+
+TEST(FlatSet64, InterleavedHighWordsKeepEveryMember) {
+  FlatSet64 set;
+  // Three senders' worth of high words, inserted round-robin.
+  const std::uint64_t highs[] = {std::uint64_t{3} << 32, std::uint64_t{0xABCDEF} << 40,
+                                 std::uint64_t{3} << 33};
+  for (std::uint64_t i = 0; i < 3'000; ++i) {
+    for (const std::uint64_t high : highs) ASSERT_TRUE(set.insert(high | i)) << (high | i);
+  }
+  EXPECT_EQ(set.size(), 9'000u);
+  for (std::uint64_t i = 0; i < 3'000; ++i) {
+    for (const std::uint64_t high : highs) ASSERT_FALSE(set.insert(high | i)) << (high | i);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Serialize
 // ---------------------------------------------------------------------------

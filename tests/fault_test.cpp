@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/log.h"
+#include "common/thread_pool.h"
 #include "fault/chaos.h"
 #include "sim/simulator.h"
 
@@ -40,9 +41,25 @@ TEST_F(FaultTest, SamplePlanIsSeedDeterministic) {
 // leaves this alone. A change that moves it changes behaviour.
 constexpr std::uint64_t kSweepOutcomeDigest = 0x762f863d8a6e9cf7ULL;
 
+// Sizes the global pool for one test and restores the previous size.
+class ScopedGlobalThreads {
+ public:
+  explicit ScopedGlobalThreads(int threads) : prev_(ThreadPool::global().size()) {
+    ThreadPool::set_global_threads(threads);
+  }
+  ~ScopedGlobalThreads() { ThreadPool::set_global_threads(prev_); }
+
+  ScopedGlobalThreads(const ScopedGlobalThreads&) = delete;
+  ScopedGlobalThreads& operator=(const ScopedGlobalThreads&) = delete;
+
+ private:
+  int prev_;
+};
+
 // The acceptance sweep: 200 consecutive seeds, every plan passes its
 // invariants, the outcomes match the pinned digest, and a second full run of
-// the same plans reproduces every fingerprint bit for bit.
+// the same plans — a parallel sweep on four pool threads — reproduces every
+// fingerprint bit for bit.
 TEST_F(FaultTest, TwoHundredPlanSweepPassesTwiceDeterministically) {
   constexpr int kPlans = 200;
   constexpr std::uint64_t kBase = 1;
@@ -57,12 +74,22 @@ TEST_F(FaultTest, TwoHundredPlanSweepPassesTwiceDeterministically) {
     outcomes = (outcomes ^ result.outcome_digest) * 0x100000001b3ULL;
   }
   EXPECT_EQ(outcomes, kSweepOutcomeDigest) << "the sweep's outcomes changed";
-  for (int i = 0; i < kPlans; ++i) {
-    const std::uint64_t seed = kBase + static_cast<std::uint64_t>(i);
-    const auto result = ChaosRunner::run_seed(seed);
-    ASSERT_TRUE(result.ok()) << result.describe();
-    ASSERT_EQ(fingerprints[static_cast<std::size_t>(i)], result.fingerprint)
-        << "seed " << seed << " is nondeterministic";
+  {
+    const ScopedGlobalThreads pool(4);
+    const auto results = ChaosRunner::sweep(kBase, kPlans);
+    ASSERT_EQ(results.size(), static_cast<std::size_t>(kPlans));
+    std::uint64_t parallel_outcomes = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < kPlans; ++i) {
+      const auto& result = results[static_cast<std::size_t>(i)];
+      const std::uint64_t seed = kBase + static_cast<std::uint64_t>(i);
+      ASSERT_EQ(result.seed, seed);
+      ASSERT_TRUE(result.ok()) << result.describe();
+      ASSERT_EQ(fingerprints[static_cast<std::size_t>(i)], result.fingerprint)
+          << "seed " << seed << " differs between the serial and the parallel sweep";
+      parallel_outcomes = (parallel_outcomes ^ result.outcome_digest) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(parallel_outcomes, kSweepOutcomeDigest)
+        << "the parallel sweep's outcomes changed";
   }
 
   // Third pass: perturb the simulator's event-heap layout to the two
@@ -87,6 +114,76 @@ TEST_F(FaultTest, TwoHundredPlanSweepPassesTwiceDeterministically) {
           << arity << " — something observes the heap's internal layout";
     }
   }
+}
+
+// A short parallel sweep (also the ThreadSanitizer case for concurrent
+// plans): four pool threads, results in plan order, each equal to the plan
+// run alone on this thread.
+TEST_F(FaultTest, ParallelSweepMatchesSerialRuns) {
+  constexpr int kPlans = 16;
+  constexpr std::uint64_t kBase = 101;
+  std::vector<ChaosResult> results;
+  {
+    const ScopedGlobalThreads pool(4);
+    results = ChaosRunner::sweep(kBase, kPlans);
+  }
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kPlans));
+  for (int i = 0; i < kPlans; ++i) {
+    const auto& result = results[static_cast<std::size_t>(i)];
+    const auto serial = ChaosRunner::run_seed(kBase + static_cast<std::uint64_t>(i));
+    EXPECT_EQ(result.seed, serial.seed);
+    EXPECT_EQ(result.fingerprint, serial.fingerprint) << "seed " << serial.seed;
+    EXPECT_EQ(result.failures, serial.failures) << "seed " << serial.seed;
+  }
+  EXPECT_TRUE(ChaosRunner::sweep(kBase, 0).empty());
+}
+
+// --- ConsumptionLedger: one case per exactly-once failure -------------------
+
+data::SampleRange range(std::uint64_t begin, std::uint64_t end) { return {begin, end}; }
+
+TEST(ConsumptionLedger, CompleteDisjointEpochsPass) {
+  ConsumptionLedger ledger(256);
+  ledger.record(0, range(0, 100));
+  ledger.record(0, range(100, 256));
+  ledger.record(1, range(0, 0));  // empty ranges are ignored
+  ledger.record(1, range(0, 70));
+  EXPECT_TRUE(ledger.failures(/*final_epoch=*/1, /*serial=*/true).empty());
+}
+
+TEST(ConsumptionLedger, SampleConsumedTwice) {
+  ConsumptionLedger ledger(256);
+  ledger.record(0, range(0, 130));
+  ledger.record(0, range(129, 256));  // sample 129 again
+  EXPECT_EQ(ledger.failures(1, false),
+            (std::vector<std::string>{"epoch 0: sample consumed twice",
+                                      "epoch 0: consumed 257/256 samples (skip or repeat)"}));
+}
+
+TEST(ConsumptionLedger, SkippedSampleInACompletedEpoch) {
+  ConsumptionLedger ledger(256);
+  ledger.record(3, range(0, 64));
+  ledger.record(3, range(65, 256));  // sample 64 never consumed
+  ledger.record(4, range(0, 10));    // the open epoch may be partial
+  EXPECT_EQ(ledger.failures(4, false),
+            (std::vector<std::string>{"epoch 3: consumed 255/256 samples (skip or repeat)"}));
+}
+
+TEST(ConsumptionLedger, SerialEpochThatIsNotAPrefix) {
+  ConsumptionLedger ledger(256);
+  ledger.record(0, range(0, 32));
+  ledger.record(0, range(64, 96));
+  EXPECT_EQ(ledger.failures(0, true),
+            (std::vector<std::string>{"epoch 0: serial consumption not contiguous"}));
+  EXPECT_TRUE(ledger.failures(0, false).empty());  // chunk semantics may leave gaps
+}
+
+TEST(ConsumptionLedger, SamplePastTheDataset) {
+  ConsumptionLedger ledger(256);
+  ledger.record(2, range(200, 300));
+  EXPECT_EQ(ledger.failures(2, false),
+            (std::vector<std::string>{
+                "epoch 2: consumed samples up to 300 of a 256-sample dataset (out of range)"}));
 }
 
 // §V-C serial semantics under a crash-interrupted scale-out: a worker is

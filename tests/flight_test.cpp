@@ -1,17 +1,24 @@
 // Flight-recorder core tests: ring wrap-around, concurrent writers, the
-// versioned dump/parse round trip, the crash-dump-on-ELAN_CHECK death path,
-// and the metrics satellite (histogram quantiles + exposition escaping).
+// versioned dump/parse round trip, a run's ring under a parallel sweep, the
+// crash-dump-on-ELAN_CHECK death path, and the metrics satellite (histogram
+// quantiles + exposition escaping).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <future>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/log.h"
 #include "common/thread_pool.h"
+#include "fault/chaos.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 
@@ -136,6 +143,75 @@ TEST_F(FlightTest, ClearResetsRingsAndSequence) {
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(std::string(merged[0].actor), "post-clear");
   EXPECT_EQ(merged[0].seq, 0u);  // clear() restarts the causal sequence
+}
+
+// elan_postmortem's render of `path` minus its header line, which echoes the
+// path and whether the record carries the process-wide metrics trailer.
+std::string render_postmortem(const std::string& path) {
+  const std::string command = std::string(ELAN_POSTMORTEM_BIN) + " " + path;
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return "popen failed";
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) out.append(buf, n);
+  const int status = ::pclose(pipe);
+  if (status != 0) return "elan_postmortem exited with status " + std::to_string(status);
+  return out.substr(std::min(out.find('\n'), out.size()));
+}
+
+// A run's record depends on the run alone: the scripted-failure plan run on
+// a pool thread while other plans run beside it writes the ring a serial run
+// on this thread writes, and elan_postmortem renders both the same. The
+// metrics trailer is process-wide, so the comparison leaves it out.
+TEST_F(FlightTest, RunOnAPoolThreadBesideOtherPlansMatchesTheSerialRun) {
+  using fault::ChaosResult;
+  using fault::ChaosRunner;
+  const LogLevel level = Logger::level();
+  Logger::set_level(LogLevel::kOff);
+  const auto plan = ChaosRunner::scripted_failure_plan();
+
+  ChaosRunner::set_flight_prefix(::testing::TempDir() + "flight_serial");
+  const ChaosResult serial = ChaosRunner::run_plan(plan);
+
+  ChaosRunner::set_flight_prefix(::testing::TempDir() + "flight_pooled");
+  ChaosResult pooled;
+  std::vector<ChaosResult> others;
+  {
+    ThreadPool pool(4);
+    std::vector<std::future<ChaosResult>> beside;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      beside.push_back(pool.submit([seed] { return ChaosRunner::run_seed(seed); }));
+    }
+    auto scripted = pool.submit([&plan] { return ChaosRunner::run_plan(plan); });
+    for (std::uint64_t seed = 5; seed <= 8; ++seed) {
+      beside.push_back(pool.submit([seed] { return ChaosRunner::run_seed(seed); }));
+    }
+    pooled = scripted.get();
+    for (auto& f : beside) others.push_back(f.get());
+  }
+  ChaosRunner::set_flight_prefix("");
+  Logger::set_level(level);
+
+  for (const auto& r : others) EXPECT_TRUE(r.ok()) << r.describe();
+  ASSERT_FALSE(serial.ok());
+  ASSERT_FALSE(pooled.ok());
+  ASSERT_FALSE(serial.flight_record.empty());
+  ASSERT_FALSE(pooled.flight_record.empty());
+  const FlightRecord a = read_flight_record(serial.flight_record);
+  const FlightRecord b = read_flight_record(pooled.flight_record);
+  ASSERT_EQ(a.rings.size(), 1u);
+  ASSERT_EQ(b.rings.size(), 1u);
+  EXPECT_EQ(a.rings[0].thread, b.rings[0].thread);
+  EXPECT_EQ(a.rings[0].total, b.rings[0].total);
+  ASSERT_EQ(a.rings[0].events.size(), b.rings[0].events.size());
+  ASSERT_FALSE(a.rings[0].events.empty());
+  EXPECT_EQ(std::memcmp(a.rings[0].events.data(), b.rings[0].events.data(),
+                        a.rings[0].events.size() * sizeof(FlightEvent)),
+            0)
+      << "the pooled run's ring differs from the serial run's";
+  const std::string render = render_postmortem(serial.flight_record);
+  EXPECT_NE(render.find("round wedged"), std::string::npos) << render;
+  EXPECT_EQ(render, render_postmortem(pooled.flight_record));
 }
 
 TEST_F(FlightTest, RejectsMalformedFiles) {

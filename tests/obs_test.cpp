@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
+#include <map>
 #include <set>
 #include <string_view>
 #include <thread>
@@ -27,7 +29,6 @@ namespace {
 struct TracerTest : ::testing::Test {
   void SetUp() override {
     obs::Tracer::instance().set_enabled(false);
-    obs::Tracer::instance().set_clock(nullptr);
     obs::Tracer::instance().set_pid(1);
     obs::Tracer::instance().clear();
   }
@@ -70,13 +71,39 @@ TEST_F(TracerTest, MultiThreadSpansAllFlushed) {
 TEST_F(TracerTest, SimClockStampsVirtualTime) {
   obs::Tracer::instance().set_enabled(true);
   sim::Simulator sim;
-  obs::ScopedSimClock clock(sim);
+  obs::RunScope run(sim);
   sim.schedule(2.5, [] { ELAN_TRACE_EVENT("test", "at_2500ms"); });
   sim.run();
   const auto events = obs::Tracer::instance().snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events.front().phase, 'i');
   EXPECT_DOUBLE_EQ(events.front().ts_us, 2.5e6);
+}
+
+// Each thread reads its own run's clock: two runs bound on two threads at
+// once stamp their own virtual times, and a thread outside any run keeps the
+// real clock.
+TEST_F(TracerTest, RunScopesOnTwoThreadsStampTheirOwnVirtualTime) {
+  obs::Tracer::instance().set_enabled(true);
+  std::latch both_bound(2);
+  std::map<double, std::uint64_t> tid_at;  // virtual time -> stamping thread
+  const auto run = [&both_bound](double at) {
+    sim::Simulator sim;
+    obs::RunScope scope(sim);
+    both_bound.arrive_and_wait();  // the two scopes overlap in wall time
+    sim.schedule(at, [] { ELAN_TRACE_EVENT("test", "stamp"); });
+    sim.run();
+  };
+  std::thread first(run, 1.5);
+  std::thread second(run, 4.0);
+  first.join();
+  second.join();
+  EXPECT_FALSE(obs::Tracer::instance().has_custom_clock());
+  for (const auto& e : obs::Tracer::instance().snapshot()) tid_at[e.ts_us] = e.tid;
+  ASSERT_EQ(tid_at.size(), 2u);
+  ASSERT_TRUE(tid_at.count(1.5e6));
+  ASSERT_TRUE(tid_at.count(4.0e6));
+  EXPECT_NE(tid_at[1.5e6], tid_at[4.0e6]);
 }
 
 TEST_F(TracerTest, ExplicitTimestampAndTidLanes) {
@@ -135,7 +162,7 @@ TEST_F(TracerTest, ScaleOutTraceShowsConcurrentReplication) {
   storage::SimFilesystem fs;
   transport::MessageBus bus{sim, bandwidth};
   transport::KvStore kv{sim};
-  obs::ScopedSimClock clock(sim);
+  obs::RunScope run(sim);
 
   JobConfig c;
   c.model = train::resnet50();
@@ -229,6 +256,25 @@ TEST_F(TracerTest, ThreadPoolQueueWaitSpansUnderParallelFor) {
     if (std::string_view(e.category) == "threadpool" && e.name == "task_run") ++runs;
   }
   EXPECT_EQ(runs, 64u);
+}
+
+// A task enqueued inside a sim run has a virtual enqueue time, while the
+// worker that runs it reads the real clock: it gets a task_run span but no
+// queue-wait span mixing the two clocks.
+TEST_F(TracerTest, TaskEnqueuedInsideARunHasNoQueueWaitSpan) {
+  obs::Tracer::instance().set_enabled(true);
+  {
+    ThreadPool pool(2);
+    sim::Simulator sim;
+    obs::RunScope run(sim);
+    pool.submit([] {}).get();
+  }
+  std::size_t runs = 0;
+  for (const auto& e : obs::Tracer::instance().snapshot()) {
+    EXPECT_NE(e.name, "queue_wait");
+    if (e.name == "task_run") ++runs;
+  }
+  EXPECT_EQ(runs, 1u);
 }
 
 // ---------------------------------------------------------------------------

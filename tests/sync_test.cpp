@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -119,6 +120,77 @@ TEST_F(SyncDeathTest, SameClassNestingAborts) {
         first.unlock();
       },
       "two locks of class");
+}
+
+// A nested acquisition whose edges are all recorded is answered from the
+// known-edge bitset without the registry; the reverse order must still die.
+TEST_F(SyncDeathTest, InversionDiesAfterTheBitsetAnsweredItsForwardEdge) {
+  EXPECT_DEATH(
+      {
+        Mutex a("death_known_a");
+        Mutex b("death_known_b");
+        for (int i = 0; i < 3; ++i) {  // records a -> b, then finds it known
+          a.lock();
+          b.lock();
+          b.unlock();
+          a.unlock();
+        }
+        b.lock();
+        a.lock();
+        a.unlock();
+        b.unlock();
+      },
+      "lock-order inversion(.|\n)*conflicting order \"death_known_a\" -> \\.\\.\\. -> "
+      "\"death_known_b\"");
+}
+
+TEST_F(SyncDeathTest, SameClassNestingDiesUnderAKnownOuterEdge) {
+  // outer -> same is recorded (and known) first; nesting two "same" locks
+  // inside outer must still reach the registry for same -> same and die.
+  EXPECT_DEATH(
+      {
+        Mutex outer("death_known_outer");
+        Mutex first("death_known_same");
+        Mutex second("death_known_same");
+        for (int i = 0; i < 2; ++i) {
+          outer.lock();
+          first.lock();
+          first.unlock();
+          outer.unlock();
+        }
+        outer.lock();
+        first.lock();
+        second.lock();
+        second.unlock();
+        first.unlock();
+        outer.unlock();
+      },
+      "two locks of class");
+}
+
+TEST_F(SyncDeathTest, ClassesPastTheBitsetRecordEdgesAndCatchInversions) {
+  // The bitset covers class ids 1-64; these two classes sit above it, so
+  // every check of theirs goes through the registry.
+  EXPECT_DEATH(
+      {
+        std::vector<std::string> names;
+        for (int i = 0; i < 64; ++i) names.push_back("death_filler_" + std::to_string(i));
+        std::vector<std::unique_ptr<Mutex>> filler;
+        for (const auto& name : names) filler.push_back(std::make_unique<Mutex>(name.c_str()));
+        Mutex a("death_wide_a");
+        Mutex b("death_wide_b");
+        for (int i = 0; i < 2; ++i) {
+          a.lock();
+          b.lock();
+          b.unlock();
+          a.unlock();
+        }
+        b.lock();
+        a.lock();
+        a.unlock();
+        b.unlock();
+      },
+      "lock-order inversion(.|\n)*edge \"death_wide_a\" -> \"death_wide_b\" recorded");
 }
 
 // Locks `mutexes` nested, each inside the previous one.

@@ -9,12 +9,21 @@
 // result are printed in full — the seed alone reproduces the run (see the
 // README walkthrough). --check-determinism runs every plan twice and
 // compares fingerprints.
+//
+// Plans run in batches through ChaosRunner::sweep, in parallel on the global
+// thread pool; output stays in plan order and the results do not depend on
+// the pool size. ELAN_THREADS=1 runs them one at a time (the serial
+// reproduction of a failing seed).
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/log.h"
+#include "common/thread_pool.h"
 #include "fault/chaos.h"
 #include "obs/obs.h"
 
@@ -95,43 +104,57 @@ int main(int argc, char** argv) {
   const bool check_determinism = flags.get_bool("check-determinism");
   const bool verbose = flags.get_bool("verbose");
 
+  // A batch keeps every pool thread busy for many plans, so the wait for
+  // the slowest plan at its end costs little; the wall-time budget is
+  // checked between batches.
+  const int threads = elan::ThreadPool::global().size();
+  const int batch = 32 * threads;
   const auto started = std::chrono::steady_clock::now();
+  const auto elapsed = [&started] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  };
   int failed = 0;
   int ran = 0;
-  for (int i = 0; i < plans; ++i) {
-    if (budget > 0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-      if (elapsed > budget) {
-        std::printf("budget of %.0fs reached after %d/%d plans\n", budget, ran, plans);
-        break;
-      }
+  while (ran < plans) {
+    if (budget > 0 && elapsed() > budget) {
+      std::printf("budget of %.0fs reached after %d/%d plans\n", budget, ran, plans);
+      break;
     }
-    const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(i);
-    const auto plan = ChaosRunner::sample_plan(seed);
-    auto result = ChaosRunner::run_plan(plan);
-    ++ran;
+    const std::uint64_t first = seed_base + static_cast<std::uint64_t>(ran);
+    const int count = std::min(batch, plans - ran);
+    std::vector<elan::fault::ChaosResult> results = ChaosRunner::sweep(first, count);
     if (check_determinism) {
-      const auto replay = ChaosRunner::run_plan(plan);
-      if (replay.fingerprint != result.fingerprint) {
-        result.failures.push_back("nondeterministic: fingerprint " +
-                                  std::to_string(result.fingerprint) + " vs replay " +
-                                  std::to_string(replay.fingerprint));
+      const auto replay = ChaosRunner::sweep(first, count);
+      for (int i = 0; i < count; ++i) {
+        auto& result = results[static_cast<std::size_t>(i)];
+        const auto& again = replay[static_cast<std::size_t>(i)];
+        if (again.fingerprint != result.fingerprint) {
+          result.failures.push_back("nondeterministic: fingerprint " +
+                                    std::to_string(result.fingerprint) + " vs replay " +
+                                    std::to_string(again.fingerprint));
+        }
       }
     }
-    if (!result.ok()) {
-      ++failed;
-      std::printf("%s\n%s\n", plan.describe().c_str(), result.describe().c_str());
-      std::printf("reproduce: elan_chaos --seed=%llu --plans=1 --verbose\n",
-                  static_cast<unsigned long long>(seed));
-      if (!result.flight_record.empty()) {
-        std::printf("postmortem: elan_postmortem %s\n", result.flight_record.c_str());
+    ran += count;
+    for (const auto& result : results) {
+      if (!result.ok()) {
+        ++failed;
+        std::printf("%s\n%s\n", ChaosRunner::sample_plan(result.seed).describe().c_str(),
+                    result.describe().c_str());
+        std::printf("reproduce: ELAN_THREADS=1 elan_chaos --seed=%llu --plans=1 --verbose\n",
+                    static_cast<unsigned long long>(result.seed));
+        if (!result.flight_record.empty()) {
+          std::printf("postmortem: elan_postmortem %s\n", result.flight_record.c_str());
+        }
+      } else if (verbose) {
+        std::printf("%s\n", result.describe().c_str());
       }
-    } else if (verbose) {
-      std::printf("%s\n", result.describe().c_str());
     }
   }
+  const double seconds = elapsed();
   std::printf("chaos: %d/%d plans passed (base seed %llu)\n", ran - failed, ran,
               static_cast<unsigned long long>(seed_base));
+  std::printf("chaos: %.1f plans/s (%d plans in %.1f s on %d threads)\n",
+              seconds > 0 ? ran / seconds : 0.0, ran, seconds, threads);
   return failed == 0 ? 0 : 1;
 }
