@@ -47,33 +47,39 @@ struct SchedTestbed {
   baselines::AdjustmentCostModel costs{topology, bandwidth, fs};
 };
 
-/// Measures FlightRecorder::record() both ways and gates the disabled path:
-/// the always-on contract is one relaxed atomic load, so it must sit in the
-/// measurement noise (the 500 ns/op ceiling is ~100x the typical cost — the
-/// gate only catches someone accidentally putting work before the enabled()
-/// check). Returns {disabled_ns, enabled_ns} for the header line.
+/// Measures obs::event(), the call every protocol event site makes, and
+/// gates its disabled path: with the recorder and the tracer both off it is
+/// two relaxed atomic loads, so it must sit in the measurement noise (the
+/// 500 ns/op ceiling is ~100x the typical cost — the gate only catches
+/// someone accidentally putting work before the enabled() checks). The
+/// enabled figure is the recorder alone (msg.send is not a traced kind).
+/// Returns {disabled_ns, enabled_ns} for the header line.
 inline std::pair<double, double> measure_flight_overhead() {
   using clock = std::chrono::steady_clock;
   constexpr int kIters = 200000;
-  const bool was_enabled = obs::FlightRecorder::enabled();
+  auto& tracer = obs::Tracer::instance();
+  const bool flight_was_enabled = obs::FlightRecorder::enabled();
+  const bool trace_was_enabled = obs::Tracer::enabled();
   const auto time_loop = [&] {
     const auto t0 = clock::now();
     for (int i = 0; i < kIters; ++i) {
-      obs::FlightRecorder::record(obs::FlightEventKind::kMsgSend, "bench");
+      obs::event(obs::FlightEventKind::kMsgSend, "bench");
     }
     return std::chrono::duration<double, std::nano>(clock::now() - t0)
                .count() / kIters;
   };
+  tracer.set_enabled(false);
   obs::FlightRecorder::set_enabled(false);
   const double disabled_ns = time_loop();
   obs::FlightRecorder::set_enabled(true);
   const double enabled_ns = time_loop();
-  obs::FlightRecorder::set_enabled(was_enabled);
+  obs::FlightRecorder::set_enabled(flight_was_enabled);
+  tracer.set_enabled(trace_was_enabled);
   // Headers run before any real work: dropping the measurement events keeps
   // an ELAN_FLIGHT= record free of 200k "bench" entries.
   obs::FlightRecorder::instance().clear();
   require(disabled_ns < 500.0,
-          "flight recorder disabled path exceeds the noise ceiling");
+          "obs::event disabled path exceeds the noise ceiling");
   return {disabled_ns, enabled_ns};
 }
 
@@ -84,7 +90,7 @@ inline void print_header(const std::string& title, const std::string& note = "")
   obs::init_from_env();
   const auto [disabled_ns, enabled_ns] = measure_flight_overhead();
   std::printf("\n=== %s ===\n", title.c_str());
-  std::printf("flight recorder: disabled %.1f ns/op, enabled %.1f ns/op\n",
+  std::printf("obs::event: disabled %.1f ns/op, flight recorder on %.1f ns/op\n",
               disabled_ns, enabled_ns);
   if (!note.empty()) std::printf("%s\n", note.c_str());
   std::printf("\n");

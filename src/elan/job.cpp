@@ -378,9 +378,8 @@ void ElasticJob::coordinate_round() {
   reconcile_joining();
   decisions_outstanding_ = static_cast<int>(workers_.size());
   adjust_signalled_ = false;
-  obs::FlightRecorder::record(obs::FlightEventKind::kRoundStart,
-                              config_.job_id.c_str(), nullptr, iteration_,
-                              static_cast<std::uint64_t>(workers_.size()));
+  obs::event(obs::FlightEventKind::kRoundStart, config_.job_id.c_str(), nullptr, iteration_,
+             static_cast<std::uint64_t>(workers_.size()));
   const Seconds round_started = sim_.now();
   for (auto& [id, worker] : workers_) {
     const int worker_id = id;
@@ -397,10 +396,8 @@ void ElasticJob::coordinate_round() {
                 ",\"adjust\":" + (decision.adjust ? "true" : "false") + "}",
             static_cast<std::uint64_t>(worker_id));
       }
-      obs::FlightRecorder::record(obs::FlightEventKind::kRoundDecision,
-                                  config_.job_id.c_str(), nullptr, iteration_,
-                                  static_cast<std::uint64_t>(worker_id),
-                                  decision.adjust ? 1 : 0);
+      obs::event(obs::FlightEventKind::kRoundDecision, config_.job_id.c_str(), nullptr,
+                 iteration_, static_cast<std::uint64_t>(worker_id), decision.adjust ? 1 : 0);
       if (decision.adjust) {
         adjust_signalled_ = true;
         signalled_plan_ = decision.plan;
@@ -411,9 +408,8 @@ void ElasticJob::coordinate_round() {
 }
 
 void ElasticJob::on_all_decisions() {
-  obs::FlightRecorder::record(obs::FlightEventKind::kRoundComplete,
-                              config_.job_id.c_str(), nullptr, iteration_,
-                              adjust_signalled_ ? 1 : 0);
+  obs::event(obs::FlightEventKind::kRoundComplete, config_.job_id.c_str(), nullptr, iteration_,
+             adjust_signalled_ ? 1 : 0);
   if (adjust_signalled_) {
     perform_adjustment(signalled_plan_);
   } else {
@@ -551,9 +547,8 @@ void ElasticJob::send_adjust_request(AdjustRequestMsg msg) {
   msg.request_id = next_request_id_++;
   ++requests_in_flight_;
   outstanding_requests_.insert(msg.request_id);
-  obs::FlightRecorder::record(obs::FlightEventKind::kAdjustSent,
-                              config_.job_id.c_str(), to_string(msg.type),
-                              msg.request_id);
+  obs::event(obs::FlightEventKind::kAdjustSent, config_.job_id.c_str(), to_string(msg.type),
+             msg.request_id);
   sched_endpoint_->send(master_->name(), "adjust_request", msg.serialize());
   arm_adjust_resend(std::move(msg));
 }
@@ -586,18 +581,15 @@ void ElasticJob::on_adjust_reply(const AdjustReplyMsg& reply) {
     // recovered endpoint has no duplicate-suppression state) and processed
     // twice — the second processing is rejected by the AM and must not
     // disturb the in-flight accounting here.
-    obs::FlightRecorder::record(obs::FlightEventKind::kAdjustReply,
-                                config_.job_id.c_str(), nullptr,
-                                reply.request_id, reply.ok ? 1 : 0,
-                                /*duplicate=*/1);
+    obs::event(obs::FlightEventKind::kAdjustReply, config_.job_id.c_str(), nullptr,
+               reply.request_id, reply.ok ? 1 : 0, /*duplicate=*/1);
     log_debug() << config_.job_id << ": duplicate reply for request "
                 << reply.request_id << " ignored";
     return;
   }
   --requests_in_flight_;
-  obs::FlightRecorder::record(obs::FlightEventKind::kAdjustReply,
-                              config_.job_id.c_str(), nullptr, reply.request_id,
-                              reply.ok ? 1 : 0, /*duplicate=*/0);
+  obs::event(obs::FlightEventKind::kAdjustReply, config_.job_id.c_str(), nullptr,
+             reply.request_id, reply.ok ? 1 : 0, /*duplicate=*/0);
   if (!reply.ok) {
     ++adjustments_rejected_;
     log_warn() << config_.job_id << ": adjustment request " << reply.request_id
@@ -661,11 +653,9 @@ void ElasticJob::perform_adjustment(const AdjustmentPlan& plan) {
     return;
   }
 
-  obs::FlightRecorder::record(obs::FlightEventKind::kAdjustStart,
-                              config_.job_id.c_str(), to_string(plan.type),
-                              plan.version,
-                              static_cast<std::uint64_t>(num_workers()),
-                              static_cast<std::uint64_t>(workers_after));
+  obs::event(obs::FlightEventKind::kAdjustStart, config_.job_id.c_str(), to_string(plan.type),
+             plan.version, static_cast<std::uint64_t>(num_workers()),
+             static_cast<std::uint64_t>(workers_after));
   AdjustmentRecord record;
   record.type = plan.type;
   record.plan_version = plan.version;
@@ -750,17 +740,9 @@ void ElasticJob::apply_replication_chunk(const std::shared_ptr<ReplicationSessio
     // everything up to `verified` stays good; the suffix is re-planned when
     // this round's window closes.
     dest.lost = true;
-    obs::FlightRecorder::record(obs::FlightEventKind::kChunkSourceLost,
-                                config_.job_id.c_str(), nullptr, transfer.chunk,
-                                static_cast<std::uint64_t>(transfer.dest_worker),
-                                static_cast<std::uint64_t>(transfer.source_worker));
-    if (obs::Tracer::enabled()) {
-      obs::Tracer::instance().instant(
-          "fault", "chunk_source_lost",
-          "{\"src\":" + std::to_string(transfer.source_worker) +
-              ",\"dst\":" + std::to_string(transfer.dest_worker) +
-              ",\"chunk\":" + std::to_string(transfer.chunk) + "}");
-    }
+    obs::event(obs::FlightEventKind::kChunkSourceLost, config_.job_id.c_str(), nullptr,
+               transfer.chunk, static_cast<std::uint64_t>(transfer.dest_worker),
+               static_cast<std::uint64_t>(transfer.source_worker));
     return;
   }
 
@@ -781,10 +763,9 @@ void ElasticJob::apply_replication_chunk(const std::shared_ptr<ReplicationSessio
   ++dest.verified;
   ++session->stats.chunks_copied;
   if (from_relay) ++session->stats.chunks_relayed;
-  obs::FlightRecorder::record(obs::FlightEventKind::kChunkVerified,
-                              config_.job_id.c_str(), nullptr, transfer.chunk,
-                              static_cast<std::uint64_t>(transfer.dest_worker),
-                              static_cast<std::uint64_t>(transfer.source_worker));
+  obs::event(obs::FlightEventKind::kChunkVerified, config_.job_id.c_str(), nullptr,
+             transfer.chunk, static_cast<std::uint64_t>(transfer.dest_worker),
+             static_cast<std::uint64_t>(transfer.source_worker));
 
   if (obs::Tracer::enabled()) {
     obs::Tracer::instance().complete(
@@ -932,21 +913,12 @@ void ElasticJob::complete_elan_replication(AdjustmentRecord record, AdjustmentPl
     const auto redo = planner_.chunk_plan(request, chunk_options);
     ++session->stats.replans;
     session->stats.chunks_resumed += kept;
-    obs::FlightRecorder::record(obs::FlightEventKind::kReplicationReplan,
-                                config_.job_id.c_str(), nullptr,
-                                static_cast<std::uint64_t>(resume.size()), kept,
-                                session->stats.replans);
+    obs::event(obs::FlightEventKind::kReplicationReplan, config_.job_id.c_str(), nullptr,
+               static_cast<std::uint64_t>(resume.size()), kept, session->stats.replans);
     record.breakdown.replication += redo.total_time;
     log_warn() << config_.job_id << ": replication source died mid-transfer; resuming "
                << resume.size() << " destination(s) from " << kept
                << " verified chunk(s) (+" << redo.total_time << "s)";
-    if (obs::Tracer::enabled()) {
-      obs::Tracer::instance().instant(
-          "fault", "replication_replanned",
-          "{\"destinations\":" + std::to_string(resume.size()) +
-              ",\"resumed_chunks\":" + std::to_string(kept) +
-              ",\"extra_seconds\":" + std::to_string(redo.total_time) + "}");
-    }
     // The resume round has its own window and can itself lose a source.
     schedule_chunk_round(session, redo);
     sim_.schedule(redo.total_time,
@@ -1087,11 +1059,9 @@ void ElasticJob::finish_adjustment(AdjustmentRecord record, const AdjustmentPlan
   record.total_batch_after = total_batch_;
   record.completed_at = sim_.now();
   adjustments_.push_back(record);
-  obs::FlightRecorder::record(obs::FlightEventKind::kAdjustFinish,
-                              config_.job_id.c_str(), to_string(record.type),
-                              record.plan_version,
-                              static_cast<std::uint64_t>(record.workers_after),
-                              static_cast<std::uint64_t>(failed_joins.size()));
+  obs::event(obs::FlightEventKind::kAdjustFinish, config_.job_id.c_str(), to_string(record.type),
+             record.plan_version, static_cast<std::uint64_t>(record.workers_after),
+             static_cast<std::uint64_t>(failed_joins.size()));
 
   if (obs::Tracer::enabled()) {
     auto& tracer = obs::Tracer::instance();

@@ -36,7 +36,7 @@ ApplicationMaster::ApplicationMaster(transport::RawTransport& bus, transport::Kv
 ApplicationMaster::ApplicationMaster(transport::RawTransport& bus, transport::KvStore& kv,
                                      std::string job_id, AmParams params)
     : bus_(bus), kv_(kv), job_id_(std::move(job_id)), name_("am/" + job_id_),
-      params_(params) {
+      params_(params), phase_started_us_(obs::Tracer::instance().now_us()) {
   require(params_.report_timeout > 0, "AM: report_timeout must be positive");
   attach_endpoint();
 }
@@ -48,23 +48,23 @@ ApplicationMaster::~ApplicationMaster() {
 }
 
 void ApplicationMaster::set_phase_locked(AmPhase next) {
+  // One span per phase the AM has just left, named "phase/<name>", so the
+  // timeline shows how long the AM spent waiting for reports vs adjusting.
+  // The start is stamped on every transition, traced or not, so no span
+  // reaches back past the AM's construction or recovery.
+  auto& tracer = obs::Tracer::instance();
+  const double now_us = tracer.now_us();
   if (obs::Tracer::enabled()) {
-    // One span per phase the AM has just left, named "phase/<name>", so the
-    // timeline shows how long the AM spent waiting for reports vs adjusting.
-    auto& tracer = obs::Tracer::instance();
-    const double now_us = tracer.now_us();
     tracer.complete("master", std::string("phase/") + to_string(phase_), phase_started_us_,
                     now_us - phase_started_us_,
                     "{\"job\":\"" + obs::json_escape(job_id_) + "\"}");
-    phase_started_us_ = now_us;
   }
+  phase_started_us_ = now_us;
   const AmPhase prev = phase_;
   phase_ = next;
-  obs::FlightRecorder::record(obs::FlightEventKind::kAmPhase, name_.c_str(),
-                              to_string(next),
-                              static_cast<std::uint64_t>(prev),
-                              static_cast<std::uint64_t>(next),
-                              plan_.version);
+  obs::event(obs::FlightEventKind::kAmPhase, name_.c_str(), to_string(next),
+             static_cast<std::uint64_t>(prev), static_cast<std::uint64_t>(next),
+             plan_.version);
   // Listener runs under mu_ (see header): it may schedule simulator events
   // but must not call back into this AM.
   if (phase_listener_ && prev != next) phase_listener_(prev, next);
@@ -96,15 +96,10 @@ void ApplicationMaster::on_report_timeout() {
   for (int id : pending_reports_) {
     plan_.join.erase(id);
     ++evictions_;
-    obs::FlightRecorder::record(obs::FlightEventKind::kWorkerEvicted,
-                                name_.c_str(), nullptr,
-                                static_cast<std::uint64_t>(id), plan_.version);
+    obs::event(obs::FlightEventKind::kWorkerEvicted, name_.c_str(), nullptr,
+               static_cast<std::uint64_t>(id), plan_.version);
     log_warn() << name_ << ": evicting joining worker " << id
                << " (no report within " << params_.report_timeout << "s)";
-    if (obs::Tracer::enabled()) {
-      obs::Tracer::instance().instant(
-          "master", "evict_joining", "{\"worker\":" + std::to_string(id) + "}");
-    }
   }
   pending_reports_.clear();
   if (plan_.join.empty() && plan_.type != AdjustmentType::kScaleIn) {
@@ -149,18 +144,16 @@ void ApplicationMaster::on_adjust_request(const AdjustRequestMsg& msg,
   reply.request_id = msg.request_id;
   {
     MutexLock lock(mu_);
-    obs::FlightRecorder::record(obs::FlightEventKind::kAdjustRequest,
-                                name_.c_str(), to_string(msg.type),
-                                msg.request_id);
+    obs::event(obs::FlightEventKind::kAdjustRequest, name_.c_str(), to_string(msg.type),
+               msg.request_id);
     auto cached = replied_.find(msg.request_id);
     if (cached != replied_.end()) {
       // The job re-sent this request because the original reply never
       // arrived — replay the cached verdict instead of re-executing.
       log_debug() << "am/" << job_id_ << ": replaying reply for duplicate adjust request "
                   << msg.request_id;
-      obs::FlightRecorder::record(obs::FlightEventKind::kAdjustReplay,
-                                  name_.c_str(), nullptr, msg.request_id,
-                                  cached->second.ok ? 1 : 0);
+      obs::event(obs::FlightEventKind::kAdjustReplay, name_.c_str(), nullptr, msg.request_id,
+                 cached->second.ok ? 1 : 0);
       reply = cached->second;
     } else {
       try {
@@ -182,10 +175,8 @@ void ApplicationMaster::on_adjust_request(const AdjustRequestMsg& msg,
         reply.ok = false;
         reply.error = e.what();
       }
-      obs::FlightRecorder::record(obs::FlightEventKind::kAdjustVerdict,
-                                  name_.c_str(), to_string(msg.type),
-                                  msg.request_id, reply.ok ? 1 : 0,
-                                  plan_.version);
+      obs::event(obs::FlightEventKind::kAdjustVerdict, name_.c_str(), to_string(msg.type),
+                 msg.request_id, reply.ok ? 1 : 0, plan_.version);
       replied_.emplace(msg.request_id, reply);
       while (replied_.size() > 16) replied_.erase(replied_.begin());
       persist();
@@ -280,14 +271,8 @@ void ApplicationMaster::on_report(const ReportMsg& msg) {
     // Duplicate or stale report (e.g. resent after an AM restart): ignore.
     return;
   }
-  if (obs::Tracer::enabled()) {
-    obs::Tracer::instance().instant(
-        "master", "worker_report", "{\"worker\":" + std::to_string(msg.worker) + "}");
-  }
-  obs::FlightRecorder::record(obs::FlightEventKind::kWorkerReport,
-                              name_.c_str(), nullptr,
-                              static_cast<std::uint64_t>(msg.worker),
-                              plan_.version);
+  obs::event(obs::FlightEventKind::kWorkerReport, name_.c_str(), nullptr,
+             static_cast<std::uint64_t>(msg.worker), plan_.version);
   pending_reports_.erase(msg.worker);
   if (pending_reports_.empty()) {
     cancel_report_timer_locked();
@@ -316,11 +301,6 @@ void ApplicationMaster::on_coordinate(const CoordinateMsg& msg, const std::strin
       decision.adjust = true;
       decision.plan = plan_;
       if (phase_ == AmPhase::kReady) {
-        if (obs::Tracer::enabled()) {
-          obs::Tracer::instance().instant(
-              "master", "instruct_adjustment",
-              "{\"plan_version\":" + std::to_string(plan_.version) + "}");
-        }
         set_phase_locked(AmPhase::kAdjusting);
         persist();
       }

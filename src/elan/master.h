@@ -170,8 +170,9 @@ class ApplicationMaster {
 
   mutable Mutex mu_{"application_master"};
   AmPhase phase_ ELAN_GUARDED_BY(mu_) = AmPhase::kSteady;
-  // Tracer-clock timestamp of the last phase transition; each transition
-  // emits a span covering the phase that just ended (category "master").
+  // Tracer-clock timestamp of the last phase transition, or of the AM's
+  // construction or recovery; each transition emits a span covering the
+  // phase that just ended (category "master").
   double phase_started_us_ ELAN_GUARDED_BY(mu_) = 0;
   std::map<int, topo::GpuId> workers_ ELAN_GUARDED_BY(mu_);
   AdjustmentPlan plan_ ELAN_GUARDED_BY(mu_);

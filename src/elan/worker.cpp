@@ -100,9 +100,8 @@ void WorkerProcess::coordinate(std::uint64_t iteration,
 }
 
 void WorkerProcess::send_coordinate() {
-  obs::FlightRecorder::record(obs::FlightEventKind::kCoordinateSend,
-                              name_.c_str(), nullptr, pending_iteration_,
-                              static_cast<std::uint64_t>(id_));
+  obs::event(obs::FlightEventKind::kCoordinateSend, name_.c_str(), nullptr, pending_iteration_,
+             static_cast<std::uint64_t>(id_));
   CoordinateMsg msg;
   msg.worker = id_;
   msg.iteration = pending_iteration_;
@@ -117,9 +116,8 @@ void WorkerProcess::arm_decision_timer() {
     // AM crashed between ack and reply. Re-send under a fresh message id so
     // the (recovered, dedup-reset) AM answers again.
     ++decision_resends_;
-    obs::FlightRecorder::record(obs::FlightEventKind::kCoordinateResend,
-                                name_.c_str(), nullptr, pending_iteration_,
-                                decision_resends_);
+    obs::event(obs::FlightEventKind::kCoordinateResend, name_.c_str(), nullptr,
+               pending_iteration_, decision_resends_);
     log_debug() << name_ << ": no decision for iteration " << pending_iteration_ << " after "
                 << params_.decision_timeout << "s; re-sending coordinate";
     send_coordinate();
@@ -130,16 +128,15 @@ void WorkerProcess::arm_decision_timer() {
 void WorkerProcess::handle(const transport::Message& msg) {
   if (msg.type == "decision") {
     if (!pending_decision_) {
-      obs::FlightRecorder::record(obs::FlightEventKind::kDecisionStale,
-                                  name_.c_str(), nullptr, pending_iteration_, 0);
+      obs::event(obs::FlightEventKind::kDecisionStale, name_.c_str(), nullptr,
+                 pending_iteration_, 0);
       log_trace() << name_ << ": decision with no pending coordination (duplicate)";
       return;
     }
     auto decision = DecisionMsg::deserialize(msg.payload);
     if (decision.iteration != pending_iteration_) {
-      obs::FlightRecorder::record(obs::FlightEventKind::kDecisionStale,
-                                  name_.c_str(), nullptr, decision.iteration, 1,
-                                  pending_iteration_);
+      obs::event(obs::FlightEventKind::kDecisionStale, name_.c_str(), nullptr,
+                 decision.iteration, 1, pending_iteration_);
       // A stale replay: a lost-ack coordinate from an earlier round was
       // re-delivered to a recovered AM, which answered it. Consuming it here
       // would hand this round a decision made for a different one (and the
@@ -152,9 +149,8 @@ void WorkerProcess::handle(const transport::Message& msg) {
       sim_.cancel(decision_timer_);
       decision_timer_ = 0;
     }
-    obs::FlightRecorder::record(obs::FlightEventKind::kDecisionRecv,
-                                name_.c_str(), nullptr, decision.iteration,
-                                decision.adjust ? 1 : 0);
+    obs::event(obs::FlightEventKind::kDecisionRecv, name_.c_str(), nullptr, decision.iteration,
+               decision.adjust ? 1 : 0);
     auto cb = std::exchange(pending_decision_, nullptr);
     cb(decision);
   } else {

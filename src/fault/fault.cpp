@@ -5,7 +5,6 @@
 
 #include "common/log.h"
 #include "obs/flight.h"
-#include "obs/trace.h"
 
 namespace elan::fault {
 
@@ -62,12 +61,8 @@ bool FaultInjector::LinkWindow::matches(const transport::Message& msg,
 
 void FaultInjector::record(std::string what) {
   log_info() << "fault: " << what << " (t=" << sim_.now() << ")";
-  obs::FlightRecorder::record(obs::FlightEventKind::kFaultInjected, "fault",
-                              what.c_str(),
-                              static_cast<std::uint64_t>(injected_.size()));
-  if (obs::Tracer::enabled()) {
-    obs::Tracer::instance().instant("fault", what);
-  }
+  obs::event(obs::FlightEventKind::kFaultInjected, "fault", what.c_str(),
+             static_cast<std::uint64_t>(injected_.size()));
   injected_.push_back(std::move(what));
 }
 
@@ -129,13 +124,11 @@ void FaultInjector::arm(const FaultPlan& plan) {
                                       event.endpoint_a, event.endpoint_b,
                                       event.kind == FaultKind::kDropLink,
                                       event.factor});
-        // Windows never pass through fire()/record(); give the flight
-        // recorder the arming itself (a/b = window bounds in ms).
-        obs::FlightRecorder::record(obs::FlightEventKind::kFaultInjected,
-                                    "fault", to_string(event.kind),
-                                    static_cast<std::uint64_t>(event.at * 1e3),
-                                    static_cast<std::uint64_t>(
-                                        (event.at + event.duration) * 1e3));
+        // Windows never pass through fire()/record(): the arming is their
+        // event.
+        obs::event(obs::FlightEventKind::kFaultArmed, "fault", to_string(event.kind),
+                   static_cast<std::uint64_t>(event.at * 1e3),
+                   static_cast<std::uint64_t>((event.at + event.duration) * 1e3));
         break;
       case FaultKind::kCrashMaster:
         if (event.phase >= 0) {

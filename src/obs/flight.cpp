@@ -178,27 +178,12 @@ extern "C" void fatal_signal_handler_signal_safe(int sig) {
   ::raise(sig);
 }
 
-// ---- crash hooks (normal context: called before throw/abort) ------------
-
 const char* path_basename(const char* path) {
   const char* base = path;
   for (const char* p = path; *p != '\0'; ++p) {
     if (*p == '/') base = p + 1;
   }
   return base;
-}
-
-void flight_check_failure_hook(const char* /*expr*/, const char* file,
-                               int line, const char* /*message*/) {
-  FlightRecorder::record(FlightEventKind::kCheckFailed, "check",
-                         path_basename(file),
-                         static_cast<std::uint64_t>(line));
-  crash_dump_signal_safe();
-}
-
-void flight_die_hook(const char* /*report*/) {
-  FlightRecorder::record(FlightEventKind::kLockOrderHit, "lockorder");
-  crash_dump_signal_safe();
 }
 
 void install_signal_handlers() {
@@ -252,6 +237,20 @@ void FlightRecorder::record(FlightEventKind kind, const char* actor,
   ring->head.store(head + 1, std::memory_order_release);
 }
 
+// ---- crash hooks (normal context: called before throw/abort) ------------
+
+void FlightRecorder::on_check_failure(const char* /*expr*/, const char* file, int line,
+                                      const char* /*message*/) {
+  record(FlightEventKind::kCheckFailed, "check", path_basename(file),
+         static_cast<std::uint64_t>(line));
+  crash_dump_signal_safe();
+}
+
+void FlightRecorder::on_lock_order_death(const char* /*report*/) {
+  record(FlightEventKind::kLockOrderHit, "lockorder");
+  crash_dump_signal_safe();
+}
+
 void FlightRecorder::clear() {
   g_seq.store(0, std::memory_order_relaxed);
   for (std::uint32_t i = 0; i < kMaxThreads; ++i) {
@@ -289,13 +288,9 @@ void FlightRecorder::arm_crash_dump(const std::string& path) {
   g_crash_note_len = std::strlen(g_crash_note);
   g_crash_dumped.store(false, std::memory_order_relaxed);
   if (path.empty()) return;  // disarm: hooks stay installed but no-op
-  elan::detail::set_check_failure_hook(&flight_check_failure_hook);
-  set_lock_order_die_hook(&flight_die_hook);
+  elan::detail::set_check_failure_hook(&on_check_failure);
+  set_lock_order_die_hook(&on_lock_order_death);
   install_signal_handlers();
-}
-
-std::string FlightRecorder::crash_path() const {
-  return std::string(g_crash_path);
 }
 
 void FlightRecorder::dump_to_fd_signal_safe(int fd) const {
@@ -304,41 +299,97 @@ void FlightRecorder::dump_to_fd_signal_safe(int fd) const {
   write_all_sigsafe(fd, &metrics_len, sizeof(metrics_len));
 }
 
-const char* to_string(FlightEventKind kind) {
+FlightEventInfo event_info(FlightEventKind kind) {
+  using K = FlightEventKind;
+  constexpr bool kTraced = true;
+  // The traced kinds happen a few times per adjustment. Per-message (msg.*,
+  // sock.*) and per-round (round.*, worker.*) kinds stay out of the trace,
+  // which keeps every event in memory until export; so do the chunk
+  // milestones (each chunk already has a span) and the death causes.
   switch (kind) {
-    case FlightEventKind::kMsgSend: return "msg.send";
-    case FlightEventKind::kMsgDrop: return "msg.drop";
-    case FlightEventKind::kMsgDeliver: return "msg.deliver";
-    case FlightEventKind::kMsgToUnknown: return "msg.to_unknown";
-    case FlightEventKind::kMsgRetry: return "msg.retry";
-    case FlightEventKind::kMsgGaveUp: return "msg.gave_up";
-    case FlightEventKind::kAmPhase: return "am.phase";
-    case FlightEventKind::kAdjustRequest: return "am.adjust_request";
-    case FlightEventKind::kAdjustReplay: return "am.adjust_replay";
-    case FlightEventKind::kAdjustVerdict: return "am.adjust_verdict";
-    case FlightEventKind::kWorkerReport: return "am.worker_report";
-    case FlightEventKind::kWorkerEvicted: return "am.worker_evicted";
-    case FlightEventKind::kCoordinateSend: return "worker.coordinate";
-    case FlightEventKind::kCoordinateResend: return "worker.coord_resend";
-    case FlightEventKind::kDecisionRecv: return "worker.decision";
-    case FlightEventKind::kDecisionStale: return "worker.decision_stale";
-    case FlightEventKind::kRoundStart: return "round.start";
-    case FlightEventKind::kRoundDecision: return "round.decision";
-    case FlightEventKind::kRoundComplete: return "round.complete";
-    case FlightEventKind::kAdjustSent: return "job.adjust_sent";
-    case FlightEventKind::kAdjustReply: return "job.adjust_reply";
-    case FlightEventKind::kAdjustStart: return "job.adjust_start";
-    case FlightEventKind::kAdjustFinish: return "job.adjust_finish";
-    case FlightEventKind::kChunkVerified: return "repl.chunk_verified";
-    case FlightEventKind::kChunkSourceLost: return "repl.chunk_src_lost";
-    case FlightEventKind::kReplicationReplan: return "repl.replanned";
-    case FlightEventKind::kFaultInjected: return "fault.injected";
-    case FlightEventKind::kLockOrderHit: return "death.lock_order";
-    case FlightEventKind::kCheckFailed: return "death.check_failed";
-    case FlightEventKind::kSockError: return "sock.error";
-    case FlightEventKind::kLinkState: return "sock.link_state";
+    // detail = message type; actor = sender (send, drop, retry, gave_up) or
+    // receiver (deliver, to_unknown).
+    case K::kMsgSend: return {"msg.send", {"id"}};
+    // reason: 0 forced, 1 fault filter, 2 random loss.
+    case K::kMsgDrop: return {"msg.drop", {"id", "reason"}};
+    case K::kMsgDeliver: return {"msg.deliver", {"id"}};
+    case K::kMsgToUnknown: return {"msg.to_unknown", {"id"}};
+    case K::kMsgRetry: return {"msg.retry", {"id", "attempt"}};
+    case K::kMsgGaveUp: return {"msg.gave_up", {"id", "attempt"}};
+
+    // actor = the AM; from/to are AmPhase values, detail = the next phase.
+    case K::kAmPhase: return {"am.phase", {"from", "to", "plan"}, kTraced};
+    // detail = adjustment type.
+    case K::kAdjustRequest: return {"am.adjust_request", {"request"}, kTraced};
+    case K::kAdjustReplay: return {"am.adjust_replay", {"request", "cached_ok"}, kTraced};
+    case K::kAdjustVerdict: return {"am.adjust_verdict", {"request", "ok", "plan"}, kTraced};
+    case K::kWorkerReport: return {"am.worker_report", {"worker", "plan"}, kTraced};
+    case K::kWorkerEvicted: return {"am.worker_evicted", {"worker", "plan"}, kTraced};
+
+    // actor = "w<id>/<job>".
+    case K::kCoordinateSend: return {"worker.coordinate", {"iteration", "worker"}};
+    case K::kCoordinateResend: return {"worker.coord_resend", {"iteration", "resend"}};
+    case K::kDecisionRecv: return {"worker.decision", {"iteration", "adjust"}};
+    // stale 0: a duplicate with no round pending (iteration = the last one);
+    // stale 1: a decision for another round than the awaited one.
+    case K::kDecisionStale:
+      return {"worker.decision_stale", {"iteration", "stale", "awaiting"}};
+
+    // actor = the job id; detail = adjustment type where there is one.
+    case K::kRoundStart: return {"round.start", {"iteration", "workers"}};
+    case K::kRoundDecision: return {"round.decision", {"iteration", "worker", "adjust"}};
+    case K::kRoundComplete: return {"round.complete", {"iteration", "adjust_signalled"}};
+    case K::kAdjustSent: return {"job.adjust_sent", {"request"}, kTraced};
+    case K::kAdjustReply: return {"job.adjust_reply", {"request", "ok", "duplicate"}, kTraced};
+    case K::kAdjustStart:
+      return {"job.adjust_start", {"plan", "workers_before", "workers_after"}, kTraced};
+    case K::kAdjustFinish:
+      return {"job.adjust_finish", {"plan", "workers_after", "failed_joins"}, kTraced};
+
+    case K::kChunkVerified: return {"repl.chunk_verified", {"chunk", "dest", "src"}};
+    case K::kChunkSourceLost: return {"repl.chunk_src_lost", {"chunk", "dest", "src"}, kTraced};
+    case K::kReplicationReplan:
+      return {"repl.replanned", {"resumed", "kept_chunks", "replans"}, kTraced};
+
+    // detail = the fault's description; index = its place in the injector's
+    // log.
+    case K::kFaultInjected: return {"fault.injected", {"index"}, kTraced};
+    case K::kLockOrderHit: return {"death.lock_order"};
+    // detail = the source file's basename.
+    case K::kCheckFailed: return {"death.check_failed", {"line"}};
+    // detail = the fault kind of a link window, armed with the plan.
+    case K::kFaultArmed: return {"fault.armed", {"from_ms", "until_ms"}, kTraced};
+
+    // actor = peer or connection; code is a SocketError, detail its name.
+    case K::kSockError: return {"sock.error", {"code"}};
+    // actor = peer; from/to are LinkState values, detail = the next state.
+    case K::kLinkState: return {"sock.link_state", {"from", "to"}};
   }
-  return "unknown";
+  return {};
+}
+
+const char* to_string(FlightEventKind kind) {
+  const char* name = event_info(kind).name;
+  return name != nullptr ? name : "unknown";
+}
+
+void trace_instant(FlightEventKind kind, const char* actor, const char* detail,
+                   std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  const FlightEventInfo row = event_info(kind);
+  if (!row.traced) return;
+  // The instant shows what the record holds: the same truncated strings.
+  FlightEvent e;
+  copy_field(e.actor, sizeof(e.actor), actor);
+  copy_field(e.detail, sizeof(e.detail), detail);
+  std::string args = "{\"actor\":\"" + json_escape(e.actor) + "\",\"detail\":\"" +
+                     json_escape(e.detail) + "\"";
+  const std::uint64_t values[3] = {a, b, c};
+  for (int i = 0; i < 3; ++i) {
+    if (row.labels[i] == nullptr) continue;
+    args += ",\"" + std::string(row.labels[i]) + "\":" + std::to_string(values[i]);
+  }
+  args += "}";
+  Tracer::instance().instant("event", row.name, std::move(args));
 }
 
 std::vector<FlightEvent> FlightRecord::merged() const {

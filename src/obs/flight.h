@@ -1,11 +1,15 @@
-// Black-box flight recorder (DESIGN.md §5i).
+// Black-box flight recorder and the protocol event call (DESIGN.md §5i).
 //
-// Bounded ring buffers of compact structured protocol events: message
-// send/deliver/drop, AM phase transitions, worker coordination-round state
-// changes, adjustment decisions, replication chunk milestones, fault
-// injections, lock-order-detector hits. The recorder is off unless
-// ELAN_FLIGHT (obs::init_from_env) or a tool flag such as
-// `elan_chaos --flight` turns it on. Unlike the tracer (which grows
+// Every protocol event is one call, `obs::event(kind, actor, detail, a, b,
+// c)`: message send/deliver/drop, AM phase transitions, worker
+// coordination-round state changes, adjustment decisions, replication chunk
+// milestones, fault injections. The event table (`event_info`) is the one
+// schema: it names each kind, labels its a/b/c fields and says whether the
+// kind is also a trace instant. The flight record, the trace and
+// `tools/elan_postmortem` all read it.
+//
+// The recorder is off unless ELAN_FLIGHT (obs::init_from_env) or a tool flag
+// such as `elan_chaos --flight` turns it on. Unlike the tracer (which grows
 // unbounded vectors and exports only on clean shutdown), it keeps the newest
 // `kRingCapacity` events per ring in preallocated storage, so a crash record
 // of "what each party believed at the moment of death" is always available.
@@ -17,15 +21,18 @@
 // beside it (the parallel chaos sweep relies on this).
 //
 // Cost contract:
-//   - disabled path: one relaxed atomic load (`FlightRecorder::enabled()`),
-//     then return;
-//   - enabled hot path: one thread-local read (the run binding), one relaxed
+//   - both sinks off: two relaxed atomic loads (`FlightRecorder::enabled()`,
+//     `Tracer::enabled()`) inline at the call site, and no call;
+//   - recorder on: one thread-local read (the run binding), one relaxed
 //     fetch_add on the global sequence counter (or a plain increment of the
 //     run's), a struct store into preallocated slots and a release store of
 //     the ring head. Never takes a lock. The only allocations are a thread's
 //     ring on its first event and a run's ring on the run's first event. The
 //     run clock reads `Simulator::now()`, which takes the simulator's leaf
-//     mutex — the same trade the tracer makes; the real clock is lock-free.
+//     mutex — the same trade the tracer makes; the real clock is lock-free;
+//   - tracer on: a traced kind appends one instant to the tracer's
+//     per-thread buffer (trace.h); an untraced kind returns after the table
+//     lookup.
 //
 // Dump paths:
 //   - `dump(path)` — normal context; versioned binary record of the rings in
@@ -34,8 +41,10 @@
 //   - crash dumps (`ELAN_CHECK` failure hook, lock-order `die()` hook,
 //     SIGSEGV/SIGABRT handler) — async-signal-safe: raw write(2) of the
 //     crashing thread's view to the preconfigured path, no allocation, no
-//     locks, no stdio. Crash records carry an empty metrics section (the
-//     registry lock is not signal-safe).
+//     locks, no stdio. The two hooks record their death cause straight into
+//     the ring, not through event(): the tracer takes an elan::Mutex, and the
+//     lock-order die() hook must not. Crash records carry an empty metrics
+//     section (the registry lock is not signal-safe).
 //
 // `tools/elan_postmortem` merges one or more records into a causally
 // ordered timeline (timestamp + sequence + send→deliver edges) and renders
@@ -47,60 +56,78 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace elan::obs {
 
 /// Event kinds. Append-only: the numeric values are part of the versioned
-/// file format (elan_postmortem decodes them), so never renumber.
+/// file format (elan_postmortem decodes them), so never renumber. What each
+/// kind's a/b/c mean is its row in the event table (event_info, flight.cpp).
 enum class FlightEventKind : std::uint8_t {
-  // Transport (src/transport). a = bus message id.
-  kMsgSend = 0,      // detail = msg type
-  kMsgDrop = 1,      // b = reason (0 forced, 1 fault filter, 2 random)
-  kMsgDeliver = 2,   // detail = msg type
-  kMsgToUnknown = 3, // delivery to an unregistered endpoint
-  kMsgRetry = 4,     // reliable endpoint re-transmit; b = attempt
-  kMsgGaveUp = 5,    // reliable endpoint exhausted max_retries
+  // Transport (src/transport).
+  kMsgSend = 0,
+  kMsgDrop = 1,
+  kMsgDeliver = 2,
+  kMsgToUnknown = 3,
+  kMsgRetry = 4,
+  kMsgGaveUp = 5,
 
-  // Adjustment Manager (src/elan/master.cpp).
-  kAmPhase = 10,       // a = prev phase, b = next phase, c = plan version;
-                       // detail = next name
-  kAdjustRequest = 11, // a = request_id; detail = request type
-  kAdjustReplay = 12,  // a = request_id, b = cached ok (duplicate served
-                       // from reply cache)
-  kAdjustVerdict = 13, // a = request_id, b = ok, c = plan version
-  kWorkerReport = 14,  // a = worker id, b = plan version
-  kWorkerEvicted = 15, // a = worker id, b = plan version (report timeout)
+  // Application master (src/elan/master.cpp).
+  kAmPhase = 10,
+  kAdjustRequest = 11,
+  kAdjustReplay = 12,
+  kAdjustVerdict = 13,
+  kWorkerReport = 14,
+  kWorkerEvicted = 15,
 
   // Worker protocol state machine (src/elan/worker.cpp).
-  kCoordinateSend = 20,   // a = iteration, b = worker id
-  kCoordinateResend = 21, // a = iteration, b = resend count
-  kDecisionRecv = 22,     // a = iteration, b = adjust flag
-  kDecisionStale = 23,    // a = iteration, b = 0 no-pending dup, 1 stale iter;
-                          // c = awaited iteration (stale iter only)
+  kCoordinateSend = 20,
+  kCoordinateResend = 21,
+  kDecisionRecv = 22,
+  kDecisionStale = 23,
 
   // Job coordination rounds + adjustment lifecycle (src/elan/job.cpp).
-  kRoundStart = 30,    // a = iteration, b = worker count
-  kRoundDecision = 31, // a = iteration, b = worker id, c = adjust flag
-  kRoundComplete = 32, // a = iteration, b = adjust signalled
-  kAdjustSent = 33,    // a = request_id; detail = plan type
-  kAdjustReply = 34,   // a = request_id, b = ok, c = duplicate flag
-  kAdjustStart = 35,   // a = plan version, b/c = workers before/after; detail = type
-  kAdjustFinish = 36,  // a = plan version, b = workers after, c = failed joins
+  kRoundStart = 30,
+  kRoundDecision = 31,
+  kRoundComplete = 32,
+  kAdjustSent = 33,
+  kAdjustReply = 34,
+  kAdjustStart = 35,
+  kAdjustFinish = 36,
 
   // Replication data plane (src/elan/job.cpp).
-  kChunkVerified = 40,   // a = chunk, b = dest worker, c = src worker
-  kChunkSourceLost = 41, // a = chunk, b = dest worker, c = lost src
-  kReplicationReplan = 42, // a = destinations resumed, b = chunks kept, c = replans
+  kChunkVerified = 40,
+  kChunkSourceLost = 41,
+  kReplicationReplan = 42,
 
-  // Fault injection + death causes.
-  kFaultInjected = 50, // detail = truncated description
-  kLockOrderHit = 51,  // lock-order detector fired (process is about to die)
-  kCheckFailed = 52,   // a = line; detail = file basename
+  // Fault injection (src/fault/fault.cpp) + death causes (src/obs/flight.cpp).
+  kFaultInjected = 50,
+  kLockOrderHit = 51,
+  kCheckFailed = 52,
+  kFaultArmed = 53,
 
   // Socket transport backend (src/transport/socket_transport.cpp).
-  kSockError = 60, // a = SocketError value; actor = peer/conn; detail = name
-  kLinkState = 61, // a = prev state, b = next state; actor = peer; detail = next name
+  kSockError = 60,
+  kLinkState = 61,
 };
 
+/// One row of the event table: the kind's name, the labels of its a/b/c
+/// fields (nullptr: the field is unused) and whether obs::event also emits
+/// the kind as a trace instant.
+struct FlightEventInfo {
+  const char* name = nullptr;
+  const char* labels[3] = {};
+  bool traced = false;
+};
+
+/// The event table, the one schema of the flight record, the trace instants
+/// and elan_postmortem. Every kind has a row: the switch behind it is
+/// exhaustive, so under -Werror=switch a kind without one does not compile.
+/// A value that names no kind (a record from a newer build) gets a row with
+/// a null name.
+FlightEventInfo event_info(FlightEventKind kind);
+
+/// The kind's table name, or "unknown".
 const char* to_string(FlightEventKind kind);
 
 /// One recorded event. Trivially copyable and layout-stable: records are
@@ -123,6 +150,20 @@ static_assert(sizeof(FlightEvent) == 80, "flight record layout is versioned");
 
 struct FlightRing;
 
+/// Records one protocol event: the one instrumentation call per event
+/// (DESIGN.md §5i). Into the flight ring when the recorder is on; as a trace
+/// instant named after the kind when tracing is on and the kind's row says
+/// traced. With both off it costs two relaxed loads and no call. `actor` and
+/// `detail` may be nullptr; both views truncate them to the FlightEvent
+/// fields.
+inline void event(FlightEventKind kind, const char* actor, const char* detail = nullptr,
+                  std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t c = 0);
+
+/// The trace half of event(): the instant, for a traced kind. Its args are
+/// the actor, the detail and the labelled fields. Call event(), not this.
+void trace_instant(FlightEventKind kind, const char* actor, const char* detail,
+                   std::uint64_t a, std::uint64_t b, std::uint64_t c);
+
 class FlightRecorder {
  public:
   /// Events kept per ring (newest win on wrap). Power of two.
@@ -138,14 +179,6 @@ class FlightRecorder {
   static void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
-
-  /// Records one event (no-op unless enabled) into the calling thread's
-  /// ring, or into its run's ring inside a RunScope. `actor`/`detail` may be
-  /// nullptr; both are truncated to the struct fields. Lock-free and
-  /// allocation-free apart from a ring's allocation on its first event.
-  static void record(FlightEventKind kind, const char* actor,
-                     const char* detail = nullptr, std::uint64_t a = 0,
-                     std::uint64_t b = 0, std::uint64_t c = 0);
 
   /// Drops the events of every thread's own ring and restarts the global
   /// sequence (runs' rings are not touched: each run starts empty). Callers
@@ -167,18 +200,39 @@ class FlightRecorder {
   /// to `path` via the async-signal-safe writer, at most once per process.
   void arm_crash_dump(const std::string& path);
 
-  /// The armed crash path ("" when arm_crash_dump has not run).
-  std::string crash_path() const;
-
   /// Async-signal-safe core: writes header + the calling thread's view of
   /// the rings + an empty metrics section to `fd` using only write(2). Safe
   /// from signal handlers.
   void dump_to_fd_signal_safe(int fd) const;
 
  private:
+  friend void event(FlightEventKind, const char*, const char*, std::uint64_t,
+                    std::uint64_t, std::uint64_t);
+
   FlightRecorder() = default;
+
+  /// The flight sink: records one event into the calling thread's ring, or
+  /// into its run's ring inside a RunScope. Lock-free and allocation-free
+  /// apart from a ring's allocation on its first event. Reached through
+  /// event() and the two crash hooks below, which must not take the tracer's
+  /// lock.
+  static void record(FlightEventKind kind, const char* actor, const char* detail = nullptr,
+                     std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t c = 0);
+
+  /// The ELAN_CHECK failure hook and the lock-order die() hook that
+  /// arm_crash_dump installs: record the death cause, then dump.
+  static void on_check_failure(const char* expr, const char* file, int line,
+                               const char* message);
+  static void on_lock_order_death(const char* report);
+
   static std::atomic<bool> enabled_;
 };
+
+inline void event(FlightEventKind kind, const char* actor, const char* detail,
+                  std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  if (FlightRecorder::enabled()) FlightRecorder::record(kind, actor, detail, a, b, c);
+  if (Tracer::enabled()) trace_instant(kind, actor, detail, a, b, c);
+}
 
 /// The newest FlightRecorder::kRingCapacity events of one thread or of one
 /// run. Single writer; readers load `head` with acquire.

@@ -102,8 +102,6 @@ FlightRing& RunScope::flight_ring() {
   return *flight_ring_;
 }
 
-bool trace_requested() { return !trace_path().empty(); }
-
 bool flight_requested() { return !flight_path_storage().empty(); }
 
 std::string flight_path() { return flight_path_storage(); }

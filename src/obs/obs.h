@@ -33,9 +33,6 @@ namespace elan::obs {
 /// Idempotent; the exit dump registers only once.
 void init_from_env();
 
-/// True when init_from_env enabled tracing (ELAN_TRACE was set).
-bool trace_requested();
-
 /// True when init_from_env enabled the flight recorder (ELAN_FLIGHT set).
 bool flight_requested();
 

@@ -77,30 +77,13 @@ void Tracer::complete(const char* category, std::string name, double ts_us, doub
 
 void Tracer::instant(const char* category, std::string name, std::string args) {
   if (!enabled()) return;
-  instant_at(category, std::move(name), now_us(), std::move(args));
-}
-
-void Tracer::instant_at(const char* category, std::string name, double ts_us,
-                        std::string args, std::uint64_t tid) {
-  if (!enabled()) return;
   TraceEvent e;
   e.phase = 'i';
   e.category = category;
   e.name = std::move(name);
-  e.ts_us = ts_us;
-  e.tid = tid;
-  e.args = std::move(args);
-  record(std::move(e));
-}
-
-void Tracer::counter(const char* category, std::string name, double value) {
-  if (!enabled()) return;
-  TraceEvent e;
-  e.phase = 'C';
-  e.category = category;
-  e.name = std::move(name);
   e.ts_us = now_us();
-  e.value = value;
+  e.tid = kCurrentThread;
+  e.args = std::move(args);
   record(std::move(e));
 }
 
@@ -174,11 +157,7 @@ std::string Tracer::to_json() {
        << ",\"pid\":" << e.pid << ",\"tid\":" << e.tid;
     if (e.phase == 'X') os << ",\"dur\":" << e.dur_us;
     if (e.phase == 'i') os << ",\"s\":\"t\"";
-    if (e.phase == 'C') {
-      os << ",\"args\":{\"value\":" << e.value << "}";
-    } else if (!e.args.empty()) {
-      os << ",\"args\":" << e.args;
-    }
+    if (!e.args.empty()) os << ",\"args\":" << e.args;
     os << "}";
   }
   os << "\n]}\n";
@@ -200,33 +179,6 @@ void Tracer::clear() {
   }
   collected_.clear();
   process_names_.clear();
-}
-
-void TraceScope::append_raw(const char* key, std::string rendered) {
-  if (!args_.empty()) args_ += ",";
-  args_ += "\"";
-  args_ += key;
-  args_ += "\":";
-  args_ += rendered;
-}
-
-void TraceScope::arg(const char* key, const std::string& value) {
-  if (!active_) return;
-  append_raw(key, "\"" + json_escape(value) + "\"");
-}
-
-void TraceScope::arg(const char* key, const char* value) { arg(key, std::string(value)); }
-
-void TraceScope::arg(const char* key, double value) {
-  if (!active_) return;
-  std::ostringstream os;
-  os << value;
-  append_raw(key, os.str());
-}
-
-void TraceScope::arg(const char* key, std::int64_t value) {
-  if (!active_) return;
-  append_raw(key, std::to_string(value));
 }
 
 }  // namespace elan::obs

@@ -2,9 +2,11 @@
 //
 // The tracer answers the question the coarse bench totals cannot: *where does
 // the time inside an adjustment go?* Instrumentation sites emit spans
-// (complete events), instants and counters; the exporter writes Chrome
-// trace-event JSON, loadable in Perfetto / chrome://tracing, and
-// tools/elan_trace_report renders per-category summaries from the same file.
+// (complete events) explicitly; protocol events become instants through the
+// one event call, obs::event (flight.h), for the kinds the event table marks
+// traced. The exporter writes Chrome trace-event JSON, loadable in Perfetto /
+// chrome://tracing, and tools/elan_trace_report renders per-category
+// summaries from the same file.
 //
 // Design constraints, in priority order:
 //
@@ -31,8 +33,8 @@
 //
 // Event model (Chrome trace-event format):
 //   'X' complete  — a span: ts + dur. ELAN_TRACE_SCOPE or explicit complete().
-//   'i' instant   — a point event.
-//   'C' counter   — a named value sampled over time.
+//   'i' instant   — a point event: a traced protocol event (category
+//                   "event", named after its kind; obs::event).
 // Events carry a pid (logical process lane, set_pid(); benches use it to put
 // e.g. the S&R and Elan runs side by side) and a tid (real thread index by
 // default, overridable so virtual spans can occupy per-worker/per-link lanes).
@@ -49,14 +51,13 @@
 namespace elan::obs {
 
 struct TraceEvent {
-  char phase = 'X';          // 'X' complete, 'i' instant, 'C' counter
+  char phase = 'X';          // 'X' complete, 'i' instant
   const char* category = ""; // static string at every call site
   std::string name;
   double ts_us = 0;          // event start, microseconds in the active clock
   double dur_us = 0;         // 'X' only
   int pid = 1;
   std::uint64_t tid = 0;
-  double value = 0;          // 'C' only
   std::string args;          // pre-rendered JSON object ("{...}") or empty
 };
 
@@ -92,12 +93,8 @@ class Tracer {
   void complete(const char* category, std::string name, double ts_us, double dur_us,
                 std::string args = {}, std::uint64_t tid = kCurrentThread);
 
+  /// A point event at the current clock time.
   void instant(const char* category, std::string name, std::string args = {});
-  /// Instant at an explicit timestamp.
-  void instant_at(const char* category, std::string name, double ts_us,
-                  std::string args = {}, std::uint64_t tid = kCurrentThread);
-
-  void counter(const char* category, std::string name, double value);
 
   // --- Export ---------------------------------------------------------------
 
@@ -148,27 +145,17 @@ class TraceScope {
   ~TraceScope() {
     if (!active_) return;
     auto& tracer = Tracer::instance();
-    tracer.complete(category_, name_, start_us_, tracer.now_us() - start_us_,
-                    args_.empty() ? std::string() : "{" + args_ + "}");
+    tracer.complete(category_, name_, start_us_, tracer.now_us() - start_us_);
   }
 
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
-  /// Attaches a key/value to the span (no-ops when the span is inactive).
-  void arg(const char* key, const std::string& value);
-  void arg(const char* key, const char* value);
-  void arg(const char* key, double value);
-  void arg(const char* key, std::int64_t value);
-
  private:
-  void append_raw(const char* key, std::string rendered);
-
   bool active_ = false;
   const char* category_ = "";
   const char* name_ = "";
   double start_us_ = 0;
-  std::string args_;  // comma-joined "key":value pairs, braces added at emit
 };
 
 /// JSON string escaping for event names / arg values.
@@ -183,18 +170,3 @@ std::string json_escape(const std::string& s);
 #define ELAN_OBS_CONCAT(a, b) ELAN_OBS_CONCAT_(a, b)
 #define ELAN_TRACE_SCOPE(category, name) \
   ::elan::obs::TraceScope ELAN_OBS_CONCAT(elan_trace_scope_, __COUNTER__)(category, name)
-
-/// Point event at the current clock time.
-#define ELAN_TRACE_EVENT(category, name)                                 \
-  do {                                                                   \
-    if (::elan::obs::Tracer::enabled())                                  \
-      ::elan::obs::Tracer::instance().instant(category, name);           \
-  } while (0)
-
-/// Counter sample at the current clock time.
-#define ELAN_TRACE_COUNTER(category, name, value)                        \
-  do {                                                                   \
-    if (::elan::obs::Tracer::enabled())                                  \
-      ::elan::obs::Tracer::instance().counter(category, name,            \
-                                              static_cast<double>(value)); \
-  } while (0)

@@ -48,9 +48,8 @@ MessageId MessageBus::send(Message msg) {
   if (force_drop || fault.drop || rng_.chance(params_.drop_probability)) {
     ++stats_.dropped;
     // reason: 0 = forced, 1 = scripted fault, 2 = random loss model.
-    obs::FlightRecorder::record(obs::FlightEventKind::kMsgDrop,
-                                msg.from.c_str(), msg.type.c_str(), msg.id,
-                                force_drop ? 0 : (fault.drop ? 1 : 2));
+    obs::event(obs::FlightEventKind::kMsgDrop, msg.from.c_str(), msg.type.c_str(), msg.id,
+               force_drop ? 0 : (fault.drop ? 1 : 2));
     log_trace() << "bus: dropped " << msg.type << " " << msg.from << "->" << msg.to;
     return msg.id;
   }
@@ -67,8 +66,7 @@ MessageId MessageBus::send(Message msg) {
   stream_clock = deliver_at;
 
   const MessageId id = msg.id;
-  obs::FlightRecorder::record(obs::FlightEventKind::kMsgSend, msg.from.c_str(),
-                              msg.type.c_str(), id);
+  obs::event(obs::FlightEventKind::kMsgSend, msg.from.c_str(), msg.type.c_str(), id);
   // A driver on another thread may have run the clock past deliver_at since
   // now() was read above; the message then lands at the new now(). Equal
   // times keep FIFO through the insertion-order tiebreak.
@@ -84,14 +82,12 @@ void MessageBus::deliver(const Message& msg) {
     auto it = handlers_.find(msg.to);
     if (it == handlers_.end()) {
       ++stats_.to_unknown;
-      obs::FlightRecorder::record(obs::FlightEventKind::kMsgToUnknown,
-                                  msg.to.c_str(), msg.type.c_str(), msg.id);
+      obs::event(obs::FlightEventKind::kMsgToUnknown, msg.to.c_str(), msg.type.c_str(), msg.id);
       log_trace() << "bus: no endpoint " << msg.to << " for " << msg.type;
       return;
     }
     ++stats_.delivered;
-    obs::FlightRecorder::record(obs::FlightEventKind::kMsgDeliver,
-                                msg.to.c_str(), msg.type.c_str(), msg.id);
+    obs::event(obs::FlightEventKind::kMsgDeliver, msg.to.c_str(), msg.type.c_str(), msg.id);
     // Copy the handler out: the target may detach (or re-attach a new
     // handler) concurrently, and the handler itself may call back into the
     // bus — it must run with no bus lock held.
@@ -166,9 +162,8 @@ void ReliableEndpoint::transmit(MessageId id) {
   ++it->second.attempts;
   if (it->second.attempts > 1) {
     ++retries_;
-    obs::FlightRecorder::record(obs::FlightEventKind::kMsgRetry, name_.c_str(),
-                                it->second.msg.type.c_str(), id,
-                                static_cast<std::uint64_t>(it->second.attempts));
+    obs::event(obs::FlightEventKind::kMsgRetry, name_.c_str(), it->second.msg.type.c_str(), id,
+               static_cast<std::uint64_t>(it->second.attempts));
   }
   bus_.send(it->second.msg);
   arm_timer(id);
@@ -193,9 +188,8 @@ void ReliableEndpoint::arm_timer(MessageId id) {
     it->second.timer = 0;
     if (it->second.attempts >= params_.max_retries) {
       ++gave_up_;
-      obs::FlightRecorder::record(obs::FlightEventKind::kMsgGaveUp,
-                                  name_.c_str(), it->second.msg.type.c_str(),
-                                  id, static_cast<std::uint64_t>(it->second.attempts));
+      obs::event(obs::FlightEventKind::kMsgGaveUp, name_.c_str(), it->second.msg.type.c_str(), id,
+                 static_cast<std::uint64_t>(it->second.attempts));
       log_warn() << name_ << ": giving up on message " << id << " to " << it->second.msg.to;
       pending_.erase(it);
       return;

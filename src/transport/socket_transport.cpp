@@ -115,18 +115,15 @@ std::string SocketTransport::socket_path(const std::string& name) const {
 
 void SocketTransport::record_error_locked(SocketError error, const std::string& actor) {
   ++errors_[error];
-  obs::FlightRecorder::record(obs::FlightEventKind::kSockError, actor.c_str(),
-                              to_string(error),
-                              static_cast<std::uint64_t>(error));
+  obs::event(obs::FlightEventKind::kSockError, actor.c_str(), to_string(error),
+             static_cast<std::uint64_t>(error));
   log_debug() << "sock: " << to_string(error) << " (" << actor << ")";
 }
 
 void SocketTransport::set_link_state_locked(Link& link, LinkState next) {
   if (link.state == next) return;
-  obs::FlightRecorder::record(obs::FlightEventKind::kLinkState,
-                              link.peer.c_str(), to_string(next),
-                              static_cast<std::uint64_t>(link.state),
-                              static_cast<std::uint64_t>(next));
+  obs::event(obs::FlightEventKind::kLinkState, link.peer.c_str(), to_string(next),
+             static_cast<std::uint64_t>(link.state), static_cast<std::uint64_t>(next));
   log_trace() << "sock: link " << link.peer << " " << to_string(link.state)
               << " -> " << to_string(next);
   link.state = next;
@@ -238,9 +235,8 @@ MessageId SocketTransport::send(Message msg) {
   if (force_drop) --forced->second;
   if (force_drop || rng_.chance(options_.drop_probability)) {
     ++stats_.dropped;
-    obs::FlightRecorder::record(obs::FlightEventKind::kMsgDrop,
-                                msg.from.c_str(), msg.type.c_str(), msg.id,
-                                force_drop ? 0 : 2);
+    obs::event(obs::FlightEventKind::kMsgDrop, msg.from.c_str(), msg.type.c_str(), msg.id,
+               force_drop ? 0 : 2);
     log_trace() << "sock: dropped " << msg.type << " " << msg.from << "->" << msg.to;
     return id;
   }
@@ -274,8 +270,7 @@ MessageId SocketTransport::send(Message msg) {
   frame.head = encode_frame_head(msg);
   frame.payload = msg.payload;  // handle copy — the zero-copy send path
   link.queue.push_back(std::move(frame));
-  obs::FlightRecorder::record(obs::FlightEventKind::kMsgSend, msg.from.c_str(),
-                              msg.type.c_str(), id);
+  obs::event(obs::FlightEventKind::kMsgSend, msg.from.c_str(), msg.type.c_str(), id);
   wake();
   return id;
 }
@@ -551,13 +546,11 @@ void SocketTransport::dispatch(std::vector<Message> deliveries) {
       auto it = handlers_.find(msg.to);
       if (it == handlers_.end()) {
         ++stats_.to_unknown;
-        obs::FlightRecorder::record(obs::FlightEventKind::kMsgToUnknown,
-                                    msg.to.c_str(), msg.type.c_str(), msg.id);
+        obs::event(obs::FlightEventKind::kMsgToUnknown, msg.to.c_str(), msg.type.c_str(), msg.id);
         continue;
       }
       ++stats_.delivered;
-      obs::FlightRecorder::record(obs::FlightEventKind::kMsgDeliver,
-                                  msg.to.c_str(), msg.type.c_str(), msg.id);
+      obs::event(obs::FlightEventKind::kMsgDeliver, msg.to.c_str(), msg.type.c_str(), msg.id);
       // Copy the handler out: it runs with no transport lock held and may
       // call straight back into send().
       handler = it->second;

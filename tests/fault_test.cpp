@@ -6,7 +6,11 @@
 #include "common/log.h"
 #include "common/thread_pool.h"
 #include "fault/chaos.h"
+#include "fault/fault.h"
+#include "obs/obs.h"
 #include "sim/simulator.h"
+#include "storage/filesystem.h"
+#include "train/models.h"
 
 namespace elan::fault {
 namespace {
@@ -281,6 +285,51 @@ TEST_F(FaultTest, SlowLinkOnlyDelaysAdjustment) {
   const auto result = ChaosRunner::run_plan(plan);
   EXPECT_TRUE(result.ok()) << plan.describe() << "\n" << result.describe();
   EXPECT_GE(result.adjustments_completed, 1);
+}
+
+// A link window is armed with the plan, not fired: its flight event is one
+// fault.armed carrying the window's bounds in ms, and no fault.injected.
+TEST_F(FaultTest, ArmingADropWindowRecordsOneFaultArmedEvent) {
+  sim::Simulator sim;
+  obs::RunScope run(sim);
+  topo::Topology topology{topo::TopologySpec{}};
+  topo::BandwidthModel bandwidth;
+  storage::SimFilesystem fs;
+  transport::MessageBus bus{sim, bandwidth};
+  transport::KvStore kv{sim};
+  JobConfig config;
+  config.model = train::mobilenet_v2_cifar();
+  config.initial_workers = 2;
+  ElasticJob job(sim, topology, bandwidth, fs, bus, kv, std::move(config));
+  FaultInjector injector(sim, bus, job);
+  FaultPlan plan;
+  FaultEvent window;
+  window.kind = FaultKind::kDropLink;
+  window.at = 1.5;
+  window.duration = 2.25;
+  window.endpoint_a = "am/";
+  plan.events.push_back(window);
+
+  obs::FlightRecorder::set_enabled(true);
+  injector.arm(plan);
+  const std::string path = ::testing::TempDir() + "fault_armed.flt";
+  const bool dumped = obs::FlightRecorder::instance().dump(path);
+  obs::FlightRecorder::set_enabled(false);
+  ASSERT_TRUE(dumped);
+
+  std::vector<obs::FlightEvent> armed;
+  int injected = 0;
+  for (const auto& e : obs::read_flight_record(path).merged()) {
+    const auto kind = static_cast<obs::FlightEventKind>(e.kind);
+    if (kind == obs::FlightEventKind::kFaultArmed) armed.push_back(e);
+    if (kind == obs::FlightEventKind::kFaultInjected) ++injected;
+  }
+  EXPECT_EQ(injected, 0);
+  ASSERT_EQ(armed.size(), 1u);
+  EXPECT_STREQ(armed[0].actor, "fault");
+  EXPECT_STREQ(armed[0].detail, "drop_link");
+  EXPECT_EQ(armed[0].a, 1500u);  // window bounds in ms
+  EXPECT_EQ(armed[0].b, 3750u);
 }
 
 // A joiner that finishes starting but never reports must be evicted by the

@@ -47,14 +47,14 @@ const FlightRecord::Ring* find_ring(const FlightRecord& record,
 TEST_F(FlightTest, DisabledPathRecordsNothing) {
   FlightRecorder::set_enabled(false);
   const std::uint64_t before = FlightRecorder::instance().total_recorded();
-  FlightRecorder::record(FlightEventKind::kMsgSend, "off", nullptr, 1);
+  obs::event(FlightEventKind::kMsgSend, "off", nullptr, 1);
   EXPECT_EQ(FlightRecorder::instance().total_recorded(), before);
 }
 
 TEST_F(FlightTest, RingWrapKeepsNewestEvents) {
   const std::uint64_t n = FlightRecorder::kRingCapacity + 500;
   for (std::uint64_t i = 0; i < n; ++i) {
-    FlightRecorder::record(FlightEventKind::kMsgSend, "wrap-test", "t", i);
+    obs::event(FlightEventKind::kMsgSend, "wrap-test", "t", i);
   }
   EXPECT_EQ(FlightRecorder::instance().total_recorded(), n);
 
@@ -83,9 +83,9 @@ TEST_F(FlightTest, RingWrapKeepsNewestEvents) {
 }
 
 TEST_F(FlightTest, TruncatesActorAndDetail) {
-  FlightRecorder::record(FlightEventKind::kMsgSend,
-                         "an-actor-name-well-beyond-the-field",
-                         "a-detail-string-well-beyond-the-field");
+  obs::event(FlightEventKind::kMsgSend,
+             "an-actor-name-well-beyond-the-field",
+             "a-detail-string-well-beyond-the-field");
   const std::string path = ::testing::TempDir() + "flight_trunc.flt";
   ASSERT_TRUE(FlightRecorder::instance().dump(path));
   const FlightRecord record = read_flight_record(path);
@@ -100,8 +100,8 @@ TEST_F(FlightTest, ConcurrentWritersFromParallelFor) {
   ThreadPool pool(4);
   pool.parallel_for(0, kEvents, 64, [](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
-      FlightRecorder::record(FlightEventKind::kMsgDeliver, "mt-test", nullptr,
-                             static_cast<std::uint64_t>(i));
+      obs::event(FlightEventKind::kMsgDeliver, "mt-test", nullptr,
+                 static_cast<std::uint64_t>(i));
     }
   });
   EXPECT_EQ(FlightRecorder::instance().total_recorded(),
@@ -133,10 +133,10 @@ TEST_F(FlightTest, ConcurrentWritersFromParallelFor) {
 }
 
 TEST_F(FlightTest, ClearResetsRingsAndSequence) {
-  FlightRecorder::record(FlightEventKind::kMsgSend, "pre-clear");
+  obs::event(FlightEventKind::kMsgSend, "pre-clear");
   FlightRecorder::instance().clear();
   EXPECT_EQ(FlightRecorder::instance().total_recorded(), 0u);
-  FlightRecorder::record(FlightEventKind::kMsgSend, "post-clear");
+  obs::event(FlightEventKind::kMsgSend, "post-clear");
   const std::string path = ::testing::TempDir() + "flight_clear.flt";
   ASSERT_TRUE(FlightRecorder::instance().dump(path));
   const auto merged = read_flight_record(path).merged();
@@ -238,7 +238,7 @@ TEST(FlightDeathTest, CheckFailureDumpsRecord) {
         FlightRecorder::set_enabled(true);
         FlightRecorder::instance().clear();
         FlightRecorder::instance().arm_crash_dump(path);
-        FlightRecorder::record(FlightEventKind::kMsgSend, "doomed", "t", 7);
+        obs::event(FlightEventKind::kMsgSend, "doomed", "t", 7);
         try {
           ELAN_CHECK(false, "flight death test");
         } catch (const Error&) {
@@ -261,6 +261,44 @@ TEST(FlightDeathTest, CheckFailureDumpsRecord) {
             FlightEventKind::kCheckFailed);
   EXPECT_EQ(std::string(death.detail), "flight_test.cpp");
   EXPECT_GT(death.a, 0u);  // the failing line number
+}
+
+// The event table is the one schema of the record, the trace and the
+// postmortem: exactly the declared kinds have a row, names are unique, labels
+// are unique within a kind and never collide with the instant's actor and
+// detail keys, and the traced kinds are the few-per-adjustment ones.
+TEST(FlightEventTable, IsExhaustiveAndUnique) {
+  const std::set<int> declared = {0,  1,  2,  3,  4,  5,  10, 11, 12, 13, 14,
+                                  15, 20, 21, 22, 23, 30, 31, 32, 33, 34, 35,
+                                  36, 40, 41, 42, 50, 51, 52, 53, 60, 61};
+  std::set<int> with_row;
+  std::set<std::string> names;
+  std::set<std::string> traced;
+  for (int v = 0; v < 256; ++v) {
+    const auto kind = static_cast<FlightEventKind>(v);
+    const FlightEventInfo row = event_info(kind);
+    if (row.name == nullptr) {
+      EXPECT_STREQ(to_string(kind), "unknown");
+      continue;
+    }
+    with_row.insert(v);
+    EXPECT_STREQ(to_string(kind), row.name);
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate name: " << row.name;
+    std::set<std::string> labels = {"actor", "detail"};
+    for (const char* label : row.labels) {
+      if (label == nullptr) continue;
+      EXPECT_NE(std::string(label), "");
+      EXPECT_TRUE(labels.insert(label).second) << row.name << " repeats label " << label;
+    }
+    if (row.traced) traced.insert(row.name);
+  }
+  EXPECT_EQ(with_row, declared);
+  EXPECT_EQ(traced, (std::set<std::string>{
+                        "am.phase", "am.adjust_request", "am.adjust_replay",
+                        "am.adjust_verdict", "am.worker_report", "am.worker_evicted",
+                        "job.adjust_sent", "job.adjust_reply", "job.adjust_start",
+                        "job.adjust_finish", "repl.chunk_src_lost", "repl.replanned",
+                        "fault.injected", "fault.armed"}));
 }
 
 // --- Satellite: histogram quantile estimator -------------------------------

@@ -15,19 +15,24 @@
 #include "common/log.h"
 #include "common/thread_pool.h"
 #include "elan/job.h"
+#include "fault/fault.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "obs/trace_report.h"
 #include "sched/metrics.h"
 #include "storage/filesystem.h"
+#include "train/models.h"
 
 namespace elan {
 namespace {
 
-// The tracer is process-global; every test starts from a clean, disabled one.
+// The tracer is process-global; every test starts from a clean, disabled one
+// (and with the flight recorder, the other sink of obs::event, off).
 struct TracerTest : ::testing::Test {
   void SetUp() override {
+    obs::FlightRecorder::set_enabled(false);
     obs::Tracer::instance().set_enabled(false);
     obs::Tracer::instance().set_pid(1);
     obs::Tracer::instance().clear();
@@ -38,8 +43,8 @@ struct TracerTest : ::testing::Test {
 TEST_F(TracerTest, DisabledRecordsNothing) {
   {
     ELAN_TRACE_SCOPE("test", "noop");
-    ELAN_TRACE_EVENT("test", "noop_instant");
-    ELAN_TRACE_COUNTER("test", "noop_counter", 1);
+    obs::Tracer::instance().instant("test", "noop_instant");
+    obs::event(obs::FlightEventKind::kAmPhase, "am/test", "ready", 1, 2, 3);
   }
   obs::Tracer::instance().complete("test", "explicit", 0, 1);
   EXPECT_TRUE(obs::Tracer::instance().snapshot().empty());
@@ -72,7 +77,7 @@ TEST_F(TracerTest, SimClockStampsVirtualTime) {
   obs::Tracer::instance().set_enabled(true);
   sim::Simulator sim;
   obs::RunScope run(sim);
-  sim.schedule(2.5, [] { ELAN_TRACE_EVENT("test", "at_2500ms"); });
+  sim.schedule(2.5, [] { obs::Tracer::instance().instant("test", "at_2500ms"); });
   sim.run();
   const auto events = obs::Tracer::instance().snapshot();
   ASSERT_EQ(events.size(), 1u);
@@ -91,7 +96,7 @@ TEST_F(TracerTest, RunScopesOnTwoThreadsStampTheirOwnVirtualTime) {
     sim::Simulator sim;
     obs::RunScope scope(sim);
     both_bound.arrive_and_wait();  // the two scopes overlap in wall time
-    sim.schedule(at, [] { ELAN_TRACE_EVENT("test", "stamp"); });
+    sim.schedule(at, [] { obs::Tracer::instance().instant("test", "stamp"); });
     sim.run();
   };
   std::thread first(run, 1.5);
@@ -126,8 +131,12 @@ TEST_F(TracerTest, JsonRoundTripsThroughReport) {
   tracer.complete("cat", "span", 1000.0, 2000.0);
   tracer.complete("cat", "span", 5000.0, 1000.0);
   tracer.instant("cat", "tick");
-  tracer.counter("cat", "load", 0.5);
-  const std::string json = tracer.to_json();
+  std::string json = tracer.to_json();
+  // The report reads JSON from any producer; the tracer writes no counter
+  // samples, so append one by hand.
+  json.insert(json.rfind(']'),
+              ",{\"ph\":\"C\",\"cat\":\"cat\",\"name\":\"load\",\"ts\":0,\"pid\":3,"
+              "\"tid\":0,\"args\":{\"value\":0.5}}");
 
   const auto summary = obs::summarize_trace_json(json);
   EXPECT_EQ(summary.spans, 2u);
@@ -236,6 +245,152 @@ TEST_F(TracerTest, ScaleOutTraceShowsConcurrentReplication) {
     }
   }
   EXPECT_TRUE(found_replication_phase);
+}
+
+// The phase span start is stamped when an AM is built or recovered, traced
+// or not: the recovered AM's first span starts at its recovery, not at t=0.
+TEST_F(TracerTest, RecoveredAmPhaseSpanStartsAtRecovery) {
+  obs::Tracer::instance().set_enabled(true);
+  const LogLevel level = Logger::level();
+  Logger::set_level(LogLevel::kOff);
+
+  sim::Simulator sim;
+  topo::Topology topology{topo::TopologySpec{}};
+  topo::BandwidthModel bandwidth;
+  storage::SimFilesystem fs;
+  transport::MessageBus bus{sim, bandwidth};
+  transport::KvStore kv{sim};
+  obs::RunScope run(sim);
+
+  JobConfig c;
+  c.model = train::mobilenet_v2_cifar();
+  c.initial_workers = 2;
+  c.initial_total_batch = 64;
+  c.worker_params.start_mean = 1.0;
+  c.worker_params.start_stddev = 0.2;
+  ElasticJob job(sim, topology, bandwidth, fs, bus, kv, std::move(c));
+  job.stop_after_iterations(1000000);
+  sim.schedule(6.0, [&] { job.crash_master(); });
+  sim.schedule(9.0, [&] { job.recover_master(); });
+  sim.schedule(10.0, [&] { job.request_scale_out({2}); });
+  sim.schedule(20.0, [&] { job.stop(); });
+  job.start();
+  ASSERT_TRUE(sim.run_bounded(5'000'000)) << "run did not drain";
+  Logger::set_level(level);
+  ASSERT_EQ(job.adjustments().size(), 1u);
+
+  std::vector<obs::TraceEvent> phases;
+  for (const auto& e : obs::Tracer::instance().snapshot()) {
+    if (std::string_view(e.category) == "master") phases.push_back(e);
+  }
+  ASSERT_FALSE(phases.empty());
+  std::sort(phases.begin(), phases.end(),
+            [](const obs::TraceEvent& x, const obs::TraceEvent& y) { return x.ts_us < y.ts_us; });
+  EXPECT_EQ(phases.front().name, "phase/steady");
+  EXPECT_GE(phases.front().ts_us, 9.0e6) << "the recovered AM's first span reaches back to "
+                                         << phases.front().ts_us << " us";
+}
+
+std::string flight_event_args(const obs::FlightEvent& e) {
+  const obs::FlightEventInfo row = obs::event_info(static_cast<obs::FlightEventKind>(e.kind));
+  std::string args = "{\"actor\":\"" + obs::json_escape(e.actor) + "\",\"detail\":\"" +
+                     obs::json_escape(e.detail) + "\"";
+  const std::uint64_t values[3] = {e.a, e.b, e.c};
+  for (int i = 0; i < 3; ++i) {
+    if (row.labels[i] != nullptr) {
+      args += ",\"" + std::string(row.labels[i]) + "\":" + std::to_string(values[i]);
+    }
+  }
+  return args + "}";
+}
+
+// One call per protocol event: with both sinks on, every traced kind's
+// instants and flight events match one for one, in order, at the same time
+// with the same actor, detail and labelled fields, and no untraced kind
+// emits an instant. The run evicts a joiner that never reports, loses a
+// replication source mid-stream and arms a link window.
+TEST_F(TracerTest, FlightAndTraceAgree) {
+  obs::Tracer::instance().set_enabled(true);
+  obs::FlightRecorder::set_enabled(true);
+  const LogLevel level = Logger::level();
+  Logger::set_level(LogLevel::kOff);
+
+  sim::Simulator sim;
+  topo::Topology topology{topo::TopologySpec{}};
+  topo::BandwidthModel bandwidth;
+  storage::SimFilesystem fs;
+  transport::MessageBus bus{sim, bandwidth};
+  transport::KvStore kv{sim};
+  obs::RunScope run(sim);
+
+  JobConfig c;
+  c.model = train::mobilenet_v2_cifar();  // ~28 MiB GPU state: 7 chunks
+  c.initial_workers = 2;
+  c.initial_total_batch = 64;
+  c.coordination_interval = 20;  // few rounds: the run's ring must not wrap
+  c.worker_params.start_mean = 1.0;
+  c.worker_params.start_stddev = 0.2;
+  c.am.report_timeout = 8.0;
+  ElasticJob job(sim, topology, bandwidth, fs, bus, kv, std::move(c));
+  job.stop_after_iterations(1000000);
+
+  fault::FaultInjector injector(sim, bus, job);
+  fault::FaultPlan faults;
+  fault::FaultEvent hang;
+  hang.kind = fault::FaultKind::kSuppressReport;
+  faults.events.push_back(hang);
+  fault::FaultEvent mid;
+  mid.kind = fault::FaultKind::kKillMidReplication;
+  mid.frac = 0.5;
+  faults.events.push_back(mid);
+  fault::FaultEvent window;  // armed up front; closes after the run
+  window.kind = fault::FaultKind::kDropLink;
+  window.at = 100.0;
+  window.duration = 1.0;
+  faults.events.push_back(window);
+  injector.arm(faults);
+
+  sim.schedule(2.0, [&] { job.request_scale_out({2, 3}); });
+  sim.schedule(30.0, [&] { job.stop(); });
+  job.start();
+  ASSERT_TRUE(sim.run_bounded(5'000'000)) << "run did not drain";
+  Logger::set_level(level);
+
+  ASSERT_LT(obs::FlightRecorder::instance().total_recorded(), obs::FlightRecorder::kRingCapacity);
+  const std::string path = ::testing::TempDir() + "flight_and_trace.flt";
+  ASSERT_TRUE(obs::FlightRecorder::instance().dump(path));
+  const auto flight = obs::read_flight_record(path).merged();
+
+  std::map<std::string, std::vector<const obs::FlightEvent*>> recorded;  // traced kinds
+  std::map<std::string, std::size_t> kinds_seen;
+  for (const auto& e : flight) {
+    const obs::FlightEventInfo row = obs::event_info(static_cast<obs::FlightEventKind>(e.kind));
+    ASSERT_NE(row.name, nullptr);
+    ++kinds_seen[row.name];
+    if (row.traced) recorded[row.name].push_back(&e);
+  }
+  for (const char* kind : {"am.phase", "am.worker_report", "am.worker_evicted",
+                           "repl.chunk_src_lost", "repl.replanned", "fault.injected",
+                           "fault.armed"}) {
+    EXPECT_GT(kinds_seen[kind], 0u) << "the run recorded no " << kind;
+  }
+
+  std::map<std::string, std::vector<obs::TraceEvent>> instants;
+  for (auto& e : obs::Tracer::instance().snapshot()) {
+    if (e.phase == 'i') instants[e.name].push_back(std::move(e));
+  }
+  for (const auto& [name, list] : instants) {
+    EXPECT_TRUE(recorded.count(name)) << "instant " << name << " is not a traced kind's event";
+  }
+  for (const auto& [name, events] : recorded) {
+    const auto& traced = instants[name];
+    ASSERT_EQ(traced.size(), events.size()) << name;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_STREQ(traced[i].category, "event");
+      EXPECT_DOUBLE_EQ(traced[i].ts_us, events[i]->ts_us) << name << " #" << i;
+      EXPECT_EQ(traced[i].args, flight_event_args(*events[i])) << name << " #" << i;
+    }
+  }
 }
 
 TEST_F(TracerTest, ThreadPoolQueueWaitSpansUnderParallelFor) {

@@ -23,6 +23,7 @@
 
 #include "common/error.h"
 #include "common/flags.h"
+#include "elan/master.h"
 #include "obs/flight.h"
 #include "transport/socket_error.h"
 #include "transport/socket_transport.h"
@@ -37,84 +38,43 @@ FlightEventKind kind_of(const FlightEvent& e) {
   return static_cast<FlightEventKind>(e.kind);
 }
 
-/// Kind-aware rendering of the a/b/c payload (see the FlightEventKind
-/// comments for the conventions).
-std::string describe_args(const FlightEvent& e) {
-  const std::string detail = e.detail;
-  const auto u = [](std::uint64_t v) { return std::to_string(v); };
-  switch (kind_of(e)) {
-    case FlightEventKind::kMsgSend:
-    case FlightEventKind::kMsgDeliver:
-    case FlightEventKind::kMsgToUnknown:
-      return detail + " id=" + u(e.a);
-    case FlightEventKind::kMsgDrop: {
-      const char* reason = e.b == 0 ? "forced" : e.b == 1 ? "fault" : "random";
-      return detail + " id=" + u(e.a) + " reason=" + reason;
-    }
-    case FlightEventKind::kMsgRetry:
-    case FlightEventKind::kMsgGaveUp:
-      return detail + " id=" + u(e.a) + " attempt=" + u(e.b);
+/// One field's value: a number, or a name where the number encodes one.
+std::string field_text(FlightEventKind kind, int field, std::uint64_t v) {
+  switch (kind) {
+    case FlightEventKind::kMsgDrop:
+      if (field == 1) return v == 0 ? "forced" : v == 1 ? "fault" : "random";
+      break;
     case FlightEventKind::kAmPhase:
-      return "-> " + detail + " (plan v" + u(e.c) + ")";
-    case FlightEventKind::kAdjustRequest:
-      return detail + " request=" + u(e.a);
-    case FlightEventKind::kAdjustReplay:
-      return "request=" + u(e.a) + " cached_ok=" + u(e.b);
-    case FlightEventKind::kAdjustVerdict:
-      return detail + " request=" + u(e.a) + " ok=" + u(e.b) + " plan v" + u(e.c);
-    case FlightEventKind::kWorkerReport:
-    case FlightEventKind::kWorkerEvicted:
-      return "worker=" + u(e.a) + " plan v" + u(e.b);
-    case FlightEventKind::kCoordinateSend:
-      return "iteration=" + u(e.a) + " worker=" + u(e.b);
-    case FlightEventKind::kCoordinateResend:
-      return "iteration=" + u(e.a) + " resend#" + u(e.b);
-    case FlightEventKind::kDecisionRecv:
-      return "iteration=" + u(e.a) + " adjust=" + u(e.b);
-    case FlightEventKind::kDecisionStale:
-      return e.b == 0 ? "duplicate (no pending round, last=" + u(e.a) + ")"
-                      : "stale iteration=" + u(e.a) + " (awaiting " + u(e.c) + ")";
-    case FlightEventKind::kRoundStart:
-      return "iteration=" + u(e.a) + " workers=" + u(e.b);
-    case FlightEventKind::kRoundDecision:
-      return "iteration=" + u(e.a) + " worker=" + u(e.b) + " adjust=" + u(e.c);
-    case FlightEventKind::kRoundComplete:
-      return "iteration=" + u(e.a) + " adjust_signalled=" + u(e.b);
-    case FlightEventKind::kAdjustSent:
-      return detail + " request=" + u(e.a);
-    case FlightEventKind::kAdjustReply:
-      return "request=" + u(e.a) + " ok=" + u(e.b) +
-             (e.c != 0 ? " (duplicate, ignored)" : "");
-    case FlightEventKind::kAdjustStart:
-      return detail + " plan v" + u(e.a) + " workers " + u(e.b) + "->" + u(e.c);
-    case FlightEventKind::kAdjustFinish:
-      return detail + " plan v" + u(e.a) + " workers_after=" + u(e.b) +
-             " failed_joins=" + u(e.c);
-    case FlightEventKind::kChunkVerified:
-    case FlightEventKind::kChunkSourceLost:
-      return "chunk=" + u(e.a) + " dest=" + u(e.b) + " src=" + u(e.c);
-    case FlightEventKind::kReplicationReplan:
-      return "resumed=" + u(e.a) + " kept_chunks=" + u(e.b) + " replan#" + u(e.c);
-    case FlightEventKind::kFaultInjected:
-      return detail;
-    case FlightEventKind::kLockOrderHit:
-      return "lock-order violation; process dying";
-    case FlightEventKind::kCheckFailed:
-      return detail + ":" + u(e.a);
-    case FlightEventKind::kSockError:
-      // The recorded detail is the name cut to the field's width; the code
-      // names it in full.
-      return std::string(elan::transport::to_string(
-                 static_cast<elan::transport::SocketError>(e.a))) +
-             " code=" + u(e.a);
-    case FlightEventKind::kLinkState: {
-      const auto state = [](std::uint64_t v) {
-        return elan::transport::to_string(static_cast<elan::transport::LinkState>(v));
-      };
-      return std::string(state(e.a)) + " -> " + state(e.b);
-    }
+      if (field < 2) return elan::to_string(static_cast<elan::AmPhase>(v));
+      break;
+    case FlightEventKind::kLinkState:
+      if (field < 2) return elan::transport::to_string(static_cast<elan::transport::LinkState>(v));
+      break;
+    default:
+      break;
   }
-  return detail;
+  return std::to_string(v);
+}
+
+/// The detail, then label=value for each labelled field of the kind's row in
+/// the event table (obs::event_info).
+std::string describe_args(const FlightEvent& e) {
+  const FlightEventKind kind = kind_of(e);
+  // The recorded detail is the socket error's name cut to the field's width;
+  // the code names it in full.
+  std::string out = kind == FlightEventKind::kSockError
+                        ? elan::transport::to_string(static_cast<elan::transport::SocketError>(e.a))
+                        : e.detail;
+  const elan::obs::FlightEventInfo row = elan::obs::event_info(kind);
+  const std::uint64_t values[3] = {e.a, e.b, e.c};
+  for (int i = 0; i < 3; ++i) {
+    if (row.labels[i] == nullptr) continue;
+    if (!out.empty()) out += ' ';
+    out += row.labels[i];
+    out += '=';
+    out += field_text(kind, i, values[i]);
+  }
+  return out;
 }
 
 std::string format_time(double ts_us) {

@@ -79,7 +79,7 @@ def main():
         for needle, why in [
             ("am/", "the partitioned AM never appears in the timeline"),
             ("w0/", "the wedged workers never appear in the timeline"),
-            # The arm-time fault.injected events wrap out of the ring long
+            # The arm-time fault.armed event wraps out of the ring long
             # before the wedge; the partition shows up as the drop storm.
             ("reason=fault", "the injected partition's drops are missing"),
             ("round wedged", "the final-round diff did not flag the wedge"),
