@@ -34,7 +34,7 @@ AdjustmentCostModel::AdjustmentCostModel(const topo::Topology& topology,
       group_params_(group_params) {}
 
 Seconds AdjustmentCostModel::group_reconstruct_time(int workers) const {
-  return group_params_.reconstruct_fixed + group_params_.reconstruct_per_rank * workers;
+  return group_params_.reconstruct_time(workers);
 }
 
 ChunkSchedule AdjustmentCostModel::elan_replication_schedule(const train::ModelSpec& model,

@@ -65,7 +65,7 @@ Seconds CommGroup::barrier_time() const {
 
 Seconds CommGroup::reconstruct_time(int n) const {
   require(n > 0, "reconstruct_time: non-positive rank count");
-  return params_.reconstruct_fixed + params_.reconstruct_per_rank * n;
+  return params_.reconstruct_time(n);
 }
 
 CommGroup CommGroup::reconstructed(std::vector<topo::GpuId> new_members) const {

@@ -26,6 +26,12 @@ struct GroupParams {
   /// processes (that cold cost is part of engine initialisation).
   Seconds reconstruct_fixed = 0.3;
   Seconds reconstruct_per_rank = 0.01;
+
+  /// Time to rebuild a group of `ranks` members: the one formula the job
+  /// runtime, CommGroup and the adjustment cost model all use.
+  Seconds reconstruct_time(int ranks) const {
+    return reconstruct_fixed + reconstruct_per_rank * ranks;
+  }
 };
 
 class CommGroup {

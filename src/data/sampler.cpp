@@ -30,112 +30,89 @@ void SerialSampler::restore(const State& s) {
 }
 
 ChunkSampler::ChunkSampler(Dataset dataset, std::uint64_t chunk_size, int num_workers)
-    : dataset_(std::move(dataset)), chunk_size_(chunk_size), num_workers_(num_workers) {
+    : dataset_(std::move(dataset)), chunk_size_(chunk_size) {
+  table_.num_workers = num_workers;
   require(dataset_.num_samples > 0, "ChunkSampler: empty dataset");
   require(chunk_size_ > 0, "ChunkSampler: chunk_size must be positive");
-  require(num_workers_ > 0, "ChunkSampler: num_workers must be positive");
+  require(table_.num_workers > 0, "ChunkSampler: num_workers must be positive");
   build_chunks();
   assign_round_robin();
 }
 
 void ChunkSampler::build_chunks() {
-  chunks_.clear();
+  table_.chunks.clear();
   for (std::uint64_t begin = 0; begin < dataset_.num_samples; begin += chunk_size_) {
     Chunk c;
     c.begin = begin;
     c.end = std::min(begin + chunk_size_, dataset_.num_samples);
     c.cursor = c.begin;
-    chunks_.push_back(c);
+    table_.chunks.push_back(c);
   }
-  consumed_ = 0;
+  table_.consumed = 0;
 }
 
 void ChunkSampler::assign_round_robin() {
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    chunks_[i].owner = static_cast<int>(i % static_cast<std::size_t>(num_workers_));
+  for (std::size_t i = 0; i < table_.chunks.size(); ++i) {
+    table_.chunks[i].owner = static_cast<int>(i % static_cast<std::size_t>(table_.num_workers));
   }
 }
 
 SampleRange ChunkSampler::next_batch(int worker, std::uint64_t n) {
-  require(worker >= 0 && worker < num_workers_, "ChunkSampler: bad worker");
-  for (auto& c : chunks_) {
+  require(worker >= 0 && worker < table_.num_workers, "ChunkSampler: bad worker");
+  for (auto& c : table_.chunks) {
     if (c.owner != worker || c.left() == 0) continue;
     const std::uint64_t take = std::min(n, c.left());
     const SampleRange r{c.cursor, c.cursor + take};
     c.cursor += take;
-    consumed_ += take;
+    table_.consumed += take;
     return r;
   }
   return SampleRange{};  // drained
 }
 
-std::uint64_t ChunkSampler::remaining() const { return dataset_.num_samples - consumed_; }
+std::uint64_t ChunkSampler::remaining() const { return dataset_.num_samples - table_.consumed; }
 
 void ChunkSampler::begin_next_epoch(bool force) {
   require(force || epoch_done(), "ChunkSampler: epoch not exhausted");
-  ++epoch_;
+  ++table_.epoch;
   build_chunks();
   assign_round_robin();
 }
 
 void ChunkSampler::repartition(int new_num_workers) {
   require(new_num_workers > 0, "ChunkSampler::repartition: bad worker count");
-  num_workers_ = new_num_workers;
+  table_.num_workers = new_num_workers;
+  auto& chunks = table_.chunks;
   // Collect chunks with remaining data and re-balance them by remaining
   // volume: repeatedly give the largest fragment to the least-loaded worker.
   std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    if (chunks_[i].left() > 0) live.push_back(i);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (chunks[i].left() > 0) live.push_back(i);
   }
   std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
-    if (chunks_[a].left() != chunks_[b].left()) return chunks_[a].left() > chunks_[b].left();
+    if (chunks[a].left() != chunks[b].left()) return chunks[a].left() > chunks[b].left();
     return a < b;
   });
-  std::vector<std::uint64_t> load(static_cast<std::size_t>(num_workers_), 0);
+  std::vector<std::uint64_t> load(static_cast<std::size_t>(table_.num_workers), 0);
   for (std::size_t idx : live) {
     const auto w = static_cast<int>(
         std::min_element(load.begin(), load.end()) - load.begin());
-    chunks_[idx].owner = w;
-    load[static_cast<std::size_t>(w)] += chunks_[idx].left();
+    chunks[idx].owner = w;
+    load[static_cast<std::size_t>(w)] += chunks[idx].left();
   }
 }
 
 Bytes ChunkSampler::state_bytes() const {
   // Record table: per chunk a (begin, end, cursor, owner) row.
-  return chunks_.size() * (3 * sizeof(std::uint64_t) + sizeof(int));
+  return table_.chunks.size() * (3 * sizeof(std::uint64_t) + sizeof(int));
 }
 
 std::vector<std::uint8_t> ChunkSampler::serialize_state() const {
-  BinaryWriter w;
-  w.write(epoch_);
-  w.write(consumed_);
-  w.write(num_workers_);
-  w.write<std::uint64_t>(chunks_.size());
-  for (const auto& c : chunks_) {
-    w.write(c.begin);
-    w.write(c.end);
-    w.write(c.cursor);
-    w.write(c.owner);
-  }
-  return w.take();
+  return wire::encode(table_);
 }
 
 void ChunkSampler::restore_state(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  epoch_ = r.read<std::uint64_t>();
-  consumed_ = r.read<std::uint64_t>();
-  num_workers_ = r.read<int>();
-  const auto n = r.read<std::uint64_t>();
-  chunks_.clear();
-  chunks_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Chunk c;
-    c.begin = r.read<std::uint64_t>();
-    c.end = r.read<std::uint64_t>();
-    c.cursor = r.read<std::uint64_t>();
-    c.owner = r.read<int>();
-    chunks_.push_back(c);
-  }
+  table_ = wire::decode<Table>(data);
 }
 
 }  // namespace elan::data

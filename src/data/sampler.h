@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/error.h"
@@ -60,6 +61,9 @@ class SerialSampler {
   struct State {
     std::uint64_t epoch = 0;
     std::uint64_t cursor = 0;
+
+    static auto wire_fields(auto& s) { return std::tie(s.epoch, s.cursor); }
+
     bool operator==(const State&) const = default;
   };
   State state() const { return State{epoch_, cursor_}; }
@@ -80,9 +84,9 @@ class ChunkSampler {
   ChunkSampler(Dataset dataset, std::uint64_t chunk_size, int num_workers);
 
   const Dataset& dataset() const { return dataset_; }
-  std::uint64_t epoch() const { return epoch_; }
-  int num_workers() const { return num_workers_; }
-  std::uint64_t num_chunks() const { return chunks_.size(); }
+  std::uint64_t epoch() const { return table_.epoch; }
+  int num_workers() const { return table_.num_workers; }
+  std::uint64_t num_chunks() const { return table_.chunks.size(); }
 
   /// Consumes up to `n` samples for `worker` from its assigned chunks; may
   /// return fewer than `n` (or empty) when the worker's chunks are drained.
@@ -105,7 +109,7 @@ class ChunkSampler {
   void restore_state(std::span<const std::uint8_t> data);
 
   /// Consumed flags for verification: total samples consumed this epoch.
-  std::uint64_t consumed() const { return consumed_; }
+  std::uint64_t consumed() const { return table_.consumed; }
 
  private:
   struct Chunk {
@@ -114,14 +118,26 @@ class ChunkSampler {
     std::uint64_t cursor = 0;  // next unconsumed sample within [begin, end)
     int owner = -1;
     std::uint64_t left() const { return end - cursor; }
+
+    static constexpr bool kWireRow = true;
+    static auto wire_fields(auto& c) { return std::tie(c.begin, c.end, c.cursor, c.owner); }
+  };
+
+  /// The record table: the loader state serialize_state() carries.
+  struct Table {
+    std::uint64_t epoch = 0;
+    std::uint64_t consumed = 0;
+    int num_workers = 0;
+    std::vector<Chunk> chunks;
+
+    static auto wire_fields(auto& t) {
+      return std::tie(t.epoch, t.consumed, t.num_workers, t.chunks);
+    }
   };
 
   Dataset dataset_;
   std::uint64_t chunk_size_;
-  int num_workers_;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t consumed_ = 0;
-  std::vector<Chunk> chunks_;
+  Table table_;
 
   void build_chunks();
   void assign_round_robin();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/serialize.h"
 
 namespace elan {
 
@@ -28,32 +27,6 @@ std::uint64_t StateSnapshot::checksum() const {
     h = h * 31 + blob.checksum();
   }
   return h;
-}
-
-std::vector<std::uint8_t> StateSnapshot::serialize() const {
-  BinaryWriter w;
-  w.write<std::uint64_t>(blobs.size());
-  for (const auto& [name, blob] : blobs) {
-    w.write_string(name);
-    w.write_bytes(blob.bytes());
-  }
-  w.write<Bytes>(nominal_gpu_bytes);
-  w.write<Bytes>(nominal_cpu_bytes);
-  return w.take();
-}
-
-StateSnapshot StateSnapshot::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  StateSnapshot s;
-  const auto n = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name = r.read_string();
-    auto bytes = r.read_bytes();
-    s.blobs.emplace(name, Blob(name, std::move(bytes)));
-  }
-  s.nominal_gpu_bytes = r.read<Bytes>();
-  s.nominal_cpu_bytes = r.read<Bytes>();
-  return s;
 }
 
 void HookRegistry::register_hook(StateHook hook) {

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/blob.h"
@@ -47,8 +48,9 @@ struct StateSnapshot {
   Bytes stored_bytes() const;
   std::uint64_t checksum() const;
 
-  std::vector<std::uint8_t> serialize() const;
-  static StateSnapshot deserialize(std::span<const std::uint8_t> data);
+  static auto wire_fields(auto& s) {
+    return std::tie(s.blobs, s.nominal_gpu_bytes, s.nominal_cpu_bytes);
+  }
 };
 
 /// Registry of all state hooks of one worker (RegisterHook in Table III).

@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "common/serialize.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,11 +74,8 @@ ElasticJob::ElasticJob(sim::Simulator& simulator, const topo::Topology& topology
   attach_master_listener();
   sched_endpoint_ = std::make_unique<transport::ReliableEndpoint>(
       bus_, "sched/" + config_.job_id, [this](const transport::Message& msg) {
-        if (msg.type == "adjust_reply") {
-          on_adjust_reply(AdjustReplyMsg::deserialize(msg.payload));
-        } else {
-          log_warn() << config_.job_id << ": scheduler got unexpected " << msg.type;
-        }
+        dispatch_message(msg, sched_endpoint_->name(),
+                         [this](const AdjustReplyMsg& reply) { on_adjust_reply(reply); });
       });
   allocated_batch_ =
       (total_batch_ + config_.initial_workers - 1) / config_.initial_workers;
@@ -161,19 +157,9 @@ void ElasticJob::register_loader_hook(WorkerProcess& worker) {
   }
   worker.hooks().register_hook(StateHook{
       "data_loader", StateLocation::kCpu, config_.worker_params.loader_state_bytes,
-      [this] {
-        BinaryWriter w;
-        const auto s = sampler_.state();
-        w.write(s.epoch);
-        w.write(s.cursor);
-        return Blob("data_loader", w.take());
-      },
+      [this] { return Blob("data_loader", wire::encode(sampler_.state())); },
       [this](const Blob& b) {
-        BinaryReader r(b.bytes());
-        data::SerialSampler::State s;
-        s.epoch = r.read<std::uint64_t>();
-        s.cursor = r.read<std::uint64_t>();
-        sampler_.restore(s);
+        sampler_.restore(wire::decode<data::SerialSampler::State>(b.bytes()));
       }});
 }
 
@@ -351,8 +337,7 @@ void ElasticJob::process_pending_failures() {
   // global serial cursor / chunk repartition automatically.
   if (chunk_sampler_) chunk_sampler_->repartition(num_workers());
   resize_workspaces();
-  const Seconds reconstruct = config_.group_params.reconstruct_fixed +
-                              config_.group_params.reconstruct_per_rank * num_workers();
+  const Seconds reconstruct = config_.group_params.reconstruct_time(num_workers());
   sim_.schedule(reconstruct + repartition_cost(), [this] { begin_iteration(); });
 }
 
@@ -549,7 +534,7 @@ void ElasticJob::send_adjust_request(AdjustRequestMsg msg) {
   outstanding_requests_.insert(msg.request_id);
   obs::event(obs::FlightEventKind::kAdjustSent, config_.job_id.c_str(), to_string(msg.type),
              msg.request_id);
-  sched_endpoint_->send(master_->name(), "adjust_request", msg.serialize());
+  send_message(*sched_endpoint_, master_->name(), msg);
   arm_adjust_resend(std::move(msg));
 }
 
@@ -565,7 +550,7 @@ void ElasticJob::arm_adjust_resend(AdjustRequestMsg msg) {
         if (!running_ || outstanding_requests_.count(msg.request_id) == 0) return;
         log_debug() << config_.job_id << ": no reply for adjust request " << msg.request_id
                     << " after " << config_.adjust_reply_timeout << "s; re-sending";
-        sched_endpoint_->send(master_->name(), "adjust_request", msg.serialize());
+        send_message(*sched_endpoint_, master_->name(), msg);
         arm_adjust_resend(std::move(msg));
       });
 }
@@ -802,7 +787,7 @@ void ElasticJob::execute_elan_adjustment(AdjustmentRecord record, const Adjustme
     session = std::make_shared<ReplicationSession>();
     session->num_chunks = schedule.num_chunks;
     session->stream = std::make_shared<const std::vector<std::uint8_t>>(
-        any_worker.hooks().save_all().serialize());
+        wire::encode(any_worker.hooks().save_all()));
     session->stream_checksum = fnv1a(*session->stream);
     session->stats.num_chunks = schedule.num_chunks;
     for (const auto& [id, gpu] : plan.join) {
@@ -842,8 +827,7 @@ void ElasticJob::execute_elan_adjustment(AdjustmentRecord record, const Adjustme
   // Step 5: state adjustment — communication-group reconstruction; data
   // repartition is free under serial semantics (the cursor is global) but
   // costs a record-table rework under chunk semantics.
-  const Seconds reconstruct = config_.group_params.reconstruct_fixed +
-                              config_.group_params.reconstruct_per_rank * workers_after;
+  const Seconds reconstruct = config_.group_params.reconstruct_time(workers_after);
   record.breakdown.reconstruct = reconstruct;
   record.breakdown.repartition = repartition_cost();
 
@@ -874,7 +858,7 @@ void ElasticJob::complete_elan_replication(AdjustmentRecord record, AdjustmentPl
       if (dest.verified >= session->num_chunks) {
         ELAN_CHECK(fnv1a(dest.buffer) == session->stream_checksum,
                    "replicated state differs from the canonical stream");
-        dst->second->hooks().load_all(StateSnapshot::deserialize(dest.buffer));
+        dst->second->hooks().load_all(wire::decode<StateSnapshot>(dest.buffer));
         dest.done = true;
       } else {
         resume.push_back(dest_id);
@@ -949,7 +933,7 @@ void ElasticJob::execute_snr_adjustment(AdjustmentRecord record, const Adjustmen
   // Checkpoint: rank 0 copies GPU state to host and writes everything to the
   // shared filesystem.
   const auto snapshot = any_worker.hooks().save_all();
-  const Seconds write_time = fs_.write(checkpoint_path(), snapshot.serialize());
+  const Seconds write_time = fs_.write(checkpoint_path(), wire::encode(snapshot));
   record.breakdown.checkpoint = bandwidth_.host_device_copy_time(gpu_bytes) + write_time;
 
   const bool is_migration = plan.type == AdjustmentType::kMigrate;
@@ -983,13 +967,12 @@ void ElasticJob::execute_snr_adjustment(AdjustmentRecord record, const Adjustmen
   record.breakdown.load = fs_.concurrent_read_time(workers_after, snapshot.stored_bytes() +
                                                                       gpu_bytes) +
                           bandwidth_.host_device_copy_time(gpu_bytes);
-  record.breakdown.reconstruct = config_.group_params.reconstruct_fixed +
-                                 config_.group_params.reconstruct_per_rank * workers_after;
+  record.breakdown.reconstruct = config_.group_params.reconstruct_time(workers_after);
   record.breakdown.repartition = repartition_cost();
 
   // Restore every worker (new and surviving) from the checkpoint bytes.
   const auto& stored = fs_.read(checkpoint_path());
-  const auto loaded = StateSnapshot::deserialize(stored);
+  const auto loaded = wire::decode<StateSnapshot>(stored);
   for (auto& [id, w] : joining_) w->hooks().load_all(loaded);
   for (auto& [id, w] : workers_) w->hooks().load_all(loaded);
 

@@ -27,8 +27,8 @@ ApplicationMaster::ApplicationMaster(transport::RawTransport& bus, transport::Kv
   MutexLock lock(mu_);
   for (const auto& w : initial_workers) {
     require(w.worker >= 0, "AM: bad initial worker id");
-    workers_.emplace(w.worker, w.gpu);
-    next_worker_id_ = std::max(next_worker_id_, w.worker + 1);
+    state_.workers.emplace(w.worker, w.gpu);
+    state_.next_worker_id = std::max(state_.next_worker_id, w.worker + 1);
   }
   persist();
 }
@@ -55,16 +55,16 @@ void ApplicationMaster::set_phase_locked(AmPhase next) {
   auto& tracer = obs::Tracer::instance();
   const double now_us = tracer.now_us();
   if (obs::Tracer::enabled()) {
-    tracer.complete("master", std::string("phase/") + to_string(phase_), phase_started_us_,
+    tracer.complete("master", std::string("phase/") + to_string(state_.phase), phase_started_us_,
                     now_us - phase_started_us_,
                     "{\"job\":\"" + obs::json_escape(job_id_) + "\"}");
   }
   phase_started_us_ = now_us;
-  const AmPhase prev = phase_;
-  phase_ = next;
+  const AmPhase prev = state_.phase;
+  state_.phase = next;
   obs::event(obs::FlightEventKind::kAmPhase, name_.c_str(), to_string(next),
              static_cast<std::uint64_t>(prev), static_cast<std::uint64_t>(next),
-             plan_.version);
+             state_.plan.version);
   // Listener runs under mu_ (see header): it may schedule simulator events
   // but must not call back into this AM.
   if (phase_listener_ && prev != next) phase_listener_(prev, next);
@@ -89,25 +89,25 @@ void ApplicationMaster::cancel_report_timer_locked() {
 void ApplicationMaster::on_report_timeout() {
   MutexLock lock(mu_);
   report_timer_ = 0;
-  if (phase_ != AmPhase::kWaitingReady) return;  // stale timer
+  if (state_.phase != AmPhase::kWaitingReady) return;  // stale timer
   // Joining workers that never reported are presumed dead (crashed during
   // launch, or partitioned): evict them so the adjustment degrades
   // gracefully to the workers that did report instead of wedging forever.
-  for (int id : pending_reports_) {
-    plan_.join.erase(id);
+  for (int id : state_.pending_reports) {
+    state_.plan.join.erase(id);
     ++evictions_;
     obs::event(obs::FlightEventKind::kWorkerEvicted, name_.c_str(), nullptr,
-               static_cast<std::uint64_t>(id), plan_.version);
+               static_cast<std::uint64_t>(id), state_.plan.version);
     log_warn() << name_ << ": evicting joining worker " << id
                << " (no report within " << params_.report_timeout << "s)";
   }
-  pending_reports_.clear();
-  if (plan_.join.empty() && plan_.type != AdjustmentType::kScaleIn) {
+  state_.pending_reports.clear();
+  if (state_.plan.join.empty() && state_.plan.type != AdjustmentType::kScaleIn) {
     // Nobody made it: abort the adjustment cleanly (a migration without
     // replacements must not remove its victims).
-    log_warn() << name_ << ": plan v" << plan_.version
+    log_warn() << name_ << ": plan v" << state_.plan.version
                << " aborted, no joining worker reported";
-    plan_ = AdjustmentPlan{};
+    state_.plan = AdjustmentPlan{};
     set_phase_locked(AmPhase::kSteady);
   } else {
     set_phase_locked(AmPhase::kReady);
@@ -121,21 +121,13 @@ void ApplicationMaster::attach_endpoint() {
 }
 
 void ApplicationMaster::handle(const transport::Message& msg) {
-  if (msg.type == "report") {
-    on_report(ReportMsg::deserialize(msg.payload));
-  } else if (msg.type == "coordinate") {
-    on_coordinate(CoordinateMsg::deserialize(msg.payload), msg.from);
-  } else if (msg.type == "adjust_request") {
-    on_adjust_request(AdjustRequestMsg::deserialize(msg.payload), msg.from);
-  } else if (msg.type == "adjust_complete") {
-    on_adjust_complete_msg(AdjustCompleteMsg::deserialize(msg.payload));
-  } else if (msg.type == "remove_failed") {
-    remove_failed(RemoveFailedMsg::deserialize(msg.payload).worker);
-  } else if (msg.type == "status") {
-    on_status(StatusRequestMsg::deserialize(msg.payload), msg.from);
-  } else {
-    log_warn() << name_ << ": unknown message type " << msg.type;
-  }
+  dispatch_message(msg, name_,
+                   [&](const ReportMsg& m) { on_report(m); },
+                   [&](const CoordinateMsg& m) { on_coordinate(m, msg.from); },
+                   [&](const AdjustRequestMsg& m) { on_adjust_request(m, msg.from); },
+                   [&](const AdjustCompleteMsg& m) { on_adjust_complete_msg(m); },
+                   [&](const RemoveFailedMsg& m) { remove_failed(m.worker); },
+                   [&](const StatusRequestMsg& m) { on_status(m, msg.from); });
 }
 
 void ApplicationMaster::on_adjust_request(const AdjustRequestMsg& msg,
@@ -146,8 +138,8 @@ void ApplicationMaster::on_adjust_request(const AdjustRequestMsg& msg,
     MutexLock lock(mu_);
     obs::event(obs::FlightEventKind::kAdjustRequest, name_.c_str(), to_string(msg.type),
                msg.request_id);
-    auto cached = replied_.find(msg.request_id);
-    if (cached != replied_.end()) {
+    auto cached = state_.replied.find(msg.request_id);
+    if (cached != state_.replied.end()) {
       // The job re-sent this request because the original reply never
       // arrived — replay the cached verdict instead of re-executing.
       log_debug() << "am/" << job_id_ << ": replaying reply for duplicate adjust request "
@@ -176,14 +168,14 @@ void ApplicationMaster::on_adjust_request(const AdjustRequestMsg& msg,
         reply.error = e.what();
       }
       obs::event(obs::FlightEventKind::kAdjustVerdict, name_.c_str(), to_string(msg.type),
-                 msg.request_id, reply.ok ? 1 : 0, plan_.version);
-      replied_.emplace(msg.request_id, reply);
-      while (replied_.size() > 16) replied_.erase(replied_.begin());
+                 msg.request_id, reply.ok ? 1 : 0, state_.plan.version);
+      state_.replied.emplace(msg.request_id, reply);
+      while (state_.replied.size() > 16) state_.replied.erase(state_.replied.begin());
       persist();
     }
   }
   // Reply with no AM lock held (endpoint -> bus -> simulator locks follow).
-  endpoint_->send(reply_to, "adjust_reply", reply.serialize());
+  send_message(*endpoint_, reply_to, reply);
 }
 
 std::vector<WorkerLaunchSpec> ApplicationMaster::scale_out(
@@ -194,16 +186,16 @@ std::vector<WorkerLaunchSpec> ApplicationMaster::scale_out(
 
 std::vector<WorkerLaunchSpec> ApplicationMaster::scale_out_locked(
     const std::vector<topo::GpuId>& gpus) {
-  require(phase_ == AmPhase::kSteady, "AM: adjustment already pending");
+  require(state_.phase == AmPhase::kSteady, "AM: adjustment already pending");
   require(!gpus.empty(), "scale_out: no GPUs");
-  plan_ = AdjustmentPlan{};
-  plan_.version = next_version_++;
-  plan_.type = AdjustmentType::kScaleOut;
+  state_.plan = AdjustmentPlan{};
+  state_.plan.version = state_.next_version++;
+  state_.plan.type = AdjustmentType::kScaleOut;
   std::vector<WorkerLaunchSpec> specs;
   for (auto gpu : gpus) {
-    const int id = next_worker_id_++;
-    plan_.join.emplace(id, gpu);
-    pending_reports_.insert(id);
+    const int id = state_.next_worker_id++;
+    state_.plan.join.emplace(id, gpu);
+    state_.pending_reports.insert(id);
     specs.push_back({id, gpu});
   }
   set_phase_locked(AmPhase::kWaitingReady);
@@ -218,16 +210,16 @@ void ApplicationMaster::scale_in(const std::vector<int>& victims) {
 }
 
 void ApplicationMaster::scale_in_locked(const std::vector<int>& victims) {
-  require(phase_ == AmPhase::kSteady, "AM: adjustment already pending");
+  require(state_.phase == AmPhase::kSteady, "AM: adjustment already pending");
   require(!victims.empty(), "scale_in: no victims");
-  require(victims.size() < workers_.size(), "scale_in: cannot remove all workers");
+  require(victims.size() < state_.workers.size(), "scale_in: cannot remove all workers");
   for (int v : victims) {
-    ELAN_REQUIRE(workers_.count(v) > 0, "scale_in: unknown worker " + std::to_string(v));
+    ELAN_REQUIRE(state_.workers.count(v) > 0, "scale_in: unknown worker " + std::to_string(v));
   }
-  plan_ = AdjustmentPlan{};
-  plan_.version = next_version_++;
-  plan_.type = AdjustmentType::kScaleIn;
-  plan_.leave = victims;
+  state_.plan = AdjustmentPlan{};
+  state_.plan.version = state_.next_version++;
+  state_.plan.type = AdjustmentType::kScaleIn;
+  state_.plan.leave = victims;
   // No new workers to wait for: ready immediately.
   set_phase_locked(AmPhase::kReady);
   persist();
@@ -241,21 +233,21 @@ std::vector<WorkerLaunchSpec> ApplicationMaster::migrate(
 
 std::vector<WorkerLaunchSpec> ApplicationMaster::migrate_locked(
     const std::vector<int>& victims, const std::vector<topo::GpuId>& target_gpus) {
-  require(phase_ == AmPhase::kSteady, "AM: adjustment already pending");
+  require(state_.phase == AmPhase::kSteady, "AM: adjustment already pending");
   require(!victims.empty() && victims.size() == target_gpus.size(),
           "migrate: victims/targets mismatch");
   for (int v : victims) {
-    ELAN_REQUIRE(workers_.count(v) > 0, "migrate: unknown worker " + std::to_string(v));
+    ELAN_REQUIRE(state_.workers.count(v) > 0, "migrate: unknown worker " + std::to_string(v));
   }
-  plan_ = AdjustmentPlan{};
-  plan_.version = next_version_++;
-  plan_.type = AdjustmentType::kMigrate;
-  plan_.leave = victims;
+  state_.plan = AdjustmentPlan{};
+  state_.plan.version = state_.next_version++;
+  state_.plan.type = AdjustmentType::kMigrate;
+  state_.plan.leave = victims;
   std::vector<WorkerLaunchSpec> specs;
   for (auto gpu : target_gpus) {
-    const int id = next_worker_id_++;
-    plan_.join.emplace(id, gpu);
-    pending_reports_.insert(id);
+    const int id = state_.next_worker_id++;
+    state_.plan.join.emplace(id, gpu);
+    state_.pending_reports.insert(id);
     specs.push_back({id, gpu});
   }
   set_phase_locked(AmPhase::kWaitingReady);
@@ -267,17 +259,17 @@ std::vector<WorkerLaunchSpec> ApplicationMaster::migrate_locked(
 void ApplicationMaster::on_report(const ReportMsg& msg) {
   MutexLock lock(mu_);
   ++reports_received_;
-  if (phase_ != AmPhase::kWaitingReady) {
+  if (state_.phase != AmPhase::kWaitingReady) {
     // Duplicate or stale report (e.g. resent after an AM restart): ignore.
     return;
   }
   obs::event(obs::FlightEventKind::kWorkerReport, name_.c_str(), nullptr,
-             static_cast<std::uint64_t>(msg.worker), plan_.version);
-  pending_reports_.erase(msg.worker);
-  if (pending_reports_.empty()) {
+             static_cast<std::uint64_t>(msg.worker), state_.plan.version);
+  state_.pending_reports.erase(msg.worker);
+  if (state_.pending_reports.empty()) {
     cancel_report_timer_locked();
     set_phase_locked(AmPhase::kReady);
-    log_debug() << name_ << ": all new workers reported, plan v" << plan_.version
+    log_debug() << name_ << ": all new workers reported, plan v" << state_.plan.version
                 << " ready";
   }
   persist();
@@ -289,7 +281,7 @@ void ApplicationMaster::on_coordinate(const CoordinateMsg& msg, const std::strin
   {
     MutexLock lock(mu_);
     ++coordinations_;
-    std::uint64_t& last = coordinated_[msg.worker];
+    std::uint64_t& last = state_.coordinated[msg.worker];
     const bool stale = msg.iteration < last;
     last = std::max(last, msg.iteration);
     // Instruct the adjustment only when every joining worker is ready;
@@ -297,49 +289,50 @@ void ApplicationMaster::on_coordinate(const CoordinateMsg& msg, const std::strin
     // (asynchronous coordination, §V-B). The worker discards the answer to
     // a stale coordinate, so only a current one may start the adjustment;
     // otherwise, if no later round comes, the AM waits in Adjusting forever.
-    if ((phase_ == AmPhase::kReady && !stale) || phase_ == AmPhase::kAdjusting) {
+    if ((state_.phase == AmPhase::kReady && !stale) || state_.phase == AmPhase::kAdjusting) {
       decision.adjust = true;
-      decision.plan = plan_;
-      if (phase_ == AmPhase::kReady) {
+      decision.plan = state_.plan;
+      if (state_.phase == AmPhase::kReady) {
         set_phase_locked(AmPhase::kAdjusting);
         persist();
       }
     }
   }
-  endpoint_->send(reply_to, "decision", decision.serialize());
+  send_message(*endpoint_, reply_to, decision);
 }
 
 void ApplicationMaster::on_adjustment_complete(const std::vector<int>& failed_joins) {
   MutexLock lock(mu_);
-  require(phase_ == AmPhase::kAdjusting, "AM: no adjustment in flight");
+  require(state_.phase == AmPhase::kAdjusting, "AM: no adjustment in flight");
   complete_locked(failed_joins);
 }
 
 void ApplicationMaster::complete_locked(const std::vector<int>& failed_joins) {
-  for (const auto& [id, gpu] : plan_.join) {
+  for (const auto& [id, gpu] : state_.plan.join) {
     if (std::find(failed_joins.begin(), failed_joins.end(), id) != failed_joins.end()) {
       continue;  // died between reporting and admission
     }
-    workers_.emplace(id, gpu);
+    state_.workers.emplace(id, gpu);
   }
-  for (int v : plan_.leave) {
-    workers_.erase(v);
-    coordinated_.erase(v);
+  for (int v : state_.plan.leave) {
+    state_.workers.erase(v);
+    state_.coordinated.erase(v);
   }
-  plan_ = AdjustmentPlan{};
-  plan_.version = 0;
+  state_.plan = AdjustmentPlan{};
+  state_.plan.version = 0;
   set_phase_locked(AmPhase::kSteady);
   persist();
 }
 
 void ApplicationMaster::on_adjust_complete_msg(const AdjustCompleteMsg& msg) {
   MutexLock lock(mu_);
-  if (phase_ != AmPhase::kAdjusting || msg.plan_version != plan_.version) {
+  if (state_.phase != AmPhase::kAdjusting || msg.plan_version != state_.plan.version) {
     // Duplicate (the runtime re-sent after a lost ack) or a completion for a
     // plan that already finished: idempotent no-op, unlike the in-process
     // on_adjustment_complete which treats this as a programming error.
     log_debug() << name_ << ": ignoring adjust_complete for plan v" << msg.plan_version
-                << " (phase " << to_string(phase_) << ", plan v" << plan_.version << ")";
+                << " (phase " << to_string(state_.phase) << ", plan v" << state_.plan.version
+                << ")";
     return;
   }
   complete_locked(msg.failed_joins);
@@ -350,85 +343,32 @@ void ApplicationMaster::on_status(const StatusRequestMsg& msg, const std::string
   reply.request_id = msg.request_id;
   {
     MutexLock lock(mu_);
-    reply.phase = static_cast<std::uint8_t>(phase_);
-    reply.plan_version = plan_.version;
-    reply.workers = workers_;
+    reply.phase = static_cast<std::uint8_t>(state_.phase);
+    reply.plan_version = state_.plan.version;
+    reply.workers = state_.workers;
     reply.evictions = evictions_;
     reply.coordinations = coordinations_;
     reply.reports = reports_received_;
   }
   // Reply with no AM lock held, like every other message path.
-  endpoint_->send(reply_to, "status_reply", reply.serialize());
+  send_message(*endpoint_, reply_to, reply);
 }
 
 void ApplicationMaster::remove_failed(int worker) {
   MutexLock lock(mu_);
-  workers_.erase(worker);
-  coordinated_.erase(worker);
+  state_.workers.erase(worker);
+  state_.coordinated.erase(worker);
   persist();
 }
 
-void ApplicationMaster::persist() {
-  BinaryWriter w;
-  w.write(static_cast<std::uint8_t>(phase_));
-  w.write(next_worker_id_);
-  w.write(next_version_);
-  w.write<std::uint64_t>(workers_.size());
-  for (const auto& [id, gpu] : workers_) {
-    w.write(id);
-    w.write(gpu);
-  }
-  const auto plan_bytes = plan_.serialize();
-  w.write_bytes(plan_bytes);
-  w.write<std::uint64_t>(pending_reports_.size());
-  for (int id : pending_reports_) w.write(id);
-  w.write<std::uint64_t>(replied_.size());
-  for (const auto& [id, reply] : replied_) {
-    w.write(id);
-    w.write_bytes(reply.serialize());
-  }
-  w.write<std::uint64_t>(coordinated_.size());
-  for (const auto& [id, iteration] : coordinated_) {
-    w.write(id);
-    w.write(iteration);
-  }
-  kv_.put(kv_key(), w.take());
-}
+void ApplicationMaster::persist() { kv_.put(kv_key(), wire::encode(state_)); }
 
-void ApplicationMaster::restore_from_bytes(std::span<const std::uint8_t> data) {
+void ApplicationMaster::restore(AmRecord record) {
   MutexLock lock(mu_);
-  BinaryReader r(data);
-  phase_ = static_cast<AmPhase>(r.read<std::uint8_t>());
-  next_worker_id_ = r.read<int>();
-  next_version_ = r.read<std::uint64_t>();
-  const auto nw = r.read<std::uint64_t>();
-  workers_.clear();
-  for (std::uint64_t i = 0; i < nw; ++i) {
-    const int id = r.read<int>();
-    const auto gpu = r.read<topo::GpuId>();
-    workers_.emplace(id, gpu);
-  }
-  const auto plan_bytes = r.read_bytes();
-  BinaryReader pr(plan_bytes);
-  plan_ = AdjustmentPlan::deserialize(pr);
-  pending_reports_.clear();
-  const auto np = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < np; ++i) pending_reports_.insert(r.read<int>());
-  replied_.clear();
-  const auto nr = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < nr; ++i) {
-    const auto id = r.read<std::uint64_t>();
-    replied_.emplace(id, AdjustReplyMsg::deserialize(r.read_bytes()));
-  }
-  coordinated_.clear();
-  const auto nc = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < nc; ++i) {
-    const int id = r.read<int>();
-    coordinated_.emplace(id, r.read<std::uint64_t>());
-  }
+  state_ = std::move(record);
   // A recovery landing mid-wait restarts the report-timeout clock: the
   // workers get a fresh window before eviction.
-  if (phase_ == AmPhase::kWaitingReady) arm_report_timer_locked();
+  if (state_.phase == AmPhase::kWaitingReady) arm_report_timer_locked();
 }
 
 std::unique_ptr<ApplicationMaster> ApplicationMaster::recover(transport::RawTransport& bus,
@@ -439,7 +379,7 @@ std::unique_ptr<ApplicationMaster> ApplicationMaster::recover(transport::RawTran
   if (!data) throw NotFound("persisted AM state for job " + job_id);
   // Note: cannot use make_unique with a private constructor.
   std::unique_ptr<ApplicationMaster> am(new ApplicationMaster(bus, kv, job_id, params));
-  am->restore_from_bytes(*data);
+  am->restore(wire::decode<AmRecord>(*data));
   return am;
 }
 

@@ -26,6 +26,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/sync.h"
@@ -43,10 +44,41 @@ enum class AmPhase {
 };
 
 const char* to_string(AmPhase phase);
+constexpr AmPhase wire_max(AmPhase) { return AmPhase::kAdjusting; }
 
 struct WorkerLaunchSpec {
   int worker = -1;
   topo::GpuId gpu = -1;
+};
+
+/// The AM's state machine: one record, persisted to the KV store after every
+/// transition (§V-D). ApplicationMaster::recover rebuilds an equivalent AM
+/// from it.
+struct AmRecord {
+  AmPhase phase = AmPhase::kSteady;
+  int next_worker_id = 0;
+  std::uint64_t next_version = 1;
+  std::map<int, topo::GpuId> workers;
+  AdjustmentPlan plan;
+  /// Joining workers that have not reported yet.
+  std::set<int> pending_reports;
+  /// Replay cache making on_adjust_request idempotent: if the job re-sends a
+  /// request because the reply was lost (an AM crash between transport ack
+  /// and reply delivery destroys the reply's retry state), the cached reply
+  /// is re-sent instead of re-executing the adjustment. Pruned to the most
+  /// recent entries (request ids are monotonic).
+  std::map<std::uint64_t, AdjustReplyMsg> replied;
+  /// Highest iteration each worker has coordinated at. A coordinate below it
+  /// is a retransmission from a round that worker already finished (its
+  /// reliable endpoint keeps retrying a message that a decision-timeout
+  /// re-send replaced); it must not start an adjustment, even after a
+  /// recovery.
+  std::map<int, std::uint64_t> coordinated;
+
+  static auto wire_fields(auto& r) {
+    return std::tie(r.phase, r.next_worker_id, r.next_version, r.workers, r.plan,
+                    r.pending_reports, r.replied, r.coordinated);
+  }
 };
 
 struct AmParams {
@@ -68,22 +100,22 @@ class ApplicationMaster {
   const std::string& job_id() const { return job_id_; }
   AmPhase phase() const {
     MutexLock lock(mu_);
-    return phase_;
+    return state_.phase;
   }
   std::uint64_t plan_version() const {
     MutexLock lock(mu_);
-    return plan_.version;
+    return state_.plan.version;
   }
   /// Snapshot of the pending plan.
   AdjustmentPlan plan() const {
     MutexLock lock(mu_);
-    return plan_;
+    return state_.plan;
   }
 
   /// Snapshot of the worker membership as known to the AM (worker -> GPU).
   std::map<int, topo::GpuId> workers() const {
     MutexLock lock(mu_);
-    return workers_;
+    return state_.workers;
   }
 
   // --- Service API offered to the scheduler (Table III) -------------------
@@ -104,7 +136,7 @@ class ApplicationMaster {
   /// True when a request can be accepted.
   bool idle() const {
     MutexLock lock(mu_);
-    return phase_ == AmPhase::kSteady;
+    return state_.phase == AmPhase::kSteady;
   }
 
   // --- Completion signal from the job runtime ------------------------------
@@ -169,30 +201,11 @@ class ApplicationMaster {
   std::unique_ptr<transport::ReliableEndpoint> endpoint_;
 
   mutable Mutex mu_{"application_master"};
-  AmPhase phase_ ELAN_GUARDED_BY(mu_) = AmPhase::kSteady;
+  AmRecord state_ ELAN_GUARDED_BY(mu_);
   // Tracer-clock timestamp of the last phase transition, or of the AM's
   // construction or recovery; each transition emits a span covering the
   // phase that just ended (category "master").
   double phase_started_us_ ELAN_GUARDED_BY(mu_) = 0;
-  std::map<int, topo::GpuId> workers_ ELAN_GUARDED_BY(mu_);
-  AdjustmentPlan plan_ ELAN_GUARDED_BY(mu_);
-  // Joining workers that have not reported yet.
-  std::set<int> pending_reports_ ELAN_GUARDED_BY(mu_);
-  /// Replay cache making on_adjust_request idempotent: if the job re-sends a
-  /// request because the reply was lost (an AM crash between transport ack
-  /// and reply delivery destroys the reply's retry state), the cached reply
-  /// is re-sent instead of re-executing the adjustment. Persisted with the
-  /// rest of the AM state; pruned to the most recent entries (request ids
-  /// are monotonic).
-  std::map<std::uint64_t, AdjustReplyMsg> replied_ ELAN_GUARDED_BY(mu_);
-  /// Highest iteration each worker has coordinated at. A coordinate below it
-  /// is a retransmission from a round that worker already finished (its
-  /// reliable endpoint keeps retrying a message that a decision-timeout
-  /// re-send replaced); it must not start an adjustment. Persisted, so a
-  /// recovered AM still recognises such a retransmission.
-  std::map<int, std::uint64_t> coordinated_ ELAN_GUARDED_BY(mu_);
-  int next_worker_id_ ELAN_GUARDED_BY(mu_) = 0;
-  std::uint64_t next_version_ ELAN_GUARDED_BY(mu_) = 1;
   std::uint64_t reports_received_ ELAN_GUARDED_BY(mu_) = 0;
   std::uint64_t coordinations_ ELAN_GUARDED_BY(mu_) = 0;
   std::uint64_t evictions_ ELAN_GUARDED_BY(mu_) = 0;
@@ -230,7 +243,7 @@ class ApplicationMaster {
   // Transition the phase state machine, tracing the phase that just ended.
   void set_phase_locked(AmPhase next) ELAN_REQUIRES(mu_);
   void persist() ELAN_REQUIRES(mu_);
-  void restore_from_bytes(std::span<const std::uint8_t> data);
+  void restore(AmRecord record);
   std::string kv_key() const { return "elan/am/" + job_id_; }
 };
 

@@ -11,211 +11,4 @@ const char* to_string(AdjustmentType type) {
   return "?";
 }
 
-std::vector<std::uint8_t> AdjustmentPlan::serialize() const {
-  BinaryWriter w;
-  w.write(version);
-  w.write(static_cast<std::uint8_t>(type));
-  w.write<std::uint64_t>(join.size());
-  for (const auto& [id, gpu] : join) {
-    w.write(id);
-    w.write(gpu);
-  }
-  w.write<std::uint64_t>(leave.size());
-  for (int id : leave) w.write(id);
-  return w.take();
-}
-
-AdjustmentPlan AdjustmentPlan::deserialize(BinaryReader& r) {
-  AdjustmentPlan p;
-  p.version = r.read<std::uint64_t>();
-  p.type = static_cast<AdjustmentType>(r.read<std::uint8_t>());
-  const auto nj = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < nj; ++i) {
-    const int id = r.read<int>();
-    const auto gpu = r.read<topo::GpuId>();
-    p.join.emplace(id, gpu);
-  }
-  const auto nl = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < nl; ++i) p.leave.push_back(r.read<int>());
-  return p;
-}
-
-std::vector<std::uint8_t> ReportMsg::serialize() const {
-  BinaryWriter w;
-  w.write(worker);
-  w.write(gpu);
-  return w.take();
-}
-
-ReportMsg ReportMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  ReportMsg m;
-  m.worker = r.read<int>();
-  m.gpu = r.read<topo::GpuId>();
-  return m;
-}
-
-std::vector<std::uint8_t> CoordinateMsg::serialize() const {
-  BinaryWriter w;
-  w.write(worker);
-  w.write(iteration);
-  return w.take();
-}
-
-CoordinateMsg CoordinateMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  CoordinateMsg m;
-  m.worker = r.read<int>();
-  m.iteration = r.read<std::uint64_t>();
-  return m;
-}
-
-std::vector<std::uint8_t> DecisionMsg::serialize() const {
-  BinaryWriter w;
-  w.write(adjust);
-  w.write(iteration);
-  const auto plan_bytes = plan.serialize();
-  w.write_bytes(plan_bytes);
-  return w.take();
-}
-
-DecisionMsg DecisionMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  DecisionMsg m;
-  m.adjust = r.read<bool>();
-  m.iteration = r.read<std::uint64_t>();
-  const auto plan_bytes = r.read_bytes();
-  BinaryReader pr(plan_bytes);
-  m.plan = AdjustmentPlan::deserialize(pr);
-  return m;
-}
-
-std::vector<std::uint8_t> AdjustRequestMsg::serialize() const {
-  BinaryWriter w;
-  w.write(request_id);
-  w.write(static_cast<std::uint8_t>(type));
-  w.write<std::uint64_t>(gpus.size());
-  for (auto g : gpus) w.write(g);
-  w.write<std::uint64_t>(victims.size());
-  for (int v : victims) w.write(v);
-  return w.take();
-}
-
-AdjustRequestMsg AdjustRequestMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  AdjustRequestMsg m;
-  m.request_id = r.read<std::uint64_t>();
-  m.type = static_cast<AdjustmentType>(r.read<std::uint8_t>());
-  const auto ng = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < ng; ++i) m.gpus.push_back(r.read<topo::GpuId>());
-  const auto nv = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < nv; ++i) m.victims.push_back(r.read<int>());
-  return m;
-}
-
-std::vector<std::uint8_t> AdjustReplyMsg::serialize() const {
-  BinaryWriter w;
-  w.write(request_id);
-  w.write(ok);
-  w.write_string(error);
-  w.write<std::uint64_t>(launch.size());
-  for (const auto& [id, gpu] : launch) {
-    w.write(id);
-    w.write(gpu);
-  }
-  return w.take();
-}
-
-AdjustReplyMsg AdjustReplyMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  AdjustReplyMsg m;
-  m.request_id = r.read<std::uint64_t>();
-  m.ok = r.read<bool>();
-  m.error = r.read_string();
-  const auto n = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const int id = r.read<int>();
-    const auto gpu = r.read<topo::GpuId>();
-    m.launch.emplace_back(id, gpu);
-  }
-  return m;
-}
-
-std::vector<std::uint8_t> AdjustCompleteMsg::serialize() const {
-  BinaryWriter w;
-  w.write(plan_version);
-  w.write<std::uint64_t>(failed_joins.size());
-  for (int id : failed_joins) w.write(id);
-  return w.take();
-}
-
-AdjustCompleteMsg AdjustCompleteMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  AdjustCompleteMsg m;
-  m.plan_version = r.read<std::uint64_t>();
-  const auto n = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n; ++i) m.failed_joins.push_back(r.read<int>());
-  return m;
-}
-
-std::vector<std::uint8_t> RemoveFailedMsg::serialize() const {
-  BinaryWriter w;
-  w.write(worker);
-  return w.take();
-}
-
-RemoveFailedMsg RemoveFailedMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  RemoveFailedMsg m;
-  m.worker = r.read<int>();
-  return m;
-}
-
-std::vector<std::uint8_t> StatusRequestMsg::serialize() const {
-  BinaryWriter w;
-  w.write(request_id);
-  return w.take();
-}
-
-StatusRequestMsg StatusRequestMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  StatusRequestMsg m;
-  m.request_id = r.read<std::uint64_t>();
-  return m;
-}
-
-std::vector<std::uint8_t> StatusReplyMsg::serialize() const {
-  BinaryWriter w;
-  w.write(request_id);
-  w.write(phase);
-  w.write(plan_version);
-  w.write<std::uint64_t>(workers.size());
-  for (const auto& [id, gpu] : workers) {
-    w.write(id);
-    w.write(gpu);
-  }
-  w.write(evictions);
-  w.write(coordinations);
-  w.write(reports);
-  return w.take();
-}
-
-StatusReplyMsg StatusReplyMsg::deserialize(std::span<const std::uint8_t> data) {
-  BinaryReader r(data);
-  StatusReplyMsg m;
-  m.request_id = r.read<std::uint64_t>();
-  m.phase = r.read<std::uint8_t>();
-  m.plan_version = r.read<std::uint64_t>();
-  const auto n = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const int id = r.read<int>();
-    const auto gpu = r.read<topo::GpuId>();
-    m.workers.emplace(id, gpu);
-  }
-  m.evictions = r.read<std::uint64_t>();
-  m.coordinations = r.read<std::uint64_t>();
-  m.reports = r.read<std::uint64_t>();
-  return m;
-}
-
 }  // namespace elan

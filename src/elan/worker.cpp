@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "common/serialize.h"
 #include "obs/flight.h"
 
 namespace elan {
@@ -38,7 +37,9 @@ WorkerProcess::WorkerProcess(sim::Simulator& simulator, transport::RawTransport&
   ELAN_CHECK(engine_ != nullptr, "worker: engine factory returned null");
   register_builtin_hooks();
   endpoint_ = std::make_unique<transport::ReliableEndpoint>(
-      bus, name_, [this](const transport::Message& msg) { handle(msg); });
+      bus, name_, [this](const transport::Message& msg) {
+        dispatch_message(msg, name_, [this](const DecisionMsg& d) { on_decision(d); });
+      });
 }
 
 WorkerProcess::~WorkerProcess() {
@@ -52,14 +53,9 @@ void WorkerProcess::register_builtin_hooks() {
   // Runtime info (iteration counter etc.) lives in CPU memory.
   hooks_.register_hook(StateHook{
       "runtime", StateLocation::kCpu, params_.runtime_state_bytes,
-      [this] {
-        BinaryWriter w;
-        w.write(engine_->iteration());
-        return Blob("runtime", w.take());
-      },
+      [this] { return Blob("runtime", wire::encode(RuntimeState{engine_->iteration()})); },
       [this](const Blob& b) {
-        BinaryReader r(b.bytes());
-        engine_->set_iteration(r.read<std::uint64_t>());
+        engine_->set_iteration(wire::decode<RuntimeState>(b.bytes()).iteration);
       }});
   // The data-loader hook is registered by the job, which owns the sampler.
 }
@@ -80,7 +76,7 @@ void WorkerProcess::launch(std::function<void()> on_ready) {
         ReportMsg report;
         report.worker = id_;
         report.gpu = gpu_;
-        endpoint_->send(am_name_, "report", report.serialize());
+        send_message(*endpoint_, am_name_, report);
         log_debug() << name_ << ": ready, reported to AM";
       }
       if (on_ready) on_ready();
@@ -105,7 +101,7 @@ void WorkerProcess::send_coordinate() {
   CoordinateMsg msg;
   msg.worker = id_;
   msg.iteration = pending_iteration_;
-  endpoint_->send(am_name_, "coordinate", msg.serialize());
+  send_message(*endpoint_, am_name_, msg);
 }
 
 void WorkerProcess::arm_decision_timer() {
@@ -125,37 +121,32 @@ void WorkerProcess::arm_decision_timer() {
   });
 }
 
-void WorkerProcess::handle(const transport::Message& msg) {
-  if (msg.type == "decision") {
-    if (!pending_decision_) {
-      obs::event(obs::FlightEventKind::kDecisionStale, name_.c_str(), nullptr,
-                 pending_iteration_, 0);
-      log_trace() << name_ << ": decision with no pending coordination (duplicate)";
-      return;
-    }
-    auto decision = DecisionMsg::deserialize(msg.payload);
-    if (decision.iteration != pending_iteration_) {
-      obs::event(obs::FlightEventKind::kDecisionStale, name_.c_str(), nullptr,
-                 decision.iteration, 1, pending_iteration_);
-      // A stale replay: a lost-ack coordinate from an earlier round was
-      // re-delivered to a recovered AM, which answered it. Consuming it here
-      // would hand this round a decision made for a different one (and the
-      // real decision would then be dropped as a duplicate).
-      log_trace() << name_ << ": stale decision for iteration " << decision.iteration
-                  << " (awaiting " << pending_iteration_ << "); discarded";
-      return;
-    }
-    if (decision_timer_ != 0) {
-      sim_.cancel(decision_timer_);
-      decision_timer_ = 0;
-    }
-    obs::event(obs::FlightEventKind::kDecisionRecv, name_.c_str(), nullptr, decision.iteration,
-               decision.adjust ? 1 : 0);
-    auto cb = std::exchange(pending_decision_, nullptr);
-    cb(decision);
-  } else {
-    log_warn() << name_ << ": unknown message type " << msg.type;
+void WorkerProcess::on_decision(const DecisionMsg& decision) {
+  if (!pending_decision_) {
+    obs::event(obs::FlightEventKind::kDecisionStale, name_.c_str(), nullptr, pending_iteration_,
+               0);
+    log_trace() << name_ << ": decision with no pending coordination (duplicate)";
+    return;
   }
+  if (decision.iteration != pending_iteration_) {
+    obs::event(obs::FlightEventKind::kDecisionStale, name_.c_str(), nullptr, decision.iteration,
+               1, pending_iteration_);
+    // A stale replay: a lost-ack coordinate from an earlier round was
+    // re-delivered to a recovered AM, which answered it. Consuming it here
+    // would hand this round a decision made for a different one (and the
+    // real decision would then be dropped as a duplicate).
+    log_trace() << name_ << ": stale decision for iteration " << decision.iteration
+                << " (awaiting " << pending_iteration_ << "); discarded";
+    return;
+  }
+  if (decision_timer_ != 0) {
+    sim_.cancel(decision_timer_);
+    decision_timer_ = 0;
+  }
+  obs::event(obs::FlightEventKind::kDecisionRecv, name_.c_str(), nullptr, decision.iteration,
+             decision.adjust ? 1 : 0);
+  auto cb = std::exchange(pending_decision_, nullptr);
+  cb(decision);
 }
 
 void WorkerProcess::set_training() {

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -46,6 +47,13 @@ struct WorkerParams {
   /// gap — the recovered AM answers the re-sent coordinate (re-instructing
   /// the in-flight plan if it was mid-adjustment).
   Seconds decision_timeout = 1.0;
+};
+
+/// The "runtime" hook's state (Table II: runtime info, CPU-resident).
+struct RuntimeState {
+  std::uint64_t iteration = 0;
+
+  static auto wire_fields(auto& s) { return std::tie(s.iteration); }
 };
 
 class WorkerProcess {
@@ -146,7 +154,7 @@ class WorkerProcess {
   Seconds measured_init_ = 0;
 
   void register_builtin_hooks();
-  void handle(const transport::Message& msg);
+  void on_decision(const DecisionMsg& decision);
   void send_coordinate();
   void arm_decision_timer();
 };

@@ -36,6 +36,11 @@ constexpr char kMagic[8] = {'E', 'L', 'A', 'N', 'F', 'L', 'T', '\x01'};
 // Every thread's own ring, indexed by this_thread_index(). Never freed:
 // crash dumps read them from any thread.
 std::atomic<FlightRing*> g_rings[FlightRecorder::kMaxThreads];
+// A copy of each thread's most recently ended run's ring, made when its
+// RunScope ends with the recorder on, so a dump outside any run (the exit
+// dump) still holds the run. Allocated on a thread's first such run and
+// never freed, like g_rings.
+std::atomic<FlightRing*> g_ended_runs[FlightRecorder::kMaxThreads];
 std::atomic<std::uint64_t> g_seq{0};
 
 // Crash-dump state. Preconfigured by arm_crash_dump (normal context, may
@@ -105,9 +110,10 @@ bool write_all_sigsafe(int fd, const void* buf, std::size_t len) {
 }
 
 // The rings a dump on this thread writes: its run's ring inside a RunScope
-// (none before the run's first event), every thread's own ring elsewhere.
+// (none before the run's first event); elsewhere every thread's own ring and
+// each thread's most recently ended run that recorded events.
 struct RingView {
-  const FlightRing* rings[FlightRecorder::kMaxThreads];
+  const FlightRing* rings[2 * FlightRecorder::kMaxThreads];
   std::uint32_t count = 0;
 };
 
@@ -122,6 +128,10 @@ void view_signal_safe(RingView& view) {
   for (std::uint32_t i = 0; i < FlightRecorder::kMaxThreads; ++i) {
     const FlightRing* ring = g_rings[i].load(std::memory_order_acquire);
     if (ring != nullptr) view.rings[view.count++] = ring;
+    const FlightRing* run = g_ended_runs[i].load(std::memory_order_acquire);
+    if (run != nullptr && run->head.load(std::memory_order_acquire) > 0) {
+      view.rings[view.count++] = run;
+    }
   }
 }
 
@@ -251,11 +261,30 @@ void FlightRecorder::on_lock_order_death(const char* /*report*/) {
   crash_dump_signal_safe();
 }
 
+void FlightRecorder::keep_ended_run(const FlightRing& run) {
+  const auto idx = static_cast<std::uint32_t>(this_thread_index());
+  if (idx >= kMaxThreads) return;
+  FlightRing* kept = g_ended_runs[idx].load(std::memory_order_acquire);
+  if (kept == nullptr) {
+    kept = new FlightRing();
+    g_ended_runs[idx].store(kept, std::memory_order_release);
+  }
+  // Readers take `head` events from the slots: hide the copy until whole.
+  const std::uint64_t total = run.head.load(std::memory_order_acquire);
+  kept->head.store(0, std::memory_order_release);
+  std::memcpy(kept->slots, run.slots,
+              std::min<std::uint64_t>(total, kRingCapacity) * sizeof(FlightEvent));
+  kept->thread = run.thread;
+  kept->head.store(total, std::memory_order_release);
+}
+
 void FlightRecorder::clear() {
   g_seq.store(0, std::memory_order_relaxed);
   for (std::uint32_t i = 0; i < kMaxThreads; ++i) {
-    FlightRing* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring != nullptr) ring->head.store(0, std::memory_order_release);
+    for (const auto* slots : {g_rings, g_ended_runs}) {
+      FlightRing* ring = slots[i].load(std::memory_order_acquire);
+      if (ring != nullptr) ring->head.store(0, std::memory_order_release);
+    }
   }
 }
 
@@ -308,7 +337,7 @@ FlightEventInfo event_info(FlightEventKind kind) {
   // milestones (each chunk already has a span) and the death causes.
   switch (kind) {
     // detail = message type; actor = sender (send, drop, retry, gave_up) or
-    // receiver (deliver, to_unknown).
+    // receiver (deliver, to_unknown, malformed).
     case K::kMsgSend: return {"msg.send", {"id"}};
     // reason: 0 forced, 1 fault filter, 2 random loss.
     case K::kMsgDrop: return {"msg.drop", {"id", "reason"}};
@@ -316,6 +345,8 @@ FlightEventInfo event_info(FlightEventKind kind) {
     case K::kMsgToUnknown: return {"msg.to_unknown", {"id"}};
     case K::kMsgRetry: return {"msg.retry", {"id", "attempt"}};
     case K::kMsgGaveUp: return {"msg.gave_up", {"id", "attempt"}};
+    // bytes = the payload size.
+    case K::kMsgMalformed: return {"msg.malformed", {"id", "bytes"}};
 
     // actor = the AM; from/to are AmPhase values, detail = the next phase.
     case K::kAmPhase: return {"am.phase", {"from", "to", "plan"}, kTraced};

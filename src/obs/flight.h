@@ -18,7 +18,10 @@
 // obs::RunScope records into that run's ring instead, stamped with the run's
 // virtual clock and numbered from the run's own sequence 0, so a run's record
 // is a function of the run alone — whichever thread ran it and whatever ran
-// beside it (the parallel chaos sweep relies on this).
+// beside it (the parallel chaos sweep relies on this). When a run ends with
+// the recorder on, its ring is copied over the thread's one kept ended run,
+// so a dump outside any run (the exit dump) still holds each thread's most
+// recent run.
 //
 // Cost contract:
 //   - both sinks off: two relaxed atomic loads (`FlightRecorder::enabled()`,
@@ -36,8 +39,9 @@
 //
 // Dump paths:
 //   - `dump(path)` — normal context; versioned binary record of the rings in
-//     the calling thread's view (its run's ring inside a RunScope, every
-//     thread's ring elsewhere) plus a MetricsRegistry snapshot.
+//     the calling thread's view (its run's ring inside a RunScope; elsewhere
+//     every thread's ring and each thread's kept ended run) plus a
+//     MetricsRegistry snapshot.
 //   - crash dumps (`ELAN_CHECK` failure hook, lock-order `die()` hook,
 //     SIGSEGV/SIGABRT handler) — async-signal-safe: raw write(2) of the
 //     crashing thread's view to the preconfigured path, no allocation, no
@@ -71,6 +75,8 @@ enum class FlightEventKind : std::uint8_t {
   kMsgToUnknown = 3,
   kMsgRetry = 4,
   kMsgGaveUp = 5,
+  // A receiver dropped a payload that does not decode (src/elan/messages.h).
+  kMsgMalformed = 6,
 
   // Application master (src/elan/master.cpp).
   kAmPhase = 10,
@@ -180,17 +186,19 @@ class FlightRecorder {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Drops the events of every thread's own ring and restarts the global
-  /// sequence (runs' rings are not touched: each run starts empty). Callers
-  /// must ensure no thread is concurrently recording outside a run.
+  /// Drops the events of every thread's own ring and kept ended run, and
+  /// restarts the global sequence (live runs' rings are not touched: each
+  /// run starts empty). Callers must ensure no thread is concurrently
+  /// recording outside a run.
   void clear();
 
-  /// Total events ever recorded (across wraps) in the calling thread's view:
-  /// its run's ring inside a RunScope, every thread's ring elsewhere.
+  /// Total events ever recorded (across wraps) in the calling thread's view
+  /// (see dump).
   std::uint64_t total_recorded() const;
 
   /// Writes the versioned binary record: the rings in the calling thread's
-  /// view (see total_recorded) plus the MetricsRegistry text snapshot.
+  /// view (its run's ring inside a RunScope; elsewhere every thread's ring
+  /// and kept ended run) plus the MetricsRegistry text snapshot.
   /// Normal (allocating) context only. Returns false on I/O error.
   bool dump(const std::string& path);
 
@@ -208,8 +216,14 @@ class FlightRecorder {
  private:
   friend void event(FlightEventKind, const char*, const char*, std::uint64_t,
                     std::uint64_t, std::uint64_t);
+  friend class RunScope;
 
   FlightRecorder() = default;
+
+  /// Copies an ending run's ring over the calling thread's kept ended run
+  /// (one ring per thread, allocated on first use). RunScope's destructor
+  /// calls it while the recorder is on.
+  static void keep_ended_run(const FlightRing& run);
 
   /// The flight sink: records one event into the calling thread's ring, or
   /// into its run's ring inside a RunScope. Lock-free and allocation-free

@@ -93,7 +93,12 @@ void init_from_env() {
 
 RunScope::RunScope(sim::Simulator& sim) : sim_(sim), outer_(t_run) { t_run = this; }
 
-RunScope::~RunScope() { t_run = outer_; }
+RunScope::~RunScope() {
+  if (flight_ring_ != nullptr && FlightRecorder::enabled()) {
+    FlightRecorder::keep_ended_run(*flight_ring_);
+  }
+  t_run = outer_;
+}
 
 RunScope* RunScope::current() { return t_run; }
 

@@ -49,7 +49,9 @@ void dump_now();
 ///     `sim.now()`;
 ///   - its flight events go to a ring of the run's own (allocated on the
 ///     run's first event), numbered from sequence 0, and a
-///     FlightRecorder::dump() on the thread writes that ring.
+///     FlightRecorder::dump() on the thread writes that ring. When the scope
+///     ends with the recorder on, the ring is kept as the thread's most
+///     recently ended run, which dumps outside any run include.
 /// A run's record therefore depends only on the run: not on which thread ran
 /// it, nor on what other threads ran beside it. Other threads keep their own
 /// binding; the tracer's event buffers and the metrics registry stay

@@ -255,7 +255,7 @@ TEST(Serialize, ReaderThrowsOnUnderflow) {
   BinaryWriter w;
   w.write<std::uint32_t>(1);
   BinaryReader r(w.buffer());
-  EXPECT_THROW(r.read<std::uint64_t>(), InternalError);
+  EXPECT_THROW(r.read<std::uint64_t>(), InvalidArgument);
 }
 
 TEST(Serialize, EmptyString) {

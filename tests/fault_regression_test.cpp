@@ -152,14 +152,14 @@ TEST_F(FaultRegression, StaleDecisionReplayDoesNotConsumePendingRound) {
 
   DecisionMsg stale;
   stale.iteration = 6;
-  am.send(worker.endpoint_name(), "decision", stale.serialize());
+  send_message(am, worker.endpoint_name(), stale);
   sim.run_until(0.5);
   EXPECT_TRUE(delivered.empty()) << "stale decision consumed the pending round";
   EXPECT_TRUE(worker.has_pending_decision());
 
   DecisionMsg real;
   real.iteration = 7;
-  am.send(worker.endpoint_name(), "decision", real.serialize());
+  send_message(am, worker.endpoint_name(), real);
   sim.run_until(1.0);
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0], 7u);
@@ -184,21 +184,23 @@ TEST_F(FaultRegression, DuplicateAdjustRequestReplaysCachedReply) {
 
   std::vector<AdjustReplyMsg> replies;
   transport::ReliableEndpoint sched(bus, "sched/job0", [&](const transport::Message& m) {
-    if (m.type == "adjust_reply") replies.push_back(AdjustReplyMsg::deserialize(m.payload));
+    if (m.type == AdjustReplyMsg::kWireType) {
+      replies.push_back(wire::decode<AdjustReplyMsg>(m.payload));
+    }
   });
 
   AdjustRequestMsg req;
   req.request_id = 42;
   req.type = AdjustmentType::kScaleOut;
   req.gpus = {2};
-  sched.send(am.name(), "adjust_request", req.serialize());
+  send_message(sched, am.name(), req);
   sim.run_until(0.5);
   ASSERT_EQ(replies.size(), 1u);
   ASSERT_TRUE(replies[0].ok);
 
   // Same request id again — as the job's re-send timer does when the reply
   // was lost. A fresh transport message, so endpoint dedup does not apply.
-  sched.send(am.name(), "adjust_request", req.serialize());
+  send_message(sched, am.name(), req);
   sim.run_until(1.0);
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_TRUE(replies[1].ok) << "duplicate was re-executed instead of replayed: "
@@ -221,14 +223,16 @@ TEST_F(FaultRegression, ReplyCacheSurvivesAmRecovery) {
 
   std::vector<AdjustReplyMsg> replies;
   transport::ReliableEndpoint sched(bus, "sched/job0", [&](const transport::Message& m) {
-    if (m.type == "adjust_reply") replies.push_back(AdjustReplyMsg::deserialize(m.payload));
+    if (m.type == AdjustReplyMsg::kWireType) {
+      replies.push_back(wire::decode<AdjustReplyMsg>(m.payload));
+    }
   });
 
   AdjustRequestMsg req;
   req.request_id = 7;
   req.type = AdjustmentType::kScaleOut;
   req.gpus = {2, 3};
-  sched.send(am->name(), "adjust_request", req.serialize());
+  send_message(sched, am->name(), req);
   sim.run_until(0.5);
   ASSERT_EQ(replies.size(), 1u);
   ASSERT_TRUE(replies[0].ok);
@@ -236,7 +240,7 @@ TEST_F(FaultRegression, ReplyCacheSurvivesAmRecovery) {
   am->crash();
   am = ApplicationMaster::recover(bus, kv, "job0");
 
-  sched.send(am->name(), "adjust_request", req.serialize());
+  send_message(sched, am->name(), req);
   sim.run_until(1.0);
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_TRUE(replies[1].ok) << replies[1].error;
@@ -259,14 +263,14 @@ TEST_F(FaultRegression, StaleCoordinateDoesNotStartAdjustment) {
   // A bare endpoint posing as worker 0 (and as the joiner, for its report).
   std::vector<DecisionMsg> decisions;
   transport::ReliableEndpoint w0(bus, "w0/job0", [&](const transport::Message& m) {
-    if (m.type == "decision") decisions.push_back(DecisionMsg::deserialize(m.payload));
+    if (m.type == DecisionMsg::kWireType) decisions.push_back(wire::decode<DecisionMsg>(m.payload));
   });
   transport::ReliableEndpoint sched(bus, "sched/job0", [](const transport::Message&) {});
   const auto coordinate = [&](std::uint64_t iteration, Seconds until) {
     CoordinateMsg msg;
     msg.worker = 0;
     msg.iteration = iteration;
-    w0.send(am->name(), "coordinate", msg.serialize());
+    send_message(w0, am->name(), msg);
     sim.run_until(until);
   };
 
@@ -275,12 +279,12 @@ TEST_F(FaultRegression, StaleCoordinateDoesNotStartAdjustment) {
   req.request_id = 1;
   req.type = AdjustmentType::kScaleOut;
   req.gpus = {2};
-  sched.send(am->name(), "adjust_request", req.serialize());
+  send_message(sched, am->name(), req);
   sim.run_until(1.0);
   ReportMsg report;
   report.worker = 2;
   report.gpu = 2;
-  w0.send(am->name(), "report", report.serialize());
+  send_message(w0, am->name(), report);
   sim.run_until(1.5);
   ASSERT_EQ(am->phase(), AmPhase::kReady);
 

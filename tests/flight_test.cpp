@@ -21,6 +21,8 @@
 #include "fault/chaos.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
+#include "sim/simulator.h"
 
 namespace elan::obs {
 namespace {
@@ -143,6 +145,33 @@ TEST_F(FlightTest, ClearResetsRingsAndSequence) {
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(std::string(merged[0].actor), "post-clear");
   EXPECT_EQ(merged[0].seq, 0u);  // clear() restarts the causal sequence
+}
+
+// A dump outside any run holds the calling thread's most recently ended run
+// (how the exit dump of a program whose simulation ran under a RunScope
+// keeps that run), and only a run that ended with the recorder on is kept.
+TEST_F(FlightTest, DumpOutsideRunsKeepsTheLastEndedRun) {
+  sim::Simulator sim;
+  for (const char* actor : {"first-run", "second-run"}) {
+    RunScope run(sim);
+    obs::event(FlightEventKind::kMsgSend, actor, nullptr, 1);
+  }
+  {
+    RunScope run(sim);
+    obs::event(FlightEventKind::kMsgSend, "unkept-run", nullptr, 1);
+    FlightRecorder::set_enabled(false);
+  }
+  FlightRecorder::set_enabled(true);
+  obs::event(FlightEventKind::kMsgSend, "outside", nullptr, 1);
+  EXPECT_EQ(FlightRecorder::instance().total_recorded(), 2u);
+  const std::string path = ::testing::TempDir() + "flight_ended_run.flt";
+  ASSERT_TRUE(FlightRecorder::instance().dump(path));
+  std::multiset<std::string> actors;
+  for (const auto& e : read_flight_record(path).merged()) actors.insert(e.actor);
+  EXPECT_EQ(actors, (std::multiset<std::string>{"outside", "second-run"}));
+
+  FlightRecorder::instance().clear();
+  EXPECT_EQ(FlightRecorder::instance().total_recorded(), 0u);
 }
 
 // elan_postmortem's render of `path` minus its header line, which echoes the
@@ -268,9 +297,9 @@ TEST(FlightDeathTest, CheckFailureDumpsRecord) {
 // are unique within a kind and never collide with the instant's actor and
 // detail keys, and the traced kinds are the few-per-adjustment ones.
 TEST(FlightEventTable, IsExhaustiveAndUnique) {
-  const std::set<int> declared = {0,  1,  2,  3,  4,  5,  10, 11, 12, 13, 14,
-                                  15, 20, 21, 22, 23, 30, 31, 32, 33, 34, 35,
-                                  36, 40, 41, 42, 50, 51, 52, 53, 60, 61};
+  const std::set<int> declared = {0,  1,  2,  3,  4,  5,  6,  10, 11, 12, 13,
+                                  14, 15, 20, 21, 22, 23, 30, 31, 32, 33, 34,
+                                  35, 36, 40, 41, 42, 50, 51, 52, 53, 60, 61};
   std::set<int> with_row;
   std::set<std::string> names;
   std::set<std::string> traced;

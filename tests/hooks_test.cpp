@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/error.h"
+#include "common/serialize.h"
 #include "elan/hooks.h"
 
 namespace elan {
@@ -86,8 +87,8 @@ TEST(HookRegistry, LoadAllRejectsIncompleteSnapshot) {
 TEST(StateSnapshot, SerializeRoundTrip) {
   HookFixture f;
   const auto snapshot = f.registry.save_all();
-  const auto bytes = snapshot.serialize();
-  const auto restored = StateSnapshot::deserialize(bytes);
+  const auto bytes = wire::encode(snapshot);
+  const auto restored = wire::decode<StateSnapshot>(bytes);
   EXPECT_EQ(restored.checksum(), snapshot.checksum());
   EXPECT_EQ(restored.nominal_gpu_bytes, snapshot.nominal_gpu_bytes);
   EXPECT_EQ(restored.nominal_cpu_bytes, snapshot.nominal_cpu_bytes);

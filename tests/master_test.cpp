@@ -27,17 +27,17 @@ struct AmFixture {
     FakeWorker(transport::MessageBus& bus, int id, const std::string& job)
         : endpoint(bus, "w" + std::to_string(id) + "/" + job,
                    [this](const transport::Message& m) {
-                     if (m.type == "decision") {
-                       decisions.push_back(DecisionMsg::deserialize(m.payload));
+                     if (m.type == DecisionMsg::kWireType) {
+                       decisions.push_back(wire::decode<DecisionMsg>(m.payload));
                      }
                    }) {}
     void report(int id, topo::GpuId gpu) {
       ReportMsg r{id, gpu};
-      endpoint.send("am/job0", "report", r.serialize());
+      send_message(endpoint, "am/job0", r);
     }
     void coordinate(int id, std::uint64_t iter) {
       CoordinateMsg c{id, iter};
-      endpoint.send("am/job0", "coordinate", c.serialize());
+      send_message(endpoint, "am/job0", c);
     }
   };
 };
@@ -231,14 +231,16 @@ TEST(ApplicationMaster, AdjustRequestRpcRoundTrip) {
   auto am = f.make_am();
   std::vector<AdjustReplyMsg> replies;
   transport::ReliableEndpoint sched(f.bus, "sched/test", [&](const transport::Message& m) {
-    if (m.type == "adjust_reply") replies.push_back(AdjustReplyMsg::deserialize(m.payload));
+    if (m.type == AdjustReplyMsg::kWireType) {
+      replies.push_back(wire::decode<AdjustReplyMsg>(m.payload));
+    }
   });
 
   AdjustRequestMsg req;
   req.request_id = 42;
   req.type = AdjustmentType::kScaleOut;
   req.gpus = {4, 5};
-  sched.send("am/job0", "adjust_request", req.serialize());
+  send_message(sched, "am/job0", req);
   // Send the second request strictly after the first has been processed
   // (messages between one pair are not ordered; the bus models jitter).
   f.sim.schedule(0.5, [&] {
@@ -246,7 +248,7 @@ TEST(ApplicationMaster, AdjustRequestRpcRoundTrip) {
     second.request_id = 43;
     second.type = AdjustmentType::kScaleIn;
     second.victims = {0};
-    sched.send("am/job0", "adjust_request", second.serialize());
+    send_message(sched, "am/job0", second);
   });
   // Bounded drain: the launched workers never report in this test, so a full
   // run() would hit the report-timeout eviction and leave kWaitingReady.

@@ -8,14 +8,14 @@ namespace {
 
 TEST(Messages, ReportRoundTrip) {
   ReportMsg m{7, 42};
-  const auto r = ReportMsg::deserialize(m.serialize());
+  const auto r = wire::decode<ReportMsg>(wire::encode(m));
   EXPECT_EQ(r.worker, 7);
   EXPECT_EQ(r.gpu, 42);
 }
 
 TEST(Messages, CoordinateRoundTrip) {
   CoordinateMsg m{3, 123456789ULL};
-  const auto r = CoordinateMsg::deserialize(m.serialize());
+  const auto r = wire::decode<CoordinateMsg>(wire::encode(m));
   EXPECT_EQ(r.worker, 3);
   EXPECT_EQ(r.iteration, 123456789ULL);
 }
@@ -26,17 +26,13 @@ TEST(Messages, PlanRoundTrip) {
   p.type = AdjustmentType::kMigrate;
   p.join = {{4, 12}, {5, 13}};
   p.leave = {0, 1};
-  const auto bytes = p.serialize();
-  BinaryReader r(bytes);
-  const auto q = AdjustmentPlan::deserialize(r);
+  const auto q = wire::decode<AdjustmentPlan>(wire::encode(p));
   EXPECT_EQ(q, p);
 }
 
 TEST(Messages, EmptyPlanRoundTrip) {
   AdjustmentPlan p;
-  const auto bytes = p.serialize();
-  BinaryReader r(bytes);
-  EXPECT_EQ(AdjustmentPlan::deserialize(r), p);
+  EXPECT_EQ(wire::decode<AdjustmentPlan>(wire::encode(p)), p);
 }
 
 TEST(Messages, DecisionCarriesPlan) {
@@ -46,7 +42,7 @@ TEST(Messages, DecisionCarriesPlan) {
   d.plan.version = 2;
   d.plan.type = AdjustmentType::kScaleIn;
   d.plan.leave = {6};
-  const auto r = DecisionMsg::deserialize(d.serialize());
+  const auto r = wire::decode<DecisionMsg>(wire::encode(d));
   EXPECT_TRUE(r.adjust);
   EXPECT_EQ(r.iteration, 77u);
   EXPECT_EQ(r.plan, d.plan);
@@ -56,14 +52,14 @@ TEST(Messages, NoAdjustDecisionIsSmall) {
   // Coordination replies travel every iteration; they must stay tiny.
   DecisionMsg d;
   d.iteration = 1;
-  EXPECT_LT(d.serialize().size(), 64u);
+  EXPECT_LT(wire::encode(d).size(), 64u);
 }
 
 TEST(Messages, AdjustCompleteRoundTrip) {
   AdjustCompleteMsg m;
   m.plan_version = 9;
   m.failed_joins = {4, 7};
-  const auto r = AdjustCompleteMsg::deserialize(m.serialize());
+  const auto r = wire::decode<AdjustCompleteMsg>(wire::encode(m));
   EXPECT_EQ(r.plan_version, 9u);
   EXPECT_EQ(r.failed_joins, m.failed_joins);
 }
@@ -71,13 +67,13 @@ TEST(Messages, AdjustCompleteRoundTrip) {
 TEST(Messages, RemoveFailedRoundTrip) {
   RemoveFailedMsg m;
   m.worker = 3;
-  EXPECT_EQ(RemoveFailedMsg::deserialize(m.serialize()).worker, 3);
+  EXPECT_EQ(wire::decode<RemoveFailedMsg>(wire::encode(m)).worker, 3);
 }
 
 TEST(Messages, StatusRequestRoundTrip) {
   StatusRequestMsg m;
   m.request_id = 123;
-  EXPECT_EQ(StatusRequestMsg::deserialize(m.serialize()).request_id, 123u);
+  EXPECT_EQ(wire::decode<StatusRequestMsg>(wire::encode(m)).request_id, 123u);
 }
 
 TEST(Messages, StatusReplyRoundTrip) {
@@ -89,7 +85,7 @@ TEST(Messages, StatusReplyRoundTrip) {
   m.evictions = 1;
   m.coordinations = 42;
   m.reports = 6;
-  const auto r = StatusReplyMsg::deserialize(m.serialize());
+  const auto r = wire::decode<StatusReplyMsg>(wire::encode(m));
   EXPECT_EQ(r.request_id, 5u);
   EXPECT_EQ(r.phase, 3);
   EXPECT_EQ(r.plan_version, 11u);
@@ -97,6 +93,35 @@ TEST(Messages, StatusReplyRoundTrip) {
   EXPECT_EQ(r.evictions, 1u);
   EXPECT_EQ(r.coordinations, 42u);
   EXPECT_EQ(r.reports, 6u);
+}
+
+// Decoding rejects every malformed shape with InvalidArgument; a count the
+// bytes left cannot hold is rejected before anything is allocated for it.
+TEST(Messages, DecodeRejectsMalformedBytes) {
+  DecisionMsg d;
+  d.adjust = true;
+  d.plan.leave = {1};
+  // adjust | iteration | plan length | version | type | join count | leave count | 1
+  const auto good = wire::encode(d);
+  ASSERT_EQ(good.size(), 46u);
+  auto mutated = [&](auto change) {
+    auto bytes = good;
+    change(bytes);
+    return bytes;
+  };
+  auto rejects = [](const std::vector<std::uint8_t>& bytes) {
+    EXPECT_THROW(wire::decode<DecisionMsg>(bytes), InvalidArgument);
+  };
+  EXPECT_EQ(wire::decode<DecisionMsg>(good).plan, d.plan);
+  rejects(mutated([](auto& b) { b.resize(45); }));      // truncated
+  rejects(mutated([](auto& b) { b.push_back(0); }));    // trailing byte
+  rejects(mutated([](auto& b) { b[0] = 2; }));          // bool neither 0 nor 1
+  rejects(mutated([](auto& b) { b[25] = 3; }));         // no such AdjustmentType
+  rejects(mutated([](auto& b) { b[41] = 0x40; }));      // leave count 2^62 + 1
+  rejects(mutated([](auto& b) {                         // plan has a trailing byte
+    b[9] += 1;
+    b.push_back(0);
+  }));
 }
 
 TEST(Messages, TypeNames) {

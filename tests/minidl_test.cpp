@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "common/serialize.h"
 #include "minidl/dataset.h"
 #include "minidl/mlp.h"
 #include "minidl/parallel.h"
@@ -255,8 +256,8 @@ TEST(MiniDlParallel, HookSurfaceMatchesElanExpectations) {
   const auto snapshot = hooks.save_all();
   // Snapshot -> serialize -> deserialize -> load restores bit-identical state
   // (the checkpoint path of the S&R baseline).
-  const auto bytes = snapshot.serialize();
-  const auto restored = StateSnapshot::deserialize(bytes);
+  const auto bytes = wire::encode(snapshot);
+  const auto restored = wire::decode<StateSnapshot>(bytes);
   trainer.step(16);
   trainer.hooks(0).load_all(restored);
   trainer.hooks(1).load_all(restored);

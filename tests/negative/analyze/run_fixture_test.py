@@ -19,7 +19,7 @@ Also covers:
 
   * exit 1 when unwaived findings exist; exit 0 when everything is waived;
   * exit 2 when --repo-root holds no source files;
-  * the JSON schema and the message-struct manifest.
+  * the JSON schema and the wire-record manifest.
 
 Run:  python3 run_fixture_test.py [path-to-repo-root]
 Exit: 0 on success, 1 on any assertion failure (messages on stderr).
@@ -42,8 +42,8 @@ EXPECTED = {
                     "determinism_waived.cpp", 7),
     "unordered-iter": ("unordered_iter_violation.cpp", 5,
                        "unordered_iter_waived.cpp", 2),
-    "serialization": ("serialization_violation.cpp", 2,
-                      "serialization_waived.cpp", 2),
+    "serialization": ("serialization_violation.cpp", 1,
+                      "serialization_waived.cpp", 1),
     "blocking-handler": ("blocking_handler_violation.cpp", 3,
                          "blocking_handler_waived.cpp", 1),
     "signal-safety": ("signal_safety_violation.cpp", 7,
@@ -212,12 +212,15 @@ def main():
         with open(manifest_path) as f:
             manifest = json.load(f)
         structs = manifest.get("structs", {})
-        check("JoinMsg" in structs and "LeaveMsg" in structs,
-              f"manifest lists JoinMsg and LeaveMsg (got {sorted(structs)})")
+        check(sorted(structs) == ["JoinMsg", "LeaveMsg", "PlanMsg"],
+              f"manifest lists every wire record (got {sorted(structs)})")
         check(structs.get("JoinMsg", {}).get("fields") ==
-              ["version", "worker", "gpu", "iteration"],
-              "manifest preserves JoinMsg field order "
+              ["version", "worker", "iteration"],
+              "manifest lists JoinMsg's field list in wire order "
               f"(got {structs.get('JoinMsg', {}).get('fields')})")
+        check(structs.get("PlanMsg", {}).get("fields") == ["version", "leave"],
+              "manifest lists no `const` for a defaulted operator== "
+              f"(got {structs.get('PlanMsg', {}).get('fields')})")
 
         # --- exit 2 when the root holds no source files --------------------
         proc = run([sys.executable, ANALYZE, f"--repo-root={tmp}"])

@@ -1,51 +1,23 @@
 // elan_analyze negative fixture: serialization rule family.
 //
-// JoinMsg declares four data fields; serialize() drops `gpu` and
-// deserialize() drops `iteration` — the silently-dropped-field protocol bug
-// this rule exists to catch (the field compiles, round-trips as its default,
-// and corrupts state only under scale-out). Expected findings: exactly two.
+// JoinMsg declares four data members, but its field list leaves out `gpu` —
+// the silently-dropped-field protocol bug this rule exists to catch (the
+// member compiles, never reaches the wire, and decodes as its default).
+// Expected findings: exactly one.
 #include <cstdint>
-#include <vector>
+#include <string_view>
+#include <tuple>
 
 namespace elan {
 
-struct BinaryWriter {
-  template <typename T>
-  void write(const T&) {}
-  std::vector<std::uint8_t> take() { return {}; }
-};
-
-struct BinaryReader {
-  template <typename T>
-  T read() { return T{}; }
-};
-
 struct JoinMsg {
+  static constexpr std::string_view kWireType = "join";
   std::uint64_t version = 0;
   int worker = -1;
-  int gpu = -1;
+  int gpu = -1;  // BUG (the finding): missing from wire_fields()
   std::uint64_t iteration = 0;
 
-  std::vector<std::uint8_t> serialize() const;
-  static JoinMsg deserialize(BinaryReader& reader);
+  static auto wire_fields(auto& m) { return std::tie(m.version, m.worker, m.iteration); }
 };
-
-std::vector<std::uint8_t> JoinMsg::serialize() const {
-  BinaryWriter w;
-  w.write(version);
-  w.write(worker);
-  // BUG (finding 1): `gpu` is never written.
-  w.write(iteration);
-  return w.take();
-}
-
-JoinMsg JoinMsg::deserialize(BinaryReader& r) {
-  JoinMsg m;
-  m.version = r.read<std::uint64_t>();
-  m.worker = r.read<int>();
-  m.gpu = r.read<int>();
-  // BUG (finding 2): `iteration` is never read back.
-  return m;
-}
 
 }  // namespace elan

@@ -1,23 +1,15 @@
 // elan_analyze negative fixture: serialization rule family, waived.
 //
-// `scratch` is a genuinely transient field (recomputed on arrival), so its
-// absence from both functions is waived on the declaration line — the one
-// place a reader deciding whether to persist it will look.
+// LeaveMsg: `scratch` is a genuinely transient member (recomputed on
+// arrival), so its absence from the field list is waived on the declaration
+// line — the one place a reader deciding whether to send it will look.
+// PlanMsg: a defaulted operator== next to a complete field list gives no
+// finding (the declaration is not a data member). Expected findings: none.
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 namespace elan {
-
-struct BinaryWriter {
-  template <typename T>
-  void write(const T&) {}
-  std::vector<std::uint8_t> take() { return {}; }
-};
-
-struct BinaryReader {
-  template <typename T>
-  T read() { return T{}; }
-};
 
 struct LeaveMsg {
   std::uint64_t version = 0;
@@ -25,22 +17,16 @@ struct LeaveMsg {
   // elan-analyze: allow(serialization) -- fixture: transient, recomputed by the receiver
   std::uint64_t scratch = 0;
 
-  std::vector<std::uint8_t> serialize() const;
-  static LeaveMsg deserialize(BinaryReader& reader);
+  static auto wire_fields(auto& m) { return std::tie(m.version, m.worker); }
 };
 
-std::vector<std::uint8_t> LeaveMsg::serialize() const {
-  BinaryWriter w;
-  w.write(version);
-  w.write(worker);
-  return w.take();
-}
+struct PlanMsg {
+  std::uint64_t version = 0;
+  std::vector<int> leave;
 
-LeaveMsg LeaveMsg::deserialize(BinaryReader& r) {
-  LeaveMsg m;
-  m.version = r.read<std::uint64_t>();
-  m.worker = r.read<int>();
-  return m;
-}
+  static auto wire_fields(auto& m) { return std::tie(m.version, m.leave); }
+
+  bool operator==(const PlanMsg&) const = default;
+};
 
 }  // namespace elan

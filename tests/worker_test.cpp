@@ -66,7 +66,7 @@ TEST(Worker, ReportsToAmOnReady) {
   f.sim.run();
   ASSERT_EQ(am_inbox.size(), 1u);
   EXPECT_EQ(am_inbox[0].type, "report");
-  const auto report = ReportMsg::deserialize(am_inbox[0].payload);
+  const auto report = wire::decode<ReportMsg>(am_inbox[0].payload);
   EXPECT_EQ(report.worker, 2);
   EXPECT_EQ(report.gpu, 2);
 }
@@ -98,8 +98,8 @@ TEST(Worker, CoordinateGetsDecision) {
     if (m.type != "coordinate") return;
     DecisionMsg d;
     d.adjust = false;
-    d.iteration = CoordinateMsg::deserialize(m.payload).iteration;
-    am.send(m.from, "decision", d.serialize());
+    d.iteration = wire::decode<CoordinateMsg>(m.payload).iteration;
+    send_message(am, m.from, d);
   });
   auto w = f.make_worker(0, true);
   bool got = false;

@@ -94,12 +94,8 @@ class Launcher {
 
   /// One status round trip; nullopt on timeout.
   std::optional<StatusReplyMsg> status(Seconds timeout = 2.0) {
-    StatusRequestMsg req;
-    req.request_id = client_.next_request_id();
-    auto bytes = client_.call(am_name_, "status", req.serialize(), req.request_id,
-                              "status_reply", timeout);
-    if (!bytes) return std::nullopt;
-    return StatusReplyMsg::deserialize(*bytes);
+    return client_.call<StatusReplyMsg>(am_name_, StatusRequestMsg{client_.next_request_id()},
+                                        timeout);
   }
 
   /// Polls status until `pred` holds. Fails fast if a child dies unexpectedly.
@@ -148,15 +144,13 @@ class Launcher {
       std::sort(ids.begin(), ids.end());
       req.victims.assign(ids.end() - static_cast<long>(current - target), ids.end());
     }
-    auto reply_bytes = client_.call(am_name_, "adjust_request", req.serialize(),
-                                    req.request_id, "adjust_reply", step_timeout_);
-    if (!reply_bytes) return fail("adjust_request timed out");
-    const AdjustReplyMsg reply = AdjustReplyMsg::deserialize(*reply_bytes);
-    if (!reply.ok) return fail("adjust_request rejected: " + reply.error);
+    const auto reply = client_.call<AdjustReplyMsg>(am_name_, req, step_timeout_);
+    if (!reply) return fail("adjust_request timed out");
+    if (!reply->ok) return fail("adjust_request rejected: " + reply->error);
 
     // Step 1 of Fig 2: the scheduler starts the new worker processes. They
     // launch, initialise, and report to the AM asynchronously.
-    for (const auto& [id, gpu] : reply.launch) {
+    for (const auto& [id, gpu] : reply->launch) {
       if (!spawn_worker(id, gpu, /*running=*/false)) return false;
     }
 
@@ -181,7 +175,7 @@ class Launcher {
     // Replication / repartition would run here; signal completion.
     AdjustCompleteMsg done;
     done.plan_version = plan_version;
-    client_.send(am_name_, "adjust_complete", done.serialize());
+    client_.send(am_name_, done);
 
     if (!wait_steady(target, "steady state after scaling")) return false;
     live::marker("SCALED workers=" + std::to_string(target));
@@ -209,7 +203,7 @@ class Launcher {
     // AM drops it from the membership in any phase.
     RemoveFailedMsg removed;
     removed.worker = victim;
-    client_.send(am_name_, "remove_failed", removed.serialize());
+    client_.send(am_name_, removed);
     if (!wait_status("membership shrink", [&](const StatusReplyMsg& s) {
           return s.workers.count(victim) == 0 && s.workers.size() == before - 1;
         })) {

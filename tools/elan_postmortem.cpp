@@ -89,10 +89,11 @@ std::string render_line(const FlightEvent& e,
   std::snprintf(head, sizeof(head), "%s  %-16s %-18s ", format_time(e.ts_us).c_str(),
                 e.actor, elan::obs::to_string(kind_of(e)));
   std::string line = std::string(head) + describe_args(e);
-  // Causal edge: a delivery (or drop) names its matching send.
+  // Causal edge: a delivery (or a drop, or a malformed payload's rejection)
+  // names its matching send.
   const FlightEventKind k = kind_of(e);
   if (k == FlightEventKind::kMsgDeliver || k == FlightEventKind::kMsgDrop ||
-      k == FlightEventKind::kMsgToUnknown) {
+      k == FlightEventKind::kMsgToUnknown || k == FlightEventKind::kMsgMalformed) {
     auto it = sends.find(e.a);
     if (it != sends.end() && it->second != &e) {
       char edge[96];

@@ -18,11 +18,11 @@
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
+#include <variant>
 
-#include "common/serialize.h"
 #include "common/sync.h"
 #include "common/units.h"
+#include "elan/messages.h"
 #include "transport/bus.h"
 #include "transport/socket_transport.h"
 
@@ -60,37 +60,35 @@ inline void wait_for_stop() {
 // ---------------------------------------------------------------------------
 // Request/reply client over a ReliableEndpoint.
 //
-// The AM's control protocol correlates every reply to its request through a
-// leading request_id field (AdjustReplyMsg / StatusReplyMsg both serialise it
-// first), so one generic client covers all calls the launcher makes.
+// The AM answers a StatusRequestMsg with a StatusReplyMsg and an
+// AdjustRequestMsg with an AdjustReplyMsg, each echoing the request's
+// request_id; the client keeps the decoded replies by that id.
 
 class ControlClient {
  public:
+  using Reply = std::variant<StatusReplyMsg, AdjustReplyMsg>;
+
   ControlClient(transport::RawTransport& bus, std::string name)
       : endpoint_(bus, std::move(name),
                   [this](const transport::Message& msg) { on_message(msg); }) {}
 
   const std::string& name() const { return endpoint_.name(); }
 
-  /// Sends `type` to `to` and waits for a `reply_type` whose leading u64
-  /// equals `request_id`. Returns the reply payload, or nullopt on timeout.
-  std::optional<std::vector<std::uint8_t>> call(const std::string& to,
-                                                const std::string& type,
-                                                std::vector<std::uint8_t> payload,
-                                                std::uint64_t request_id,
-                                                const std::string& reply_type,
-                                                Seconds timeout) {
-    endpoint_.send(to, type, transport::Payload(std::move(payload)));
+  /// Sends `request` to `to` and waits for the `R` answering its
+  /// request_id. Returns nullopt on timeout.
+  template <typename R, typename Request>
+  std::optional<R> call(const std::string& to, const Request& request, Seconds timeout) {
+    send_message(endpoint_, to, request);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::duration<double>(timeout);
     while (std::chrono::steady_clock::now() < deadline) {
       {
         MutexLock lock(mu_);
-        auto it = replies_.find({reply_type, request_id});
-        if (it != replies_.end()) {
-          auto bytes = std::move(it->second);
+        auto it = replies_.find(request.request_id);
+        if (it != replies_.end() && std::holds_alternative<R>(it->second)) {
+          R reply = std::get<R>(std::move(it->second));
           replies_.erase(it);
-          return bytes;
+          return reply;
         }
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -100,27 +98,25 @@ class ControlClient {
 
   /// Fire-and-forget (still reliable at the transport layer): completion and
   /// failure notifications that carry no reply.
-  void send(const std::string& to, const std::string& type,
-            std::vector<std::uint8_t> payload) {
-    endpoint_.send(to, type, transport::Payload(std::move(payload)));
-  }
+  template <typename M>
+  void send(const std::string& to, const M& msg) { send_message(endpoint_, to, msg); }
 
   std::uint64_t next_request_id() { return next_request_id_++; }
 
  private:
   void on_message(const transport::Message& msg) {
-    if (msg.payload.size() < sizeof(std::uint64_t)) return;
-    BinaryReader r(msg.payload);
-    const std::uint64_t request_id = r.read<std::uint64_t>();
-    MutexLock lock(mu_);
-    replies_[{msg.type, request_id}] = {msg.payload.begin(), msg.payload.end()};
+    auto keep = [this](auto reply) {
+      MutexLock lock(mu_);
+      replies_.insert_or_assign(reply.request_id, std::move(reply));
+    };
+    dispatch_message(msg, name(), [&](const StatusReplyMsg& m) { keep(m); },
+                     [&](const AdjustReplyMsg& m) { keep(m); });
   }
 
   Mutex mu_{"control_client"};
-  std::map<std::pair<std::string, std::uint64_t>, std::vector<std::uint8_t>>
-      replies_ ELAN_GUARDED_BY(mu_);
+  std::map<std::uint64_t, Reply> replies_ ELAN_GUARDED_BY(mu_);
   std::uint64_t next_request_id_ = 1;
-  transport::ReliableEndpoint endpoint_;  // last: handler touches the maps
+  transport::ReliableEndpoint endpoint_;  // last: handler touches the map
 };
 
 /// Transport options every live process shares; only the socket directory
