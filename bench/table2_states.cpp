@@ -15,7 +15,7 @@ int main() {
   transport::MessageBus bus(sim, tb.bandwidth);
 
   for (const auto& m : train::model_zoo()) {
-    WorkerProcess w(sim, bus, "inventory", 0, 0, m, train::EngineKind::kDynamicGraph,
+    WorkerProcess w(bus, "inventory", 0, 0, m, train::EngineKind::kDynamicGraph,
                     WorkerParams{}, Rng(1), /*already_running=*/true);
     // The data-loader hook is normally registered by the owning job.
     w.hooks().register_hook(StateHook{"data_loader", StateLocation::kCpu, 64_KiB,

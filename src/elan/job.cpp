@@ -44,7 +44,7 @@ ElasticJob::ElasticJob(sim::Simulator& simulator, const topo::Topology& topology
       hybrid_(throughput_, config_.model, config_.hybrid),
       planner_(topology, bandwidth),
       sampler_(config_.model.dataset),
-      lr_controller_(train::StepSchedule(config_.base_lr, config_.lr_milestones)),
+      lr_controller_(train::StepSchedule(config_.base_lr, {})),
       total_batch_(config_.initial_total_batch) {
   memory_pool_ = memory_pool;
   require(config_.initial_workers > 0, "job: need at least one worker");
@@ -134,7 +134,7 @@ ElasticJob::~ElasticJob() {
 
 std::unique_ptr<WorkerProcess> ElasticJob::make_worker(int id, topo::GpuId gpu,
                                                        bool already_running) {
-  auto w = std::make_unique<WorkerProcess>(sim_, bus_, config_.job_id, id, gpu, config_.model,
+  auto w = std::make_unique<WorkerProcess>(bus_, config_.job_id, id, gpu, config_.model,
                                            config_.engine, config_.worker_params, rng_.fork(),
                                            already_running, config_.engine_factory);
   register_loader_hook(*w);
@@ -337,7 +337,7 @@ void ElasticJob::process_pending_failures() {
   // global serial cursor / chunk repartition automatically.
   if (chunk_sampler_) chunk_sampler_->repartition(num_workers());
   resize_workspaces();
-  const Seconds reconstruct = config_.group_params.reconstruct_time(num_workers());
+  const Seconds reconstruct = comm::GroupParams{}.reconstruct_time(num_workers());
   sim_.schedule(reconstruct + repartition_cost(), [this] { begin_iteration(); });
 }
 
@@ -827,7 +827,7 @@ void ElasticJob::execute_elan_adjustment(AdjustmentRecord record, const Adjustme
   // Step 5: state adjustment — communication-group reconstruction; data
   // repartition is free under serial semantics (the cursor is global) but
   // costs a record-table rework under chunk semantics.
-  const Seconds reconstruct = config_.group_params.reconstruct_time(workers_after);
+  const Seconds reconstruct = comm::GroupParams{}.reconstruct_time(workers_after);
   record.breakdown.reconstruct = reconstruct;
   record.breakdown.repartition = repartition_cost();
 
@@ -967,7 +967,7 @@ void ElasticJob::execute_snr_adjustment(AdjustmentRecord record, const Adjustmen
   record.breakdown.load = fs_.concurrent_read_time(workers_after, snapshot.stored_bytes() +
                                                                       gpu_bytes) +
                           bandwidth_.host_device_copy_time(gpu_bytes);
-  record.breakdown.reconstruct = config_.group_params.reconstruct_time(workers_after);
+  record.breakdown.reconstruct = comm::GroupParams{}.reconstruct_time(workers_after);
   record.breakdown.repartition = repartition_cost();
 
   // Restore every worker (new and surviving) from the checkpoint bytes.

@@ -62,7 +62,6 @@ struct JobConfig {
   std::vector<topo::GpuId> initial_gpus;
   int initial_total_batch = 128;
   double base_lr = 0.1;
-  std::vector<std::uint64_t> lr_milestones;  // iterations of x0.1 decays
   /// Coordinate with the AM every this many iterations (paper: configurable
   /// trade-off between elasticity and training efficiency).
   std::uint64_t coordination_interval = 1;
@@ -77,7 +76,6 @@ struct JobConfig {
   /// straggler effect emerges rather than being modelled.
   double compute_jitter_cv = 0.0;
   WorkerParams worker_params;
-  comm::GroupParams group_params;
   /// Application-master fault-tolerance knobs (report-timeout eviction).
   AmParams am;
   /// How long the scheduler-facing side waits for an adjust reply before

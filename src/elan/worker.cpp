@@ -19,12 +19,11 @@ const char* to_string(WorkerState state) {
   return "?";
 }
 
-WorkerProcess::WorkerProcess(sim::Simulator& simulator, transport::RawTransport& bus,
-                             const std::string& job_id, int id, topo::GpuId gpu,
-                             const train::ModelSpec& model, train::EngineKind engine_kind,
-                             WorkerParams params, Rng rng, bool already_running,
-                             EngineFactory engine_factory)
-    : sim_(simulator),
+WorkerProcess::WorkerProcess(transport::RawTransport& bus, const std::string& job_id, int id,
+                             topo::GpuId gpu, const train::ModelSpec& model,
+                             train::EngineKind engine_kind, WorkerParams params, Rng rng,
+                             bool already_running, EngineFactory engine_factory)
+    : bus_(bus),
       job_id_(job_id),
       name_("w" + std::to_string(id) + "/" + job_id),
       am_name_("am/" + job_id),
@@ -43,7 +42,14 @@ WorkerProcess::WorkerProcess(sim::Simulator& simulator, transport::RawTransport&
 }
 
 WorkerProcess::~WorkerProcess() {
-  if (decision_timer_ != 0) sim_.cancel(decision_timer_);
+  alive_token_->store(false);
+  cancel_timers();
+}
+
+void WorkerProcess::cancel_timers() {
+  for (transport::TimerId* timer : {&decision_timer_, &launch_timer_}) {
+    if (*timer != 0) bus_.cancel_timer(std::exchange(*timer, 0));
+  }
 }
 
 void WorkerProcess::register_builtin_hooks() {
@@ -65,23 +71,35 @@ void WorkerProcess::launch(std::function<void()> on_ready) {
   measured_start_ =
       rng_.truncated_normal(params_.start_mean, params_.start_stddev,
                             params_.start_mean * 0.5, params_.start_mean * 2.0);
-  sim_.schedule(measured_start_, [this, on_ready = std::move(on_ready)]() mutable {
-    state_ = WorkerState::kInitializing;
-    measured_init_ = engine_->initialization_time();
-    sim_.schedule(measured_init_, [this, on_ready = std::move(on_ready)]() {
-      state_ = WorkerState::kReady;
-      if (suppress_report_) {
-        log_debug() << name_ << ": ready, but report suppressed (fault injection)";
-      } else {
-        ReportMsg report;
-        report.worker = id_;
-        report.gpu = gpu_;
-        send_message(*endpoint_, am_name_, report);
-        log_debug() << name_ << ": ready, reported to AM";
-      }
-      if (on_ready) on_ready();
-    });
-  });
+  auto token = alive_token_;
+  launch_timer_ = bus_.schedule_after(
+      measured_start_, [this, token, on_ready = std::move(on_ready)]() mutable {
+        if (!token->load() || state_ != WorkerState::kLaunching) return;
+        state_ = WorkerState::kInitializing;
+        measured_init_ = engine_->initialization_time();
+        launch_timer_ =
+            bus_.schedule_after(measured_init_, [this, token, on_ready = std::move(on_ready)]() {
+              if (!token->load() || state_ != WorkerState::kInitializing) return;
+              launch_timer_ = 0;
+              report_ready();
+              if (on_ready) on_ready();
+            });
+      });
+}
+
+void WorkerProcess::report_ready() {
+  require(state_ == WorkerState::kLaunching || state_ == WorkerState::kInitializing,
+          "report_ready: worker not launching");
+  state_ = WorkerState::kReady;
+  if (suppress_report_) {
+    log_debug() << name_ << ": ready, but report suppressed (fault injection)";
+    return;
+  }
+  ReportMsg report;
+  report.worker = id_;
+  report.gpu = gpu_;
+  send_message(*endpoint_, am_name_, report);
+  log_debug() << name_ << ": ready, reported to AM";
 }
 
 void WorkerProcess::coordinate(std::uint64_t iteration,
@@ -105,7 +123,7 @@ void WorkerProcess::send_coordinate() {
 }
 
 void WorkerProcess::arm_decision_timer() {
-  decision_timer_ = sim_.schedule(params_.decision_timeout, [this] {
+  decision_timer_ = bus_.schedule_after(params_.decision_timeout, [this] {
     decision_timer_ = 0;
     if (!pending_decision_ || state_ == WorkerState::kStopped) return;
     // The transport acked the coordinate but the decision never came — the
@@ -139,10 +157,7 @@ void WorkerProcess::on_decision(const DecisionMsg& decision) {
                 << " (awaiting " << pending_iteration_ << "); discarded";
     return;
   }
-  if (decision_timer_ != 0) {
-    sim_.cancel(decision_timer_);
-    decision_timer_ = 0;
-  }
+  if (decision_timer_ != 0) bus_.cancel_timer(std::exchange(decision_timer_, 0));
   obs::event(obs::FlightEventKind::kDecisionRecv, name_.c_str(), nullptr, decision.iteration,
              decision.adjust ? 1 : 0);
   auto cb = std::exchange(pending_decision_, nullptr);
@@ -157,10 +172,7 @@ void WorkerProcess::set_training() {
 void WorkerProcess::shutdown() {
   state_ = WorkerState::kStopped;
   pending_decision_ = nullptr;
-  if (decision_timer_ != 0) {
-    sim_.cancel(decision_timer_);
-    decision_timer_ = 0;
-  }
+  cancel_timers();
   endpoint_->shutdown();
 }
 

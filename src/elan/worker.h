@@ -6,8 +6,17 @@
 // asynchronous coordination mechanism keeps off the critical path. The
 // worker's training state is exposed exclusively through the hook registry
 // (RegisterHook), which is how Elan stays framework-generic.
+//
+// Every timer the worker arms (the modelled launch delays, the decision
+// timeout) goes through its transport's timer service, like the AM's and
+// ReliableEndpoint's: virtual time over the sim bus, wall-clock time over
+// sockets. The worker is a single-threaded actor: its timers and message
+// handler run on the one thread that runs the transport's callbacks (the
+// simulator's, or the socket IO thread), and a live host calls into it only
+// from there.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -18,7 +27,6 @@
 #include "common/units.h"
 #include "elan/hooks.h"
 #include "elan/messages.h"
-#include "sim/simulator.h"
 #include "topology/topology.h"
 #include "train/engine.h"
 #include "transport/bus.h"
@@ -65,9 +73,8 @@ class WorkerProcess {
   /// `engine_factory` is set it supplies the training engine (a custom
   /// framework integration); otherwise `engine_kind` selects one of the
   /// built-in cost-modelled engines.
-  WorkerProcess(sim::Simulator& simulator, transport::RawTransport& bus,
-                const std::string& job_id, int id, topo::GpuId gpu,
-                const train::ModelSpec& model, train::EngineKind engine_kind,
+  WorkerProcess(transport::RawTransport& bus, const std::string& job_id, int id,
+                topo::GpuId gpu, const train::ModelSpec& model, train::EngineKind engine_kind,
                 WorkerParams params, Rng rng, bool already_running,
                 EngineFactory engine_factory = nullptr);
   ~WorkerProcess();
@@ -85,9 +92,14 @@ class WorkerProcess {
   HookRegistry& hooks() { return hooks_; }
   const HookRegistry& hooks() const { return hooks_; }
 
-  /// Starts the launch sequence; reports to the AM when initialised.
-  /// `on_ready` fires (if set) after the report is sent.
+  /// Starts the modelled launch sequence (start, then init delay) and ends
+  /// in report_ready(). `on_ready` fires (if set) after the report is sent.
   void launch(std::function<void()> on_ready = nullptr);
+
+  /// Marks a launching worker Ready and reports to the AM: the tail of
+  /// launch(). A live process, whose start and init are real, calls it
+  /// directly once it is up.
+  void report_ready();
 
   /// Sends a Coordinate message to the AM; `on_decision` fires with the AM's
   /// reply (matched by iteration echo).
@@ -101,7 +113,7 @@ class WorkerProcess {
   /// True while a coordination decision is outstanding.
   bool has_pending_decision() const { return static_cast<bool>(pending_decision_); }
 
-  /// Graceful stop; detaches from the bus.
+  /// Graceful stop; detaches from the bus and cancels the launch sequence.
   void shutdown();
 
   /// Fault hook: the ready report is never sent (a hung or partitioned
@@ -130,7 +142,7 @@ class WorkerProcess {
   Bytes cpu_state_bytes() const { return hooks_.nominal_bytes(StateLocation::kCpu); }
 
  private:
-  sim::Simulator& sim_;
+  transport::RawTransport& bus_;
   std::string job_id_;
   std::string name_;
   std::string am_name_;
@@ -147,16 +159,23 @@ class WorkerProcess {
   /// iteration are stale replays (lost-ack re-sends answered by a recovered
   /// AM) and must not consume the pending slot.
   std::uint64_t pending_iteration_ = 0;
-  sim::EventId decision_timer_ = 0;
+  transport::TimerId decision_timer_ = 0;
+  /// The pending start or init delay of launch(), 0 otherwise.
+  transport::TimerId launch_timer_ = 0;
   std::uint64_t decision_resends_ = 0;
   bool suppress_report_ = false;
   Seconds measured_start_ = 0;
   Seconds measured_init_ = 0;
+  // cancel_timer is best-effort: a launch callback already dispatched may
+  // still run. The token outlives the worker, so such a callback is a no-op.
+  std::shared_ptr<std::atomic<bool>> alive_token_ =
+      std::make_shared<std::atomic<bool>>(true);
 
   void register_builtin_hooks();
   void on_decision(const DecisionMsg& decision);
   void send_coordinate();
   void arm_decision_timer();
+  void cancel_timers();
 };
 
 }  // namespace elan

@@ -35,6 +35,14 @@ int make_unix_socket() {
   return ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
 }
 
+/// Reconnect cooldown after a failed connect: base * factor^(failures-1),
+/// capped at max.
+constexpr Seconds kReconnectBackoff = milliseconds(25.0);
+constexpr double kReconnectBackoffFactor = 2.0;
+constexpr Seconds kReconnectBackoffMax = 1.0;
+/// How long shutdown() waits for draining links to flush.
+constexpr Seconds kDrainTimeout = 0.5;
+
 bool fill_sockaddr(const std::string& path, sockaddr_un* addr) {
   if (path.size() >= sizeof(addr->sun_path)) return false;
   std::memset(addr, 0, sizeof(*addr));
@@ -286,8 +294,7 @@ TimerId SocketTransport::schedule_after(Seconds delay, std::function<void()> fn)
 
 void SocketTransport::cancel_timer(TimerId id) {
   // The wait below is only taken off the epoll thread; a handler cancelling
-  // a timer runs ON the epoll thread (or the app's dispatcher) and returns
-  // immediately.
+  // a timer runs ON the epoll thread and returns immediately.
   MutexLock lock(mu_);
   timers_.erase(id);
   // If the callback was already collected for execution this tick, erasing
@@ -361,11 +368,11 @@ void SocketTransport::fail_link_locked(Link& link, SocketError error) {
   }
   link.queue.clear();
   ++link.failures;
-  Seconds backoff = options_.reconnect_backoff;
-  for (int i = 1; i < link.failures && backoff < options_.reconnect_backoff_max; ++i) {
-    backoff *= options_.reconnect_backoff_factor;
+  Seconds backoff = kReconnectBackoff;
+  for (int i = 1; i < link.failures && backoff < kReconnectBackoffMax; ++i) {
+    backoff *= kReconnectBackoffFactor;
   }
-  backoff = std::min(backoff, options_.reconnect_backoff_max);
+  backoff = std::min(backoff, kReconnectBackoffMax);
   link.retry_at = now() + backoff;
   set_link_state_locked(link, LinkState::kReconnecting);
 }
@@ -492,7 +499,7 @@ void SocketTransport::accept_ready_locked(int listener_fd,
       record_error_locked(SocketError::kEpollFailed, "accept");
       continue;
     }
-    inbound_.emplace(fd, std::make_unique<InConn>(options_.limits));
+    inbound_.emplace(fd, std::make_unique<InConn>());
   }
 }
 
@@ -554,23 +561,16 @@ void SocketTransport::dispatch(std::vector<Message> deliveries) {
       // Copy the handler out: it runs with no transport lock held and may
       // call straight back into send().
       handler = it->second;
-      // Mark the inline delivery so a concurrent detach(msg.to) blocks until
-      // the handler returns. The dispatcher path only *posts*; execution
-      // timing there is the application's pump, which must outlive its
-      // handlers (elan_worker stops the transport before the driver).
-      if (!options_.dispatcher) dispatching_to_ = msg.to;
+      // Mark the delivery so a concurrent detach(msg.to) blocks until the
+      // handler returns.
+      dispatching_to_ = msg.to;
     }
-    if (options_.dispatcher) {
-      options_.dispatcher(
-          [handler = std::move(handler), m = std::move(msg)]() { handler(m); });
-    } else {
-      handler(msg);
-      {
-        MutexLock lock(mu_);
-        dispatching_to_.clear();
-      }
-      callback_done_.notify_all();
+    handler(msg);
+    {
+      MutexLock lock(mu_);
+      dispatching_to_.clear();
     }
+    callback_done_.notify_all();
   }
 }
 
@@ -716,7 +716,7 @@ void SocketTransport::shutdown() {
   }
   wake();
   // Bounded drain: give the epoll thread a chance to flush residual queues.
-  const Seconds deadline = now() + options_.drain_timeout;
+  const Seconds deadline = now() + kDrainTimeout;
   for (;;) {
     bool busy = false;
     {

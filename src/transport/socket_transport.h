@@ -9,8 +9,8 @@
 //   kIdle -> kConnecting -> kUp -> (error) -> kReconnecting -> kIdle -> …
 //                            \-> kDraining -> kClosed        (shutdown)
 //
-// Reconnects back off geometrically (reconnect_backoff * factor^n, capped),
-// and while a link is cooling down sends to it are dropped at admission —
+// Reconnects back off geometrically (25 ms * 2^n, capped at 1 s), and
+// while a link is cooling down sends to it are dropped at admission —
 // the backend stays *unreliable* by contract, and ReliableEndpoint's
 // ack/timeout/re-send layer above it provides delivery, exactly as over the
 // sim bus (paper §V-D).
@@ -27,7 +27,8 @@
 // (kSockError). A framing error poisons only the connection it arrived on.
 //
 // Thread safety: fully thread-safe; handlers and timer callbacks run on the
-// epoll thread (or via Options::dispatcher) with no transport lock held.
+// epoll thread with no transport lock held, so a process's handlers and
+// timers form one single-threaded actor.
 // cancel_timer and detach additionally synchronise with the epoll thread:
 // once they return, the cancelled timer's callback / the detached endpoint's
 // handler is not executing and will not execute again (callers destroy the
@@ -68,11 +69,6 @@ const char* to_string(LinkState state);
 
 class SocketTransport final : public RawTransport {
  public:
-  /// Runs a handler/timer callback. The default (nullptr) invokes inline on
-  /// the epoll thread; single-threaded consumers (WorkerProcess) install a
-  /// dispatcher that hops onto their own driver thread instead.
-  using Dispatcher = std::function<void(std::function<void()>)>;
-
   struct Options {
     /// Directory holding the per-endpoint listening sockets. All transports
     /// of one job must agree on it. Must already exist.
@@ -80,15 +76,6 @@ class SocketTransport final : public RawTransport {
     /// Admission-time random loss, for driving the re-send paths in tests.
     double drop_probability = 0.0;
     std::uint64_t seed = 7;
-    FrameLimits limits;
-    /// Reconnect cooldown after a failed connect: base * factor^failures,
-    /// capped at max.
-    Seconds reconnect_backoff = milliseconds(25.0);
-    double reconnect_backoff_factor = 2.0;
-    Seconds reconnect_backoff_max = 1.0;
-    /// How long shutdown() waits for draining links to flush.
-    Seconds drain_timeout = 0.5;
-    Dispatcher dispatcher;
   };
 
   explicit SocketTransport(Options options);
@@ -111,8 +98,8 @@ class SocketTransport final : public RawTransport {
   BusStats stats() const override;
   void inject_drops(const std::string& from, int n) override;
 
-  /// Stops the epoll thread after draining outbound queues (bounded by
-  /// Options::drain_timeout) and unlinks this transport's listening sockets.
+  /// Stops the epoll thread after draining outbound queues (for at most
+  /// 0.5 s) and unlinks this transport's listening sockets.
   /// Idempotent; implied by the destructor.
   void shutdown();
 
@@ -150,7 +137,6 @@ class SocketTransport final : public RawTransport {
   struct InConn {
     int fd = -1;
     FrameDecoder decoder;
-    explicit InConn(FrameLimits limits) : decoder(limits) {}
   };
 
   struct Timer {

@@ -22,6 +22,10 @@
 //       moving to Adjusting and no round ever carries the adjustment out
 //       (fix: the AM starts an adjustment only on a coordinate at or above
 //       the worker's highest one, which it persists)
+//   R8  a joiner killed mid-launch is freed by the job, and its pending
+//       start event then writes to the freed worker (ASan: heap-use-after-
+//       free) (fix: the worker cancels its launch timer on shutdown and
+//       destruction, and an alive token guards the launch callbacks)
 //
 // The first section re-runs the original failing chaos seeds verbatim; the
 // second section reconstructs each bug as a minimal scripted scenario so the
@@ -140,7 +144,7 @@ TEST_F(FaultRegression, StaleDecisionReplayDoesNotConsumePendingRound) {
   topo::BandwidthModel bandwidth;
   transport::MessageBus bus{sim, bandwidth};
 
-  WorkerProcess worker(sim, bus, "j", /*id=*/0, /*gpu=*/0, train::mobilenet_v2_cifar(),
+  WorkerProcess worker(bus, "j", /*id=*/0, /*gpu=*/0, train::mobilenet_v2_cifar(),
                        train::EngineKind::kDynamicGraph, WorkerParams{}, Rng(1),
                        /*already_running=*/true);
 
@@ -348,6 +352,40 @@ TEST_F(FaultRegression, KillRacingScaleInStopsCleanlyWhenAllReplicasLost) {
   ASSERT_TRUE(sim.run_bounded(2'000'000)) << "run did not drain";
   EXPECT_FALSE(job.running());
   EXPECT_TRUE(job.fatally_failed() || job.num_workers() >= 1);
+}
+
+// R8. A joiner killed mid-launch: reconcile_joining frees the dead worker
+// long before its modelled start (about 12 s) would have fired. The kill must
+// cancel the launch sequence, or the start event writes to freed memory; the
+// AM's report timeout then evicts the joiner and aborts the plan.
+TEST_F(FaultRegression, JoinerKilledMidLaunchNeverStarts) {
+  sim::Simulator sim;
+  topo::Topology topology{topo::TopologySpec{}};
+  topo::BandwidthModel bandwidth;
+  storage::SimFilesystem fs;
+  transport::MessageBus bus{sim, bandwidth};
+  transport::KvStore kv{sim};
+
+  JobConfig config;
+  config.model = train::mobilenet_v2_cifar();
+  config.initial_workers = 2;
+  config.initial_total_batch = 64;
+  ElasticJob job(sim, topology, bandwidth, fs, bus, kv, std::move(config));
+  job.stop_after_iterations(1'000'000);
+  job.start();
+
+  bool killed = false;
+  sim.schedule(1.0, [&] { job.request_scale_out({2}); });
+  sim.schedule(2.0, [&] { killed = job.fault_kill_worker(2); });
+  sim.schedule(40.0, [&] {
+    if (job.running()) job.stop();
+  });
+  ASSERT_TRUE(sim.run_bounded(2'000'000)) << "run did not drain";
+  EXPECT_TRUE(killed) << "worker 2 was not joining at t=2";
+  EXPECT_EQ(job.num_workers(), 2);
+  EXPECT_EQ(job.master().evictions(), 1u);
+  EXPECT_TRUE(job.master().idle());
+  EXPECT_TRUE(job.consistent());
 }
 
 // R5. An Elan replication source killed mid-transfer: the job must re-plan

@@ -45,27 +45,17 @@ class MalformedMessage : public ::testing::Test {
   void TearDown() override { FlightRecorder::set_enabled(false); }
 };
 
-using Backends =
-    ::testing::Types<transport::testing::SimBusBackend, transport::testing::SocketBackend>;
-
-class BackendNames {
- public:
-  template <typename T>
-  static std::string GetName(int) {
-    return T::kName;
-  }
-};
-
-TYPED_TEST_SUITE(MalformedMessage, Backends, BackendNames);
+TYPED_TEST_SUITE(MalformedMessage, transport::testing::Backends,
+                 transport::testing::BackendNames);
 
 TYPED_TEST(MalformedMessage, ReceiversDropAndRecordBadPayloads) {
   auto ctx = TypeParam::make();
   transport::RawTransport& bus = ctx->transport();
-  sim::Simulator local;  // the KV store's and the worker's private clock
-  transport::KvStore kv(local);
+  sim::Simulator kv_clock;  // KvStore's constructor takes one; the AM's puts schedule nothing
+  transport::KvStore kv(kv_clock);
   ApplicationMaster am(bus, kv, "job0", {{0, 0}, {1, 1}});
-  WorkerProcess worker(local, bus, "job0", 0, 0, train::resnet50(),
-                       train::EngineKind::kDynamicGraph, WorkerParams{}, Rng(7), true);
+  WorkerProcess worker(bus, "job0", 0, 0, train::resnet50(), train::EngineKind::kDynamicGraph,
+                       WorkerParams{}, Rng(7), true);
   live::ControlClient launcher(bus, "launcher/job0");
 
   Mutex mu{"malformed_test_inbox"};

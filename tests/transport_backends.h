@@ -11,6 +11,7 @@
 // sockets: SocketBackend::available() probes once.
 #pragma once
 
+#include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -54,6 +55,11 @@ class BackendContext {
 
   /// Runs to (best-effort) quiescence.
   virtual void settle() = 0;
+
+  /// Stops the backend: no handler or timer runs after this returns, so a
+  /// test may then destroy what its callbacks capture (sim: nothing runs
+  /// unless the test steps it; socket: joins the IO thread).
+  virtual void shutdown() = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -85,6 +91,8 @@ class SimBusContext final : public BackendContext {
   void advance(Seconds d) override { sim_.run_until(sim_.now() + d); }
 
   void settle() override { sim_.run(); }
+
+  void shutdown() override {}
 
  private:
   sim::Simulator sim_;
@@ -141,6 +149,8 @@ class SocketContext final : public BackendContext {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
+  void shutdown() override { transport_.shutdown(); }
+
  private:
   static std::string make_dir() {
     char tmpl[] = "/tmp/elan_conf_XXXXXX";
@@ -168,6 +178,17 @@ struct SocketBackend {
   static bool available() { return SocketTransport::sockets_available(); }
   static std::unique_ptr<BackendContext> make(const ConformanceConfig& config = {}) {
     return std::make_unique<SocketContext>(config);
+  }
+};
+
+/// The backends every typed suite runs over, named "sim" and "socket" in the
+/// test names (TYPED_TEST_SUITE(Suite, Backends, BackendNames)).
+using Backends = ::testing::Types<SimBusBackend, SocketBackend>;
+
+struct BackendNames {
+  template <typename T>
+  static std::string GetName(int) {
+    return T::kName;
   }
 };
 

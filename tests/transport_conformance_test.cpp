@@ -27,8 +27,6 @@ namespace {
 
 using testing::BackendContext;
 using testing::ConformanceConfig;
-using testing::SimBusBackend;
-using testing::SocketBackend;
 
 template <typename Backend>
 class TransportConformance : public ::testing::Test {
@@ -53,17 +51,7 @@ class TransportConformance : public ::testing::Test {
   }
 };
 
-using Backends = ::testing::Types<SimBusBackend, SocketBackend>;
-
-class BackendNames {
- public:
-  template <typename T>
-  static std::string GetName(int) {
-    return T::kName;
-  }
-};
-
-TYPED_TEST_SUITE(TransportConformance, Backends, BackendNames);
+TYPED_TEST_SUITE(TransportConformance, testing::Backends, testing::BackendNames);
 
 // ---------------------------------------------------------------------------
 // Raw transport contract.

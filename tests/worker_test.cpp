@@ -13,7 +13,7 @@ struct WorkerFixture {
 
   std::unique_ptr<WorkerProcess> make_worker(int id, bool running,
                                              WorkerParams params = {}) {
-    return std::make_unique<WorkerProcess>(sim, bus, "job0", id, id, train::resnet50(),
+    return std::make_unique<WorkerProcess>(bus, "job0", id, id, train::resnet50(),
                                            train::EngineKind::kDynamicGraph, params,
                                            Rng(7 + static_cast<std::uint64_t>(id)),
                                            running);
@@ -54,6 +54,32 @@ TEST(Worker, LaunchTwiceRejected) {
   w->launch();
   f.sim.run();
   EXPECT_THROW(w->launch(), InvalidArgument);
+}
+
+// shutdown() mid-launch cancels the launch sequence: neither the start nor
+// the init delay may bring a stopped worker back as Ready, and a stopped
+// worker reports nothing (its endpoint is dead, so a report would throw out
+// of the simulator).
+TEST(Worker, ShutdownDuringLaunchStaysStopped) {
+  WorkerFixture f;
+  std::vector<transport::Message> am_inbox;
+  transport::ReliableEndpoint am(f.bus, "am/job0",
+                                 [&](const transport::Message& m) { am_inbox.push_back(m); });
+  int ready = 0;
+  auto starting = f.make_worker(1, false);
+  auto initializing = f.make_worker(2, false);
+  starting->launch([&] { ++ready; });
+  initializing->launch([&] { ++ready; });
+  f.sim.run_until(1.0);
+  starting->shutdown();
+  f.sim.run_until(initializing->measured_start_time() + 0.01);
+  ASSERT_EQ(initializing->state(), WorkerState::kInitializing);
+  initializing->shutdown();
+  EXPECT_NO_THROW(f.sim.run());
+  EXPECT_EQ(starting->state(), WorkerState::kStopped);
+  EXPECT_EQ(initializing->state(), WorkerState::kStopped);
+  EXPECT_EQ(ready, 0);
+  EXPECT_TRUE(am_inbox.empty());
 }
 
 TEST(Worker, ReportsToAmOnReady) {

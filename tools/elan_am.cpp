@@ -1,25 +1,27 @@
 // Live application master: the ApplicationMaster object from the simulation,
 // hosted in its own OS process over the socket transport.
 //
-// The AM's timers (report timeout) already go through the RawTransport timer
-// API, so over SocketTransport they are real wall-clock timers and the object
-// runs unmodified. A private simulator + WallClockDriver exists only to pump
-// the KV store's latency callbacks.
+// The AM's timers (report timeout) go through the RawTransport timer API, so
+// over SocketTransport they are real wall-clock timers, run with its message
+// handler on the transport's IO thread, and the object runs unmodified. Its
+// KV store keeps a simulator only because KvStore's constructor takes one:
+// the AM's puts are synchronous, so nothing is ever scheduled on it.
 //
-// Markers on stdout: AM_READY job=<id>. Everything else is logging (stderr)
-// and flight records (<dir>/flight-am.{bin,crash}).
+// ELAN_FLIGHT / ELAN_TRACE / ELAN_METRICS / ELAN_LOG apply (obs::init_from_env);
+// elan_launch points ELAN_FLIGHT at <dir>/flight-am.bin.
+//
+// Markers on stdout: AM_READY job=<id>. Everything else is logging (stderr).
 #include <string>
 #include <vector>
 
 #include "common/flags.h"
 #include "common/log.h"
 #include "elan/master.h"
-#include "obs/flight.h"
-#include "sim/simulator.h"
 #include "live_common.h"
+#include "obs/obs.h"
+#include "sim/simulator.h"
 #include "transport/kv_store.h"
 #include "transport/socket_transport.h"
-#include "transport/wallclock.h"
 
 namespace {
 
@@ -55,6 +57,7 @@ int run(int argc, char** argv, elan::Flags& flags) {
     std::fputs(flags.usage("elan_am").c_str(), stderr);
     return 0;
   }
+  obs::init_from_env();
   apply_log_level_flag(flags);
   require(!flags.get("dir").empty(), "elan_am: --dir is required");
 
@@ -63,17 +66,13 @@ int run(int argc, char** argv, elan::Flags& flags) {
     return live::kSkipExitCode;
   }
 
-  const std::string dir = flags.get("dir");
   const std::string job = flags.get("job");
 
-  obs::FlightRecorder::set_enabled(true);
-  obs::FlightRecorder::instance().arm_crash_dump(dir + "/flight-am.crash");
   live::install_stop_handlers();
 
   sim::Simulator sim;
   transport::KvStore kv(sim);
-  transport::WallClockDriver driver(sim);
-  transport::SocketTransport bus(live::live_socket_options(dir));
+  transport::SocketTransport bus(live::live_socket_options(flags.get("dir")));
   {
     AmParams params;
     params.report_timeout = flags.get_double("report-timeout");
@@ -83,8 +82,6 @@ int run(int argc, char** argv, elan::Flags& flags) {
     log_info() << "am/" << job << ": stopping (phase " << to_string(am.phase()) << ")";
   }
   bus.shutdown();
-  driver.stop();
-  obs::FlightRecorder::instance().dump(dir + "/flight-am.bin");
   return 0;
 }
 

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,6 @@ int main(int argc, char** argv) {
   flags.define("budget-seconds", "0", "stop after this much wall time (0 = run all plans)");
   flags.define("check-determinism", "false", "run each plan twice and compare fingerprints");
   flags.define("verbose", "false", "print every plan and result, not just failures");
-  flags.define("trace", "", "write a Chrome trace-event JSON here (same as ELAN_TRACE)");
   flags.define("flight", "",
                "enable the flight recorder; a failing seed dumps <prefix>.seed<seed>.flt "
                "for elan_postmortem");
@@ -73,8 +71,6 @@ int main(int argc, char** argv) {
   }
   elan::apply_log_level_flag(flags);
 
-  const std::string trace = flags.get("trace");
-  if (!trace.empty()) ::setenv("ELAN_TRACE", trace.c_str(), 1);
   elan::obs::init_from_env();
   const std::string flight = flags.get("flight");
   if (!flight.empty()) {

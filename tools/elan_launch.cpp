@@ -9,8 +9,13 @@
 //   3. with --kill-one, SIGKILLs a worker mid-round, reports it failed
 //      (remove_failed), and re-admits a replacement via scale-out.
 //
-// Child stdout/stderr land in <dir>/<name>.log; flight records in
-// <dir>/flight-*.bin|.crash — the postmortem inputs on failure.
+// Child stdout/stderr land in <dir>/<name>.log. Each child runs with
+// ELAN_FLIGHT=<dir>/flight-<name>.bin (obs::init_from_env), so its flight
+// record lands there at exit or on a crash: the postmortem inputs on
+// failure. When the launcher's environment sets ELAN_TRACE or ELAN_METRICS,
+// each child writes its own <dir>/trace-<name>.json or
+// <dir>/metrics-<name>.txt instead of every child overwriting that one path.
+// Other ELAN_* variables pass through unchanged.
 //
 // Markers on stdout (parsed by live_faults_test.py and the CI smoke job):
 //   STEADY workers=N | SCALED workers=N | KILLED worker=K | REMOVED worker=K
@@ -28,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -41,6 +47,11 @@ namespace {
 
 using namespace elan;
 
+bool env_set(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr && *value != '\0';
+}
+
 struct Child {
   pid_t pid = -1;
   std::string name;       // "am" or "w<id>"
@@ -51,12 +62,11 @@ struct Child {
 class Launcher {
  public:
   Launcher(std::string dir, std::string job, std::string am_bin,
-           std::string worker_bin, double speed, Seconds step_timeout)
+           std::string worker_bin, Seconds step_timeout)
       : dir_(std::move(dir)),
         job_(std::move(job)),
         am_bin_(std::move(am_bin)),
         worker_bin_(std::move(worker_bin)),
-        speed_(speed),
         step_timeout_(step_timeout),
         bus_(live::live_socket_options(dir_)),
         client_(bus_, "launcher/" + job_),
@@ -83,9 +93,7 @@ class Launcher {
                                      "--id",
                                      std::to_string(id),
                                      "--gpu",
-                                     std::to_string(gpu),
-                                     "--speed",
-                                     std::to_string(speed_)};
+                                     std::to_string(gpu)};
     if (running) args.push_back("--running");
     std::string name = "w";
     name += std::to_string(id);
@@ -249,6 +257,29 @@ class Launcher {
   bool spawn(const std::string& name, int worker_id,
              const std::vector<std::string>& args) {
     const std::string log_path = dir_ + "/" + name + ".log";
+    // argv and the environment are built before fork(): the child of this
+    // multi-threaded process only redirects its output and execs.
+    std::vector<char*> argv;
+    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    const std::string prefix = dir_ + "/";
+    std::vector<std::string> sidecars = {"ELAN_FLIGHT=" + prefix + "flight-" + name + ".bin"};
+    if (env_set("ELAN_TRACE")) {
+      sidecars.push_back("ELAN_TRACE=" + prefix + "trace-" + name + ".json");
+    }
+    if (env_set("ELAN_METRICS")) {
+      sidecars.push_back("ELAN_METRICS=" + prefix + "metrics-" + name + ".txt");
+    }
+    std::vector<char*> envp;
+    for (char** e = environ; *e != nullptr; ++e) {
+      const std::string_view var = *e;
+      if (!var.starts_with("ELAN_FLIGHT=") && !var.starts_with("ELAN_TRACE=") &&
+          !var.starts_with("ELAN_METRICS=")) {
+        envp.push_back(*e);
+      }
+    }
+    for (auto& var : sidecars) envp.push_back(var.data());
+    envp.push_back(nullptr);
     const pid_t pid = ::fork();
     if (pid < 0) return fail("fork failed: " + std::string(std::strerror(errno)));
     if (pid == 0) {
@@ -258,12 +289,8 @@ class Launcher {
         ::dup2(fd, STDERR_FILENO);
         ::close(fd);
       }
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      std::fprintf(stderr, "execv %s: %s\n", argv[0], std::strerror(errno));
+      ::execve(argv[0], argv.data(), envp.data());
+      std::fprintf(stderr, "execve %s: %s\n", argv[0], std::strerror(errno));
       ::_exit(127);
     }
     children_.push_back(Child{pid, name, worker_id, false});
@@ -309,7 +336,6 @@ class Launcher {
   const std::string job_;
   const std::string am_bin_;
   const std::string worker_bin_;
-  const double speed_;
   const Seconds step_timeout_;
   transport::SocketTransport bus_;
   live::ControlClient client_;
@@ -347,7 +373,6 @@ int run(int argc, char** argv, Flags& flags) {
   flags.define("kill-one", "false", "SIGKILL a worker, evict it, re-admit a replacement");
   flags.define("am-bin", "", "path to elan_am (default: next to this binary)");
   flags.define("worker-bin", "", "path to elan_worker (default: next to this binary)");
-  flags.define("speed", "10", "worker sim seconds per wall second");
   flags.define("step-timeout", "60", "seconds allowed per choreography step");
   flags.define("keep-dir", "false", "keep the socket/log directory on success");
   define_log_level_flag(flags);
@@ -379,7 +404,7 @@ int run(int argc, char** argv, Flags& flags) {
   const int workers = static_cast<int>(flags.get_int("workers"));
 
   Launcher launcher(dir, flags.get("job"), am_bin, worker_bin,
-                    flags.get_double("speed"), flags.get_double("step-timeout"));
+                    flags.get_double("step-timeout"));
 
   bool ok = launcher.spawn_am(workers);
   for (int i = 0; ok && i < workers; ++i) {

@@ -1,14 +1,19 @@
 // Live worker: the WorkerProcess object from the simulation, hosted in its
 // own OS process over the socket transport.
 //
-// The worker is a single-threaded actor whose timeouts are simulator events,
-// so a WallClockDriver pumps its private simulator in (scaled) real time and
-// the socket transport's dispatcher hops every message delivery onto that
-// same pump thread — the worker never sees concurrent calls, exactly like
-// under simulation.
+// The worker's timers and message handler run on the transport's IO thread,
+// so it is the same single-threaded actor it is under simulation; the main
+// thread only waits for a stop signal. A joiner's start and init are real
+// here (fork/exec, transport attach), so it reports ready as soon as it is up
+// instead of replaying the modelled launch delays. Every worker then
+// coordinates with the AM every 50 ms (the job runtime's iteration-boundary
+// poll).
+//
+// ELAN_FLIGHT / ELAN_TRACE / ELAN_METRICS / ELAN_LOG apply (obs::init_from_env);
+// elan_launch points ELAN_FLIGHT at <dir>/flight-w<id>.bin.
 //
 // Markers on stdout: WORKER_READY id=<n>, WORKER_DECISION id=<n> v=<plan>.
-#include <memory>
+#include <functional>
 #include <string>
 
 #include "common/flags.h"
@@ -16,13 +21,15 @@
 #include "common/rng.h"
 #include "elan/worker.h"
 #include "live_common.h"
-#include "obs/flight.h"
-#include "sim/simulator.h"
+#include "obs/obs.h"
 #include "train/models.h"
 #include "transport/socket_transport.h"
-#include "transport/wallclock.h"
 
 namespace {
+
+/// Wall-clock timings of a live worker.
+constexpr elan::Seconds kCoordinationInterval = elan::milliseconds(50.0);
+constexpr elan::Seconds kDecisionTimeout = 0.1;
 
 int run(int argc, char** argv, elan::Flags& flags) {
   using namespace elan;
@@ -31,15 +38,14 @@ int run(int argc, char** argv, elan::Flags& flags) {
   flags.define("job", "job0", "job id");
   flags.define("id", "0", "worker id");
   flags.define("gpu", "0", "gpu id");
-  flags.define("running", "false", "already part of the job (skip launch/report)");
-  flags.define("speed", "10", "sim seconds advanced per wall second");
-  flags.define("coord-interval", "0.5", "coordination interval in sim seconds");
+  flags.define("running", "false", "already part of the job (skip the ready report)");
   define_log_level_flag(flags);
   flags.parse(argc, argv);
   if (flags.help_requested()) {
     std::fputs(flags.usage("elan_worker").c_str(), stderr);
     return 0;
   }
+  obs::init_from_env();
   apply_log_level_flag(flags);
   require(!flags.get("dir").empty(), "elan_worker: --dir is required");
 
@@ -48,46 +54,28 @@ int run(int argc, char** argv, elan::Flags& flags) {
     return live::kSkipExitCode;
   }
 
-  const std::string dir = flags.get("dir");
   const std::string job = flags.get("job");
   const int id = static_cast<int>(flags.get_int("id"));
   const bool running = flags.get_bool("running");
-  const Seconds interval = flags.get_double("coord-interval");
 
-  obs::FlightRecorder::set_enabled(true);
-  obs::FlightRecorder::instance().arm_crash_dump(dir + "/flight-w" +
-                                                 std::to_string(id) + ".crash");
   live::install_stop_handlers();
 
-  sim::Simulator sim;
-  transport::WallClockDriver driver(sim, flags.get_double("speed"));
-  auto options = live::live_socket_options(dir);
+  auto options = live::live_socket_options(flags.get("dir"));
   options.seed = 1000 + static_cast<std::uint64_t>(id);
-  // Single-threaded actor: handlers are delivered on the pump thread.
-  options.dispatcher = [&driver](std::function<void()> fn) {
-    driver.post(std::move(fn));
-  };
   transport::SocketTransport bus(options);
   {
     WorkerParams params;
-    params.start_mean = 1.0;  // compressed further by --speed
-    params.start_stddev = 0.1;
-    WorkerProcess worker(sim, bus, job, id,
-                         static_cast<topo::GpuId>(flags.get_int("gpu")),
+    params.decision_timeout = kDecisionTimeout;
+    WorkerProcess worker(bus, job, id, static_cast<topo::GpuId>(flags.get_int("gpu")),
                          train::mobilenet_v2_cifar(), train::EngineKind::kDynamicGraph,
                          params, Rng(1234 + 7919ULL * static_cast<std::uint64_t>(id)),
                          running);
 
-    // Periodic coordination loop (the job runtime's iteration-boundary poll),
-    // running entirely on the pump thread.
-    auto iteration = std::make_shared<std::uint64_t>(0);
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&, iteration, tick] {
-      if (live::g_stop_requested == 0 &&
-          (worker.state() == WorkerState::kTraining ||
-           worker.state() == WorkerState::kReady) &&
+    std::uint64_t iteration = 0;
+    std::function<void()> tick = [&] {
+      if ((worker.state() == WorkerState::kTraining || worker.state() == WorkerState::kReady) &&
           !worker.has_pending_decision()) {
-        worker.coordinate(++*iteration, [&worker, id](const DecisionMsg& decision) {
+        worker.coordinate(++iteration, [&worker, id](const DecisionMsg& decision) {
           if (decision.adjust) {
             live::marker("WORKER_DECISION id=" + std::to_string(id) +
                          " v=" + std::to_string(decision.plan.version));
@@ -97,28 +85,20 @@ int run(int argc, char** argv, elan::Flags& flags) {
           if (worker.state() == WorkerState::kReady) worker.set_training();
         });
       }
-      sim.schedule(interval, *tick);
+      bus.schedule_after(kCoordinationInterval, tick);
     };
-
-    if (running) {
+    // From here on the worker is touched only on the IO thread.
+    bus.schedule_after(0.0, [&] {
+      if (!running) worker.report_ready();
       live::marker("WORKER_READY id=" + std::to_string(id));
-      sim.schedule(interval, *tick);
-    } else {
-      driver.post([&, tick] {
-        worker.launch([&, tick] {
-          live::marker("WORKER_READY id=" + std::to_string(id));
-          sim.schedule(interval, *tick);
-        });
-      });
-    }
+      tick();
+    });
 
     live::wait_for_stop();
-    bus.shutdown();  // stop deliveries before tearing the worker down
-    driver.stop();
+    bus.shutdown();  // joins the IO thread: no handler or timer runs after this
     log_info() << "w" << id << "/" << job << ": stopping in state "
                << to_string(worker.state());
   }
-  obs::FlightRecorder::instance().dump(dir + "/flight-w" + std::to_string(id) + ".bin");
   return 0;
 }
 

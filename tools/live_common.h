@@ -2,11 +2,11 @@
 // elan_launch).
 //
 // These tools run the *same* ApplicationMaster / WorkerProcess objects the
-// simulation uses, but over the socket transport with a WallClockDriver
-// pumping each process's private simulator. What lives here is only the glue
-// a real deployment would need anyway: signal-driven shutdown, a
-// request/reply client for the AM's control protocol, and the stdout markers
-// the launcher and tests key on.
+// simulation uses, but over the socket transport, whose IO thread runs each
+// process's message handlers and timers in wall-clock time. What lives here
+// is only the glue a real deployment would need anyway: signal-driven
+// shutdown, a request/reply client for the AM's control protocol, and the
+// stdout markers the launcher and tests key on.
 #pragma once
 
 #include <csignal>

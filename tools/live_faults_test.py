@@ -12,8 +12,9 @@ full sequence appears and the run exits 0. If the sandbox forbids AF_UNIX
 sockets, elan_launch exits 77 and we propagate it (ctest SKIP_RETURN_CODE).
 
 On failure the launcher leaves the socket/log directory behind; we dump the
-per-process logs and render any flight records through elan_postmortem so the
-ctest output alone is enough to debug.
+per-process logs and render the flight records (each child's ELAN_FLIGHT,
+<dir>/flight-<name>.bin, written at exit or on a crash) through
+elan_postmortem so the ctest output alone is enough to debug.
 
 Usage: live_faults_test.py <elan_launch> [<elan_postmortem>]
 """
@@ -44,10 +45,7 @@ def dump_artifacts(dirpath, postmortem):
             sys.stdout.writelines(f.readlines()[-40:])
     if not postmortem:
         return
-    for record in sorted(
-        glob.glob(os.path.join(dirpath, "flight-*.bin"))
-        + glob.glob(os.path.join(dirpath, "flight-*.crash"))
-    ):
+    for record in sorted(glob.glob(os.path.join(dirpath, "flight-*.bin"))):
         print(f"--- elan_postmortem {os.path.basename(record)} ---")
         proc = subprocess.run(
             [postmortem, record], stdout=subprocess.PIPE,
