@@ -5,7 +5,6 @@
 // cost must be negligible against the transfers they schedule.
 #include <benchmark/benchmark.h>
 
-#include "comm/group.h"
 #include "common/sync.h"
 #include "elan/hybrid_scaling.h"
 #include "elan/replication.h"
@@ -65,12 +64,15 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventThroughput);
 
+// The allreduce price the workloads pay: ring bottleneck plus the
+// calibrated alpha-beta formula, over a compact placement.
 void BM_AllreduceCostModel(benchmark::State& state) {
   std::vector<topo::GpuId> members;
   for (int i = 0; i < state.range(0); ++i) members.push_back(i);
-  comm::CommGroup group(testbed(), bandwidth(), members);
+  const train::ThroughputModel tm(testbed(), bandwidth());
+  const train::ModelSpec model = train::resnet50();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(group.allreduce_time(100_MiB));
+    benchmark::DoNotOptimize(tm.allreduce_time_on(model, members));
   }
 }
 BENCHMARK(BM_AllreduceCostModel)->Arg(8)->Arg(64);

@@ -1,11 +1,51 @@
 #include "common/flags.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/log.h"
 
 namespace elan {
+
+namespace {
+
+template <typename T>
+T parse_number(std::string_view text, T lo, T hi, std::string_view what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::ostringstream os;
+    os << what << ": expected a number in [" << lo << ", " << hi << "], got '" << text << "'";
+    throw InvalidArgument(os.str());
+  }
+  return value;
+}
+
+}  // namespace
+
+std::int64_t parse_int(std::string_view text, std::int64_t lo, std::int64_t hi,
+                       std::string_view what) {
+  return parse_number(text, lo, hi, what);
+}
+
+double parse_double(std::string_view text, double lo, double hi, std::string_view what) {
+  return parse_number(text, lo, hi, what);
+}
+
+std::vector<std::int64_t> parse_int_list(std::string_view spec, std::int64_t lo,
+                                         std::int64_t hi, std::string_view what) {
+  std::vector<std::int64_t> out;
+  if (spec.empty()) return out;
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = spec.find(',', pos);
+    out.push_back(parse_int(spec.substr(pos, comma - pos), lo, hi, what));
+    if (comma == std::string_view::npos) return out;
+    pos = comma + 1;
+  }
+}
 
 void Flags::define(const std::string& name, const std::string& default_value,
                    const std::string& help) {
@@ -64,21 +104,13 @@ std::string Flags::get(const std::string& name) const {
 }
 
 std::int64_t Flags::get_int(const std::string& name) const {
-  const std::string v = get(name);
-  char* end = nullptr;
-  const auto out = std::strtoll(v.c_str(), &end, 10);
-  ELAN_REQUIRE(end != nullptr && *end == '\0' && !v.empty(),
-               "flag --" + name + " expects an integer, got '" + v + "'");
-  return out;
+  using Limits = std::numeric_limits<std::int64_t>;
+  return parse_int(get(name), Limits::min(), Limits::max(), "flag --" + name);
 }
 
 double Flags::get_double(const std::string& name) const {
-  const std::string v = get(name);
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  ELAN_REQUIRE(end != nullptr && *end == '\0' && !v.empty(),
-               "flag --" + name + " expects a number, got '" + v + "'");
-  return out;
+  using Limits = std::numeric_limits<double>;
+  return parse_double(get(name), Limits::lowest(), Limits::max(), "flag --" + name);
 }
 
 bool Flags::get_bool(const std::string& name) const {

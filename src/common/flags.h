@@ -10,11 +10,25 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
 
 namespace elan {
+
+/// The checked parser for numbers from outside the program (flags, trace
+/// files, comma lists): all of `text` must be one base-10 number in [lo, hi].
+/// Anything else (empty, trailing characters, out of range, NaN) throws
+/// InvalidArgument naming `what` and quoting `text`.
+std::int64_t parse_int(std::string_view text, std::int64_t lo, std::int64_t hi,
+                       std::string_view what);
+double parse_double(std::string_view text, double lo, double hi, std::string_view what);
+
+/// Comma-separated integers ("8,4"), each checked by parse_int; "" is the
+/// empty list, and an empty item ("8,,4", "8,") is rejected.
+std::vector<std::int64_t> parse_int_list(std::string_view spec, std::int64_t lo,
+                                         std::int64_t hi, std::string_view what);
 
 class Flags {
  public:

@@ -9,16 +9,6 @@
 
 namespace elan {
 
-const char* to_string(AmPhase phase) {
-  switch (phase) {
-    case AmPhase::kSteady: return "steady";
-    case AmPhase::kWaitingReady: return "waiting-ready";
-    case AmPhase::kReady: return "ready";
-    case AmPhase::kAdjusting: return "adjusting";
-  }
-  return "?";
-}
-
 ApplicationMaster::ApplicationMaster(transport::RawTransport& bus, transport::KvStore& kv,
                                      std::string job_id,
                                      std::vector<WorkerLaunchSpec> initial_workers,
@@ -343,7 +333,7 @@ void ApplicationMaster::on_status(const StatusRequestMsg& msg, const std::string
   reply.request_id = msg.request_id;
   {
     MutexLock lock(mu_);
-    reply.phase = static_cast<std::uint8_t>(state_.phase);
+    reply.phase = state_.phase;
     reply.plan_version = state_.plan.version;
     reply.workers = state_.workers;
     reply.evictions = evictions_;

@@ -36,16 +36,6 @@
 
 namespace elan {
 
-enum class AmPhase {
-  kSteady = 0,       // no pending adjustment
-  kWaitingReady = 1, // adjustment requested; waiting for new workers' reports
-  kReady = 2,        // all reports in; instruct at the next coordination
-  kAdjusting = 3,    // adjustment instructed; waiting for completion
-};
-
-const char* to_string(AmPhase phase);
-constexpr AmPhase wire_max(AmPhase) { return AmPhase::kAdjusting; }
-
 struct WorkerLaunchSpec {
   int worker = -1;
   topo::GpuId gpu = -1;

@@ -11,4 +11,14 @@ const char* to_string(AdjustmentType type) {
   return "?";
 }
 
+const char* to_string(AmPhase phase) {
+  switch (phase) {
+    case AmPhase::kSteady: return "steady";
+    case AmPhase::kWaitingReady: return "waiting-ready";
+    case AmPhase::kReady: return "ready";
+    case AmPhase::kAdjusting: return "adjusting";
+  }
+  return "?";
+}
+
 }  // namespace elan

@@ -32,6 +32,18 @@ enum class AdjustmentType { kScaleOut, kScaleIn, kMigrate };
 const char* to_string(AdjustmentType type);
 constexpr AdjustmentType wire_max(AdjustmentType) { return AdjustmentType::kMigrate; }
 
+/// The AM's state-machine phase (persisted in AmRecord, reported in
+/// StatusReplyMsg).
+enum class AmPhase {
+  kSteady = 0,       // no pending adjustment
+  kWaitingReady = 1, // adjustment requested; waiting for new workers' reports
+  kReady = 2,        // all reports in; instruct at the next coordination
+  kAdjusting = 3,    // adjustment instructed; waiting for completion
+};
+
+const char* to_string(AmPhase phase);
+constexpr AmPhase wire_max(AmPhase) { return AmPhase::kAdjusting; }
+
 /// A pending resource adjustment tracked by the AM.
 struct AdjustmentPlan {
   std::uint64_t version = 0;
@@ -134,7 +146,7 @@ struct StatusRequestMsg {
 struct StatusReplyMsg {
   static constexpr std::string_view kWireType = "status_reply";
   std::uint64_t request_id = 0;
-  std::uint8_t phase = 0;  // static_cast of AmPhase (messages stay AM-agnostic)
+  AmPhase phase = AmPhase::kSteady;
   std::uint64_t plan_version = 0;
   std::map<int, topo::GpuId> workers;  // current membership (worker -> GPU)
   std::uint64_t evictions = 0;

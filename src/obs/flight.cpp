@@ -20,18 +20,19 @@ namespace elan::obs {
 
 namespace {
 
-// File format v1 (DESIGN.md §5i). All integers little-endian host order —
+// File format v2 (DESIGN.md §5i). All integers little-endian host order —
 // records are read back on the machine (or CI runner) that wrote them, and
 // the header pins sizeof(FlightEvent) so a layout drift fails loudly.
 //
-//   magic "ELANFLT\x01"            8 bytes (last byte = format version)
+//   magic "ELANFLT\x02"            8 bytes (last byte = format version)
 //   u32 event_size                 sizeof(FlightEvent)
+//   u32 origin                     FlightOrigin: 0 dump(), 1 crash path
 //   u32 ring_count
 //   ring_count times:
 //     u32 thread  u32 stored  u64 total   stored * FlightEvent (old→new)
 //   u64 metrics_len                0 in crash-path records
 //   metrics_len bytes              MetricsRegistry text exposition
-constexpr char kMagic[8] = {'E', 'L', 'A', 'N', 'F', 'L', 'T', '\x01'};
+constexpr char kMagic[8] = {'E', 'L', 'A', 'N', 'F', 'L', 'T', '\x02'};
 
 // Every thread's own ring, indexed by this_thread_index(). Never freed:
 // crash dumps read them from any thread.
@@ -135,12 +136,13 @@ void view_signal_safe(RingView& view) {
   }
 }
 
-bool write_rings_signal_safe(int fd) {
+bool write_rings_signal_safe(int fd, FlightOrigin origin) {
   RingView view;
   view_signal_safe(view);
   if (!write_all_sigsafe(fd, kMagic, sizeof(kMagic))) return false;
   const std::uint32_t event_size = sizeof(FlightEvent);
   if (!write_all_sigsafe(fd, &event_size, sizeof(event_size))) return false;
+  if (!write_all_sigsafe(fd, &origin, sizeof(origin))) return false;
   if (!write_all_sigsafe(fd, &view.count, sizeof(view.count))) return false;
   for (std::uint32_t i = 0; i < view.count; ++i) {
     const FlightRing* ring = view.rings[i];
@@ -301,7 +303,7 @@ std::uint64_t FlightRecorder::total_recorded() const {
 bool FlightRecorder::dump(const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  bool ok = write_rings_signal_safe(fd);
+  bool ok = write_rings_signal_safe(fd, FlightOrigin::kExit);
   const std::string metrics = MetricsRegistry::instance().text_exposition();
   const std::uint64_t metrics_len = metrics.size();
   ok = ok && write_all_sigsafe(fd, &metrics_len, sizeof(metrics_len));
@@ -323,7 +325,7 @@ void FlightRecorder::arm_crash_dump(const std::string& path) {
 }
 
 void FlightRecorder::dump_to_fd_signal_safe(int fd) const {
-  if (!write_rings_signal_safe(fd)) return;
+  if (!write_rings_signal_safe(fd, FlightOrigin::kCrash)) return;
   const std::uint64_t metrics_len = 0;  // registry lock is not signal-safe
   write_all_sigsafe(fd, &metrics_len, sizeof(metrics_len));
 }
@@ -449,12 +451,15 @@ FlightRecord read_flight_record(const std::string& path) {
     throw Error("flight record: bad magic in " + path);
   FlightRecord record;
   record.version = static_cast<std::uint32_t>(magic[7]);
-  if (record.version != 1)
+  if (record.version != 2)
     throw Error("flight record: unsupported version in " + path);
   std::uint32_t event_size = 0;
   read_raw(&event_size, sizeof(event_size));
   if (event_size != sizeof(FlightEvent))
     throw Error("flight record: event layout mismatch in " + path);
+  read_raw(&record.origin, sizeof(record.origin));
+  if (record.origin != FlightOrigin::kExit && record.origin != FlightOrigin::kCrash)
+    throw Error("flight record: unknown origin in " + path);
   std::uint32_t ring_count = 0;
   read_raw(&ring_count, sizeof(ring_count));
   if (ring_count > FlightRecorder::kMaxThreads)

@@ -256,9 +256,16 @@ struct FlightRing {
   FlightEvent slots[FlightRecorder::kRingCapacity];
 };
 
+/// Which dump path wrote a record: dump() (the exit dump, or a tool's dump
+/// of a finished run) or the async-signal-safe crash path. A record's
+/// metrics section cannot tell them apart: a process that registers no
+/// metrics writes an empty one on a clean exit too.
+enum class FlightOrigin : std::uint32_t { kExit = 0, kCrash = 1 };
+
 /// Parsed form of a record file, for tests and elan_postmortem.
 struct FlightRecord {
   std::uint32_t version = 0;
+  FlightOrigin origin = FlightOrigin::kExit;
   struct Ring {
     std::uint32_t thread = 0;
     std::uint64_t total = 0;            // events ever written to this ring

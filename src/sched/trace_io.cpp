@@ -1,10 +1,12 @@
 #include "sched/trace_io.h"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.h"
+#include "common/flags.h"
 
 namespace elan::sched {
 
@@ -42,16 +44,23 @@ std::vector<SchedJobSpec> read_trace_csv(std::istream& is) {
     if (line.empty()) continue;
     const auto cells = split_csv_line(line);
     ELAN_REQUIRE(cells.size() == 8, "trace csv: bad row: " + line);
+    // Every number cell is parsed whole: "12x" or "" is an error, not 12.
+    auto int_cell = [&](std::size_t cell, int lo, std::string_view what) {
+      return static_cast<int>(
+          parse_int(cells[cell], lo, std::numeric_limits<int>::max(), what));
+    };
     SchedJobSpec j;
-    j.id = std::stoi(cells[0]);
-    j.submit_time = std::stod(cells[1]);
+    j.id = int_cell(0, 0, "trace csv: id");
+    j.submit_time = parse_double(cells[1], 0.0, std::numeric_limits<double>::max(),
+                                 "trace csv: submit_time");
     j.model = train::model_by_name(cells[2]);
-    j.req_res = std::stoi(cells[3]);
-    j.min_res = std::stoi(cells[4]);
-    j.max_res = std::stoi(cells[5]);
-    j.base_total_batch = std::stoi(cells[6]);
-    j.total_samples = std::stoull(cells[7]);
-    ELAN_REQUIRE(j.min_res > 0 && j.min_res <= j.req_res && j.req_res <= j.max_res,
+    j.req_res = int_cell(3, 1, "trace csv: req_res");
+    j.min_res = int_cell(4, 1, "trace csv: min_res");
+    j.max_res = int_cell(5, 1, "trace csv: max_res");
+    j.base_total_batch = int_cell(6, 1, "trace csv: base_total_batch");
+    j.total_samples = static_cast<std::uint64_t>(parse_int(
+        cells[7], 1, std::numeric_limits<std::int64_t>::max(), "trace csv: total_samples"));
+    ELAN_REQUIRE(j.min_res <= j.req_res && j.req_res <= j.max_res,
                  "trace csv: inconsistent resource bounds in row: " + line);
     trace.push_back(std::move(j));
   }

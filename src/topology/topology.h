@@ -54,10 +54,10 @@ struct TopologySpec {
   int switches_per_bridge = 2;
   int gpus_per_switch = 2;
 
-  int gpus_per_node() const {
+  constexpr int gpus_per_node() const {
     return sockets_per_node * bridges_per_socket * switches_per_bridge * gpus_per_switch;
   }
-  int total_gpus() const { return nodes * gpus_per_node(); }
+  constexpr int total_gpus() const { return nodes * gpus_per_node(); }
 
   void validate() const;
 };

@@ -2,10 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "comm/group.h"
 #include "common/error.h"
 
 namespace elan::train {
+
+namespace {
+
+/// Worker i on GPU i: the placement the worker-count overloads price.
+std::vector<topo::GpuId> compact(int workers) {
+  require(workers > 0, "throughput model: non-positive worker count");
+  std::vector<topo::GpuId> members(static_cast<std::size_t>(workers));
+  std::iota(members.begin(), members.end(), 0);
+  return members;
+}
+
+}  // namespace
 
 ThroughputModel::ThroughputModel(const topo::Topology& topology,
                                  const topo::BandwidthModel& bandwidth,
@@ -24,8 +38,7 @@ Seconds ThroughputModel::allreduce_time_on(const ModelSpec& model,
                                            const std::vector<topo::GpuId>& members) const {
   require(!members.empty(), "allreduce_time_on: empty member set");
   if (members.size() < 2) return 0.0;
-  const comm::CommGroup group(*topology_, *bandwidth_, members);
-  const auto level = group.bottleneck_level();
+  const auto level = comm::ring_bottleneck(*topology_, members);
   const auto& link = bandwidth_->params(level);
 
   const double n = static_cast<double>(members.size());
@@ -39,10 +52,7 @@ Seconds ThroughputModel::allreduce_time_on(const ModelSpec& model,
 }
 
 Seconds ThroughputModel::allreduce_time(const ModelSpec& model, int workers) const {
-  require(workers > 0, "allreduce_time: non-positive workers");
-  std::vector<topo::GpuId> members(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) members[static_cast<std::size_t>(i)] = i;
-  return allreduce_time_on(model, members);
+  return allreduce_time_on(model, compact(workers));
 }
 
 Seconds ThroughputModel::iteration_time_on(const ModelSpec& model,
@@ -57,9 +67,7 @@ Seconds ThroughputModel::iteration_time_on(const ModelSpec& model,
 
 Seconds ThroughputModel::iteration_time(const ModelSpec& model, int workers,
                                         int per_worker_batch) const {
-  std::vector<topo::GpuId> members(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) members[static_cast<std::size_t>(i)] = i;
-  return iteration_time_on(model, members, per_worker_batch);
+  return iteration_time_on(model, compact(workers), per_worker_batch);
 }
 
 double ThroughputModel::throughput_on(const ModelSpec& model,
@@ -72,10 +80,7 @@ double ThroughputModel::throughput_on(const ModelSpec& model,
 }
 
 double ThroughputModel::throughput(const ModelSpec& model, int workers, int total_batch) const {
-  require(workers > 0 && total_batch > 0, "throughput: bad arguments");
-  const int per_worker = (total_batch + workers - 1) / workers;
-  const Seconds t = iteration_time(model, workers, per_worker);
-  return static_cast<double>(total_batch) / t;
+  return throughput_on(model, compact(workers), total_batch);
 }
 
 bool ThroughputModel::fits(const ModelSpec& model, int workers, int total_batch) const {

@@ -15,7 +15,8 @@
 //               where B_chunk accounts for the per-step chunk size S/N and
 //               multi-node rings run at a measured efficiency factor
 //               (PCIe-host staging without GPUDirect RDMA roughly halves
-//               achievable bus bandwidth).
+//               achievable bus bandwidth). This is the repository's one
+//               allreduce price; comm::ring_bottleneck names the link.
 //
 //   t_iter = t_compute + max(0, t_comm - overlap * t_backward)
 //
@@ -28,8 +29,8 @@
 
 #include <vector>
 
-#include "comm/group.h"
 #include "common/units.h"
+#include "topology/bandwidth.h"
 #include "topology/topology.h"
 #include "train/models.h"
 

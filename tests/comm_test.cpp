@@ -1,92 +1,38 @@
-// Tests of communication groups and collective cost models.
+// Tests of the ring's bottleneck link, the group-rebuild price and the
+// functional allreduce.
 #include <gtest/gtest.h>
 
 #include "comm/group.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace elan::comm {
 namespace {
 
-struct CommFixture {
-  topo::Topology topology{topo::TopologySpec{}};
-  topo::BandwidthModel bandwidth;
-
-  CommGroup group(std::vector<topo::GpuId> members) {
-    return CommGroup(topology, bandwidth, std::move(members));
-  }
-};
-
-TEST(CommGroup, MembersSortedAndDeduplicated) {
-  CommFixture f;
-  const auto g = f.group({3, 1, 2});
-  EXPECT_EQ(g.members(), (std::vector<topo::GpuId>{1, 2, 3}));
-  EXPECT_TRUE(g.contains(2));
-  EXPECT_FALSE(g.contains(5));
-  EXPECT_THROW(f.group({1, 1}), InvalidArgument);
-  EXPECT_THROW(f.group({}), InvalidArgument);
+TEST(RingBottleneck, LevelFollowsSpan) {
+  const topo::Topology topology{topo::TopologySpec{}};
+  EXPECT_EQ(ring_bottleneck(topology, {0}), topo::LinkLevel::kL1);
+  EXPECT_EQ(ring_bottleneck(topology, {0, 1}), topo::LinkLevel::kL1);
+  EXPECT_EQ(ring_bottleneck(topology, {0, 1, 2, 3}), topo::LinkLevel::kL2);
+  EXPECT_EQ(ring_bottleneck(topology, {0, 1, 2, 3, 4, 5}), topo::LinkLevel::kL3);
+  EXPECT_EQ(ring_bottleneck(topology, {0, 1, 8}), topo::LinkLevel::kL4);
 }
 
-TEST(CommGroup, BottleneckLevelFollowsSpan) {
-  CommFixture f;
-  EXPECT_EQ(f.group({0, 1}).bottleneck_level(), topo::LinkLevel::kL1);
-  EXPECT_EQ(f.group({0, 1, 2, 3}).bottleneck_level(), topo::LinkLevel::kL2);
-  EXPECT_EQ(f.group({0, 1, 2, 3, 4, 5}).bottleneck_level(), topo::LinkLevel::kL3);
-  EXPECT_EQ(f.group({0, 1, 8}).bottleneck_level(), topo::LinkLevel::kL4);
+TEST(RingBottleneck, SortsMembersAndRejectsDuplicatesAndEmptySets) {
+  const topo::Topology topology{topo::TopologySpec{}};
+  EXPECT_EQ(ring_bottleneck(topology, {3, 1, 2, 0}), topo::LinkLevel::kL2);
+  EXPECT_EQ(ring_bottleneck(topology, {9, 0, 1, 8}), ring_bottleneck(topology, {0, 1, 8, 9}));
+  EXPECT_THROW(ring_bottleneck(topology, {1, 1}), InvalidArgument);
+  // Not adjacent as given: only the sorted ring sees the duplicate.
+  EXPECT_THROW(ring_bottleneck(topology, {1, 2, 1}), InvalidArgument);
+  EXPECT_THROW(ring_bottleneck(topology, {}), InvalidArgument);
 }
 
-TEST(CommGroup, SingleMemberCollectivesAreFree) {
-  CommFixture f;
-  const auto g = f.group({0});
-  EXPECT_DOUBLE_EQ(g.allreduce_time(100_MiB), 0.0);
-  EXPECT_DOUBLE_EQ(g.broadcast_time(100_MiB), 0.0);
-  EXPECT_DOUBLE_EQ(g.barrier_time(), 0.0);
-}
-
-TEST(CommGroup, AllreduceGrowsWithPayload) {
-  CommFixture f;
-  const auto g = f.group({0, 1, 2, 3});
-  EXPECT_LT(g.allreduce_time(1_MiB), g.allreduce_time(100_MiB));
-}
-
-TEST(CommGroup, CrossNodeAllreduceIsSlower) {
-  CommFixture f;
-  const auto local = f.group({0, 1, 2, 3, 4, 5, 6, 7});
-  const auto spread = f.group({0, 1, 2, 3, 8, 9, 10, 11});
-  EXPECT_LT(local.allreduce_time(100_MiB), spread.allreduce_time(100_MiB));
-}
-
-TEST(CommGroup, BandwidthTermDominatesForLargePayloads) {
-  CommFixture f;
-  const auto g = f.group({0, 1, 2, 3});
-  // Ring allreduce moves 2(N-1)/N * S per rank; with S=64MiB over L2 the
-  // latency term is negligible.
-  const double expected = 2.0 * 3.0 / 4.0 * 64.0 * 1024 * 1024 /
-                          f.bandwidth.effective_bandwidth(topo::LinkLevel::kL2, 16_MiB);
-  EXPECT_NEAR(g.allreduce_time(64_MiB), expected, expected * 0.1);
-}
-
-TEST(CommGroup, BroadcastUsesLogRounds) {
-  CommFixture f;
-  // Same bottleneck (L4) for both groups so the round count is isolated:
-  // 8 nodes need 3 rounds vs 1 round for 2 nodes.
-  const auto g2 = f.group({0, 8});
-  const auto g8 = f.group({0, 8, 16, 24, 32, 40, 48, 56});
-  const double ratio = g8.broadcast_time(16_MiB) / g2.broadcast_time(16_MiB);
-  EXPECT_NEAR(ratio, 3.0, 0.1);
-}
-
-TEST(CommGroup, ReconstructCostScalesWithRanks) {
-  CommFixture f;
-  const auto g = f.group({0, 1});
-  EXPECT_LT(g.reconstruct_time(2), g.reconstruct_time(64));
-  EXPECT_THROW(g.reconstruct_time(0), InvalidArgument);
-}
-
-TEST(CommGroup, ReconstructedGroupHasNewMembers) {
-  CommFixture f;
-  const auto g = f.group({0, 1});
-  const auto g2 = g.reconstructed({0, 1, 2, 3});
-  EXPECT_EQ(g2.size(), 4);
-  EXPECT_EQ(g2.bottleneck_level(), topo::LinkLevel::kL2);
+TEST(GroupParams, ReconstructCostScalesWithRanks) {
+  const GroupParams params;
+  EXPECT_LT(params.reconstruct_time(2), params.reconstruct_time(64));
+  EXPECT_DOUBLE_EQ(params.reconstruct_time(8),
+                   params.reconstruct_fixed + 8 * params.reconstruct_per_rank);
 }
 
 TEST(AllreduceSum, SumsAcrossRanks) {
@@ -104,6 +50,32 @@ TEST(AllreduceSum, RejectsMismatchedSizes) {
   std::vector<double> a{1, 2};
   std::vector<double> b{1};
   EXPECT_THROW(allreduce_sum({&a, &b}), InvalidArgument);
+}
+
+// The chunk-parallel reduce must produce exactly the serial path's doubles
+// at every thread count: the per-element accumulation order is fixed by
+// construction. 100000 elements span several 32768-element chunks, so the
+// pooled path engages at threads > 1.
+TEST(AllreduceSum, IsBitIdenticalAcrossThreadCounts) {
+  const std::size_t len = 100000;
+  Rng rng(31);
+  std::vector<std::vector<double>> init(4, std::vector<double>(len));
+  for (auto& v : init) {
+    for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+  }
+  auto reduce_at = [&](int threads) {
+    ThreadPool::set_global_threads(threads);
+    auto data = init;
+    std::vector<std::vector<double>*> ptrs;
+    for (auto& v : data) ptrs.push_back(&v);
+    allreduce_sum(ptrs);
+    ThreadPool::set_global_threads(1);
+    return data.front();
+  };
+  const auto serial = reduce_at(1);
+  for (int threads : {2, 4}) {
+    ASSERT_EQ(reduce_at(threads), serial) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "obs/obs.h"
 #include "sim/simulator.h"
 #include "storage/filesystem.h"
+#include "temp_path.h"
 #include "train/models.h"
 
 namespace elan::fault {
@@ -312,7 +313,7 @@ TEST_F(FaultTest, ArmingADropWindowRecordsOneFaultArmedEvent) {
 
   obs::FlightRecorder::set_enabled(true);
   injector.arm(plan);
-  const std::string path = ::testing::TempDir() + "fault_armed.flt";
+  const std::string path = temp_path("fault_armed.flt");
   const bool dumped = obs::FlightRecorder::instance().dump(path);
   obs::FlightRecorder::set_enabled(false);
   ASSERT_TRUE(dumped);

@@ -90,5 +90,28 @@ TEST(Flags, UnknownGetThrows) {
   EXPECT_THROW(f.get("nonexistent"), NotFound);
 }
 
+// The checked parser takes the whole text or nothing.
+TEST(Flags, ParseIntChecksTheWholeTextAndTheRange) {
+  EXPECT_EQ(parse_int("64", 1, 64, "n"), 64);
+  EXPECT_EQ(parse_int("-3", -5, 5, "n"), -3);
+  for (const char* bad : {"", "8x", "x8", " 8", "+8", "65", "0", "1e1"}) {
+    EXPECT_THROW(parse_int(bad, 1, 64, "n"), InvalidArgument) << "'" << bad << "'";
+  }
+  EXPECT_DOUBLE_EQ(parse_double("1e-3", 0.0, 1.0, "x"), 1e-3);
+  for (const char* bad : {"", "12x", "abc", "nan", "inf", "-1"}) {
+    EXPECT_THROW(parse_double(bad, 0.0, 1e9, "x"), InvalidArgument) << "'" << bad << "'";
+  }
+}
+
+// Worker-count lists (elan_launch --scale): every item in [1, 64].
+TEST(Flags, ParseIntListRejectsBadItems) {
+  EXPECT_EQ(parse_int_list("", 1, 64, "--scale"), std::vector<std::int64_t>{});
+  EXPECT_EQ(parse_int_list("8,4", 1, 64, "--scale"), (std::vector<std::int64_t>{8, 4}));
+  EXPECT_EQ(parse_int_list("1,64", 1, 64, "--scale"), (std::vector<std::int64_t>{1, 64}));
+  for (const char* bad : {"-1", "0", "65", "8,,4", "8x", "8,", ",8", "8,-1"}) {
+    EXPECT_THROW(parse_int_list(bad, 1, 64, "--scale"), InvalidArgument) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace elan

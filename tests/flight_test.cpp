@@ -2,12 +2,16 @@
 // versioned dump/parse round trip, a run's ring under a parallel sweep, the
 // crash-dump-on-ELAN_CHECK death path, and the metrics satellite (histogram
 // quantiles + exposition escaping).
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <set>
 #include <string>
@@ -23,6 +27,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "sim/simulator.h"
+#include "temp_path.h"
 
 namespace elan::obs {
 namespace {
@@ -64,10 +69,10 @@ TEST_F(FlightTest, RingWrapKeepsNewestEvents) {
   MetricsRegistry::instance()
       .counter("elan_flight_test_marker_total", "dump marker")
       .add();
-  const std::string path = ::testing::TempDir() + "flight_wrap.flt";
+  const std::string path = temp_path("flight_wrap.flt");
   ASSERT_TRUE(FlightRecorder::instance().dump(path));
   const FlightRecord record = read_flight_record(path);
-  EXPECT_EQ(record.version, 1u);
+  EXPECT_EQ(record.version, 2u);
   EXPECT_NE(record.metrics_text.find("elan_flight_test_marker_total"),
             std::string::npos);
 
@@ -88,7 +93,7 @@ TEST_F(FlightTest, TruncatesActorAndDetail) {
   obs::event(FlightEventKind::kMsgSend,
              "an-actor-name-well-beyond-the-field",
              "a-detail-string-well-beyond-the-field");
-  const std::string path = ::testing::TempDir() + "flight_trunc.flt";
+  const std::string path = temp_path("flight_trunc.flt");
   ASSERT_TRUE(FlightRecorder::instance().dump(path));
   const FlightRecord record = read_flight_record(path);
   const auto merged = record.merged();
@@ -109,7 +114,7 @@ TEST_F(FlightTest, ConcurrentWritersFromParallelFor) {
   EXPECT_EQ(FlightRecorder::instance().total_recorded(),
             static_cast<std::uint64_t>(kEvents));
 
-  const std::string path = ::testing::TempDir() + "flight_mt.flt";
+  const std::string path = temp_path("flight_mt.flt");
   ASSERT_TRUE(FlightRecorder::instance().dump(path));
   const FlightRecord record = read_flight_record(path);
 
@@ -139,7 +144,7 @@ TEST_F(FlightTest, ClearResetsRingsAndSequence) {
   FlightRecorder::instance().clear();
   EXPECT_EQ(FlightRecorder::instance().total_recorded(), 0u);
   obs::event(FlightEventKind::kMsgSend, "post-clear");
-  const std::string path = ::testing::TempDir() + "flight_clear.flt";
+  const std::string path = temp_path("flight_clear.flt");
   ASSERT_TRUE(FlightRecorder::instance().dump(path));
   const auto merged = read_flight_record(path).merged();
   ASSERT_EQ(merged.size(), 1u);
@@ -164,7 +169,7 @@ TEST_F(FlightTest, DumpOutsideRunsKeepsTheLastEndedRun) {
   FlightRecorder::set_enabled(true);
   obs::event(FlightEventKind::kMsgSend, "outside", nullptr, 1);
   EXPECT_EQ(FlightRecorder::instance().total_recorded(), 2u);
-  const std::string path = ::testing::TempDir() + "flight_ended_run.flt";
+  const std::string path = temp_path("flight_ended_run.flt");
   ASSERT_TRUE(FlightRecorder::instance().dump(path));
   std::multiset<std::string> actors;
   for (const auto& e : read_flight_record(path).merged()) actors.insert(e.actor);
@@ -174,9 +179,8 @@ TEST_F(FlightTest, DumpOutsideRunsKeepsTheLastEndedRun) {
   EXPECT_EQ(FlightRecorder::instance().total_recorded(), 0u);
 }
 
-// elan_postmortem's render of `path` minus its header line, which echoes the
-// path and whether the record carries the process-wide metrics trailer.
-std::string render_postmortem(const std::string& path) {
+// elan_postmortem's output for `path`, or why it failed.
+std::string run_postmortem(const std::string& path) {
   const std::string command = std::string(ELAN_POSTMORTEM_BIN) + " " + path;
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return "popen failed";
@@ -185,7 +189,21 @@ std::string render_postmortem(const std::string& path) {
   for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) out.append(buf, n);
   const int status = ::pclose(pipe);
   if (status != 0) return "elan_postmortem exited with status " + std::to_string(status);
-  return out.substr(std::min(out.find('\n'), out.size()));
+  return out;
+}
+
+// The render minus its header line, which echoes the path and whether the
+// record carries the process-wide metrics trailer.
+std::string render_postmortem(const std::string& path) {
+  const std::string out = run_postmortem(path);
+  const std::size_t newline = out.find('\n');
+  return newline == std::string::npos ? out : out.substr(newline);
+}
+
+// The render's header line.
+std::string postmortem_header(const std::string& path) {
+  const std::string out = run_postmortem(path);
+  return out.substr(0, out.find('\n'));
 }
 
 // A run's record depends on the run alone: the scripted-failure plan run on
@@ -199,10 +217,10 @@ TEST_F(FlightTest, RunOnAPoolThreadBesideOtherPlansMatchesTheSerialRun) {
   Logger::set_level(LogLevel::kOff);
   const auto plan = ChaosRunner::scripted_failure_plan();
 
-  ChaosRunner::set_flight_prefix(::testing::TempDir() + "flight_serial");
+  ChaosRunner::set_flight_prefix(temp_path("flight_serial"));
   const ChaosResult serial = ChaosRunner::run_plan(plan);
 
-  ChaosRunner::set_flight_prefix(::testing::TempDir() + "flight_pooled");
+  ChaosRunner::set_flight_prefix(temp_path("flight_pooled"));
   ChaosResult pooled;
   std::vector<ChaosResult> others;
   {
@@ -243,10 +261,53 @@ TEST_F(FlightTest, RunOnAPoolThreadBesideOtherPlansMatchesTheSerialRun) {
   EXPECT_EQ(render, render_postmortem(pooled.flight_record));
 }
 
+// The header says which path wrote a record, apart from whether it carries
+// metrics: a process that registers no metrics still writes an exit record
+// when it ends cleanly, and elan_postmortem must not call that a crash.
+TEST_F(FlightTest, HeaderSaysWhichPathWroteTheRecord) {
+  MetricsRegistry::instance()
+      .counter("elan_flight_test_marker_total", "dump marker")
+      .add();
+  const std::string exit_path = temp_path("flight_exit.flt");
+  ASSERT_TRUE(FlightRecorder::instance().dump(exit_path));
+  const std::string crash_path = temp_path("flight_crash.flt");
+  const int fd = ::open(crash_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  FlightRecorder::instance().dump_to_fd_signal_safe(fd);
+  ::close(fd);
+  // What dump() writes in a process that registers no metrics (a live AM or
+  // worker) and recorded nothing: the header and an empty metrics section.
+  const std::string bare_path = temp_path("flight_bare_exit.flt");
+  {
+    std::ofstream out(bare_path, std::ios::binary);
+    const std::uint32_t header[3] = {sizeof(FlightEvent), /*origin=*/0, /*rings=*/0};
+    const std::uint64_t metrics_len = 0;
+    out.write("ELANFLT\x02", 8);
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+    out.write(reinterpret_cast<const char*>(&metrics_len), sizeof(metrics_len));
+  }
+
+  EXPECT_EQ(read_flight_record(exit_path).origin, FlightOrigin::kExit);
+  const FlightRecord crash = read_flight_record(crash_path);
+  EXPECT_EQ(crash.version, 2u);
+  EXPECT_EQ(crash.origin, FlightOrigin::kCrash);
+  EXPECT_TRUE(crash.metrics_text.empty());
+  EXPECT_EQ(read_flight_record(bare_path).origin, FlightOrigin::kExit);
+
+  const std::string exit_header = postmortem_header(exit_path);
+  EXPECT_TRUE(exit_header.starts_with(exit_path + ": v2, exit record, ")) << exit_header;
+  EXPECT_TRUE(exit_header.ends_with(", metrics present")) << exit_header;
+  const std::string crash_header = postmortem_header(crash_path);
+  EXPECT_TRUE(crash_header.starts_with(crash_path + ": v2, crash record, ")) << crash_header;
+  EXPECT_TRUE(crash_header.ends_with(", metrics absent")) << crash_header;
+  EXPECT_EQ(postmortem_header(bare_path),
+            bare_path + ": v2, exit record, 0 ring(s), 0 event(s) (0 recorded), metrics absent");
+}
+
 TEST_F(FlightTest, RejectsMalformedFiles) {
   EXPECT_THROW(read_flight_record(::testing::TempDir() + "nonexistent.flt"),
                Error);
-  const std::string path = ::testing::TempDir() + "flight_bad.flt";
+  const std::string path = temp_path("flight_bad.flt");
   {
     FILE* f = fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -280,7 +341,8 @@ TEST(FlightDeathTest, CheckFailureDumpsRecord) {
       ::testing::ExitedWithCode(1), "wrote crash record");
 
   const FlightRecord record = read_flight_record(path);
-  EXPECT_EQ(record.version, 1u);
+  EXPECT_EQ(record.version, 2u);
+  EXPECT_EQ(record.origin, FlightOrigin::kCrash);
   EXPECT_TRUE(record.metrics_text.empty());  // crash records skip metrics
   const auto merged = record.merged();
   ASSERT_GE(merged.size(), 2u);

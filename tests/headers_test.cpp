@@ -6,7 +6,6 @@
 #include "baselines/litz.h"
 #include "comm/group.h"
 #include "comm/ps_model.h"
-#include "comm/ring_allreduce.h"
 #include "common/blob.h"
 #include "common/error.h"
 #include "common/flags.h"

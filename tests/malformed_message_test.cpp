@@ -15,6 +15,7 @@
 #include "elan/worker.h"
 #include "obs/flight.h"
 #include "storage/filesystem.h"
+#include "temp_path.h"
 #include "transport_backends.h"
 
 namespace elan {
@@ -25,7 +26,7 @@ using obs::FlightEventKind;
 using obs::FlightRecorder;
 
 std::vector<FlightEvent> malformed_events() {
-  const std::string path = ::testing::TempDir() + "malformed_message.flt";
+  const std::string path = temp_path("malformed_message.flt");
   EXPECT_TRUE(FlightRecorder::instance().dump(path));
   std::vector<FlightEvent> out;
   for (const FlightEvent& e : obs::read_flight_record(path).merged()) {

@@ -79,7 +79,7 @@ TEST(Messages, StatusRequestRoundTrip) {
 TEST(Messages, StatusReplyRoundTrip) {
   StatusReplyMsg m;
   m.request_id = 5;
-  m.phase = 3;
+  m.phase = AmPhase::kAdjusting;
   m.plan_version = 11;
   m.workers = {{0, 0}, {1, 4}};
   m.evictions = 1;
@@ -87,7 +87,7 @@ TEST(Messages, StatusReplyRoundTrip) {
   m.reports = 6;
   const auto r = wire::decode<StatusReplyMsg>(wire::encode(m));
   EXPECT_EQ(r.request_id, 5u);
-  EXPECT_EQ(r.phase, 3);
+  EXPECT_EQ(r.phase, AmPhase::kAdjusting);
   EXPECT_EQ(r.plan_version, 11u);
   EXPECT_EQ(r.workers, m.workers);
   EXPECT_EQ(r.evictions, 1u);

@@ -23,6 +23,7 @@
 #include "obs/trace_report.h"
 #include "sched/metrics.h"
 #include "storage/filesystem.h"
+#include "temp_path.h"
 #include "train/models.h"
 
 namespace elan {
@@ -357,7 +358,7 @@ TEST_F(TracerTest, FlightAndTraceAgree) {
   Logger::set_level(level);
 
   ASSERT_LT(obs::FlightRecorder::instance().total_recorded(), obs::FlightRecorder::kRingCapacity);
-  const std::string path = ::testing::TempDir() + "flight_and_trace.flt";
+  const std::string path = temp_path("flight_and_trace.flt");
   ASSERT_TRUE(obs::FlightRecorder::instance().dump(path));
   const auto flight = obs::read_flight_record(path).merged();
 

@@ -1,10 +1,10 @@
-// Additional parameterised sweeps: convergence across batch sizes, topology
-// invariants across cluster shapes, ring allreduce across group layouts.
+// Additional parameterised sweeps: convergence across batch sizes and
+// topology invariants across cluster shapes.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "comm/ring_allreduce.h"
+#include "topology/topology.h"
 #include "train/convergence.h"
 
 namespace elan {
@@ -88,51 +88,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "w" +
              std::to_string(std::get<2>(info.param)) + "g" +
              std::to_string(std::get<3>(info.param));
-    });
-
-// ---------------------------------------------------------------------------
-// Ring allreduce: correctness over scattered (non-contiguous) group layouts.
-// ---------------------------------------------------------------------------
-
-class RingLayoutSweep : public ::testing::TestWithParam<std::vector<topo::GpuId>> {};
-
-TEST_P(RingLayoutSweep, SumsCorrectlyOnAnyLayout) {
-  const auto members = GetParam();
-  sim::Simulator sim;
-  topo::Topology topology{topo::TopologySpec{}};
-  topo::BandwidthModel bandwidth;
-  comm::CommGroup group(topology, bandwidth, members);
-  comm::RingAllreduce ar(sim, group);
-
-  const std::size_t len = 257;  // ragged chunks
-  std::vector<std::vector<double>> data(members.size());
-  std::vector<double> expected(len, 0.0);
-  for (std::size_t r = 0; r < data.size(); ++r) {
-    data[r].resize(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      data[r][i] = static_cast<double>(r * 1000 + i);
-      expected[i] += data[r][i];
-    }
-  }
-  std::vector<std::vector<double>*> ptrs;
-  for (auto& v : data) ptrs.push_back(&v);
-  ar.run(ptrs, [] {});
-  sim.run();
-  for (const auto& v : data) {
-    for (std::size_t i = 0; i < len; ++i) ASSERT_DOUBLE_EQ(v[i], expected[i]);
-  }
-  EXPECT_GT(ar.last_duration(), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Layouts, RingLayoutSweep,
-    ::testing::Values(std::vector<topo::GpuId>{0, 1},                       // one switch
-                      std::vector<topo::GpuId>{0, 2, 4, 6},                 // one node
-                      std::vector<topo::GpuId>{0, 8, 16, 24},               // one per node
-                      std::vector<topo::GpuId>{0, 1, 8, 9, 16, 17},         // pairs
-                      std::vector<topo::GpuId>{63, 5, 21, 42, 7}),          // scattered
-    [](const ::testing::TestParamInfo<std::vector<topo::GpuId>>& info) {
-      return "layout" + std::to_string(info.index);
     });
 
 }  // namespace

@@ -50,6 +50,21 @@ TEST(TraceIo, RejectsMalformedRow) {
   EXPECT_THROW(read_trace_csv(buf), InvalidArgument);
 }
 
+// Number cells are parsed whole: a word, a number with trailing characters
+// or an empty cell is an error, never a silently truncated value.
+TEST(TraceIo, RejectsNumbersThatAreNotWholeNumbers) {
+  for (const char* submit_time : {"abc", "12x", ""}) {
+    std::stringstream buf;
+    buf << "id,submit_time,model,req_res,min_res,max_res,base_total_batch,total_samples\n";
+    buf << "1," << submit_time << ",ResNet-50,4,2,8,128,1000\n";
+    EXPECT_THROW(read_trace_csv(buf), InvalidArgument) << "submit_time '" << submit_time << "'";
+  }
+  std::stringstream buf;
+  buf << "id,submit_time,model,req_res,min_res,max_res,base_total_batch,total_samples\n";
+  buf << "1,0,ResNet-50,4,,8,128,1000\n";  // empty min_res
+  EXPECT_THROW(read_trace_csv(buf), InvalidArgument);
+}
+
 TEST(TraceIo, RejectsInconsistentBounds) {
   std::stringstream buf;
   buf << "id,submit_time,model,req_res,min_res,max_res,base_total_batch,total_samples\n";

@@ -167,28 +167,38 @@ TEST(WireFormat, StatusRequest) {
   EXPECT_EQ(from_wire<StatusRequestMsg>(unhex(golden)).request_id, 123u);
 }
 
+constexpr const char* kStatusReplyGolden =
+    "0500000000000000030b00000000000000020000000000000000000000000000"
+    "00010000000400000001000000000000002a0000000000000006000000000000"
+    "00";
+
 TEST(WireFormat, StatusReply) {
   StatusReplyMsg m;
   m.request_id = 5;
-  m.phase = 3;
+  m.phase = AmPhase::kAdjusting;
   m.plan_version = 11;
   m.workers = {{0, 0}, {1, 4}};
   m.evictions = 1;
   m.coordinations = 42;
   m.reports = 6;
-  const std::string golden =
-      "0500000000000000030b00000000000000020000000000000000000000000000"
-      "00010000000400000001000000000000002a0000000000000006000000000000"
-      "00";
+  const std::string golden = kStatusReplyGolden;
   EXPECT_EQ(hex(wire_bytes(m)), golden);
   const auto r = from_wire<StatusReplyMsg>(unhex(golden));
   EXPECT_EQ(r.request_id, 5u);
-  EXPECT_EQ(r.phase, 3);
+  EXPECT_EQ(r.phase, AmPhase::kAdjusting);
   EXPECT_EQ(r.plan_version, 11u);
   EXPECT_EQ(r.workers, m.workers);
   EXPECT_EQ(r.evictions, 1u);
   EXPECT_EQ(r.coordinations, 42u);
   EXPECT_EQ(r.reports, 6u);
+}
+
+// The phase byte (offset 8) is one AmPhase; a byte past kAdjusting names no
+// phase, so the reply is malformed.
+TEST(WireFormat, StatusReplyPhasePastAdjustingIsMalformed) {
+  auto bytes = unhex(kStatusReplyGolden);
+  bytes[8] = static_cast<std::uint8_t>(AmPhase::kAdjusting) + 1;
+  EXPECT_THROW(from_wire<StatusReplyMsg>(bytes), InvalidArgument);
 }
 
 // The AM's KV record after: worker 0 coordinated at iteration 5, the

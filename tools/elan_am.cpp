@@ -11,6 +11,7 @@
 // elan_launch points ELAN_FLIGHT at <dir>/flight-am.bin.
 //
 // Markers on stdout: AM_READY job=<id>. Everything else is logging (stderr).
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,10 @@ std::vector<elan::WorkerLaunchSpec> parse_initial(const std::string& spec) {
     const std::size_t colon = item.find(':');
     ELAN_REQUIRE(colon != std::string::npos, "--initial: expected worker:gpu, got " + item);
     elan::WorkerLaunchSpec ws;
-    ws.worker = std::stoi(item.substr(0, colon));
-    ws.gpu = std::stoi(item.substr(colon + 1));
+    ws.worker = static_cast<int>(elan::parse_int(
+        item.substr(0, colon), 0, std::numeric_limits<int>::max(), "--initial: worker id"));
+    ws.gpu = static_cast<elan::topo::GpuId>(elan::parse_int(
+        item.substr(colon + 1), 0, elan::live::kTestbedGpus - 1, "--initial: gpu id"));
     out.push_back(ws);
     pos = comma + 1;
   }

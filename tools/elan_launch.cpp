@@ -123,7 +123,7 @@ class Launcher {
 
   bool wait_steady(std::size_t workers, const std::string& what) {
     return wait_status(what, [&](const StatusReplyMsg& s) {
-      return s.phase == 0 /*kSteady*/ && s.workers.size() == workers;
+      return s.phase == AmPhase::kSteady && s.workers.size() == workers;
     });
   }
 
@@ -163,10 +163,10 @@ class Launcher {
     }
 
     // The AM instructs the plan at the next coordination once every joiner
-    // reported (phase kAdjusting = 3).
+    // reported (phase kAdjusting).
     std::uint64_t plan_version = 0;
     if (!wait_status("plan instruction", [&](const StatusReplyMsg& s) {
-          if (s.phase == 3 /*kAdjusting*/) {
+          if (s.phase == AmPhase::kAdjusting) {
             plan_version = s.plan_version;
             return true;
           }
@@ -353,23 +353,11 @@ std::string self_dir() {
   return slash == std::string::npos ? "." : path.substr(0, slash);
 }
 
-std::vector<std::size_t> parse_scale(const std::string& spec) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    out.push_back(static_cast<std::size_t>(std::stoul(spec.substr(pos, comma - pos))));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 int run(int argc, char** argv, Flags& flags) {
   flags.define("dir", "", "socket/log directory (default: a fresh /tmp dir)");
   flags.define("job", "job0", "job id");
-  flags.define("workers", "4", "initial worker count");
-  flags.define("scale", "", "comma-separated worker-count targets, e.g. 8,4");
+  flags.define("workers", "4", "initial worker count, 1..64");
+  flags.define("scale", "", "comma-separated worker-count targets in 1..64, e.g. 8,4");
   flags.define("kill-one", "false", "SIGKILL a worker, evict it, re-admit a replacement");
   flags.define("am-bin", "", "path to elan_am (default: next to this binary)");
   flags.define("worker-bin", "", "path to elan_worker (default: next to this binary)");
@@ -382,6 +370,11 @@ int run(int argc, char** argv, Flags& flags) {
     return 0;
   }
   apply_log_level_flag(flags);
+  // Counts are checked before anything is forked.
+  const int workers = static_cast<int>(
+      parse_int(flags.get("workers"), 1, elan::live::kTestbedGpus, "--workers"));
+  const std::vector<std::int64_t> targets =
+      parse_int_list(flags.get("scale"), 1, elan::live::kTestbedGpus, "--scale");
 
   if (!elan::transport::SocketTransport::sockets_available()) {
     elan::live::marker("SKIP sockets-unavailable");
@@ -401,7 +394,6 @@ int run(int argc, char** argv, Flags& flags) {
   const std::string worker_bin = flags.get("worker-bin").empty()
                                      ? self_dir() + "/elan_worker"
                                      : flags.get("worker-bin");
-  const int workers = static_cast<int>(flags.get_int("workers"));
 
   Launcher launcher(dir, flags.get("job"), am_bin, worker_bin,
                     flags.get_double("step-timeout"));
@@ -414,9 +406,9 @@ int run(int argc, char** argv, Flags& flags) {
                                   "initial steady state");
   if (ok) elan::live::marker("STEADY workers=" + std::to_string(workers));
 
-  for (const std::size_t target : parse_scale(flags.get("scale"))) {
+  for (const std::int64_t target : targets) {
     if (!ok) break;
-    ok = launcher.scale_to(target);
+    ok = launcher.scale_to(static_cast<std::size_t>(target));
   }
 
   if (ok && flags.get_bool("kill-one")) ok = launcher.kill_one_round();

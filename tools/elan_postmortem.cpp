@@ -220,10 +220,13 @@ int main(int argc, char** argv) {
       events += ring.events.size();
       total += ring.total;
     }
-    std::printf("%s: v%u, %zu ring(s), %zu event(s) (%llu recorded), metrics %s\n",
-                path.c_str(), record.version, record.rings.size(), events,
-                static_cast<unsigned long long>(total),
-                record.metrics_text.empty() ? "absent (crash record)" : "present");
+    // Exit or crash comes from the record's origin word, not from its
+    // metrics: a live AM or worker registers none and still exits cleanly.
+    std::printf("%s: v%u, %s record, %zu ring(s), %zu event(s) (%llu recorded), metrics %s\n",
+                path.c_str(), record.version,
+                record.origin == elan::obs::FlightOrigin::kCrash ? "crash" : "exit",
+                record.rings.size(), events, static_cast<unsigned long long>(total),
+                record.metrics_text.empty() ? "absent" : "present");
     const auto m = record.merged();
     merged.insert(merged.end(), m.begin(), m.end());
   }

@@ -23,6 +23,7 @@
 #include "common/sync.h"
 #include "common/units.h"
 #include "elan/messages.h"
+#include "topology/topology.h"
 #include "transport/bus.h"
 #include "transport/socket_transport.h"
 
@@ -37,6 +38,10 @@ inline void marker(const std::string& line) {
 
 /// ctest's skip exit code: sockets unavailable in this sandbox.
 inline constexpr int kSkipExitCode = 77;
+
+/// A live job runs on the paper's testbed (topo::TopologySpec{}): GPU ids
+/// lie in [0, kTestbedGpus) and worker counts in [1, kTestbedGpus].
+inline constexpr int kTestbedGpus = topo::TopologySpec{}.total_gpus();
 
 // ---------------------------------------------------------------------------
 // Signal-driven shutdown: SIGTERM / SIGINT flip a flag the main loop polls.

@@ -38,8 +38,8 @@ def event(ts_us, seq, kind, actor, detail, a=0, b=0, c=0):
 
 
 def record(events):
-    """One ring, no metrics section (the shape of a crash-path record)."""
-    head = b"ELANFLT\x01" + struct.pack("<II", EVENT.size, 1)
+    """One ring, no metrics section: a crash-path record (format v2, origin 1)."""
+    head = b"ELANFLT\x02" + struct.pack("<III", EVENT.size, 1, 1)
     ring = struct.pack("<IIQ", 0, len(events), len(events)) + b"".join(events)
     return head + ring + struct.pack("<Q", 0)
 
