@@ -476,4 +476,11 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 }  // namespace elan::bench
 
-int main(int argc, char** argv) { return elan::bench::run_bench(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return elan::bench::run_bench(argc, argv);
+  } catch (const elan::Error& e) {  // a bad ELAN_THREADS, read before the flags
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}

@@ -1,13 +1,19 @@
 // Google-benchmark microbenchmarks of the hot control-plane paths: the
 // replication planner, the hybrid-scaling decision, the event engine, the
-// collective cost model and a nested lock acquisition. These are the
-// operations that sit on Elan's adjustment critical path, so their own CPU
-// cost must be negligible against the transfers they schedule.
+// collective cost model, a nested lock acquisition and the scheduler's
+// allocation rule. These are the operations that sit on Elan's adjustment
+// critical path, so their own CPU cost must be negligible against the
+// transfers they schedule.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "common/sync.h"
 #include "elan/hybrid_scaling.h"
 #include "elan/replication.h"
+#include "sched/allocation.h"
 #include "sim/simulator.h"
 #include "topology/bandwidth.h"
 #include "train/throughput.h"
@@ -99,6 +105,58 @@ void BM_NestedLockKnownEdge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NestedLockKnownEdge)->Threads(1)->Threads(4);
+
+// One waterfill of the size a sched_replay rebalance runs (DESIGN.md §5m):
+// 110 jobs share 1,024 GPUs. Each job's gain mostly falls with its width
+// but rises now and then, from a seeded mix.
+void BM_Waterfill(benchmark::State& state) {
+  constexpr int kJobs = 110;
+  Rng rng(2020);
+  std::vector<int> lower(kJobs);
+  std::vector<int> upper(kJobs);
+  std::vector<std::vector<double>> gains(kJobs);
+  for (int j = 0; j < kJobs; ++j) {
+    lower[j] = static_cast<int>(rng.uniform_int(1, 4));
+    upper[j] = lower[j] + static_cast<int>(rng.uniform_int(4, 64));
+    double gain = rng.uniform(1.0, 100.0);
+    for (int w = 0; w < upper[j]; ++w) {
+      gain *= rng.uniform(0.7, 1.1);
+      gains[j].push_back(gain);
+    }
+  }
+  for (auto _ : state) {
+    std::vector<int> widths = lower;
+    sched::waterfill(widths, upper, 1024, [&](std::size_t j, int w) {
+      return gains[j][static_cast<std::size_t>(w)];
+    });
+    benchmark::DoNotOptimize(widths.data());
+  }
+}
+BENCHMARK(BM_Waterfill);
+
+// One compact take of 8 GPUs next to a job's 4 from a 128 x 8 pool with
+// half its GPUs free, and their return.
+void BM_TakeGpus(benchmark::State& state) {
+  const topo::Topology topology{topo::TopologySpec{.nodes = 128}};
+  std::vector<topo::GpuId> gpus(static_cast<std::size_t>(topology.total_gpus()));
+  for (std::size_t i = 0; i < gpus.size(); ++i) gpus[i] = static_cast<topo::GpuId>(i);
+  Rng rng(2020);
+  for (std::size_t i = gpus.size() - 1; i > 0; --i) {
+    std::swap(gpus[i], gpus[static_cast<std::size_t>(
+                           rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+  }
+  sched::GpuPool pool(topology);
+  const std::size_t half = gpus.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) pool.insert(gpus[i]);
+  const std::vector<topo::GpuId> near(gpus.begin() + static_cast<std::ptrdiff_t>(half),
+                                      gpus.begin() + static_cast<std::ptrdiff_t>(half + 4));
+  for (auto _ : state) {
+    const auto taken = sched::take_gpus(pool, 8, near);
+    benchmark::DoNotOptimize(taken.data());
+    for (auto g : taken) pool.insert(g);
+  }
+}
+BENCHMARK(BM_TakeGpus);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <limits>
@@ -45,6 +46,28 @@ std::vector<std::int64_t> parse_int_list(std::string_view spec, std::int64_t lo,
     if (comma == std::string_view::npos) return out;
     pos = comma + 1;
   }
+}
+
+std::uint64_t parse_seed(std::string_view text, std::string_view what) {
+  const bool hex = text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
+  const std::string_view digits = hex ? text.substr(2) : text;
+  const auto is_digit = [hex](char c) {
+    return (c >= '0' && c <= '9') || (hex && ((c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')));
+  };
+  if (!digits.empty() && std::all_of(digits.begin(), digits.end(), is_digit)) {
+    std::uint64_t value = 0;
+    const char* end = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), end, value, hex ? 16 : 10);
+    if (ec != std::errc() || ptr != end) {
+      std::ostringstream os;
+      os << what << ": seed '" << text << "' does not fit in 64 bits";
+      throw InvalidArgument(os.str());
+    }
+    return value;
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (const unsigned char c : text) h = (h ^ c) * 0x100000001b3ULL;
+  return h;
 }
 
 void Flags::define(const std::string& name, const std::string& default_value,

@@ -30,6 +30,13 @@ double parse_double(std::string_view text, double lo, double hi, std::string_vie
 std::vector<std::int64_t> parse_int_list(std::string_view spec, std::int64_t lo,
                                          std::int64_t hi, std::string_view what);
 
+/// A 64-bit seed from outside the program. Text that is wholly a base-10
+/// number ("12", "0012") or wholly a 0x-prefixed hex number ("0x2a") is that
+/// number; one too large for 64 bits throws InvalidArgument naming `what`.
+/// Any other text ("5caa3f725bd3", "12x", "") is hashed with 64-bit FNV-1a,
+/// so a commit-hash prefix names a seed of its own.
+std::uint64_t parse_seed(std::string_view text, std::string_view what);
+
 class Flags {
  public:
   /// Registers a flag with a default value and a help line.

@@ -4,8 +4,10 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <string>
 #include <utility>
 
+#include "common/flags.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -169,14 +171,14 @@ Mutex& global_mutex() {
 
 }  // namespace
 
+int ThreadPool::parse_threads(std::string_view text) {
+  return static_cast<int>(parse_int(text, 1, kMaxThreads, "ELAN_THREADS"));
+}
+
 int ThreadPool::default_threads() {
-  if (const char* env = std::getenv("ELAN_THREADS")) {
-    char* tail = nullptr;
-    const long v = std::strtol(env, &tail, 10);
-    if (tail != nullptr && *tail == '\0' && v >= 1) return static_cast<int>(v);
-  }
+  if (const char* env = std::getenv("ELAN_THREADS")) return parse_threads(env);
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxThreads));
 }
 
 ThreadPool& ThreadPool::global() {
@@ -187,7 +189,9 @@ ThreadPool& ThreadPool::global() {
 }
 
 void ThreadPool::set_global_threads(int threads) {
-  require(threads >= 1, "set_global_threads: need at least one thread");
+  ELAN_REQUIRE(threads >= 1 && threads <= kMaxThreads,
+               "set_global_threads: expected 1 to " + std::to_string(kMaxThreads) +
+                   " threads, got " + std::to_string(threads));
   MutexLock lock(global_mutex());
   auto& slot = global_slot();
   if (slot && slot->size() == threads) return;

@@ -17,7 +17,8 @@
 // Sizing: the global() pool reads the ELAN_THREADS environment variable once
 // at first use (falling back to std::thread::hardware_concurrency()); CLI
 // tools and benches can override it at runtime with set_global_threads()
-// after parsing a --threads flag (common/flags).
+// after parsing a --threads flag (common/flags). Both take at most
+// kMaxThreads.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +27,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -72,16 +74,26 @@ class ThreadPool {
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const std::function<void(std::int64_t, std::int64_t)>& fn);
 
+  /// Largest global pool that ELAN_THREADS or set_global_threads may ask
+  /// for.
+  static constexpr int kMaxThreads = 256;
+
   /// Process-wide pool. Sized from ELAN_THREADS (env) at first use; defaults
-  /// to hardware_concurrency().
+  /// to hardware_concurrency(), at most kMaxThreads.
   static ThreadPool& global();
 
   /// Re-sizes the global pool (tools/benches after flag parsing; tests that
-  /// sweep thread counts). Blocks until the old pool drained.
+  /// sweep thread counts) to [1, kMaxThreads] threads. Blocks until the old
+  /// pool drained.
   static void set_global_threads(int threads);
 
   /// Thread count the global pool would use if created now.
   static int default_threads();
+
+  /// Reads an ELAN_THREADS value: all of `text` one base-10 number in
+  /// [1, kMaxThreads]. Anything else throws InvalidArgument naming
+  /// ELAN_THREADS and the range.
+  static int parse_threads(std::string_view text);
 
  private:
   void enqueue(std::function<void()> task);

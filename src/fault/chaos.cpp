@@ -398,9 +398,11 @@ std::vector<ChaosResult> ChaosRunner::sweep(std::uint64_t seed_base, int count) 
   std::vector<ChaosResult> results(static_cast<std::size_t>(count));
   // Plans share no simulation state, and each binds its observability
   // context to its thread (obs::RunScope). Every runner claims the next plan
-  // and writes that plan's slot. The caller does not run plans itself: each
-  // thread that runs one keeps a malloc arena as large as the heaviest plan
-  // it ran, so the pool's threads alone bound the sweep's memory.
+  // and writes that plan's slot. With two or more pool threads the caller
+  // only waits: each thread that runs a plan keeps a malloc arena as large
+  // as the heaviest plan it ran, so the pool's threads alone bound the
+  // sweep's memory. A one-thread pool runs a submitted task inline, so there
+  // the one runner is the caller.
   ThreadPool& pool = ThreadPool::global();
   std::atomic<int> next{0};
   const auto runner = [&] {

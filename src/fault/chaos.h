@@ -158,8 +158,9 @@ class ChaosRunner {
   /// results in plan order, failing ones included — callers inspect them.
   /// Plans run concurrently on ThreadPool::global(), one runner per pool
   /// thread, while the caller waits; each result is the one run_seed gives
-  /// on any thread, so the output does not depend on the pool size
-  /// (ELAN_THREADS=1 runs the plans one at a time on the caller's thread).
+  /// on any thread, so the output does not depend on the pool size. A
+  /// one-thread pool runs its one runner inline, so ELAN_THREADS=1 runs the
+  /// plans one at a time on the caller's thread.
   /// Call it from outside the pool: a pool thread that waits here holds a
   /// runner slot.
   static std::vector<ChaosResult> sweep(std::uint64_t seed_base, int count);

@@ -12,25 +12,15 @@ namespace elan::sched {
 
 namespace {
 
-// Memo-cache keys: the looked-up configuration packed into one 64-bit
-// integer. The packing must be injective — the ELAN_CHECKs pin each field to
-// its bit budget (any realistic trace is orders of magnitude below them).
-std::uint64_t pack_tput_key(int kind, int workers, int tbs) {
-  ELAN_CHECK(kind >= 0 && kind < (1 << 8), "tput key: model kind out of range");
-  ELAN_CHECK(workers >= 0 && workers < (1 << 16), "tput key: workers out of range");
-  ELAN_CHECK(tbs >= 0 && tbs < (1 << 24), "tput key: batch out of range");
-  return (static_cast<std::uint64_t>(kind) << 40) |
-         (static_cast<std::uint64_t>(workers) << 24) | static_cast<std::uint64_t>(tbs);
-}
-
-std::uint64_t pack_batch_key(int kind, int req, int base, int workers) {
-  ELAN_CHECK(kind >= 0 && kind < (1 << 8), "batch key: model kind out of range");
-  ELAN_CHECK(req >= 0 && req < (1 << 12), "batch key: req_res out of range");
-  ELAN_CHECK(base >= 0 && base < (1 << 20), "batch key: base batch out of range");
-  ELAN_CHECK(workers >= 0 && workers < (1 << 16), "batch key: workers out of range");
-  return (static_cast<std::uint64_t>(kind) << 48) |
-         (static_cast<std::uint64_t>(req) << 36) |
-         (static_cast<std::uint64_t>(base) << 16) | static_cast<std::uint64_t>(workers);
+// Memo keys: the looked-up configuration packed into one 64-bit integer.
+// The packing must be injective — the ELAN_CHECKs pin each field to its bit
+// budget (any realistic trace is orders of magnitude below them).
+std::uint64_t pack_ladder_key(int kind, int req, int base) {
+  ELAN_CHECK(kind >= 0 && kind < (1 << 8), "ladder key: model kind out of range");
+  ELAN_CHECK(req >= 0 && req < (1 << 12), "ladder key: req_res out of range");
+  ELAN_CHECK(base >= 0 && base < (1 << 20), "ladder key: base batch out of range");
+  return (static_cast<std::uint64_t>(kind) << 32) |
+         (static_cast<std::uint64_t>(req) << 20) | static_cast<std::uint64_t>(base);
 }
 
 std::uint64_t pack_pause_key(AdjustmentType type, int kind, int before, int after) {
@@ -68,33 +58,18 @@ ClusterSim::ClusterSim(const train::ThroughputModel& throughput,
       costs_(&costs),
       policy_(policy),
       system_(system),
-      params_(params) {
+      params_(params),
+      free_pool_(throughput.topology()) {
   require(params_.total_gpus > 0, "cluster: total_gpus must be positive");
 }
 
-int ClusterSim::hybrid_batch(const SchedJob& job, int workers) const {
-  const std::uint64_t key =
-      pack_batch_key(static_cast<int>(job.spec.model.kind), job.spec.req_res,
-                     job.spec.base_total_batch, workers);
-  if (const int* hit = batch_cache_.find(key)) return *hit;
+void ClusterSim::fill_rung(const SchedJob& job, int workers, Rung& r) const {
   const HybridScaling hybrid(*throughput_, job.spec.model);
   // Decide relative to the job's tuned configuration so the batch size is a
   // pure function of the worker count (keeps reallocation estimates stable).
-  const int tbs =
-      hybrid.decide(job.spec.req_res, job.spec.base_total_batch, workers).total_batch;
-  batch_cache_.insert(key, tbs);
-  return tbs;
-}
-
-double ClusterSim::job_throughput(const SchedJob& job, int workers) const {
-  const int tbs = hybrid_batch(job, workers);
-  const std::uint64_t key =
-      pack_tput_key(static_cast<int>(job.spec.model.kind), workers, tbs);
-  if (const double* hit = tput_cache_.find(key)) return *hit;
-  double tput = throughput_->throughput(job.spec.model, workers, tbs);
-  tput *= 1.0 - costs_->runtime_overhead(system_, job.spec.model, workers, tbs);
-  tput_cache_.insert(key, tput);
-  return tput;
+  r.batch = hybrid.decide(job.spec.req_res, job.spec.base_total_batch, workers).total_batch;
+  r.tput = throughput_->throughput(job.spec.model, workers, r.batch) *
+           (1.0 - costs_->runtime_overhead(system_, job.spec.model, workers, r.batch));
 }
 
 Seconds ClusterSim::estimated_remaining(const SchedJob& job, int workers) const {
@@ -144,7 +119,7 @@ void ClusterSim::start_job(int index, int workers) {
   job.start_time = now_;
   free_gpus_ -= workers;
   if (params_.placement_aware) {
-    job.gpus = take_gpus(free_gpu_set_, workers, {}, throughput_->topology());
+    job.gpus = take_gpus(free_pool_, workers, {});
   }
   job_tput_[static_cast<std::size_t>(index)].phase = -1;
   running_.push_back(index);
@@ -157,7 +132,7 @@ void ClusterSim::finish_job(int index) {
   job.finish_time = now_;
   free_gpus_ += job.workers;
   if (params_.placement_aware) {
-    for (auto g : job.gpus) free_gpu_set_.insert(g);
+    for (auto g : job.gpus) free_pool_.insert(g);
     job.gpus.clear();
   }
   job.workers = 0;
@@ -198,14 +173,13 @@ void ClusterSim::apply_allocation(SchedJob& job, int new_workers) {
   job.paused_until = now_ + start_window + pause;
   free_gpus_ += job.workers - new_workers;
   if (params_.placement_aware) {
-    const auto& topology = throughput_->topology();
     if (new_workers > job.workers) {
-      const auto added =
-          take_gpus(free_gpu_set_, new_workers - job.workers, job.gpus, topology);
+      const auto added = take_gpus(free_pool_, new_workers - job.workers, job.gpus);
       job.gpus.insert(job.gpus.end(), added.begin(), added.end());
     } else {
-      for (auto g : release_gpus(job.gpus, job.workers - new_workers, topology)) {
-        free_gpu_set_.insert(g);
+      for (auto g : release_gpus(job.gpus, job.workers - new_workers,
+                                 throughput_->topology())) {
+        free_pool_.insert(g);
       }
     }
   }
@@ -388,16 +362,30 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
     SchedJob job;
     job.spec = spec;
     job.remaining_samples = static_cast<double>(spec.total_samples);
+    const std::uint64_t key = pack_ladder_key(static_cast<int>(spec.model.kind),
+                                              spec.req_res, spec.base_total_batch);
+    if (const int* hit = ladder_of_.find(key)) {
+      job.ladder = *hit;
+    } else {
+      job.ladder = static_cast<int>(ladders_.size());
+      ladder_of_.insert(key, job.ladder);
+      ladders_.emplace_back();
+    }
+    // Every width the replay prices lies in [1, max(min_res, req_res, max_res)].
+    auto& ladder = ladders_[static_cast<std::size_t>(job.ladder)];
+    const auto widest =
+        static_cast<std::size_t>(std::max({spec.min_res, spec.req_res, spec.max_res}));
+    if (ladder.size() <= widest) ladder.resize(widest + 1);
     jobs_.push_back(std::move(job));
   }
   queue_.clear();
   running_.clear();
   free_gpus_ = params_.total_gpus;
-  free_gpu_set_.clear();
+  free_pool_ = GpuPool(throughput_->topology());
   if (params_.placement_aware) {
     require(params_.total_gpus <= throughput_->topology().total_gpus(),
             "cluster: placement-aware mode needs a topology covering total_gpus");
-    for (topo::GpuId g = 0; g < params_.total_gpus; ++g) free_gpu_set_.insert(g);
+    for (topo::GpuId g = 0; g < params_.total_gpus; ++g) free_pool_.insert(g);
   }
   metrics_ = ScheduleMetrics{};
   next_rebalance_ = 0;

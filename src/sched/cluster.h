@@ -15,10 +15,12 @@
 // LiveScheduler (sched/allocation.h). On every admission and completion, and
 // every kRebalanceInterval, each running job starts at min_res and the
 // marginal-gain waterfill hands out the rest of the cluster. Placement-aware
-// mode then moves concrete GPUs with take_gpus / release_gpus. ClusterSim
-// prices a width with the batch hybrid scaling picks from the job's tuned
-// configuration (req_res, base_total_batch) and with the elastic system's
-// runtime overhead, so a job's estimate depends on the width alone.
+// mode then moves concrete GPUs of a GpuPool with take_gpus / release_gpus.
+// ClusterSim prices a width with the batch hybrid scaling picks from the
+// job's tuned configuration (req_res, base_total_batch) and with the elastic
+// system's runtime overhead, so a job's estimate depends only on its
+// configuration and its width: jobs of one configuration share a throughput
+// ladder.
 //
 // The elastic system executing the adjustments (Ideal / Elan / S&R) sets the
 // pause each reallocation costs and the runtime overhead — exactly the
@@ -33,11 +35,11 @@
 // policies.
 #pragma once
 
-#include <set>
 #include <vector>
 
 #include "baselines/adjustment_cost.h"
 #include "common/flat_hash.h"
+#include "sched/allocation.h"
 #include "sched/job.h"
 #include "sched/metrics.h"
 #include "train/throughput.h"
@@ -89,7 +91,7 @@ class ClusterSim {
   std::vector<int> queue_;    // pending job indices in submit order
   std::vector<int> running_;  // running job indices
   int free_gpus_ = 0;
-  std::set<topo::GpuId> free_gpu_set_;  // placement-aware mode only
+  GpuPool free_pool_;  // placement-aware mode only
   ScheduleMetrics metrics_;
   Seconds next_rebalance_ = 0;
   bool rebalance_requested_ = false;
@@ -105,13 +107,17 @@ class ClusterSim {
   };
   mutable std::vector<JobTput> job_tput_;
 
-  // Throughput-model lookups dominate the simulation loop; configurations
-  // repeat constantly, so memoise them. Keys are the configuration packed
-  // into 64-bit integers (see pack_tput_key / pack_batch_key in the .cpp) —
-  // the flat open-addressed maps make a hit one or two cache lines instead
-  // of a red-black-tree walk.
-  mutable FlatMap64<double> tput_cache_;
-  mutable FlatMap64<int> batch_cache_;
+  // One throughput ladder per job configuration (model kind, req_res,
+  // base_total_batch; see pack_ladder_key in the .cpp): rung w holds the
+  // batch hybrid scaling picks at w workers and the estimated throughput
+  // there. A rung is filled on first use and the rest of the replay reads
+  // it directly; SchedJob::ladder indexes ladders_.
+  struct Rung {
+    int batch = 0;  // 0: not filled yet
+    double tput = 0.0;
+  };
+  mutable std::vector<std::vector<Rung>> ladders_;
+  FlatMap64<int> ladder_of_;  // packed configuration -> index into ladders_
   // Adjustment pauses (see pack_pause_key): an Elan price runs the
   // replication scheduler, and a replay repeats a few hundred shapes
   // thousands of times.
@@ -132,8 +138,21 @@ class ClusterSim {
   double measured_throughput(const SchedJob& job) const;
   double measured_throughput_cached(int index);
 
-  double job_throughput(const SchedJob& job, int workers) const;
-  int hybrid_batch(const SchedJob& job, int workers) const;
+  const Rung& rung(const SchedJob& job, int workers) const {
+    auto& ladder = ladders_[static_cast<std::size_t>(job.ladder)];
+    ELAN_CHECK(workers > 0 && static_cast<std::size_t>(workers) < ladder.size(),
+               "cluster: width outside the job's ladder");
+    Rung& r = ladder[static_cast<std::size_t>(workers)];
+    if (r.batch == 0) [[unlikely]] fill_rung(job, workers, r);
+    return r;
+  }
+  void fill_rung(const SchedJob& job, int workers, Rung& r) const;
+  double job_throughput(const SchedJob& job, int workers) const {
+    return rung(job, workers).tput;
+  }
+  int hybrid_batch(const SchedJob& job, int workers) const {
+    return rung(job, workers).batch;
+  }
   Seconds estimated_remaining(const SchedJob& job, int workers) const;
   bool all_done() const;
 };

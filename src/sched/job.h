@@ -51,6 +51,8 @@ struct SchedJob {
   int prev_workers = 0;
   int prev_total_batch = 0;
   int adjustments = 0;
+  /// Index of ClusterSim's throughput ladder for this job's configuration.
+  int ladder = -1;
 
   /// Worker count whose throughput applies at time `now`.
   int effective_workers(Seconds now) const {

@@ -31,7 +31,8 @@ LiveScheduler::LiveScheduler(sim::Simulator& simulator, const topo::Topology& to
       bus_(bus),
       kv_(kv),
       throughput_(topology, bandwidth),
-      memory_pool_(topology) {
+      memory_pool_(topology),
+      free_(topology) {
   for (topo::GpuId g = 0; g < topology_.total_gpus(); ++g) free_.insert(g);
 }
 
@@ -85,7 +86,7 @@ void LiveScheduler::try_admit() {
     cfg.job_id = spec.job_id;
     cfg.model = spec.model;
     cfg.initial_workers = spec.min_workers;
-    cfg.initial_gpus = take_gpus(free_, spec.min_workers, {}, topology_);
+    cfg.initial_gpus = take_gpus(free_, spec.min_workers, {});
     cfg.initial_total_batch = spec.per_worker_batch * spec.min_workers;
     cfg.base_lr = 0.1 * cfg.initial_total_batch / 256.0;
     cfg.coordination_interval = kCoordinationInterval;
@@ -128,7 +129,7 @@ void LiveScheduler::finish_job(const std::string& job_id) {
 }
 
 void LiveScheduler::scale_out(RunningJob& rj, int count) {
-  rj.in_flight = take_gpus(free_, count, gpus_of(*rj.job), topology_);
+  rj.in_flight = take_gpus(free_, count, gpus_of(*rj.job));
   rj.shrinking = false;
   rj.job->request_scale_out(rj.in_flight);
 }

@@ -31,11 +31,11 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "elan/job.h"
+#include "sched/allocation.h"
 #include "sched/metrics.h"
 #include "storage/filesystem.h"
 
@@ -81,7 +81,7 @@ class LiveScheduler {
   void start();
 
   // --- Introspection --------------------------------------------------------
-  int free_gpus() const { return static_cast<int>(free_.size()); }
+  int free_gpus() const { return free_.size(); }
   int running_jobs() const { return static_cast<int>(running_.size()); }
   int pending_jobs() const { return static_cast<int>(queue_.size()); }
   bool all_done() const { return queue_.empty() && running_.empty(); }
@@ -114,7 +114,7 @@ class LiveScheduler {
   /// OutOfMemory errors instead of silent oversubscription.
   memory::MemoryPool memory_pool_;
 
-  std::set<topo::GpuId> free_;
+  GpuPool free_;
   std::deque<std::pair<LiveJobSpec, Seconds>> queue_;  // spec + submit time
   std::map<std::string, RunningJob> running_;
   std::vector<LiveJobStats> finished_;

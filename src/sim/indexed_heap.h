@@ -1,8 +1,9 @@
 // Index-tracked d-ary heap with stable handles and O(log n) in-place erase.
 //
-// This is the ordering core behind sim::Simulator (and the scheduler's
-// marginal-gain waterfilling loop). Structure-of-arrays, no hashing, no
-// per-node allocation:
+// This is the ordering core behind sim::Simulator, its one user (the
+// scheduler's waterfill picks its grants from a winner tree instead;
+// sched/allocation.h). Structure-of-arrays, no hashing, no per-node
+// allocation:
 //
 //   prios_   d-ary-heap-ordered priorities, contiguous — the only lane sift
 //            comparisons read, so a 4-ary child group of 16-byte keys is a
@@ -30,11 +31,10 @@
 // flight while the current group is compared.
 //
 // Ordering: `Before(a, b)` is a strict weak order meaning "a must surface
-// before b". Because callers always provide a *total* order (the simulator
-// keys on (time, seq); the scheduler breaks gain ties on queue position),
-// pop order is independent of the internal array layout — the arity is a
-// pure structural perturbation, which is exactly what the determinism
-// guardrail in tests/fault_test.cpp exploits (see
+// before b". Because the caller provides a *total* order (the simulator
+// keys on (time, seq)), pop order is independent of the internal array
+// layout — the arity is a pure structural perturbation, which is exactly
+// what the determinism guardrail in tests/fault_test.cpp exploits (see
 // Simulator::set_test_layout_hint).
 //
 // Not thread-safe; the owner synchronises (the simulator holds its mutex).

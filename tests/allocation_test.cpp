@@ -3,10 +3,14 @@
 // take with node affinity, and least-populated-node release.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
 #include <utility>
 
+#include "common/rng.h"
 #include "sched/allocation.h"
 
 namespace elan::sched {
@@ -100,13 +104,82 @@ TEST(Waterfill, LowerBoundsAboveTheBudgetAreAnError) {
                InternalError);
 }
 
+// The rule as the header states it: every job's current gain in an array,
+// scanned for the largest before each grant (ties to the earliest job).
+template <typename Gain>
+std::vector<int> scan_waterfill(std::vector<int> widths, const std::vector<int>& max_widths,
+                                int budget, Gain&& gain) {
+  const std::size_t n = widths.size();
+  for (const int w : widths) budget -= w;
+  std::vector<double> current(n);
+  std::vector<bool> open(n);  // below its upper bound, gain not NaN
+  const auto ask = [&](std::size_t pos) {
+    open[pos] = widths[pos] < max_widths[pos];
+    if (open[pos]) {
+      current[pos] = gain(pos, widths[pos]);
+      open[pos] = !std::isnan(current[pos]);
+    }
+  };
+  for (std::size_t pos = 0; pos < n; ++pos) ask(pos);
+  while (budget > 0) {
+    std::size_t best = n;
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      if (open[pos] && (best == n || current[pos] > current[best])) best = pos;
+    }
+    if (best == n || !(current[best] > 0.0)) break;
+    ++widths[best];
+    --budget;
+    ask(best);
+  }
+  return widths;
+}
+
+TEST(Waterfill, MatchesTheScanRule) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // A small palette makes exact ties, signed zeros and infinities common;
+  // drawing each width's gain on its own makes runs that rise and fall.
+  const double palette[] = {3.0, 2.0, 1.0, 0.5, 0.0, -0.0, -1.0, kInf, -kInf, kNaN};
+  Rng rng(20201);
+  for (int instance = 0; instance < 2400; ++instance) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    std::vector<int> lower(n);
+    std::vector<int> upper(n);
+    std::vector<std::vector<double>> gains(n);
+    int lower_sum = 0;
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      lower[pos] = static_cast<int>(rng.uniform_int(0, 3));
+      upper[pos] = lower[pos] + static_cast<int>(rng.uniform_int(0, 12));
+      lower_sum += lower[pos];
+      for (int w = 0; w < upper[pos]; ++w) {
+        const auto pick = rng.uniform_int(0, 13);
+        gains[pos].push_back(pick < 10 ? palette[pick] : rng.uniform(-2.0, 4.0));
+      }
+    }
+    const int budget =
+        lower_sum + static_cast<int>(rng.uniform_int(0, std::max(0, 1100 - lower_sum)));
+    std::vector<std::pair<std::size_t, int>> tree_calls;
+    std::vector<std::pair<std::size_t, int>> scan_calls;
+    std::vector<int> widths = lower;
+    waterfill(widths, upper, budget, [&](std::size_t pos, int w) {
+      tree_calls.emplace_back(pos, w);
+      return gains[pos][static_cast<std::size_t>(w)];
+    });
+    const auto expected = scan_waterfill(lower, upper, budget, [&](std::size_t pos, int w) {
+      scan_calls.emplace_back(pos, w);
+      return gains[pos][static_cast<std::size_t>(w)];
+    });
+    ASSERT_EQ(widths, expected) << "instance " << instance;
+    ASSERT_EQ(tree_calls, scan_calls) << "instance " << instance;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // take_gpus / release_gpus
 // ---------------------------------------------------------------------------
 
 struct PlacementFixture {
   topo::Topology topology{topo::TopologySpec{.nodes = 4}};  // 4 nodes x 8 GPUs
-  std::set<topo::GpuId> free;
+  GpuPool free{topology};
 
   PlacementFixture() {
     for (topo::GpuId g = 0; g < topology.total_gpus(); ++g) free.insert(g);
@@ -118,39 +191,52 @@ struct PlacementFixture {
 
 TEST(TakeGpus, FillsOneNodeBeforeTheNext) {
   PlacementFixture f;
-  const auto gpus = take_gpus(f.free, 10, {}, f.topology);
+  const auto gpus = take_gpus(f.free, 10, {});
   EXPECT_EQ(gpus, (std::vector<topo::GpuId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
-  EXPECT_EQ(f.free.size(), 22u);
-  EXPECT_EQ(f.free.count(0), 0u);
+  EXPECT_EQ(f.free.size(), 22);
+  EXPECT_FALSE(f.free.contains(0));
 }
 
 TEST(TakeGpus, PrefersTheNodeWithMostFreeGpus) {
   PlacementFixture f;
   // Free GPUs per node: 3, 5, 8, 3.
   f.occupy({0, 1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 27, 28});
-  EXPECT_EQ(take_gpus(f.free, 3, {}, f.topology), (std::vector<topo::GpuId>{16, 17, 18}));
+  EXPECT_EQ(take_gpus(f.free, 3, {}), (std::vector<topo::GpuId>{16, 17, 18}));
   // Now node 2 has 5 free, like node 1: the lower node id wins the tie.
-  EXPECT_EQ(take_gpus(f.free, 2, {}, f.topology), (std::vector<topo::GpuId>{11, 12}));
+  EXPECT_EQ(take_gpus(f.free, 2, {}), (std::vector<topo::GpuId>{11, 12}));
 }
 
 TEST(TakeGpus, PrefersTheJobsOwnNodes) {
   PlacementFixture f;
   f.occupy({16, 17, 18, 19, 20, 24, 25});  // the job holds 24, 25 on node 3
   // Node 3 (6 free) beats the emptier nodes 0 and 1 because the job is there.
-  const auto gpus = take_gpus(f.free, 8, {24, 25}, f.topology);
+  const auto gpus = take_gpus(f.free, 8, {24, 25});
   EXPECT_EQ(gpus, (std::vector<topo::GpuId>{26, 27, 28, 29, 30, 31, 0, 1}));
 }
 
 TEST(TakeGpus, MoreOfTheJobOnANodeComesFirst) {
   PlacementFixture f;
   f.occupy({8, 16, 17});  // the job: one GPU on node 1, two on node 2
-  const auto gpus = take_gpus(f.free, 7, {8, 16, 17}, f.topology);
+  const auto gpus = take_gpus(f.free, 7, {8, 16, 17});
   EXPECT_EQ(gpus, (std::vector<topo::GpuId>{18, 19, 20, 21, 22, 23, 9}));
 }
 
 TEST(TakeGpus, ThrowsWhenThePoolIsShort) {
   PlacementFixture f;
-  EXPECT_THROW(take_gpus(f.free, 33, {}, f.topology), InternalError);
+  EXPECT_THROW(take_gpus(f.free, 33, {}), InternalError);
+}
+
+TEST(GpuPool, ChecksEveryReturnAndTake) {
+  PlacementFixture f;
+  EXPECT_THROW(f.free.insert(3), InternalError);   // already free
+  f.occupy({3});
+  EXPECT_THROW(f.free.erase(3), InternalError);    // already taken
+  EXPECT_THROW(f.free.insert(32), InternalError);  // no such GPU
+  EXPECT_THROW(static_cast<void>(f.free.contains(-1)), InternalError);
+  EXPECT_EQ(f.free.size(), 31);
+  // One bitmask per node: a node of more than 64 GPUs is refused.
+  const topo::Topology wide(topo::TopologySpec{.nodes = 1, .gpus_per_switch = 17});
+  EXPECT_THROW(GpuPool{wide}, InvalidArgument);
 }
 
 TEST(ReleaseGpus, LeastPopulatedNodeGoesFirst) {
@@ -174,6 +260,116 @@ TEST(ReleaseGpus, RemainderStaysMostPopulatedFirst) {
   EXPECT_EQ(release_gpus(held, 3, f.topology), (std::vector<topo::GpuId>{8, 17, 16}));
   EXPECT_EQ(held, (std::vector<topo::GpuId>{0, 1, 2}));
   EXPECT_THROW(release_gpus(held, 4, f.topology), InternalError);
+}
+
+// The placement rule as a std::set of free GPUs and std::maps keyed by node.
+std::vector<topo::GpuId> set_take(std::set<topo::GpuId>& free, int count,
+                                  const std::vector<topo::GpuId>& near,
+                                  const topo::Topology& topology) {
+  std::map<int, int> affinity;
+  for (auto g : near) ++affinity[topology.node_of(g)];
+  std::map<int, std::vector<topo::GpuId>> by_node;
+  for (auto g : free) by_node[topology.node_of(g)].push_back(g);
+  std::vector<std::pair<int, std::vector<topo::GpuId>>> nodes(by_node.begin(), by_node.end());
+  std::sort(nodes.begin(), nodes.end(), [&](const auto& a, const auto& b) {
+    const int aa = affinity.count(a.first) ? affinity.at(a.first) : 0;
+    const int ab = affinity.count(b.first) ? affinity.at(b.first) : 0;
+    if (aa != ab) return aa > ab;
+    if (a.second.size() != b.second.size()) return a.second.size() > b.second.size();
+    return a.first < b.first;
+  });
+  std::vector<topo::GpuId> out;
+  for (const auto& [node, gpus] : nodes) {
+    for (auto g : gpus) {
+      if (static_cast<int>(out.size()) == count) break;
+      out.push_back(g);
+      free.erase(g);
+    }
+    if (static_cast<int>(out.size()) == count) break;
+  }
+  return out;
+}
+
+std::vector<topo::GpuId> set_release(std::vector<topo::GpuId>& held, int count,
+                                     const topo::Topology& topology) {
+  std::map<int, int> population;
+  for (auto g : held) ++population[topology.node_of(g)];
+  std::stable_sort(held.begin(), held.end(), [&](topo::GpuId a, topo::GpuId b) {
+    return population.at(topology.node_of(a)) > population.at(topology.node_of(b));
+  });
+  std::vector<topo::GpuId> released;
+  for (int i = 0; i < count; ++i) {
+    released.push_back(held.back());
+    held.pop_back();
+  }
+  return released;
+}
+
+TEST(TakeGpus, MatchesTheSetRule) {
+  // Eight GPUs per node, and the 12-GPU nodes of ablation_replication.
+  const topo::TopologySpec shapes[] = {
+      topo::TopologySpec{},
+      topo::TopologySpec{.sockets_per_node = 2,
+                         .bridges_per_socket = 1,
+                         .switches_per_bridge = 2,
+                         .gpus_per_switch = 3}};
+  Rng rng(2020);
+  for (topo::TopologySpec spec : shapes) {
+    for (const int nodes : {1, 2, 16, 128}) {
+      spec.nodes = nodes;
+      const topo::Topology topology(spec);
+      GpuPool pool(topology);
+      std::set<topo::GpuId> free;
+      for (topo::GpuId g = 0; g < topology.total_gpus(); ++g) {
+        pool.insert(g);
+        free.insert(g);
+      }
+      std::vector<std::vector<topo::GpuId>> jobs;  // each job's GPUs, one copy per rule
+      std::vector<std::vector<topo::GpuId>> set_jobs;
+      for (int step = 0; step < 600; ++step) {
+        const auto op = rng.uniform_int(0, 3);
+        const auto j = jobs.empty() ? 0 : static_cast<std::size_t>(rng.uniform_int(
+                                              0, static_cast<std::int64_t>(jobs.size()) - 1));
+        if (op == 0 || jobs.empty()) {  // admit a job
+          if (pool.empty()) continue;
+          const int count = static_cast<int>(rng.uniform_int(1, std::min(pool.size(), 24)));
+          jobs.push_back(take_gpus(pool, count, {}));
+          set_jobs.push_back(set_take(free, count, {}, topology));
+          ASSERT_EQ(jobs.back(), set_jobs.back()) << nodes << " nodes, step " << step;
+        } else if (op == 1) {  // grow a job next to its GPUs
+          if (pool.empty()) continue;
+          const int count = static_cast<int>(rng.uniform_int(1, std::min(pool.size(), 16)));
+          const auto added = take_gpus(pool, count, jobs[j]);
+          ASSERT_EQ(added, set_take(free, count, set_jobs[j], topology))
+              << nodes << " nodes, step " << step;
+          jobs[j].insert(jobs[j].end(), added.begin(), added.end());
+          set_jobs[j].insert(set_jobs[j].end(), added.begin(), added.end());
+        } else if (op == 2) {  // shrink a job
+          const int count =
+              static_cast<int>(rng.uniform_int(0, static_cast<std::int64_t>(jobs[j].size())));
+          const auto released = release_gpus(jobs[j], count, topology);
+          ASSERT_EQ(released, set_release(set_jobs[j], count, topology))
+              << nodes << " nodes, step " << step;
+          ASSERT_EQ(jobs[j], set_jobs[j]);
+          for (auto g : released) {
+            pool.insert(g);
+            free.insert(g);
+          }
+        } else {  // finish a job
+          for (auto g : jobs[j]) {
+            pool.insert(g);
+            free.insert(g);
+          }
+          jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(j));
+          set_jobs.erase(set_jobs.begin() + static_cast<std::ptrdiff_t>(j));
+        }
+        ASSERT_EQ(pool.size(), static_cast<int>(free.size()));
+      }
+      for (topo::GpuId g = 0; g < topology.total_gpus(); ++g) {
+        EXPECT_EQ(pool.contains(g), free.count(g) == 1) << "GPU " << g;
+      }
+    }
+  }
 }
 
 }  // namespace

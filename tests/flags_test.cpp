@@ -113,5 +113,21 @@ TEST(Flags, ParseIntListRejectsBadItems) {
   }
 }
 
+// Seeds: text that is wholly a decimal or 0x-hex number is that number; any
+// other text, such as a commit-hash prefix that starts with digits, is hashed
+// (FNV-1a), so it never collapses onto the number its leading digits spell.
+TEST(Flags, ParseSeedTakesWholeNumbersAndHashesTheRest) {
+  EXPECT_EQ(parse_seed("12", "--seed"), 12u);
+  EXPECT_EQ(parse_seed("0x2a", "--seed"), 42u);
+  EXPECT_EQ(parse_seed("0012", "--seed"), 12u);  // decimal, not octal
+  EXPECT_EQ(parse_seed("18446744073709551615", "--seed"), 18446744073709551615ULL);
+  EXPECT_EQ(parse_seed("5caa3f725bd3", "--seed"), 17189454777791455289ULL);
+  EXPECT_EQ(parse_seed("001242892c18", "--seed"), 17072947898726019873ULL);
+  EXPECT_EQ(parse_seed("12x", "--seed"), 5003493791934653878ULL);
+  EXPECT_EQ(parse_seed("x12", "--seed"), 13762967585405986768ULL);
+  EXPECT_EQ(parse_seed("", "--seed"), 14695981039346656037ULL);  // the FNV offset basis
+  EXPECT_THROW(parse_seed("18446744073709551616", "--seed"), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace elan

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -127,6 +128,24 @@ TEST(ThreadPool, GlobalPoolResizes) {
 }
 
 TEST(ThreadPool, DefaultThreadsIsPositive) { EXPECT_GE(ThreadPool::default_threads(), 1); }
+
+// ELAN_THREADS takes one whole number in [1, 256]. Only the parser runs here:
+// no pool of an out-of-range size is ever created.
+TEST(ThreadPool, ParseThreadsChecksTheWholeTextAndTheCeiling) {
+  EXPECT_EQ(ThreadPool::kMaxThreads, 256);
+  EXPECT_EQ(ThreadPool::parse_threads("4"), 4);
+  EXPECT_EQ(ThreadPool::parse_threads("256"), 256);
+  for (const char* bad : {"0", "-1", "4x", "abc", "257", "100000"}) {
+    try {
+      ThreadPool::parse_threads(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ELAN_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find("[1, 256]"), std::string::npos) << what;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace elan

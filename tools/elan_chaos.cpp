@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,28 +27,13 @@
 #include "fault/chaos.h"
 #include "obs/obs.h"
 
-namespace {
-
-std::uint64_t parse_seed(const std::string& text) {
-  // Accepts decimal, 0x-hex, or an arbitrary string (e.g. a commit prefix),
-  // which is hashed — that is how CI derives the nightly rotating seed.
-  try {
-    return std::stoull(text, nullptr, 0);
-  } catch (...) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text) h = (h ^ c) * 0x100000001b3ULL;
-    return h;
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using elan::fault::ChaosRunner;
 
   elan::Flags flags;
-  flags.define("seed", "1", "base seed (decimal, 0x-hex, or any string — strings are hashed)");
-  flags.define("plans", "20", "number of consecutive seeds to run");
+  flags.define("seed", "1",
+               "base seed (decimal, 0x-hex, or any other string, which is hashed)");
+  flags.define("plans", "20", "number of consecutive seeds to run (at least 1)");
   flags.define("budget-seconds", "0", "stop after this much wall time (0 = run all plans)");
   flags.define("check-determinism", "false", "run each plan twice and compare fingerprints");
   flags.define("verbose", "false", "print every plan and result, not just failures");
@@ -59,17 +45,32 @@ int main(int argc, char** argv) {
                "(exercises the flight-record pipeline; exit 0 iff it fails as scripted)");
   elan::define_log_level_flag(flags);
 
+  std::uint64_t seed_base = 0;
+  int plans = 0;
+  double budget = 0;
+  bool check_determinism = false;
+  bool verbose = false;
+  bool scripted_failure = false;
+  int threads = 1;
   try {
     flags.parse(argc, argv);
+    if (flags.help_requested()) {
+      std::printf("%s", flags.usage(argv[0]).c_str());
+      return 0;
+    }
+    elan::apply_log_level_flag(flags);
+    seed_base = elan::parse_seed(flags.get("seed"), "--seed");
+    plans = static_cast<int>(elan::parse_int(flags.get("plans"), 1,
+                                             std::numeric_limits<int>::max(), "--plans"));
+    budget = flags.get_double("budget-seconds");
+    check_determinism = flags.get_bool("check-determinism");
+    verbose = flags.get_bool("verbose");
+    scripted_failure = flags.get_bool("scripted-failure");
+    threads = elan::ThreadPool::global().size();  // sized from ELAN_THREADS
   } catch (const elan::Error& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), flags.usage(argv[0]).c_str());
     return 2;
   }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.usage(argv[0]).c_str());
-    return 0;
-  }
-  elan::apply_log_level_flag(flags);
 
   elan::obs::init_from_env();
   const std::string flight = flags.get("flight");
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
     elan::obs::FlightRecorder::instance().arm_crash_dump(flight + ".crash.flt");
   }
 
-  if (flags.get_bool("scripted-failure")) {
+  if (scripted_failure) {
     const auto plan = ChaosRunner::scripted_failure_plan();
     const auto result = ChaosRunner::run_plan(plan);
     std::printf("%s\n%s\n", plan.describe().c_str(), result.describe().c_str());
@@ -94,16 +95,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::uint64_t seed_base = parse_seed(flags.get("seed"));
-  const int plans = static_cast<int>(flags.get_int("plans"));
-  const double budget = flags.get_double("budget-seconds");
-  const bool check_determinism = flags.get_bool("check-determinism");
-  const bool verbose = flags.get_bool("verbose");
-
   // A batch keeps every pool thread busy for many plans, so the wait for
   // the slowest plan at its end costs little; the wall-time budget is
   // checked between batches.
-  const int threads = elan::ThreadPool::global().size();
   const int batch = 32 * threads;
   const auto started = std::chrono::steady_clock::now();
   const auto elapsed = [&started] {

@@ -191,8 +191,12 @@ int main(int argc, char** argv) {
   flags.define("max-events", "0", "cap the merged timeline print (0 = all)");
 
   std::vector<std::string> paths;
+  double last_ms = 0;
+  std::int64_t max_events = 0;
   try {
     paths = flags.parse(argc, argv);
+    last_ms = flags.get_double("last-ms");
+    max_events = flags.get_int("max-events");
   } catch (const elan::Error& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), flags.usage(argv[0]).c_str());
     return 2;
@@ -202,8 +206,6 @@ int main(int argc, char** argv) {
                 flags.usage(argv[0]).c_str());
     return flags.help_requested() ? 0 : 2;
   }
-  const double last_ms = flags.get_double("last-ms");
-  const std::int64_t max_events = flags.get_int("max-events");
 
   std::vector<FlightEvent> merged;
   for (const auto& path : paths) {
