@@ -46,7 +46,7 @@ void BM_ReplicationPlan(benchmark::State& state) {
     benchmark::DoNotOptimize(planner.chunk_plan(req, whole_blob));
   }
 }
-BENCHMARK(BM_ReplicationPlan)->Args({4, 4})->Args({16, 16})->Args({16, 48});
+BENCHMARK(BM_ReplicationPlan)->Args({4, 4})->Args({16, 16})->Args({16, 48})->Args({32, 32});
 
 void BM_HybridScalingDecision(benchmark::State& state) {
   train::ThroughputModel tm(testbed(), bandwidth());
@@ -71,17 +71,34 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 BENCHMARK(BM_SimulatorEventThroughput);
 
 // The allreduce price the workloads pay: ring bottleneck plus the
-// calibrated alpha-beta formula, over a compact placement.
+// calibrated alpha-beta formula. `gpus` GPUs placed compactly on the
+// testbed, or (spread = 1) the GPUs of 8 nodes 16 apart on the 1,024-GPU
+// cluster in shuffled order: the kind of placement ClusterSim prices.
 void BM_AllreduceCostModel(benchmark::State& state) {
+  static const topo::Topology cluster{topo::TopologySpec{.nodes = 128}};
+  const bool spread = state.range(1) != 0;
+  const topo::Topology& topology = spread ? cluster : testbed();
+  const int per_node = topology.spec().gpus_per_node();
   std::vector<topo::GpuId> members;
-  for (int i = 0; i < state.range(0); ++i) members.push_back(i);
-  const train::ThroughputModel tm(testbed(), bandwidth());
+  for (int i = 0; i < state.range(0); ++i) {
+    members.push_back(spread ? (i / per_node) * 16 * per_node + i % per_node : i);
+  }
+  Rng rng(2020);
+  for (std::size_t i = members.size(); spread && i > 1; --i) {
+    std::swap(members[i - 1], members[static_cast<std::size_t>(
+                                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  const train::ThroughputModel tm(topology, bandwidth());
   const train::ModelSpec model = train::resnet50();
   for (auto _ : state) {
     benchmark::DoNotOptimize(tm.allreduce_time_on(model, members));
   }
 }
-BENCHMARK(BM_AllreduceCostModel)->Arg(8)->Arg(64);
+BENCHMARK(BM_AllreduceCostModel)
+    ->ArgNames({"gpus", "spread"})
+    ->Args({8, 0})
+    ->Args({64, 0})
+    ->Args({64, 1});
 
 void BM_TopologyProximity(benchmark::State& state) {
   std::vector<topo::GpuId> candidates;

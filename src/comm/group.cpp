@@ -1,6 +1,9 @@
 #include "comm/group.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -9,17 +12,27 @@
 namespace elan::comm {
 
 topo::LinkLevel ring_bottleneck(const topo::Topology& topology,
-                                std::vector<topo::GpuId> members) {
+                                std::span<const topo::GpuId> members) {
   require(!members.empty(), "ring_bottleneck: empty member set");
-  std::sort(members.begin(), members.end());
-  require(std::adjacent_find(members.begin(), members.end()) == members.end(),
-          "ring_bottleneck: duplicate members");
+  const auto [lo, hi] = std::minmax_element(members.begin(), members.end());
+  // link_level checks both ends, and every other member lies between them.
   // A lone member links to itself (kSelf), so it reports kL1.
-  topo::LinkLevel bottleneck = topo::LinkLevel::kL1;
-  const std::size_t n = members.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    bottleneck = std::max(bottleneck, topology.link_level(members[i], members[(i + 1) % n]));
+  const topo::LinkLevel bottleneck =
+      std::max(topo::LinkLevel::kL1, topology.link_level(*hi, *lo));
+  // Duplicates: one bit per id in [lo, hi], which spans at most kMaxGpus
+  // ids. Fewer distinct bits than members means some id came twice. Only
+  // the first `words` words are used, and they are zeroed before use: a
+  // ring clears one word per 64 ids it spans, not the whole array.
+  std::array<std::uint64_t, topo::kMaxGpus / 64> seen;
+  const auto words = static_cast<std::size_t>(*hi - *lo) / 64 + 1;
+  std::fill_n(seen.begin(), words, 0);
+  for (const topo::GpuId gpu : members) {
+    const auto offset = static_cast<std::size_t>(gpu - *lo);
+    seen[offset / 64] |= std::uint64_t{1} << (offset % 64);
   }
+  std::size_t distinct = 0;
+  for (std::size_t w = 0; w < words; ++w) distinct += std::popcount(seen[w]);
+  require(distinct == members.size(), "ring_bottleneck: duplicate members");
   return bottleneck;
 }
 

@@ -4,6 +4,7 @@
 // functional allreduce every training step runs.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -28,13 +29,17 @@ struct GroupParams {
   }
 };
 
-/// Slowest link level on the ring over `members`. The ring visits the
-/// members sorted by GPU id, which groups switch-, socket- and node-local
-/// GPUs together (topology-aware ring), and closes back to the first. A
-/// single member has no link and reports kL1. Throws InvalidArgument on an
-/// empty or duplicated member set.
+/// Slowest link level on the ring over `members`, in any order. The ring
+/// visits the members sorted by GPU id, which groups switch-, socket- and
+/// node-local GPUs together (topology-aware ring), and closes back to the
+/// first. GPU ids are node-major, so every PCIe switch, host bridge and node
+/// is a contiguous id range and the slowest hop is the closing one: the
+/// result is link_level(highest member, lowest member), read in one pass
+/// without sorting. A single member has no link and reports kL1. Throws
+/// InvalidArgument on an empty member set, a duplicate anywhere in it or an
+/// out-of-range id (a lone member's included).
 topo::LinkLevel ring_bottleneck(const topo::Topology& topology,
-                                std::vector<topo::GpuId> members);
+                                std::span<const topo::GpuId> members);
 
 /// Functional allreduce over per-rank vectors; used by the training engines
 /// to keep replica state bit-identical (sum reduction). All vectors must have

@@ -52,29 +52,6 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
   const bool relay =
       options.relay_sources && strategy_ == ReplicationStrategy::kElan;
 
-  // Shared-resource keys are interned to dense indices once per GPU pair: the
-  // greedy loop below re-ranks every candidate on each commitment and must
-  // not rebuild strings each time.
-  std::map<std::string, std::size_t> key_ids;
-  std::vector<Seconds> resource_free;
-  auto intern = [&](const std::string& key) {
-    auto [it, fresh] = key_ids.emplace(key, resource_free.size());
-    if (fresh) resource_free.push_back(0);
-    return it->second;
-  };
-  const std::size_t serial_token = intern("global-serial-token");
-  std::map<std::pair<topo::GpuId, topo::GpuId>, std::vector<std::size_t>> pair_keys;
-  auto keys_for = [&](topo::GpuId src, topo::GpuId dst) -> const std::vector<std::size_t>& {
-    auto [it, fresh] = pair_keys.try_emplace({src, dst});
-    if (fresh) {
-      for (const auto& key : topology_->transfer_resources(src, dst)) {
-        it->second.push_back(intern(key));
-      }
-      if (serial) it->second.push_back(serial_token);
-    }
-    return it->second;
-  };
-
   // Endpoints are full duplex: one outgoing chunk and one incoming chunk at a
   // time, tracked separately so a relay can serve its prefix while its own
   // suffix streams in.
@@ -93,10 +70,10 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
     std::uint32_t have = 0;  // next chunk needed == verified-prefix length
     bool resumed = false;    // pre-verified prefix: CPU state already delivered
     Seconds busy_send = 0;
-    Seconds busy_recv = 0;
+    Seconds busy_recv = 0;   // finish of the last chunk received
     int load = 0;
     std::vector<Seconds> ready_at;  // per chunk: when the relay prefix holds it
-    int blind_source = -1;          // kBlindSources: pinned round-robin source
+    std::size_t blind_source = 0;   // kBlindSources: pinned round-robin source
   };
   std::vector<Dest> dests;
   for (const auto& [worker, gpu] : request.joining) {
@@ -109,10 +86,36 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
       d.resumed = d.have > 0;
       std::fill(d.ready_at.begin(), d.ready_at.begin() + d.have, 0.0);
     }
-    d.blind_source =
-        sources[dests.size() % sources.size()].worker;  // dest-id order round robin
+    d.blind_source = dests.size() % sources.size();  // dest-id order round robin
     dests.push_back(std::move(d));
   }
+
+  // Sender slots: slot s < sources.size() is an existing worker and, with
+  // relays on, slot sources.size() + p is destination p serving its verified
+  // prefix. Each (slot, destination) pair's link level and shared resources
+  // are resolved once, into one flat array: the greedy loop below re-ranks
+  // every candidate on each commitment and reads only that.
+  struct Link {
+    topo::LinkLevel level = topo::LinkLevel::kSelf;
+    topo::TransferResources resources;
+  };
+  const std::size_t num_dests = dests.size();
+  const std::size_t num_slots = sources.size() + (relay ? num_dests : 0);
+  auto slot_gpu = [&](std::size_t slot) {
+    return slot < sources.size() ? sources[slot].gpu : dests[slot - sources.size()].gpu;
+  };
+  std::vector<Link> links(num_slots * num_dests);
+  for (std::size_t slot = 0; slot < num_slots; ++slot) {
+    for (std::size_t di = 0; di < num_dests; ++di) {
+      Link& link = links[slot * num_dests + di];
+      link.level = topology_->link_level(slot_gpu(slot), dests[di].gpu);
+      link.resources = topology_->transfer_resources(slot_gpu(slot), dests[di].gpu);
+    }
+  }
+  // When each shared resource frees up, by id; the serial strategies also
+  // pass one token that every transfer holds.
+  std::vector<Seconds> resource_free(static_cast<std::size_t>(topology_->resource_count()), 0);
+  Seconds token_free = 0;
 
   std::size_t remaining = 0;
   for (const auto& d : dests) remaining += sched.num_chunks - d.have;
@@ -130,8 +133,7 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
       int load = 1 << 30;
       bool relay = false;
       int worker = -1;
-      topo::GpuId gpu = -1;
-      Seconds duration = 0;
+      std::size_t slot = 0;
       bool better_than(const Candidate& o) const {
         if (level != o.level) return level < o.level;
         if (start != o.start) return start < o.start;
@@ -141,112 +143,104 @@ ChunkSchedule ReplicationPlanner::chunk_plan(const ReplicationRequest& request,
       }
     };
 
-    std::size_t best_dest = dests.size();
+    std::size_t best_dest = num_dests;
     Candidate best;
-    for (std::size_t di = 0; di < dests.size(); ++di) {
+    for (std::size_t di = 0; di < num_dests; ++di) {
       Dest& d = dests[di];
       if (d.have >= sched.num_chunks) continue;
       const std::uint32_t chunk = d.have;
-      const auto bytes_time = [&](topo::LinkLevel level) {
-        return bandwidth_->transfer_time(level, chunk_size(chunk));
-      };
 
       Candidate dest_best;
-      auto consider = [&](int worker, topo::GpuId gpu, Seconds available, Seconds send_busy,
+      auto consider = [&](std::size_t slot, int worker, Seconds available, Seconds send_busy,
                           int load, bool is_relay) {
+        const Link& link = links[slot * num_dests + di];
         Candidate c;
-        const topo::LinkLevel level = topology_->link_level(gpu, d.gpu);
-        c.level = static_cast<int>(level);
+        c.level = static_cast<int>(link.level);
         c.start = std::max({available, send_busy, d.busy_recv});
-        for (std::size_t key : keys_for(gpu, d.gpu)) {
-          c.start = std::max(c.start, resource_free[key]);
+        for (const int id : link.resources) {
+          c.start = std::max(c.start, resource_free[static_cast<std::size_t>(id)]);
         }
+        if (serial) c.start = std::max(c.start, token_free);
         c.load = load;
         c.relay = is_relay;
         c.worker = worker;
-        c.gpu = gpu;
-        c.duration = bytes_time(level);
+        c.slot = slot;
         if (c.better_than(dest_best)) dest_best = c;
       };
 
       switch (strategy_) {
         case ReplicationStrategy::kSingleSource:
-          consider(sources[0].worker, sources[0].gpu, 0, sources[0].busy_send,
-                   sources[0].load, false);
+          consider(0, sources[0].worker, 0, sources[0].busy_send, sources[0].load, false);
           break;
-        case ReplicationStrategy::kBlindSources:
-          for (auto& s : sources) {
-            if (s.worker != d.blind_source) continue;
-            consider(s.worker, s.gpu, 0, s.busy_send, s.load, false);
-          }
+        case ReplicationStrategy::kBlindSources: {
+          const Source& s = sources[d.blind_source];
+          consider(d.blind_source, s.worker, 0, s.busy_send, s.load, false);
           break;
+        }
         case ReplicationStrategy::kElan:
         case ReplicationStrategy::kNearestSerial:
-          for (auto& s : sources) {
-            consider(s.worker, s.gpu, 0, s.busy_send, s.load, false);
+          for (std::size_t si = 0; si < sources.size(); ++si) {
+            const Source& s = sources[si];
+            consider(si, s.worker, 0, s.busy_send, s.load, false);
           }
           break;
       }
       if (relay) {
-        for (std::size_t pi = 0; pi < dests.size(); ++pi) {
+        for (std::size_t pi = 0; pi < num_dests; ++pi) {
           if (pi == di) continue;
-          Dest& p = dests[pi];
+          const Dest& p = dests[pi];
           if (p.have <= chunk) continue;  // prefix does not reach this chunk yet
-          consider(p.worker, p.gpu, p.ready_at[chunk], p.busy_send, p.load, true);
+          consider(sources.size() + pi, p.worker, p.ready_at[chunk], p.busy_send, p.load,
+                   true);
         }
       }
 
       ELAN_CHECK(dest_best.worker >= 0, "chunk replication: no source for destination");
-      if (best_dest == dests.size() || dest_best.start < best.start ||
+      if (best_dest == num_dests || dest_best.start < best.start ||
           (dest_best.start == best.start && d.worker < dests[best_dest].worker)) {
         best_dest = di;
         best = dest_best;
       }
     }
 
-    ELAN_CHECK(best_dest < dests.size(), "chunk replication: scheduler stalled");
+    ELAN_CHECK(best_dest < num_dests, "chunk replication: scheduler stalled");
     Dest& d = dests[best_dest];
+    const Link& link = links[best.slot * num_dests + best_dest];
     ChunkTransfer t;
     t.source_worker = best.worker;
     t.dest_worker = d.worker;
-    t.source_gpu = best.gpu;
+    t.source_gpu = slot_gpu(best.slot);
     t.dest_gpu = d.gpu;
-    t.level = topology_->link_level(best.gpu, d.gpu);
+    t.level = link.level;
     t.chunk = d.have;
     t.bytes = chunk_size(d.have);
     t.relay = best.relay;
     t.start = best.start;
-    t.duration = best.duration;
+    t.duration = bandwidth_->transfer_time(t.level, t.bytes);
     sched.transfers.push_back(t);
     sched.serial_time += t.duration;
 
     const Seconds finish = t.finish();
-    for (std::size_t key : keys_for(best.gpu, d.gpu)) resource_free[key] = finish;
+    for (const int id : link.resources) resource_free[static_cast<std::size_t>(id)] = finish;
+    if (serial) token_free = finish;
     d.busy_recv = finish;
     d.ready_at[t.chunk] = finish;
     ++d.have;
     --remaining;
     if (best.relay) {
-      Dest& p = dests[static_cast<std::size_t>(
-          std::find_if(dests.begin(), dests.end(),
-                       [&](const Dest& x) { return x.worker == best.worker; }) -
-          dests.begin())];
+      Dest& p = dests[best.slot - sources.size()];
       p.busy_send = finish;
       ++p.load;
     } else {
-      for (auto& s : sources) {
-        if (s.worker != best.worker) continue;
-        s.busy_send = finish;
-        ++s.load;
-      }
+      Source& s = sources[best.slot];
+      s.busy_send = finish;
+      ++s.load;
     }
   }
 
+  // A destination's chunks arrive in order, so its last receive is its latest.
   for (const auto& d : dests) {
-    Seconds done = d.resumed ? 0 : sched.cpu_time;
-    for (const auto& t : sched.transfers) {
-      if (t.dest_worker == d.worker) done = std::max(done, t.finish());
-    }
+    const Seconds done = std::max(d.resumed ? 0 : sched.cpu_time, d.busy_recv);
     sched.completion[d.worker] = done;
     sched.total_time = std::max(sched.total_time, done);
   }

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/units.h"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "common/error.h"
 #include "elan/hybrid_scaling.h"
@@ -83,10 +84,10 @@ double ClusterSim::measured_throughput(const SchedJob& job) const {
   // The job's real placement sets the communication bottleneck. During an
   // adjustment's start window the previous width applies; approximate the
   // previous placement by the first prev_workers GPUs of the current set.
-  std::vector<topo::GpuId> members = job.gpus;
+  std::span<const topo::GpuId> members = job.gpus;
   const int eff = job.effective_workers(now_);
   if (static_cast<int>(members.size()) > eff && eff > 0) {
-    members.resize(static_cast<std::size_t>(eff));
+    members = members.first(static_cast<std::size_t>(eff));
   }
   const int tbs = job.effective_batch(now_);
   double tput = throughput_->throughput_on(job.spec.model, members, tbs);

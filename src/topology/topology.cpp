@@ -21,21 +21,34 @@ void TopologySpec::validate() const {
   require(bridges_per_socket > 0, "TopologySpec: bridges_per_socket must be positive");
   require(switches_per_bridge > 0, "TopologySpec: switches_per_bridge must be positive");
   require(gpus_per_switch > 0, "TopologySpec: gpus_per_switch must be positive");
+  // Each partial product is at most kMaxGpus before the next radix (an int)
+  // multiplies it, so none overflows 64 bits.
+  std::int64_t gpus = 1;
+  for (const int radix :
+       {nodes, sockets_per_node, bridges_per_socket, switches_per_bridge, gpus_per_switch}) {
+    gpus *= radix;
+    ELAN_REQUIRE(gpus <= kMaxGpus,
+                 "TopologySpec: more than " + std::to_string(kMaxGpus) + " GPUs");
+  }
 }
 
-Topology::Topology(TopologySpec spec) : spec_(spec) { spec_.validate(); }
-
-void Topology::check_gpu(GpuId gpu) const {
-  ELAN_REQUIRE(gpu >= 0 && gpu < total_gpus(),
-               "GPU id out of range: " + std::to_string(gpu));
+Topology::Topology(TopologySpec spec) : spec_(spec) {
+  spec_.validate();
+  const int per_switch = spec_.gpus_per_switch;
+  const int per_bridge = per_switch * spec_.switches_per_bridge;
+  const int per_node = spec_.gpus_per_node();
+  const int total = spec_.total_gpus();
+  groups_.resize(static_cast<std::size_t>(total));
+  for (GpuId g = 0; g < total; ++g) {
+    groups_[static_cast<std::size_t>(g)] = {g / per_node, g / per_bridge, g / per_switch};
+  }
+  bridge_base_ = total / per_switch;
+  qpi_base_ = bridge_base_ + total / per_bridge;
+  nic_base_ = qpi_base_ + spec_.nodes;
 }
 
 GpuLocation Topology::location(GpuId gpu) const {
   check_gpu(gpu);
-  return locate(gpu);
-}
-
-GpuLocation Topology::locate(GpuId gpu) const {
   GpuLocation loc;
   int rest = gpu;
   loc.slot = rest % spec_.gpus_per_switch;
@@ -79,45 +92,42 @@ LinkLevel Topology::link_level(GpuId a, GpuId b) const {
   check_gpu(a);
   check_gpu(b);
   if (a == b) return LinkLevel::kSelf;
-  const GpuLocation la = locate(a);
-  const GpuLocation lb = locate(b);
-  if (la.node != lb.node) return LinkLevel::kL4;
-  if (la.socket != lb.socket) return LinkLevel::kL3;
-  if (la.host_bridge != lb.host_bridge) return LinkLevel::kL3;
-  if (la.pcie_switch != lb.pcie_switch) return LinkLevel::kL2;
+  const Groups& ga = groups_[static_cast<std::size_t>(a)];
+  const Groups& gb = groups_[static_cast<std::size_t>(b)];
+  if (ga.node != gb.node) return LinkLevel::kL4;
+  // Another socket, or another host bridge of the same socket: both are L3.
+  if (ga.bridge != gb.bridge) return LinkLevel::kL3;
+  if (ga.pcie_switch != gb.pcie_switch) return LinkLevel::kL2;
   return LinkLevel::kL1;
 }
 
-std::vector<std::string> Topology::transfer_resources(GpuId a, GpuId b) const {
+TransferResources Topology::transfer_resources(GpuId a, GpuId b) const {
   const LinkLevel level = link_level(a, b);  // checks both ids
-  const GpuLocation la = locate(a);
-  const GpuLocation lb = locate(b);
-  std::vector<std::string> keys;
+  const Groups& ga = groups_[static_cast<std::size_t>(a)];
+  TransferResources r;
   switch (level) {
     case LinkLevel::kSelf:
       break;
     case LinkLevel::kL1:
       // Dedicated path through one PCIe switch; contends only with transfers
       // through the very same switch.
-      keys.push_back("node" + std::to_string(la.node) + ".sw" + std::to_string(la.socket) +
-                     "." + std::to_string(la.host_bridge) + "." + std::to_string(la.pcie_switch));
+      r.ids[r.count++] = ga.pcie_switch;
       break;
     case LinkLevel::kL2:
       // Crosses the host bridge of the shared socket.
-      keys.push_back("node" + std::to_string(la.node) + ".bridge" + std::to_string(la.socket) +
-                     "." + std::to_string(la.host_bridge));
+      r.ids[r.count++] = bridge_base_ + ga.bridge;
       break;
     case LinkLevel::kL3:
       // Crosses the node's socket interconnect (QPI) — the contention case
       // the paper calls out explicitly.
-      keys.push_back("node" + std::to_string(la.node) + ".qpi");
+      r.ids[r.count++] = qpi_base_ + ga.node;
       break;
     case LinkLevel::kL4:
-      keys.push_back("node" + std::to_string(la.node) + ".nic");
-      keys.push_back("node" + std::to_string(lb.node) + ".nic");
+      r.ids[r.count++] = nic_base_ + ga.node;
+      r.ids[r.count++] = nic_base_ + groups_[static_cast<std::size_t>(b)].node;
       break;
   }
-  return keys;
+  return r;
 }
 
 std::vector<GpuId> Topology::by_proximity(GpuId target,

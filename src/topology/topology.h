@@ -12,6 +12,8 @@
 //   L4 — traverses the network                   -> NET (InfiniBand)
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,6 +47,11 @@ struct GpuLocation {
   bool operator==(const GpuLocation&) const = default;
 };
 
+/// Most GPUs a cluster may hold. TopologySpec::validate() rejects larger
+/// shapes, so GPU ids and every count derived from them fit an int, and a
+/// Topology's per-GPU table stays small.
+inline constexpr int kMaxGpus = 1 << 16;
+
 /// Shape of the cluster. Defaults mirror the paper's testbed: 8 servers with
 /// 8 GPUs each (2 sockets x 1 bridge x 2 switches x 2 GPUs).
 struct TopologySpec {
@@ -59,7 +66,24 @@ struct TopologySpec {
   }
   constexpr int total_gpus() const { return nodes * gpus_per_node(); }
 
+  /// Throws InvalidArgument unless every radix is positive and the cluster
+  /// holds at most kMaxGpus GPUs (counted in 64 bits, so no product of the
+  /// radices overflows on the way).
   void validate() const;
+};
+
+/// The shared physical resources one transfer occupies, as dense ids in
+/// [0, Topology::resource_count()): one id per PCIe switch, host bridge,
+/// QPI link and NIC of the cluster. At most two (an L4 transfer holds both
+/// endpoints' NICs); none for a GPU's copy to itself.
+struct TransferResources {
+  std::array<int, 2> ids{};
+  int count = 0;
+
+  const int* begin() const { return ids.data(); }
+  const int* end() const { return ids.data() + count; }
+  std::size_t size() const { return static_cast<std::size_t>(count); }
+  bool operator==(const TransferResources&) const = default;
 };
 
 class Topology {
@@ -72,7 +96,10 @@ class Topology {
 
   GpuLocation location(GpuId gpu) const;
   GpuId gpu_at(const GpuLocation& loc) const;
-  int node_of(GpuId gpu) const { return location(gpu).node; }
+  int node_of(GpuId gpu) const {
+    check_gpu(gpu);
+    return groups_[static_cast<std::size_t>(gpu)].node;
+  }
 
   /// All GPUs residing on `node`.
   std::vector<GpuId> gpus_on_node(int node) const;
@@ -81,21 +108,41 @@ class Topology {
   LinkLevel link_level(GpuId a, GpuId b) const;
 
   /// Shared physical resources a transfer between `a` and `b` occupies.
-  /// Transfers that share a resource key contend and must be serialised by
-  /// the replication planner (§IV-3). An L3 transfer occupies the node's QPI
-  /// link; an L4 transfer occupies both endpoints' NICs.
-  std::vector<std::string> transfer_resources(GpuId a, GpuId b) const;
+  /// Transfers that share a resource id contend and must be serialised by
+  /// the replication planner (§IV-3). An L1 transfer occupies its PCIe
+  /// switch, an L2 transfer its host bridge, an L3 transfer the node's QPI
+  /// link and an L4 transfer both endpoints' NICs.
+  TransferResources transfer_resources(GpuId a, GpuId b) const;
+
+  /// Number of distinct resource ids transfer_resources can return.
+  int resource_count() const { return nic_base_ + spec_.nodes; }
 
   /// GPUs of `candidates` sorted by proximity to `target` (best link level
   /// first; ties broken by GPU id for determinism).
   std::vector<GpuId> by_proximity(GpuId target, const std::vector<GpuId>& candidates) const;
 
  private:
-  TopologySpec spec_;
+  /// A GPU's node and its cluster-wide host-bridge and PCIe-switch indices.
+  /// GPU ids are node-major, so two GPUs share a switch, bridge or node
+  /// exactly when these indices match, and each index is also the GPU's
+  /// resource id within its kind.
+  struct Groups {
+    int node = 0;
+    int bridge = 0;
+    int pcie_switch = 0;
+  };
 
-  void check_gpu(GpuId gpu) const;
-  /// location() without the range check, for callers that already did it.
-  GpuLocation locate(GpuId gpu) const;
+  TopologySpec spec_;
+  std::vector<Groups> groups_;  // indexed by GPU id
+  // Resource ids: switches from 0, then bridges, QPI links and NICs.
+  int bridge_base_ = 0;
+  int qpi_base_ = 0;
+  int nic_base_ = 0;
+
+  void check_gpu(GpuId gpu) const {
+    ELAN_REQUIRE(gpu >= 0 && gpu < total_gpus(),
+                 "GPU id out of range: " + std::to_string(gpu));
+  }
 };
 
 }  // namespace elan::topo

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "comm/group.h"
 #include "common/error.h"
 
 namespace elan::train {
-
-namespace {
-
-/// Worker i on GPU i: the placement the worker-count overloads price.
-std::vector<topo::GpuId> compact(int workers) {
-  require(workers > 0, "throughput model: non-positive worker count");
-  std::vector<topo::GpuId> members(static_cast<std::size_t>(workers));
-  std::iota(members.begin(), members.end(), 0);
-  return members;
-}
-
-}  // namespace
 
 ThroughputModel::ThroughputModel(const topo::Topology& topology,
                                  const topo::BandwidthModel& bandwidth,
@@ -34,44 +21,55 @@ Seconds ThroughputModel::compute_time(const ModelSpec& model, int per_worker_bat
   return model.iteration_overhead + per_unit * (b + h) * (b + h) / b;
 }
 
-Seconds ThroughputModel::allreduce_time_on(const ModelSpec& model,
-                                           const std::vector<topo::GpuId>& members) const {
-  require(!members.empty(), "allreduce_time_on: empty member set");
-  if (members.size() < 2) return 0.0;
-  const auto level = comm::ring_bottleneck(*topology_, members);
-  const auto& link = bandwidth_->params(level);
-
-  const double n = static_cast<double>(members.size());
+Seconds ThroughputModel::ring_time(const ModelSpec& model, std::size_t members,
+                                   topo::LinkLevel bottleneck) const {
+  const auto& link = bandwidth_->params(bottleneck);
+  const double n = static_cast<double>(members);
   const Bytes payload = model.param_bytes();
   const double chunk = static_cast<double>(payload) / n;
-  double bw = bandwidth_->effective_bandwidth(level, static_cast<Bytes>(chunk) + 1);
-  if (level == topo::LinkLevel::kL4) bw *= params_.multi_node_ring_efficiency;
+  double bw = bandwidth_->effective_bandwidth(bottleneck, static_cast<Bytes>(chunk) + 1);
+  if (bottleneck == topo::LinkLevel::kL4) bw *= params_.multi_node_ring_efficiency;
 
   const double steps = 2.0 * (n - 1.0);
   return steps * link.latency + steps * chunk / bw;
 }
 
-Seconds ThroughputModel::allreduce_time(const ModelSpec& model, int workers) const {
-  return allreduce_time_on(model, compact(workers));
+Seconds ThroughputModel::allreduce_time_on(const ModelSpec& model,
+                                           std::span<const topo::GpuId> members) const {
+  require(!members.empty(), "allreduce_time_on: empty member set");
+  if (members.size() < 2) return 0.0;
+  return ring_time(model, members.size(), comm::ring_bottleneck(*topology_, members));
 }
 
-Seconds ThroughputModel::iteration_time_on(const ModelSpec& model,
-                                           const std::vector<topo::GpuId>& members,
-                                           int per_worker_batch) const {
+Seconds ThroughputModel::allreduce_time(const ModelSpec& model, int workers) const {
+  require(workers > 0, "throughput model: non-positive worker count");
+  if (workers < 2) return 0.0;
+  // comm::ring_bottleneck of GPUs 0..workers-1, whose closing hop is the widest.
+  return ring_time(model, static_cast<std::size_t>(workers),
+                   topology_->link_level(workers - 1, 0));
+}
+
+Seconds ThroughputModel::iteration_time_with(const ModelSpec& model, int per_worker_batch,
+                                             Seconds comm) const {
   const Seconds compute = compute_time(model, per_worker_batch);
   const Seconds backward = (compute - model.iteration_overhead) * (2.0 / 3.0);
-  const Seconds comm = allreduce_time_on(model, members);
   const Seconds exposed = std::max(0.0, comm - params_.comm_overlap * backward);
   return compute + exposed;
 }
 
+Seconds ThroughputModel::iteration_time_on(const ModelSpec& model,
+                                           std::span<const topo::GpuId> members,
+                                           int per_worker_batch) const {
+  return iteration_time_with(model, per_worker_batch, allreduce_time_on(model, members));
+}
+
 Seconds ThroughputModel::iteration_time(const ModelSpec& model, int workers,
                                         int per_worker_batch) const {
-  return iteration_time_on(model, compact(workers), per_worker_batch);
+  return iteration_time_with(model, per_worker_batch, allreduce_time(model, workers));
 }
 
 double ThroughputModel::throughput_on(const ModelSpec& model,
-                                      const std::vector<topo::GpuId>& members,
+                                      std::span<const topo::GpuId> members,
                                       int total_batch) const {
   require(!members.empty() && total_batch > 0, "throughput_on: bad arguments");
   const int workers = static_cast<int>(members.size());
@@ -80,7 +78,9 @@ double ThroughputModel::throughput_on(const ModelSpec& model,
 }
 
 double ThroughputModel::throughput(const ModelSpec& model, int workers, int total_batch) const {
-  return throughput_on(model, compact(workers), total_batch);
+  require(workers > 0 && total_batch > 0, "throughput: bad arguments");
+  const int per_worker = (total_batch + workers - 1) / workers;
+  return static_cast<double>(total_batch) / iteration_time(model, workers, per_worker);
 }
 
 bool ThroughputModel::fits(const ModelSpec& model, int workers, int total_batch) const {

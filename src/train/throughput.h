@@ -27,6 +27,7 @@
 // batch sizes 512/1024/2048 (Fig 17).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -65,25 +66,27 @@ class ThroughputModel {
   Seconds compute_time(const ModelSpec& model, int per_worker_batch) const;
 
   /// Allreduce time of the model's gradients over `workers` compactly placed
-  /// workers (worker i on GPU i).
+  /// workers (worker i on GPU i), whose ring bottleneck is the link closing
+  /// it from GPU workers-1 back to GPU 0. Throws InvalidArgument on a
+  /// non-positive count or one larger than the cluster.
   Seconds allreduce_time(const ModelSpec& model, int workers) const;
 
   /// Allreduce time over an explicit GPU placement: the ring's bottleneck
   /// link and node span come from the actual member set, so fragmented
   /// placements genuinely communicate slower.
   Seconds allreduce_time_on(const ModelSpec& model,
-                            const std::vector<topo::GpuId>& members) const;
+                            std::span<const topo::GpuId> members) const;
 
   /// Full iteration time for `workers` workers and a given per-worker batch.
   Seconds iteration_time(const ModelSpec& model, int workers, int per_worker_batch) const;
-  Seconds iteration_time_on(const ModelSpec& model, const std::vector<topo::GpuId>& members,
+  Seconds iteration_time_on(const ModelSpec& model, std::span<const topo::GpuId> members,
                             int per_worker_batch) const;
 
   /// Samples/second for a total batch size split evenly over `workers`.
   /// total_batch need not be divisible by workers; the straggler holds the
   /// iteration (ceil division).
   double throughput(const ModelSpec& model, int workers, int total_batch) const;
-  double throughput_on(const ModelSpec& model, const std::vector<topo::GpuId>& members,
+  double throughput_on(const ModelSpec& model, std::span<const topo::GpuId> members,
                        int total_batch) const;
 
   /// Whether `total_batch` fits in GPU memory on `workers` workers.
@@ -102,6 +105,14 @@ class ThroughputModel {
   const topo::Topology* topology_;
   const topo::BandwidthModel* bandwidth_;
   ThroughputParams params_;
+
+  /// The alpha-beta ring price of `members` (>= 2) ranks whose slowest hop
+  /// is `bottleneck`.
+  Seconds ring_time(const ModelSpec& model, std::size_t members,
+                    topo::LinkLevel bottleneck) const;
+  /// Compute time plus the part of `comm` the backward pass cannot hide.
+  Seconds iteration_time_with(const ModelSpec& model, int per_worker_batch,
+                              Seconds comm) const;
 };
 
 }  // namespace elan::train

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -340,6 +341,96 @@ TEST(ChunkPlan, RelayStartsOnlyAfterPeerVerifiedPrefix) {
     EXPECT_GE(t.start, it->second - 1e-12);
   }
   EXPECT_GT(relayed, 0);
+}
+
+
+// Every field of every schedule the planner makes for the five
+// BENCH_replication_baseline shapes, folded (h ^ word) * FNV prime: each
+// transfer (doubles as their bits), the completion map, the three totals and
+// the chunk geometry. The cases cover the four strategies, relays on and
+// off, whole-blob and 4 MiB chunks, and a resume from verified prefixes. A
+// change that moves the digest changes a schedule somewhere, however small.
+constexpr std::uint64_t kScheduleDigest = 0xc55334685917ddefULL;
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) { return (h ^ v) * 0x100000001b3ULL; }
+
+std::uint64_t fold_schedule(std::uint64_t h, const ChunkSchedule& s) {
+  h = mix(h, s.chunk_bytes);
+  h = mix(h, s.num_chunks);
+  for (const auto& t : s.transfers) {
+    for (const std::int64_t field :
+         {std::int64_t{t.source_worker}, std::int64_t{t.dest_worker},
+          std::int64_t{t.source_gpu}, std::int64_t{t.dest_gpu},
+          static_cast<std::int64_t>(t.level), std::int64_t{t.chunk},
+          static_cast<std::int64_t>(t.bytes), std::int64_t{t.relay}}) {
+      h = mix(h, static_cast<std::uint64_t>(field));
+    }
+    h = mix(h, std::bit_cast<std::uint64_t>(t.start));
+    h = mix(h, std::bit_cast<std::uint64_t>(t.duration));
+  }
+  for (const auto& [worker, done] : s.completion) {
+    h = mix(h, static_cast<std::uint64_t>(worker));
+    h = mix(h, std::bit_cast<std::uint64_t>(done));
+  }
+  h = mix(h, std::bit_cast<std::uint64_t>(s.total_time));
+  h = mix(h, std::bit_cast<std::uint64_t>(s.serial_time));
+  return mix(h, std::bit_cast<std::uint64_t>(s.cpu_time));
+}
+
+TEST(ChunkPlan, ScheduleDigestIsPinned) {
+  struct Shape {
+    topo::TopologySpec spec;
+    std::vector<topo::GpuId> sources;
+    std::vector<topo::GpuId> joiners;
+  };
+  auto range = [](int from, int to) {
+    std::vector<topo::GpuId> v;
+    for (int g = from; g < to; ++g) v.push_back(g);
+    return v;
+  };
+  const topo::TopologySpec qpi{.nodes = 1,
+                               .sockets_per_node = 2,
+                               .bridges_per_socket = 1,
+                               .switches_per_bridge = 2,
+                               .gpus_per_switch = 3};
+  const std::vector<Shape> shapes{{qpi, range(0, 2), range(6, 12)},
+                                  {{}, range(0, 1), range(1, 8)},
+                                  {{}, range(0, 4), range(4, 8)},
+                                  {{}, range(0, 4), range(4, 16)},
+                                  {{}, range(0, 8), range(8, 16)}};
+  const topo::BandwidthModel bandwidth;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  int plans = 0;
+  for (const auto& shape : shapes) {
+    const topo::Topology topology(shape.spec);
+    ReplicationRequest req;
+    int id = 0;
+    for (auto g : shape.sources) req.existing.emplace(id++, g);
+    for (auto g : shape.joiners) req.joining.emplace(id++, g);
+    req.gpu_state_bytes = train::resnet50().gpu_state_bytes();
+    req.cpu_state_bytes = 65_KiB;
+    for (auto strategy :
+         {ReplicationStrategy::kElan, ReplicationStrategy::kNearestSerial,
+          ReplicationStrategy::kSingleSource, ReplicationStrategy::kBlindSources}) {
+      const ReplicationPlanner planner(topology, bandwidth, strategy);
+      for (const Bytes chunk_bytes : {req.gpu_state_bytes, Bytes{0}}) {
+        for (const bool relay : {false, true}) {
+          ChunkPlanOptions options;
+          options.chunk_bytes = chunk_bytes;
+          options.relay_sources = relay;
+          const ChunkSchedule cold = planner.chunk_plan(req, options);
+          digest = fold_schedule(digest, cold);
+          // Resume: the first joiner holds half the stream, the last one chunk.
+          options.verified[req.joining.begin()->first] = cold.num_chunks / 2;
+          options.verified[req.joining.rbegin()->first] = 1;
+          digest = fold_schedule(digest, planner.chunk_plan(req, options));
+          plans += 2;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(plans, 160);
+  EXPECT_EQ(digest, kScheduleDigest) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // Figs 8 and 9).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "topology/bandwidth.h"
 #include "topology/topology.h"
 
@@ -9,6 +13,27 @@ namespace elan::topo {
 namespace {
 
 Topology default_topology() { return Topology(TopologySpec{}); }
+
+// The testbed and three shapes with other radices: 3 GPUs per switch, 3
+// bridges per socket, 1 socket per node.
+std::vector<TopologySpec> varied_specs() {
+  return {TopologySpec{},
+          TopologySpec{.nodes = 1,
+                       .sockets_per_node = 2,
+                       .bridges_per_socket = 1,
+                       .switches_per_bridge = 2,
+                       .gpus_per_switch = 3},
+          TopologySpec{.nodes = 3,
+                       .sockets_per_node = 2,
+                       .bridges_per_socket = 3,
+                       .switches_per_bridge = 2,
+                       .gpus_per_switch = 2},
+          TopologySpec{.nodes = 6,
+                       .sockets_per_node = 1,
+                       .bridges_per_socket = 2,
+                       .switches_per_bridge = 3,
+                       .gpus_per_switch = 3}};
+}
 
 TEST(Topology, DefaultMirrorsPaperTestbed) {
   const auto t = default_topology();
@@ -62,6 +87,32 @@ TEST(Topology, LinkLevelIsSymmetric) {
   }
 }
 
+// link_level against the four-level rule applied to location()'s
+// decomposition, over every GPU pair.
+TEST(Topology, LinkLevelMatchesLocate) {
+  for (const auto& spec : varied_specs()) {
+    const Topology t(spec);
+    for (GpuId a = 0; a < t.total_gpus(); ++a) {
+      const GpuLocation la = t.location(a);
+      for (GpuId b = 0; b < t.total_gpus(); ++b) {
+        const GpuLocation lb = t.location(b);
+        LinkLevel expected = LinkLevel::kL1;
+        if (a == b) {
+          expected = LinkLevel::kSelf;
+        } else if (la.node != lb.node) {
+          expected = LinkLevel::kL4;
+        } else if (la.socket != lb.socket || la.host_bridge != lb.host_bridge) {
+          expected = LinkLevel::kL3;
+        } else if (la.pcie_switch != lb.pcie_switch) {
+          expected = LinkLevel::kL2;
+        }
+        ASSERT_EQ(t.link_level(a, b), expected) << t.total_gpus() << " GPUs: " << a << "-" << b;
+      }
+      ASSERT_EQ(t.node_of(a), la.node);
+    }
+  }
+}
+
 TEST(Topology, GpusOnNode) {
   const auto t = default_topology();
   const auto gpus = t.gpus_on_node(2);
@@ -93,6 +144,50 @@ TEST(Topology, TransferResourcesContention) {
   EXPECT_EQ(r4.size(), 2u);
 }
 
+// Resource keys named by location, one per PCIe switch, host bridge, QPI
+// link and NIC: the contention the ids must reproduce.
+std::vector<std::string> resource_keys(const Topology& t, GpuId a, GpuId b) {
+  const GpuLocation la = t.location(a);
+  const std::string node = "node" + std::to_string(la.node);
+  switch (t.link_level(a, b)) {
+    case LinkLevel::kSelf: return {};
+    case LinkLevel::kL1:
+      return {node + ".sw" + std::to_string(la.socket) + "." + std::to_string(la.host_bridge) +
+              "." + std::to_string(la.pcie_switch)};
+    case LinkLevel::kL2:
+      return {node + ".bridge" + std::to_string(la.socket) + "." +
+              std::to_string(la.host_bridge)};
+    case LinkLevel::kL3: return {node + ".qpi"};
+    case LinkLevel::kL4:
+      return {node + ".nic", "node" + std::to_string(t.location(b).node) + ".nic"};
+  }
+  return {};
+}
+
+// Two GPU pairs share a resource id exactly when they share a key: each key
+// maps to one id and each id to one key, over every GPU pair.
+TEST(Topology, TransferResourceIdsPartitionLikeTheKeys) {
+  for (const auto& spec : varied_specs()) {
+    const Topology t(spec);
+    std::map<std::string, int> id_of_key;
+    std::map<int, std::string> key_of_id;
+    for (GpuId a = 0; a < t.total_gpus(); ++a) {
+      for (GpuId b = 0; b < t.total_gpus(); ++b) {
+        const TransferResources ids = t.transfer_resources(a, b);
+        const std::vector<std::string> keys = resource_keys(t, a, b);
+        ASSERT_EQ(ids.size(), keys.size()) << a << "-" << b;
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          const int id = ids.ids[k];
+          ASSERT_GE(id, 0);
+          ASSERT_LT(id, t.resource_count());
+          ASSERT_EQ(id_of_key.try_emplace(keys[k], id).first->second, id) << keys[k];
+          ASSERT_EQ(key_of_id.try_emplace(id, keys[k]).first->second, keys[k]) << id;
+        }
+      }
+    }
+  }
+}
+
 TEST(Topology, RejectsBadGpuIds) {
   const auto t = default_topology();
   EXPECT_THROW(t.link_level(0, 64), InvalidArgument);
@@ -103,6 +198,18 @@ TEST(TopologySpec, ValidatesFields) {
   TopologySpec s;
   s.nodes = 0;
   EXPECT_THROW(Topology{s}, InvalidArgument);
+}
+
+// The GPU count is checked in 64 bits against kMaxGpus: 300,000,000 nodes
+// of 8 GPUs overflow a 32-bit product, and 2^29 + 1 nodes of 8 GPUs would
+// wrap it to 8.
+TEST(TopologySpec, CapsTheGpuCount) {
+  EXPECT_NO_THROW(Topology(TopologySpec{.nodes = kMaxGpus / 8}));
+  EXPECT_THROW(Topology(TopologySpec{.nodes = kMaxGpus / 8 + 1}), InvalidArgument);
+  EXPECT_THROW(Topology(TopologySpec{.nodes = 300'000'000}), InvalidArgument);
+  EXPECT_THROW(Topology(TopologySpec{.nodes = (1 << 29) + 1}), InvalidArgument);
+  EXPECT_THROW(Topology(TopologySpec{.nodes = 1 << 16, .sockets_per_node = 1 << 16}),
+               InvalidArgument);
 }
 
 TEST(Topology, CustomShape) {

@@ -52,11 +52,16 @@ int main(int argc, char** argv) {
 
     const auto model = train::model_by_name(flags.get("model"));
     const auto type = parse_type(flags.get("type"));
-    const int from = static_cast<int>(flags.get_int("from"));
-    const int after =
-        type == AdjustmentType::kMigrate ? from : static_cast<int>(flags.get_int("to"));
-    topo::Topology topology{
-        topo::TopologySpec{.nodes = static_cast<int>(flags.get_int("nodes"))}};
+    // No worker count above kMaxGpus fits a cluster of any --nodes.
+    auto workers = [&](const char* flag, const char* what) {
+      return static_cast<int>(parse_int(flags.get(flag), 1, topo::kMaxGpus, what));
+    };
+    const int from = workers("from", "--from");
+    const int after = type == AdjustmentType::kMigrate ? from : workers("to", "--to");
+    topo::TopologySpec spec;  // the testbed's 8-GPU nodes
+    spec.nodes = static_cast<int>(
+        parse_int(flags.get("nodes"), 1, topo::kMaxGpus / spec.gpus_per_node(), "--nodes"));
+    topo::Topology topology{spec};
     topo::BandwidthModel bandwidth;
     storage::SimFilesystem fs;
     baselines::AdjustmentCostModel costs(topology, bandwidth, fs);

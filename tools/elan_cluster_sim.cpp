@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
     obs::init_from_env();
     apply_log_level_flag(flags);
 
-    const int gpus = static_cast<int>(flags.get_int("gpus"));
-    require(gpus > 0 && gpus % 8 == 0, "--gpus must be a positive multiple of 8");
+    const int gpus = static_cast<int>(parse_int(flags.get("gpus"), 8, topo::kMaxGpus, "--gpus"));
+    require(gpus % 8 == 0, "--gpus must be a positive multiple of 8");
     topo::Topology topology{topo::TopologySpec{.nodes = gpus / 8}};
     topo::BandwidthModel bandwidth;
     storage::SimFilesystem fs;
