@@ -1,5 +1,6 @@
-// Scheduler hot-path benchmark: the indexed-heap simulator core and the
-// ClusterSim replay at production scale (see DESIGN.md §5k).
+// Scheduler hot-path benchmark: the simulator's event queue under the
+// retransmit-timer traffic it serves, and the ClusterSim replay at
+// production scale (see DESIGN.md §5k).
 // Prints an ASCII summary and writes BENCH_sched.json (machine-readable,
 // gated in CI against bench/BENCH_sched_baseline.json).
 //
@@ -9,15 +10,18 @@
 //                 [--max-regression 0.20]
 //
 // Two measurements, both of production code:
-//   1. Simulator event mix — sim::Simulator holding 10^6 pending
-//      retransmit timers, re-armed in place and 50% cancelled before they
-//      fire (the ReliableEndpoint retransmit-timer shape), in M ops/s.
+//   1. Simulator event mix — sim::Simulator driving ReliableEndpoint's
+//      timer lifecycle: every send arms a retransmit timer, its ack cancels
+//      it, and a lost message's timer fires and re-sends. 8,192 flows keep
+//      about 16k events pending. In M ops/s.
 //   2. ClusterSim 5k-job replay — E-BF on a production-scale trace
 //      (production_trace_params) on a 1024-GPU placement-aware cluster, in
 //      jobs/s.
 //
-// Gates (process exit status, used by CI perf-smoke):
-//   * the event mix firing other than the unacked half of its timers -> fail
+// Gates (process exit status, used by CI perf-smoke and the
+// bench_sched_smoke ctest):
+//   * an event-mix message neither acked nor timed out, or a timer firing
+//     for a message that was delivered                               -> fail
 //   * the replay finishing fewer jobs than the trace holds           -> fail
 //   * with --baseline: a throughput more than --max-regression below its
 //     committed floor                                                 -> fail
@@ -51,79 +55,98 @@ double now_ms() {
 
 struct EventMixResult {
   double ms = 0.0;
-  std::uint64_t fired = 0;
-  std::uint64_t ops = 0;  // schedules + re-arms + cancels + fired callbacks
+  std::uint64_t sent = 0;     // messages sent, re-sends included
+  std::uint64_t lost = 0;     // messages the loss model dropped
+  std::uint64_t acked = 0;    // acks, each cancelling its message's timer
+  std::uint64_t expired = 0;  // retransmit timers that fired
+  std::uint64_t ops = 0;      // schedules + cancels + fired callbacks
+  std::uint64_t peak_pending = 0;
 
   double mops() const { return ms > 0.0 ? static_cast<double>(ops) / (ms * 1000.0) : 0.0; }
 };
 
-/// The ReliableEndpoint retransmit-timer lifecycle at cluster scale:
-///
-///   1. `total_events` message sends each arm a retransmit timer, so the
-///      simulator holds 10^6 pending events at peak.
-///   2. A busy subset of flows keeps transmitting: every delivered segment
-///      re-arms its flow's retransmit timer to a later deadline (the
-///      standard per-ack timer reset), 24x`total_events` in-place
-///      `reschedule`s in all.
-///   3. Acks arrive for 50% of the messages and cancel their timers. The
-///      other 50% go unacked: their retransmit timers fire in the final
-///      run().
-EventMixResult run_event_mix(int total_events) {
-  sim::Simulator sim;
-  std::uint64_t fired = 0;
-  const auto fn = [&fired] { ++fired; };
-  std::uint64_t lcg = 0x5deece66dULL;
-  const auto n = static_cast<std::size_t>(total_events);
-  // Prime > any realistic n, hence coprime with n: striding by it visits
-  // every message exactly once per walk, in scattered order.
-  const std::size_t kStride = 15485863;
-  require(n < kStride, "event mix: --events too large for the walk stride");
-  std::vector<sim::EventId> timers(n);
+/// ReliableEndpoint's retransmit-timer lifecycle (paper §V-D), `messages`
+/// sends in all over up to kFlows flows:
+///   1. a send schedules its delivery and arms a retransmit timer;
+///   2. the delivery schedules the ack; the ack cancels the timer and the
+///      flow sends its next message;
+///   3. about 1 % of messages are lost: their timers fire and re-send.
+/// A busy flow keeps two events pending, so 8,192 flows hold about 16k:
+/// more than any run of the repo's examples, benches or chaos sweeps queues
+/// (at most 8,865). The runtime never re-arms a pending timer in place.
+class EventMix {
+ public:
+  explicit EventMix(std::uint64_t messages) : budget_(messages) {}
 
-  const auto jitter = [&lcg] {
-    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<double>(lcg >> 40) / static_cast<double>(1 << 24);
-  };
+  EventMixResult run() {
+    const auto flows = static_cast<std::uint32_t>(std::min(kFlows, budget_));
+    timers_.assign(flows, 0);
+    const double t0 = now_ms();
+    for (std::uint32_t flow = 0; flow < flows; ++flow) send(flow);
+    sim_.run();
+    result_.ms = now_ms() - t0;
+    return result_;
+  }
 
-  EventMixResult result;
-  const double t0 = now_ms();
-  // Phase 1: every message send arms a retransmit timer.
-  for (std::size_t i = 0; i < n; ++i) {
-    timers[i] = sim.schedule(1.0e6 + jitter(), fn);
+ private:
+  static constexpr std::uint64_t kFlows = 8192;
+  static constexpr Seconds kAckTimeout = 0.05;  // TransportOptions' default
+  enum class Step : std::uint8_t { kDeliver, kAck, kExpire };
+
+  std::uint64_t next() {
+    lcg_ = lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg_ >> 33;
   }
-  // Phase 2: a busy subset of flows keeps delivering segments, each
-  // delivery re-arming that flow's timer to a later deadline.
-  const std::size_t kFlows = std::min<std::size_t>(4096, n);
-  std::vector<std::size_t> flow;
-  flow.reserve(kFlows);
-  for (std::size_t f = 0, idx = 0; f < kFlows; ++f) {
-    flow.push_back(idx);
-    idx = (idx + kStride) % n;
+
+  /// A control message's one-way latency: 20-40 µs.
+  Seconds latency() { return 20e-6 * (1.0 + static_cast<double>(next() % 1024) / 1024.0); }
+
+  sim::EventId schedule(Seconds delay, Step step, std::uint32_t flow) {
+    ++result_.ops;
+    result_.peak_pending = std::max(result_.peak_pending, ++pending_);
+    // 16 bytes of capture, which std::function stores without allocating.
+    return sim_.schedule(delay, [this, step, flow] { fire(step, flow); });
   }
-  const std::size_t rounds = 24 * n / kFlows;
-  double band = 2.0e6;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (const std::size_t f : flow) {
-      require(sim.reschedule(timers[f], band + jitter()),
-              "event mix: re-arm of a pending timer failed");
-      ++result.ops;
+
+  void send(std::uint32_t flow) {
+    if (result_.sent == budget_) return;
+    ++result_.sent;
+    if (next() % 100 == 0) {
+      ++result_.lost;
+    } else {
+      schedule(latency(), Step::kDeliver, flow);
     }
-    band += 2.0;  // deadlines only ever move later, as backoff does
+    timers_[flow] = schedule(kAckTimeout, Step::kExpire, flow);
   }
-  // Phase 3: acks arrive for half the messages, cancelling their timers.
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    sim.cancel(timers[idx]);
-    idx = (idx + kStride) % n;
-    ++result.ops;
+
+  void fire(Step step, std::uint32_t flow) {
+    ++result_.ops;
+    --pending_;
+    switch (step) {
+      case Step::kDeliver:
+        schedule(latency(), Step::kAck, flow);
+        return;
+      case Step::kAck:
+        ++result_.ops;
+        --pending_;
+        require(sim_.cancel(timers_[flow]), "event mix: an ack found its timer gone");
+        ++result_.acked;
+        send(flow);
+        return;
+      case Step::kExpire:
+        ++result_.expired;
+        send(flow);
+        return;
+    }
   }
-  // Phase 4: the unacked half genuinely retransmit.
-  sim.run();
-  result.ms = now_ms() - t0;
-  result.fired = fired;
-  result.ops += static_cast<std::uint64_t>(n) + fired;
-  return result;
-}
+
+  sim::Simulator sim_;
+  std::uint64_t budget_;
+  std::uint64_t lcg_ = 0x5deece66dULL;
+  std::uint64_t pending_ = 0;
+  std::vector<sim::EventId> timers_;  // each flow's retransmit timer
+  EventMixResult result_;
+};
 
 // ---------------------------------------------------------------------------
 // Section 2: ClusterSim replay.
@@ -158,7 +181,7 @@ ReplayResult timed_replay(const BigSchedTestbed& bed,
 int run_bench(int argc, char** argv) {
   Flags flags;
   flags.define("jobs", "5000", "production trace size for the replay gate");
-  flags.define("events", "1000000", "simulator event-mix size");
+  flags.define("events", "2000000", "messages the simulator event mix sends");
   flags.define("repeats", "2", "timing repetitions; best-of is reported");
   flags.define("out", "BENCH_sched.json", "output JSON path");
   flags.define("baseline", "",
@@ -174,7 +197,7 @@ int run_bench(int argc, char** argv) {
       return 0;
     }
     apply_log_level_flag(flags);
-    print_header("bench_sched: indexed-heap simulator core + ClusterSim replay");
+    print_header("bench_sched: simulator event queue + ClusterSim replay");
     const int jobs = static_cast<int>(flags.get_int("jobs"));
     const int events = static_cast<int>(flags.get_int("events"));
     const int repeats = static_cast<int>(flags.get_int("repeats"));
@@ -185,20 +208,22 @@ int run_bench(int argc, char** argv) {
     // ---- 1. Simulator event mix. -----------------------------------------
     EventMixResult mix;
     for (int r = 0; r < repeats; ++r) {
-      const auto m = run_event_mix(events);
+      const auto m = EventMix(static_cast<std::uint64_t>(events)).run();
       if (r == 0 || m.ms < mix.ms) mix = m;
     }
     std::printf(
-        "simulator event mix (%d pending retransmit timers, 24 hot-flow "
-        "re-arms each, 50%% acked/cancelled):\n",
-        events);
-    std::printf("  indexed heap  %9.1f ms  %8.2f M ops/s  %llu fired\n", mix.ms, mix.mops(),
-                static_cast<unsigned long long>(mix.fired));
-    const auto unacked = static_cast<std::uint64_t>(events - events / 2);
-    if (mix.fired != unacked) {
-      std::fprintf(stderr, "FAIL: event mix fired %llu callbacks, expected %llu\n",
-                   static_cast<unsigned long long>(mix.fired),
-                   static_cast<unsigned long long>(unacked));
+        "simulator event mix (%d messages, each arming a retransmit timer its ack "
+        "cancels; %llu lost):\n",
+        events, static_cast<unsigned long long>(mix.lost));
+    std::printf("  event queue   %9.1f ms  %8.2f M ops/s  %llu pending at peak\n", mix.ms,
+                mix.mops(), static_cast<unsigned long long>(mix.peak_pending));
+    if (mix.acked + mix.expired != mix.sent || mix.expired != mix.lost) {
+      std::fprintf(stderr,
+                   "FAIL: event mix sent %llu messages, lost %llu: %llu acked, %llu timed out\n",
+                   static_cast<unsigned long long>(mix.sent),
+                   static_cast<unsigned long long>(mix.lost),
+                   static_cast<unsigned long long>(mix.acked),
+                   static_cast<unsigned long long>(mix.expired));
       rc = 1;
     }
 
@@ -228,6 +253,7 @@ int run_bench(int argc, char** argv) {
     std::ostringstream os;
     os << "{\n";
     os << "  \"events\": " << events << ",\n";
+    os << "  \"peak_pending\": " << mix.peak_pending << ",\n";
     os << "  \"jobs\": " << trace.size() << ",\n";
     os << "  \"event_mix_ms\": " << json_number(mix.ms) << ",\n";
     os << "  \"replay_ms\": " << json_number(replay.ms) << ",\n";

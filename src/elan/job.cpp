@@ -779,9 +779,7 @@ void ElasticJob::execute_elan_adjustment(AdjustmentRecord record, const Adjustme
     const auto& any_worker = *workers_.begin()->second;
     request.gpu_state_bytes = any_worker.gpu_state_bytes();
     request.cpu_state_bytes = any_worker.cpu_state_bytes();
-    ChunkPlanOptions chunk_options;
-    chunk_options.chunk_bytes = config_.replication_chunk_bytes;
-    const auto schedule = planner_.chunk_plan(request, chunk_options);
+    const auto schedule = planner_.chunk_plan(request, ChunkPlanOptions{});
     replication_time = schedule.total_time;
 
     session = std::make_shared<ReplicationSession>();
@@ -880,7 +878,6 @@ void ElasticJob::complete_elan_replication(AdjustmentRecord record, AdjustmentPl
     }
     ELAN_CHECK(!request.existing.empty(), "replication re-plan: no surviving replica");
     ChunkPlanOptions chunk_options;
-    chunk_options.chunk_bytes = config_.replication_chunk_bytes;
     std::uint32_t kept = 0;
     for (int dest_id : resume) {
       auto& dest = session->dests.at(dest_id);

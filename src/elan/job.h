@@ -82,10 +82,6 @@ struct JobConfig {
   /// re-sending the request (same request id; the AM replays its cached
   /// verdict for duplicates). Covers the reply being lost in an AM crash.
   Seconds adjust_reply_timeout = 2.0;
-  /// Replication data-plane chunk size; 0 uses the 4 MiB default
-  /// (kDefaultReplicationChunkBytes). Whole-blob behaviour is the degenerate
-  /// single-chunk schedule (set this >= the model's GPU state bytes).
-  Bytes replication_chunk_bytes = 0;
   std::uint64_t seed = 1;
 };
 

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -50,13 +49,6 @@ char g_crash_path[512] = {};
 char g_crash_note[600] = {};
 std::size_t g_crash_note_len = 0;
 std::atomic<bool> g_crash_dumped{false};
-
-double real_now_us() {
-  static const auto t0 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 void copy_field(char* dst, std::size_t cap, const char* src) {
   std::size_t i = 0;
@@ -222,7 +214,7 @@ FlightRecorder& FlightRecorder::instance() {
   return *recorder;
 }
 
-void FlightRecorder::record(FlightEventKind kind, const char* actor,
+void FlightRecorder::record(double ts_us, FlightEventKind kind, const char* actor,
                             const char* detail, std::uint64_t a,
                             std::uint64_t b, std::uint64_t c) {
   if (!enabled()) return;
@@ -230,13 +222,8 @@ void FlightRecorder::record(FlightEventKind kind, const char* actor,
   FlightRing* ring = run != nullptr ? &run->flight_ring() : ring_for_this_thread();
   if (ring == nullptr) return;
   FlightEvent ev;
-  if (run != nullptr) {
-    ev.ts_us = run->now_us();
-    ev.seq = run->flight_seq_++;
-  } else {
-    ev.ts_us = real_now_us();
-    ev.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
-  }
+  ev.ts_us = ts_us;
+  ev.seq = run != nullptr ? run->flight_seq_++ : g_seq.fetch_add(1, std::memory_order_relaxed);
   ev.a = a;
   ev.b = b;
   ev.c = c;
@@ -253,13 +240,13 @@ void FlightRecorder::record(FlightEventKind kind, const char* actor,
 
 void FlightRecorder::on_check_failure(const char* /*expr*/, const char* file, int line,
                                       const char* /*message*/) {
-  record(FlightEventKind::kCheckFailed, "check", path_basename(file),
+  record(Tracer::now_us(), FlightEventKind::kCheckFailed, "check", path_basename(file),
          static_cast<std::uint64_t>(line));
   crash_dump_signal_safe();
 }
 
 void FlightRecorder::on_lock_order_death(const char* /*report*/) {
-  record(FlightEventKind::kLockOrderHit, "lockorder");
+  record(Tracer::now_us(), FlightEventKind::kLockOrderHit, "lockorder");
   crash_dump_signal_safe();
 }
 
@@ -406,10 +393,9 @@ const char* to_string(FlightEventKind kind) {
   return name != nullptr ? name : "unknown";
 }
 
-void trace_instant(FlightEventKind kind, const char* actor, const char* detail,
+void trace_instant(double ts_us, FlightEventKind kind, const char* actor, const char* detail,
                    std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   const FlightEventInfo row = event_info(kind);
-  if (!row.traced) return;
   // The instant shows what the record holds: the same truncated strings.
   FlightEvent e;
   copy_field(e.actor, sizeof(e.actor), actor);
@@ -422,7 +408,7 @@ void trace_instant(FlightEventKind kind, const char* actor, const char* detail,
     args += ",\"" + std::string(row.labels[i]) + "\":" + std::to_string(values[i]);
   }
   args += "}";
-  Tracer::instance().instant("event", row.name, std::move(args));
+  Tracer::instance().instant("event", row.name, ts_us, std::move(args));
 }
 
 std::vector<FlightEvent> FlightRecord::merged() const {

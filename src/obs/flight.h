@@ -35,7 +35,10 @@
 //     mutex — the same trade the tracer makes; the real clock is lock-free;
 //   - tracer on: a traced kind appends one instant to the tracer's
 //     per-thread buffer (trace.h); an untraced kind returns after the table
-//     lookup.
+//     lookup;
+//   - either on: one clock reading (Tracer::now_us, the one clock of both
+//     sinks), so an event's flight record and its trace instant carry the
+//     same time.
 //
 // Dump paths:
 //   - `dump(path)` — normal context; versioned binary record of the rings in
@@ -159,15 +162,17 @@ struct FlightRing;
 /// Records one protocol event: the one instrumentation call per event
 /// (DESIGN.md §5i). Into the flight ring when the recorder is on; as a trace
 /// instant named after the kind when tracing is on and the kind's row says
-/// traced. With both off it costs two relaxed loads and no call. `actor` and
-/// `detail` may be nullptr; both views truncate them to the FlightEvent
-/// fields.
+/// traced. With both off it costs two relaxed loads and no call; otherwise
+/// it reads the clock (Tracer::now_us) once, and both views carry that one
+/// time. `actor` and `detail` may be nullptr; both views truncate them to
+/// the FlightEvent fields.
 inline void event(FlightEventKind kind, const char* actor, const char* detail = nullptr,
                   std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t c = 0);
 
-/// The trace half of event(): the instant, for a traced kind. Its args are
-/// the actor, the detail and the labelled fields. Call event(), not this.
-void trace_instant(FlightEventKind kind, const char* actor, const char* detail,
+/// The trace half of event(): the instant at `ts_us`, for a traced kind.
+/// Its args are the actor, the detail and the labelled fields. Call event(),
+/// not this.
+void trace_instant(double ts_us, FlightEventKind kind, const char* actor, const char* detail,
                    std::uint64_t a, std::uint64_t b, std::uint64_t c);
 
 class FlightRecorder {
@@ -225,13 +230,14 @@ class FlightRecorder {
   /// calls it while the recorder is on.
   static void keep_ended_run(const FlightRing& run);
 
-  /// The flight sink: records one event into the calling thread's ring, or
-  /// into its run's ring inside a RunScope. Lock-free and allocation-free
-  /// apart from a ring's allocation on its first event. Reached through
-  /// event() and the two crash hooks below, which must not take the tracer's
-  /// lock.
-  static void record(FlightEventKind kind, const char* actor, const char* detail = nullptr,
-                     std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t c = 0);
+  /// The flight sink: records one event stamped `ts_us` into the calling
+  /// thread's ring, or into its run's ring inside a RunScope. Lock-free and
+  /// allocation-free apart from a ring's allocation on its first event.
+  /// Reached through event() and the two crash hooks below, which must not
+  /// take the tracer's lock.
+  static void record(double ts_us, FlightEventKind kind, const char* actor,
+                     const char* detail = nullptr, std::uint64_t a = 0, std::uint64_t b = 0,
+                     std::uint64_t c = 0);
 
   /// The ELAN_CHECK failure hook and the lock-order die() hook that
   /// arm_crash_dump installs: record the death cause, then dump.
@@ -244,8 +250,12 @@ class FlightRecorder {
 
 inline void event(FlightEventKind kind, const char* actor, const char* detail,
                   std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  if (FlightRecorder::enabled()) FlightRecorder::record(kind, actor, detail, a, b, c);
-  if (Tracer::enabled()) trace_instant(kind, actor, detail, a, b, c);
+  const bool flight = FlightRecorder::enabled();
+  const bool traced = Tracer::enabled() && event_info(kind).traced;
+  if (!flight && !traced) return;
+  const double ts_us = Tracer::now_us();
+  if (flight) FlightRecorder::record(ts_us, kind, actor, detail, a, b, c);
+  if (traced) trace_instant(ts_us, kind, actor, detail, a, b, c);
 }
 
 /// The newest FlightRecorder::kRingCapacity events of one thread or of one

@@ -75,13 +75,13 @@ void Tracer::complete(const char* category, std::string name, double ts_us, doub
   record(std::move(e));
 }
 
-void Tracer::instant(const char* category, std::string name, std::string args) {
+void Tracer::instant(const char* category, std::string name, double ts_us, std::string args) {
   if (!enabled()) return;
   TraceEvent e;
   e.phase = 'i';
   e.category = category;
   e.name = std::move(name);
-  e.ts_us = now_us();
+  e.ts_us = ts_us;
   e.tid = kCurrentThread;
   e.args = std::move(args);
   record(std::move(e));

@@ -22,11 +22,13 @@
 //      lock/push_back/unlock. flush() drains all buffers under the registry
 //      mutex, taking each buffer mutex one at a time (lock order:
 //      trace_registry -> trace_buffer; appends take only trace_buffer).
-//   3. *Two clock domains.* By default timestamps come from a monotonic
-//      real-time clock (microseconds since process start). A thread inside
-//      an obs::RunScope (obs/obs.h) reads its run's discrete-event simulator
-//      instead, so sim runs produce virtual-time timelines comparable to the
-//      paper's Figs 10-11, and concurrent runs never share a clock.
+//   3. *Two clock domains, one clock.* Tracer::now_us() stamps the trace
+//      and the flight recorder alike. By default it reads a monotonic
+//      real-time clock (microseconds since its first reading). A thread
+//      inside an obs::RunScope (obs/obs.h) reads its run's discrete-event
+//      simulator instead, so sim runs produce virtual-time timelines
+//      comparable to the paper's Figs 10-11, and concurrent runs never share
+//      a clock.
 //      Instrumentation that already knows its virtual interval (replication
 //      transfer plans, allreduce steps) bypasses the clock entirely and
 //      records explicit timestamps via complete().
@@ -73,9 +75,11 @@ class Tracer {
   /// inside an obs::RunScope).
   bool has_custom_clock() const;
 
-  /// Microseconds in the calling thread's clock domain (real: since process
-  /// start).
-  double now_us();
+  /// The observability clock, which every sink stamps with: microseconds in
+  /// the calling thread's clock domain. Inside an obs::RunScope that is the
+  /// run's virtual time; elsewhere a monotonic real clock whose epoch is its
+  /// first reading in the process.
+  static double now_us();
 
   /// Logical process lane stamped on subsequent events (default 1); `name`
   /// becomes the Perfetto process label via a metadata event.
@@ -93,8 +97,9 @@ class Tracer {
   void complete(const char* category, std::string name, double ts_us, double dur_us,
                 std::string args = {}, std::uint64_t tid = kCurrentThread);
 
-  /// A point event at the current clock time.
-  void instant(const char* category, std::string name, std::string args = {});
+  /// A point event at `ts_us` (usually now_us(); obs::event passes the time
+  /// it also stamps on the flight record).
+  void instant(const char* category, std::string name, double ts_us, std::string args = {});
 
   // --- Export ---------------------------------------------------------------
 

@@ -19,7 +19,9 @@ namespace {
 // Recursive descent over the full JSON grammar (objects, arrays, strings,
 // numbers, booleans, null). The tracer's output is a strict subset, but the
 // parser accepts any conforming document so reports also work on traces from
-// other producers (or hand-edited files).
+// other producers (or hand-edited files). A trace file is outside input, so
+// nesting is bounded: the tracer's own output nests four levels deep, and a
+// deeper document is rejected before the recursion can exhaust the stack.
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -74,8 +76,14 @@ class JsonParser {
   JsonValue value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
+        ++depth_;
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -226,8 +234,11 @@ class JsonParser {
     return JsonValue{};
   }
 
+  static constexpr int kMaxDepth = 64;  // nested arrays and objects
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 double number_field(const JsonValue& event, const std::string& key, double fallback) {

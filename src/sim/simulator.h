@@ -4,13 +4,13 @@
 // latencies, process start/init delays) is executed against this virtual
 // clock; nothing in the repository sleeps on wall-clock time.
 //
-// The engine is deliberately minimal: an index-tracked d-ary heap of
-// (time, sequence, callback) events (see indexed_heap.h). Components schedule
-// closures; determinism comes from the strict (time, insertion-order)
-// ordering. Callbacks live inline in the heap and `cancel` removes its event
-// in place — the queue never accumulates tombstones, so `pending()` is always
-// exactly the heap size, even under cancel-heavy workloads like
-// ReliableEndpoint retransmit timers.
+// The engine is deliberately minimal: a binary min-heap of (time, sequence)
+// keys over an arena of callbacks. Components schedule closures;
+// determinism comes from the strict (time, insertion-order) ordering.
+// `cancel` removes its event from the heap in place, so the queue never
+// holds tombstones and `pending()` is always exactly the heap size, even
+// under the traffic it serves: ReliableEndpoint arms a retransmit timer per
+// send and cancels nearly every one on the ack.
 //
 // Thread safety: schedule / schedule_at / cancel / now / pending may be
 // called from any thread (the transport and master layers run off the
@@ -22,32 +22,21 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/error.h"
 #include "common/sync.h"
 #include "common/units.h"
-#include "sim/indexed_heap.h"
 
 namespace elan::sim {
 
-/// Handle used to cancel a scheduled event.
+/// Handle used to cancel a scheduled event. Never 0, and never valid again
+/// once its event fires or is cancelled.
 using EventId = std::uint64_t;
 
 class Simulator {
  public:
   using Callback = std::function<void()>;
-
-  Simulator();
-
-  /// Test hook: subsequently-constructed Simulators use `arity` as their
-  /// event-heap branching factor (0, the default, keeps the production
-  /// arity of 4). Determinism guardrail: nothing observable may depend on
-  /// the heap's internal array layout, so chaos fingerprints must be
-  /// bit-identical whether the heap is binary (deepest, most sift steps) or
-  /// 8-ary (shallowest). tests/fault_test.cpp re-runs the sweep under both
-  /// extremes.
-  static void set_test_layout_hint(unsigned arity);
-  static unsigned test_layout_hint();
 
   /// Current virtual time in seconds.
   Seconds now() const {
@@ -69,19 +58,10 @@ class Simulator {
   EventId schedule_no_earlier(Seconds when, Callback fn);
 
   /// Cancels a pending event, removing it from the queue in place (O(log n),
-  /// no tombstone). Cancelling an already-fired or unknown event is a no-op
-  /// (returns false).
+  /// no tombstone) and destroying its callback. Cancelling an already-fired,
+  /// already-cancelled or unknown event is a no-op (returns false). A timer
+  /// is re-armed as cancel + schedule.
   bool cancel(EventId id);
-
-  /// Re-arms a pending event in place to fire `delay` seconds from now,
-  /// keeping its id and callback. Equivalent to cancel(id) followed by
-  /// schedule(delay, <same callback>) — it consumes one sequence number, so
-  /// event ordering is bit-identical to the two-call spelling — but O(log n)
-  /// with no tombstone and no callback reconstruction. The retransmit-timer
-  /// refresh primitive (ReliableEndpoint backoff bumps). Returns false when
-  /// the event already fired or was cancelled; the caller then schedules
-  /// afresh, exactly as with a failed cancel.
-  bool reschedule(EventId id, Seconds delay);
 
   /// Runs until the event queue drains. Returns the final virtual time.
   /// Single-driver (see the file comment).
@@ -122,29 +102,48 @@ class Simulator {
   }
 
  private:
-  // Ordered so that the earliest time (and, for ties, lowest sequence
-  // number) fires first — a total order, so pop order cannot depend on the
-  // heap's internal layout.
-  struct EventKey {
+  // One queued event. The earliest time fires first and, for ties, the
+  // lowest sequence number: a total order, so the firing order depends on
+  // the schedule calls alone, never on where an entry sits in the heap.
+  struct Entry {
     Seconds time;
     std::uint64_t seq;
-  };
-  struct EventBefore {
-    bool operator()(const EventKey& a, const EventKey& b) const {
-      if (a.time != b.time) return a.time < b.time;
-      return a.seq < b.seq;
+    std::uint32_t slot;  // its callback's arena slot
+
+    bool before(const Entry& other) const {
+      return time < other.time || (time == other.time && seq < other.seq);
     }
   };
+  // An arena slot: a queued event's callback and heap position. The
+  // generation advances when the event leaves the queue, so its EventId
+  // (generation << 32 | slot + 1) goes stale and a late cancel can never
+  // hit a newer event that reuses the slot.
+  struct Slot {
+    Callback fn;
+    std::uint32_t pos = 0;
+    std::uint32_t generation = 0;
+  };
+
+  EventId push(Seconds time, Callback fn) ELAN_REQUIRES(mu_);
+  /// Pops the earliest event if it is due by `deadline`, advancing the
+  /// clock to it; returns its callback, or an empty one if none is due.
+  Callback pop_due(Seconds deadline) ELAN_REQUIRES(mu_);
+  /// Takes the heap entry at `pos` out of the queue; returns its callback.
+  Callback remove(std::size_t pos) ELAN_REQUIRES(mu_);
+  void sift_up(std::size_t pos, Entry entry) ELAN_REQUIRES(mu_);
+  void sift_down(std::size_t pos, Entry entry) ELAN_REQUIRES(mu_);
+  void place(std::size_t pos, Entry entry) ELAN_REQUIRES(mu_) {
+    heap_[pos] = entry;
+    slots_[entry.slot].pos = static_cast<std::uint32_t>(pos);
+  }
 
   mutable Mutex mu_{"simulator"};
   Seconds now_ ELAN_GUARDED_BY(mu_) = 0.0;
   std::uint64_t next_seq_ ELAN_GUARDED_BY(mu_) = 0;
   std::uint64_t executed_ ELAN_GUARDED_BY(mu_) = 0;
-
-  // Heap handles double as EventIds: never 0, unique among live events, and
-  // stale after the event fires or is cancelled (generation-tagged), so a
-  // late cancel can never hit an unrelated newer event.
-  IndexedHeap<EventKey, Callback, EventBefore> heap_ ELAN_GUARDED_BY(mu_);
+  std::vector<Entry> heap_ ELAN_GUARDED_BY(mu_);
+  std::vector<Slot> slots_ ELAN_GUARDED_BY(mu_);
+  std::vector<std::uint32_t> free_slots_ ELAN_GUARDED_BY(mu_);
 };
 
 }  // namespace elan::sim

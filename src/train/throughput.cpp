@@ -37,8 +37,10 @@ Seconds ThroughputModel::ring_time(const ModelSpec& model, std::size_t members,
 Seconds ThroughputModel::allreduce_time_on(const ModelSpec& model,
                                            std::span<const topo::GpuId> members) const {
   require(!members.empty(), "allreduce_time_on: empty member set");
+  // The bottleneck range-checks every member first, a lone one included.
+  const topo::LinkLevel bottleneck = comm::ring_bottleneck(*topology_, members);
   if (members.size() < 2) return 0.0;
-  return ring_time(model, members.size(), comm::ring_bottleneck(*topology_, members));
+  return ring_time(model, members.size(), bottleneck);
 }
 
 Seconds ThroughputModel::allreduce_time(const ModelSpec& model, int workers) const {

@@ -96,29 +96,6 @@ TEST_F(FaultTest, TwoHundredPlanSweepPassesTwiceDeterministically) {
     EXPECT_EQ(parallel_outcomes, kSweepOutcomeDigest)
         << "the parallel sweep's outcomes changed";
   }
-
-  // Third pass: perturb the simulator's event-heap layout to the two
-  // extremes (binary: deepest tree, most sift moves; 8-ary: shallowest) and
-  // assert the fingerprints don't move. The (time, seq) key is a total
-  // order, so pop order must be independent of the heap's internal array
-  // layout — if any code path leaked layout (e.g. ordering on heap slot or
-  // iterating the handle index), the fingerprint would shift with the
-  // arity. Strided to every 7th seed: 2x29 runs buys the coverage without
-  // doubling the sweep's wall time.
-  struct LayoutHintReset {
-    ~LayoutHintReset() { sim::Simulator::set_test_layout_hint(0); }
-  } reset_on_exit;
-  for (const unsigned arity : {2u, 8u}) {
-    sim::Simulator::set_test_layout_hint(arity);
-    for (int i = 0; i < kPlans; i += 7) {
-      const std::uint64_t seed = kBase + static_cast<std::uint64_t>(i);
-      const auto result = ChaosRunner::run_seed(seed);
-      ASSERT_TRUE(result.ok()) << result.describe();
-      ASSERT_EQ(fingerprints[static_cast<std::size_t>(i)], result.fingerprint)
-          << "seed " << seed << " fingerprint moved under heap arity "
-          << arity << " — something observes the heap's internal layout";
-    }
-  }
 }
 
 // A short parallel sweep (also the ThreadSanitizer case for concurrent

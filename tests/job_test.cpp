@@ -120,20 +120,6 @@ TEST(ElasticJob, ChunkedReplicationPipelinesAndStaysConsistent) {
   EXPECT_TRUE(job->consistent());
 }
 
-TEST(ElasticJob, ReplicationChunkSizeIsConfigurable) {
-  JobFixture f;
-  auto c = f.config(2, 128);
-  c.replication_chunk_bytes = 64_MiB;  // 195 MiB -> 4 chunks
-  auto job = f.make_job(std::move(c));
-  job->stop_after_iterations(400);
-  job->start();
-  f.sim.schedule(1.0, [&] { job->request_scale_out({2, 3}); });
-  f.sim.run();
-  ASSERT_EQ(job->adjustments().size(), 1u);
-  EXPECT_EQ(job->adjustments().front().replication_stats.num_chunks, 4u);
-  EXPECT_TRUE(job->consistent());
-}
-
 TEST(ElasticJob, ScaleOutPauseIsShort) {
   JobFixture f;
   auto job = f.make_job(f.config(4, 128));

@@ -44,7 +44,7 @@ struct TracerTest : ::testing::Test {
 TEST_F(TracerTest, DisabledRecordsNothing) {
   {
     ELAN_TRACE_SCOPE("test", "noop");
-    obs::Tracer::instance().instant("test", "noop_instant");
+    obs::Tracer::instance().instant("test", "noop_instant", obs::Tracer::now_us());
     obs::event(obs::FlightEventKind::kAmPhase, "am/test", "ready", 1, 2, 3);
   }
   obs::Tracer::instance().complete("test", "explicit", 0, 1);
@@ -78,7 +78,9 @@ TEST_F(TracerTest, SimClockStampsVirtualTime) {
   obs::Tracer::instance().set_enabled(true);
   sim::Simulator sim;
   obs::RunScope run(sim);
-  sim.schedule(2.5, [] { obs::Tracer::instance().instant("test", "at_2500ms"); });
+  sim.schedule(2.5, [] {
+    obs::Tracer::instance().instant("test", "at_2500ms", obs::Tracer::now_us());
+  });
   sim.run();
   const auto events = obs::Tracer::instance().snapshot();
   ASSERT_EQ(events.size(), 1u);
@@ -97,7 +99,9 @@ TEST_F(TracerTest, RunScopesOnTwoThreadsStampTheirOwnVirtualTime) {
     sim::Simulator sim;
     obs::RunScope scope(sim);
     both_bound.arrive_and_wait();  // the two scopes overlap in wall time
-    sim.schedule(at, [] { obs::Tracer::instance().instant("test", "stamp"); });
+    sim.schedule(at, [] {
+      obs::Tracer::instance().instant("test", "stamp", obs::Tracer::now_us());
+    });
     sim.run();
   };
   std::thread first(run, 1.5);
@@ -131,7 +135,7 @@ TEST_F(TracerTest, JsonRoundTripsThroughReport) {
   tracer.set_pid(3, "round trip \"quoted\"");
   tracer.complete("cat", "span", 1000.0, 2000.0);
   tracer.complete("cat", "span", 5000.0, 1000.0);
-  tracer.instant("cat", "tick");
+  tracer.instant("cat", "tick", tracer.now_us());
   std::string json = tracer.to_json();
   // The report reads JSON from any producer; the tracer writes no counter
   // samples, so append one by hand.
@@ -157,6 +161,27 @@ TEST_F(TracerTest, JsonRoundTripsThroughReport) {
 TEST_F(TracerTest, ReportRejectsMalformedJson) {
   EXPECT_THROW(obs::summarize_trace_json("{\"traceEvents\": [}"), InvalidArgument);
   EXPECT_THROW(obs::summarize_trace_json("{\"notTraceEvents\": []}"), InvalidArgument);
+}
+
+// A trace file is outside input: nesting past the parser's bound of 64 is an
+// error naming where it starts, not a stack overflow.
+TEST_F(TracerTest, ReportRejectsDeepNesting) {
+  const std::string head = "{\"traceEvents\":";
+  try {
+    obs::summarize_trace_json(head + std::string(200'000, '['));
+    FAIL() << "a 200,000-deep document parsed";
+  } catch (const InvalidArgument& e) {
+    // The object is level 1, so the 64th '[' would open level 65.
+    const std::string where = "at offset " + std::to_string(head.size() + 63);
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64 " + where), std::string::npos)
+        << e.what();
+  }
+  // 64 levels parse; the 65th is the first the bound rejects.
+  const auto nested = [&head](std::size_t arrays) {
+    return head + std::string(arrays, '[') + std::string(arrays, ']') + "}";
+  };
+  EXPECT_NO_THROW(obs::summarize_trace_json(nested(63)));
+  EXPECT_THROW(obs::summarize_trace_json(nested(64)), InvalidArgument);
 }
 
 // The acceptance scenario: a scale-out whose new workers sit next to their
@@ -392,6 +417,31 @@ TEST_F(TracerTest, FlightAndTraceAgree) {
       EXPECT_EQ(traced[i].args, flight_event_args(*events[i])) << name << " #" << i;
     }
   }
+}
+
+// Outside any run both sinks read the real clock, and an event reads it
+// once: its flight event and its trace instant carry the same time.
+TEST_F(TracerTest, AnEventOutsideARunStampsBothSinksWithOneTime) {
+  ASSERT_EQ(obs::RunScope::current(), nullptr);
+  obs::Tracer::instance().set_enabled(true);
+  obs::FlightRecorder::set_enabled(true);
+  obs::FlightRecorder::instance().clear();
+  obs::event(obs::FlightEventKind::kAmPhase, "am/one_clock", "ready", 1, 2, 3);
+  obs::FlightRecorder::set_enabled(false);
+
+  const std::string path = temp_path("one_clock.flt");
+  ASSERT_TRUE(obs::FlightRecorder::instance().dump(path));
+  std::vector<obs::FlightEvent> recorded;
+  for (const auto& e : obs::read_flight_record(path).merged()) {
+    if (std::string_view(e.actor) == "am/one_clock") recorded.push_back(e);
+  }
+  std::vector<obs::TraceEvent> traced;
+  for (auto& e : obs::Tracer::instance().snapshot()) {
+    if (e.phase == 'i' && e.name == "am.phase") traced.push_back(std::move(e));
+  }
+  ASSERT_EQ(recorded.size(), 1u);
+  ASSERT_EQ(traced.size(), 1u);
+  EXPECT_EQ(traced.front().ts_us, recorded.front().ts_us);
 }
 
 TEST_F(TracerTest, ThreadPoolQueueWaitSpansUnderParallelFor) {

@@ -1,10 +1,9 @@
 // Concurrency stress for the simulator core's thread-safety contract:
-// schedule / cancel / reschedule / now / pending may be called from any
-// thread while a single driver executes events. The indexed heap reorders
-// entries in place on every cancel and reschedule, so these suites hammer
-// exactly the paths where a racing mutation could corrupt the heap's
-// position index. Run under ThreadSanitizer via the `tsan_sim` ctest entry
-// (label tsan).
+// schedule / cancel / now / pending may be called from any thread while a
+// single driver executes events. The heap reorders entries in place on
+// every cancel, so this suite hammers exactly the paths where a racing
+// mutation could corrupt the heap's slot positions. Run under
+// ThreadSanitizer via the `tsan_sim` ctest entry (label tsan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,8 +62,14 @@ TEST(SimulatorStress, ConcurrentScheduleCancelReschedule) {
             }
             break;
           }
-          default: {  // refresh: re-arm one of ours in place
-            if (!mine.empty()) s.reschedule(mine[next() % mine.size()], delay);
+          default: {  // refresh: re-arm one of ours (cancel + schedule)
+            if (mine.empty()) break;
+            EventId& timer = mine[next() % mine.size()];
+            if (!s.cancel(timer)) break;  // already fired: nothing to re-arm
+            cancelled.fetch_add(1, std::memory_order_relaxed);
+            timer = s.schedule(
+                delay, [&fired] { fired.fetch_add(1, std::memory_order_relaxed); });
+            scheduled.fetch_add(1, std::memory_order_relaxed);
             break;
           }
         }

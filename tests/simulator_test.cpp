@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,10 +103,10 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime) {
   EXPECT_DOUBLE_EQ(at, 1.0);
 }
 
-// Regression: the pre-indexed-heap core left a tombstone in the queue for
-// every cancelled event, so queue_depth() drifted above pending() under
-// cancel-heavy load. With in-place cancel the two are pinned equal at every
-// point of a cancel storm.
+// Regression: the original core (a priority queue beside a callback map)
+// left a tombstone in the queue for every cancelled event, so queue_depth()
+// drifted above pending() under cancel-heavy load. With in-place cancel the
+// two are pinned equal at every point of a cancel storm.
 TEST(Simulator, CancelStormLeavesNoTombstones) {
   Simulator s;
   constexpr int kEvents = 4096;
@@ -132,17 +134,14 @@ TEST(Simulator, CancelStormLeavesNoTombstones) {
   EXPECT_EQ(s.queue_depth(), 0u);
 }
 
-// Runs a fixed interleaving of schedule / cancel / reschedule with heavy
-// time ties and returns the firing order. The expected sequence is pinned
-// below (a golden), and must not depend on the heap's internal layout.
-std::string golden_sequence(unsigned arity_hint) {
-  const unsigned prior = Simulator::test_layout_hint();
-  Simulator::set_test_layout_hint(arity_hint);
+// Runs a fixed interleaving of schedule / cancel / re-arm with heavy time
+// ties and returns the firing order. A re-arm is cancel + schedule: the
+// event takes a fresh sequence number, so it fires after every event of its
+// new time that was scheduled before it.
+std::string golden_sequence() {
   Simulator s;
-  Simulator::set_test_layout_hint(prior);
-
   std::string order;
-  const auto tag = [&s, &order](char c) {
+  const auto tag = [&order](char c) {
     return [&order, c] { order.push_back(c); };
   };
   const EventId a = s.schedule(2.0, tag('a'));
@@ -150,79 +149,113 @@ std::string golden_sequence(unsigned arity_hint) {
   s.schedule(1.0, tag('c'));  // ties with b: insertion order decides
   const EventId d = s.schedule(3.0, tag('d'));
   s.cancel(b);
-  s.schedule(1.0, tag('e'));           // same time as c, scheduled later
-  s.reschedule(a, 1.0);                // a moves to t=1, after e's seq
-  s.reschedule(d, 0.5);                // d jumps to the front
-  s.schedule(0.5, tag('f'));           // ties with moved d; d's seq is older
+  s.schedule(1.0, tag('e'));  // same time as c, scheduled later
+  s.cancel(a);
+  s.schedule(1.0, tag('a'));  // a re-armed to t=1, after e's seq
+  s.cancel(d);
+  s.schedule(0.5, tag('d'));  // d re-armed to the front
+  s.schedule(0.5, tag('f'));  // ties with re-armed d; d's seq is older
   s.run();
   return order;
 }
 
 TEST(Simulator, GoldenSequenceIsLayoutIndependent) {
-  // Cancelled b never fires; d's reschedule keeps its original id but takes
-  // a fresh sequence number, so it still precedes the later-scheduled f.
-  const std::string kGolden = "dfcea";
-  EXPECT_EQ(golden_sequence(0), kGolden);  // production arity (4)
-  EXPECT_EQ(golden_sequence(2), kGolden);  // deepest layout
-  EXPECT_EQ(golden_sequence(8), kGolden);  // shallowest layout
+  // Cancelled b never fires; the firing order follows (time, seq) alone,
+  // whatever the heap's layout.
+  EXPECT_EQ(golden_sequence(), "dfcea");
 }
 
-// reschedule(id, delay) must order identically to cancel(id) + schedule(delay)
-// — both consume exactly one sequence number. Replays the same logical
-// timer-refresh script both ways and compares the full firing orders.
-TEST(Simulator, RescheduleOrdersLikeCancelPlusSchedule) {
-  constexpr int kTimers = 64;
-  constexpr int kRefreshes = 512;
-  const auto replay = [](bool use_reschedule) {
-    Simulator s;
-    std::vector<int> order;
-    std::vector<EventId> ids(kTimers);
-    for (int i = 0; i < kTimers; ++i) {
-      ids[i] = s.schedule(100.0 + i, [&order, i] { order.push_back(i); });
-    }
-    std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
-    for (int r = 0; r < kRefreshes; ++r) {
-      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-      const int t = static_cast<int>(lcg >> 33) % kTimers;
-      const double delay = 50.0 + static_cast<double>((lcg >> 20) & 0xff);
-      if (use_reschedule) {
-        EXPECT_TRUE(s.reschedule(ids[t], delay));
-      } else {
-        EXPECT_TRUE(s.cancel(ids[t]));
-        const int i = t;
-        ids[t] = s.schedule(delay, [&order, i] { order.push_back(i); });
-      }
-    }
-    s.run();
-    return order;
+TEST(Simulator, CallbacksDieWhenTheirEventLeavesTheQueue) {
+  Simulator s;
+  const auto token = std::make_shared<int>(0);
+  const EventId fires = s.schedule(1.0, [token] {});
+  const EventId cancelled = s.schedule(2.0, [token] {});
+  EXPECT_EQ(token.use_count(), 3);
+  EXPECT_TRUE(s.cancel(cancelled));
+  EXPECT_EQ(token.use_count(), 2);
+  s.run();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_NE(fires, 0u);
+  EXPECT_FALSE(s.cancel(fires));  // a fired id never becomes valid again
+  EXPECT_FALSE(s.cancel(0));
+}
+
+// The queue against a reference model: a vector of the live events sorted by
+// (time, insertion order). Seeded random scripts of schedule / schedule_at /
+// cancel / re-arm / step on a coarse time grid, so most events tie with
+// others, must fire in the reference's order, agree on every cancel result
+// (live, fired, already-cancelled and never-issued ids) and on pending()
+// after every call.
+TEST(Simulator, MatchesASortedReferenceOnRandomScripts) {
+  struct Live {
+    Seconds time;
+    int tag;  // also its insertion order
   };
-  EXPECT_EQ(replay(true), replay(false));
-}
-
-TEST(Simulator, RescheduleOfDeadEventFails) {
-  Simulator s;
-  bool fired = false;
-  const EventId id = s.schedule(1.0, [&] { fired = true; });
-  s.run();
-  EXPECT_TRUE(fired);
-  EXPECT_FALSE(s.reschedule(id, 1.0));  // already fired
-  const EventId id2 = s.schedule(1.0, [] {});
-  EXPECT_TRUE(s.cancel(id2));
-  EXPECT_FALSE(s.reschedule(id2, 1.0));  // already cancelled
-  EXPECT_EQ(s.pending(), 0u);            // failed reschedule added nothing
-  s.run();
-  EXPECT_THROW(s.reschedule(id, -1.0), InvalidArgument);
-}
-
-TEST(Simulator, RescheduledEventKeepsItsId) {
-  Simulator s;
-  bool fired = false;
-  const EventId id = s.schedule(1.0, [&] { fired = true; });
-  EXPECT_TRUE(s.reschedule(id, 5.0));
-  EXPECT_TRUE(s.cancel(id));  // the id survives the move
-  s.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(s.now(), 0.0);  // nothing ever ran
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    std::uint64_t lcg = seed * 0x9e3779b97f4a7c15ULL;
+    const auto next = [&lcg](std::uint64_t bound) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      return (lcg >> 33) % bound;
+    };
+    Simulator s;
+    std::vector<Live> ref;     // live events in firing order
+    std::vector<EventId> ids;  // every id issued, indexed by tag
+    std::vector<int> fired;
+    const auto add = [&](bool absolute) {
+      const Seconds when = s.now() + 0.5 * static_cast<double>(next(5));
+      const int tag = static_cast<int>(ids.size());
+      auto fn = [&fired, tag] { fired.push_back(tag); };
+      ids.push_back(absolute ? s.schedule_at(when, fn) : s.schedule(when - s.now(), fn));
+      const auto at = std::upper_bound(ref.begin(), ref.end(), when,
+                                       [](Seconds t, const Live& e) { return t < e.time; });
+      ref.insert(at, Live{when, tag});
+    };
+    const auto cancel = [&](EventId id) {
+      const auto it = std::find_if(ref.begin(), ref.end(), [&](const Live& e) {
+        return ids[static_cast<std::size_t>(e.tag)] == id;
+      });
+      const bool live = it != ref.end();
+      if (live) ref.erase(it);
+      ASSERT_EQ(s.cancel(id), live) << "seed " << seed << " id " << id;
+    };
+    const auto step = [&] {
+      ASSERT_EQ(s.step(), !ref.empty()) << "seed " << seed;
+      if (ref.empty()) return;
+      ASSERT_EQ(fired.back(), ref.front().tag) << "seed " << seed;
+      ASSERT_EQ(s.now(), ref.front().time) << "seed " << seed;
+      ref.erase(ref.begin());
+    };
+    for (int op = 0; op < 400; ++op) {
+      switch (next(10)) {
+        case 0:
+        case 1:
+        case 2: add(/*absolute=*/false); break;
+        case 3: add(/*absolute=*/true); break;
+        case 4:
+          cancel(ids.empty() || next(8) == 0 ? EventId{0} : ids[next(ids.size())]);
+          break;
+        case 5:
+          if (!ids.empty()) cancel(ids[next(ids.size())]);
+          break;
+        case 6:  // re-arm a live event: cancel + schedule
+          if (!ref.empty()) {
+            cancel(ids[static_cast<std::size_t>(ref[next(ref.size())].tag)]);
+            add(/*absolute=*/false);
+          }
+          break;
+        default: step(); break;
+      }
+      if (HasFatalFailure()) return;
+      ASSERT_EQ(s.pending(), ref.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(s.queue_depth(), s.pending());
+    }
+    while (!ref.empty()) {
+      step();
+      if (HasFatalFailure()) return;
+      ASSERT_EQ(s.pending(), ref.size()) << "seed " << seed;
+    }
+    EXPECT_FALSE(s.step());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // anchor the paper's scaling figures (Figs 3, 4, 17).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "train/throughput.h"
 
 namespace elan::train {
@@ -34,6 +36,24 @@ TEST(Throughput, SingleGpuThroughputIsRealistic) {
 TEST(Throughput, AllreduceFreeForOneWorker) {
   TputFixture f;
   EXPECT_DOUBLE_EQ(f.model.allreduce_time(resnet50(), 1), 0.0);
+}
+
+// A one-GPU placement has no allreduce to price, but its GPU must exist, as
+// every member of a wider placement must.
+TEST(Throughput, OneGpuPlacementIsRangeChecked) {
+  TputFixture f;
+  const auto m = resnet50();
+  const topo::GpuId last = f.topology.total_gpus() - 1;
+  const std::vector<topo::GpuId> inside{last};
+  EXPECT_DOUBLE_EQ(f.model.allreduce_time_on(m, inside), 0.0);
+  EXPECT_DOUBLE_EQ(f.model.iteration_time_on(m, inside, 32), f.model.iteration_time(m, 1, 32));
+  EXPECT_DOUBLE_EQ(f.model.throughput_on(m, inside, 32), f.model.throughput(m, 1, 32));
+  for (const topo::GpuId gpu : {topo::GpuId{-5}, last + 1}) {
+    const std::vector<topo::GpuId> outside{gpu};
+    EXPECT_THROW(f.model.allreduce_time_on(m, outside), InvalidArgument) << gpu;
+    EXPECT_THROW(f.model.iteration_time_on(m, outside, 32), InvalidArgument) << gpu;
+    EXPECT_THROW(f.model.throughput_on(m, outside, 32), InvalidArgument) << gpu;
+  }
 }
 
 TEST(Throughput, AllreduceGrowsAcrossNodes) {
