@@ -22,6 +22,8 @@
 // bench_sched_smoke ctest):
 //   * an event-mix message neither acked nor timed out, or a timer firing
 //     for a message that was delivered                               -> fail
+//   * the simulator's queue depth differing from the mix's pending
+//     events at a new peak or after a power-of-two ack (a tombstone) -> fail
 //   * the replay finishing fewer jobs than the trace holds           -> fail
 //   * with --baseline: a throughput more than --max-regression below its
 //     committed floor                                                 -> fail
@@ -61,6 +63,11 @@ struct EventMixResult {
   std::uint64_t expired = 0;  // retransmit timers that fired
   std::uint64_t ops = 0;      // schedules + cancels + fired callbacks
   std::uint64_t peak_pending = 0;
+  // Whether the simulator's queue always held exactly the events the mix
+  // had pending, and if not, both counts at the first check that failed.
+  bool depth_ok = true;
+  std::uint64_t bad_depth = 0;
+  std::uint64_t bad_pending = 0;
 
   double mops() const { return ms > 0.0 ? static_cast<double>(ops) / (ms * 1000.0) : 0.0; }
 };
@@ -103,9 +110,27 @@ class EventMix {
 
   sim::EventId schedule(Seconds delay, Step step, std::uint32_t flow) {
     ++result_.ops;
-    result_.peak_pending = std::max(result_.peak_pending, ++pending_);
     // 16 bytes of capture, which std::function stores without allocating.
-    return sim_.schedule(delay, [this, step, flow] { fire(step, flow); });
+    const sim::EventId id = sim_.schedule(delay, [this, step, flow] { fire(step, flow); });
+    if (++pending_ > result_.peak_pending) {
+      result_.peak_pending = pending_;
+      check_depth();
+    }
+    return id;
+  }
+
+  /// The queue must hold exactly the events the mix has pending: a cancel
+  /// that left its timer behind as a tombstone shows up as extra depth.
+  /// Checked at every new peak of the pending count, all of which fall in
+  /// the opening burst of sends, and after the 1st, 2nd, 4th, ... ack, each
+  /// of which has just cancelled a timer.
+  void check_depth() {
+    const std::uint64_t depth = sim_.queue_depth();
+    if (depth != pending_ && result_.depth_ok) {
+      result_.depth_ok = false;
+      result_.bad_depth = depth;
+      result_.bad_pending = pending_;
+    }
   }
 
   void send(std::uint32_t flow) {
@@ -131,6 +156,7 @@ class EventMix {
         --pending_;
         require(sim_.cancel(timers_[flow]), "event mix: an ack found its timer gone");
         ++result_.acked;
+        if ((result_.acked & (result_.acked - 1)) == 0) check_depth();
         send(flow);
         return;
       case Step::kExpire:
@@ -224,6 +250,14 @@ int run_bench(int argc, char** argv) {
                    static_cast<unsigned long long>(mix.lost),
                    static_cast<unsigned long long>(mix.acked),
                    static_cast<unsigned long long>(mix.expired));
+      rc = 1;
+    }
+    if (!mix.depth_ok) {
+      std::fprintf(stderr,
+                   "FAIL: event mix queue held %llu events with %llu pending: a cancelled "
+                   "timer stayed queued\n",
+                   static_cast<unsigned long long>(mix.bad_depth),
+                   static_cast<unsigned long long>(mix.bad_pending));
       rc = 1;
     }
 

@@ -125,13 +125,17 @@ BENCHMARK(BM_NestedLockKnownEdge)->Threads(1)->Threads(4);
 
 // One waterfill of the size a sched_replay rebalance runs (DESIGN.md §5m):
 // 110 jobs share 1,024 GPUs. Each job's gain mostly falls with its width
-// but rises now and then, from a seeded mix.
+// but rises now and then, from a seeded mix. `warm:0` starts every job at
+// its lower bound. `warm:1` starts at the answer for the same jobs with
+// every gain perturbed by up to 2 %, as a rebalance starts from the widths
+// the last one chose.
 void BM_Waterfill(benchmark::State& state) {
   constexpr int kJobs = 110;
   Rng rng(2020);
   std::vector<int> lower(kJobs);
   std::vector<int> upper(kJobs);
   std::vector<std::vector<double>> gains(kJobs);
+  std::vector<std::vector<double>> perturbed(kJobs);
   for (int j = 0; j < kJobs; ++j) {
     lower[j] = static_cast<int>(rng.uniform_int(1, 4));
     upper[j] = lower[j] + static_cast<int>(rng.uniform_int(4, 64));
@@ -139,17 +143,24 @@ void BM_Waterfill(benchmark::State& state) {
     for (int w = 0; w < upper[j]; ++w) {
       gain *= rng.uniform(0.7, 1.1);
       gains[j].push_back(gain);
+      perturbed[j].push_back(gain * rng.uniform(0.98, 1.02));
     }
   }
+  std::vector<int> start = lower;
+  if (state.range(0) == 1) {
+    sched::waterfill(start, lower, upper, 1024, [&](std::size_t j, int w) {
+      return perturbed[j][static_cast<std::size_t>(w)];
+    });
+  }
   for (auto _ : state) {
-    std::vector<int> widths = lower;
-    sched::waterfill(widths, upper, 1024, [&](std::size_t j, int w) {
+    std::vector<int> widths = start;
+    sched::waterfill(widths, lower, upper, 1024, [&](std::size_t j, int w) {
       return gains[j][static_cast<std::size_t>(w)];
     });
     benchmark::DoNotOptimize(widths.data());
   }
 }
-BENCHMARK(BM_Waterfill);
+BENCHMARK(BM_Waterfill)->ArgName("warm")->Arg(0)->Arg(1);
 
 // One compact take of 8 GPUs next to a job's 4 from a 128 x 8 pool with
 // half its GPUs free, and their return.

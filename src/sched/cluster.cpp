@@ -73,12 +73,6 @@ void ClusterSim::fill_rung(const SchedJob& job, int workers, Rung& r) const {
            (1.0 - costs_->runtime_overhead(system_, job.spec.model, workers, r.batch));
 }
 
-Seconds ClusterSim::estimated_remaining(const SchedJob& job, int workers) const {
-  const double tput = job_throughput(job, workers);
-  if (tput <= 0) return std::numeric_limits<double>::infinity();
-  return job.remaining_samples / tput;
-}
-
 double ClusterSim::measured_throughput(const SchedJob& job) const {
   if (!params_.placement_aware) return job_throughput(job, job.effective_workers(now_));
   // The job's real placement sets the communication bottleneck. During an
@@ -311,18 +305,41 @@ void ClusterSim::rebalance() {
   if (running_.empty()) return;
   // Allocation rule (paper §VI-C): every running job starts at min_res and
   // the waterfill hands out the rest of the cluster by marginal gain, the
-  // estimated JCT reduction per added worker (as in Optimus).
+  // estimated JCT reduction per added worker (as in Optimus). It repairs
+  // the allocation the jobs hold now rather than rebuilding it.
   const std::size_t n = running_.size();
   std::vector<int> target(n);
+  std::vector<int> lower(n);
   std::vector<int> cap(n);
+  // The gain reads a snapshot of each running job. The waterfill asks a
+  // job's gains at consecutive widths, so the estimate at w + 1 one gain
+  // computes is the estimate at w of the next: one division per gain.
+  struct Estimate {
+    const SchedJob* job;
+    std::span<Rung> ladder;
+    double remaining_samples;
+    int width;  // the width `remaining` estimates, -1 before the first gain
+    Seconds remaining;
+  };
+  std::vector<Estimate> estimates(n);
   for (std::size_t pos = 0; pos < n; ++pos) {
     const SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
-    target[pos] = job.spec.min_res;
+    target[pos] = job.workers;
+    lower[pos] = job.spec.min_res;
     cap[pos] = job.spec.max_res;
+    estimates[pos] = Estimate{&job, ladders_[static_cast<std::size_t>(job.ladder)],
+                              job.remaining_samples, -1, 0.0};
   }
-  waterfill(target, cap, params_.total_gpus, [&](std::size_t pos, int workers) {
-    const SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
-    return estimated_remaining(job, workers) - estimated_remaining(job, workers + 1);
+  // estimated_remaining over the snapshot: the same doubles.
+  const auto remaining_at = [&](const Estimate& e, int workers) {
+    return time_for(e.remaining_samples, rung(e.ladder, *e.job, workers).tput);
+  };
+  waterfill(target, lower, cap, params_.total_gpus, [&](std::size_t pos, int workers) {
+    Estimate& e = estimates[pos];
+    const Seconds now = e.width == workers ? e.remaining : remaining_at(e, workers);
+    e.width = workers + 1;
+    e.remaining = remaining_at(e, workers + 1);
+    return now - e.remaining;
   });
 
   // Apply shrinks before grows: in placement-aware mode the grown jobs take

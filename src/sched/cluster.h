@@ -13,8 +13,9 @@
 //
 // The elastic policies allocate with the rule ClusterSim shares with
 // LiveScheduler (sched/allocation.h). On every admission and completion, and
-// every kRebalanceInterval, each running job starts at min_res and the
-// marginal-gain waterfill hands out the rest of the cluster. Placement-aware
+// every kRebalanceInterval, the marginal-gain waterfill re-decides every
+// running job's width as if it handed out the cluster from min_res up; it
+// starts its work from the widths the jobs hold. Placement-aware
 // mode then moves concrete GPUs of a GpuPool with take_gpus / release_gpus.
 // ClusterSim prices a width with the batch hybrid scaling picks from the
 // job's tuned configuration (req_res, base_total_batch) and with the elastic
@@ -35,6 +36,8 @@
 // policies.
 #pragma once
 
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "baselines/adjustment_cost.h"
@@ -138,13 +141,16 @@ class ClusterSim {
   double measured_throughput(const SchedJob& job) const;
   double measured_throughput_cached(int index);
 
-  const Rung& rung(const SchedJob& job, int workers) const {
-    auto& ladder = ladders_[static_cast<std::size_t>(job.ladder)];
+  // Rung `workers` of `ladder`, the ladder of `job`'s configuration.
+  Rung& rung(std::span<Rung> ladder, const SchedJob& job, int workers) const {
     ELAN_CHECK(workers > 0 && static_cast<std::size_t>(workers) < ladder.size(),
                "cluster: width outside the job's ladder");
     Rung& r = ladder[static_cast<std::size_t>(workers)];
     if (r.batch == 0) [[unlikely]] fill_rung(job, workers, r);
     return r;
+  }
+  const Rung& rung(const SchedJob& job, int workers) const {
+    return rung(ladders_[static_cast<std::size_t>(job.ladder)], job, workers);
   }
   void fill_rung(const SchedJob& job, int workers, Rung& r) const;
   double job_throughput(const SchedJob& job, int workers) const {
@@ -153,7 +159,13 @@ class ClusterSim {
   int hybrid_batch(const SchedJob& job, int workers) const {
     return rung(job, workers).batch;
   }
-  Seconds estimated_remaining(const SchedJob& job, int workers) const;
+  Seconds estimated_remaining(const SchedJob& job, int workers) const {
+    return time_for(job.remaining_samples, job_throughput(job, workers));
+  }
+  /// Time to train `samples` at `tput` samples/s; +inf when `tput` <= 0.
+  static Seconds time_for(double samples, double tput) {
+    return tput <= 0 ? std::numeric_limits<double>::infinity() : samples / tput;
+  }
   bool all_done() const;
 };
 

@@ -179,19 +179,21 @@ void LiveScheduler::rebalance() {
   if (reclaim ? needed <= 0 : free_.empty()) return;
 
   std::vector<int> width;
+  std::vector<int> lower;
   std::vector<int> cap;
   int lower_sum = 0;
   for (RunningJob* rj : jobs) {
     const int cur = rj->job->num_workers();
     // In flight until settled: a landed scale-in still owes its GPUs.
     const bool pinned = !rj->in_flight.empty() || rj->job->adjustment_pending();
-    width.push_back(pinned || !reclaim ? cur : rj->spec.min_workers);
+    width.push_back(cur);
+    lower.push_back(pinned || !reclaim ? cur : rj->spec.min_workers);
     cap.push_back(pinned || reclaim ? cur : rj->spec.max_workers);
-    lower_sum += width.back();
+    lower_sum += lower.back();
   }
   const int budget = reclaim ? held - needed : held + free_gpus();
   if (lower_sum > budget) return;  // the unpinned jobs cannot free enough yet
-  waterfill(width, cap, budget, [&](std::size_t i, int workers) {
+  waterfill(width, lower, cap, budget, [&](std::size_t i, int workers) {
     return estimated_remaining(*jobs[i], workers) -
            estimated_remaining(*jobs[i], workers + 1);
   });

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "common/error.h"
 
@@ -22,6 +24,13 @@ int sample_req_res(Rng& rng) {
   return 32;
 }
 
+/// A rate for an error message: "5", "22.5".
+std::string rate_text(double jobs_per_hour) {
+  std::ostringstream os;
+  os << jobs_per_hour;
+  return os.str();
+}
+
 }  // namespace
 
 TraceParams production_trace_params(int target_jobs, std::uint64_t seed) {
@@ -37,16 +46,24 @@ TraceParams production_trace_params(int target_jobs, std::uint64_t seed) {
 TraceGenerator::TraceGenerator(const train::ThroughputModel& throughput, TraceParams params)
     : throughput_(&throughput), params_(params) {
   require(params_.span > 0, "trace: span must be positive");
-  require(params_.trough_jobs_per_hour > 0, "trace: trough rate must be positive");
+  // generate() draws candidates at the peak rate and keeps each with
+  // probability rate(t) / peak: below the trough the peak would flatten the
+  // diurnal shape.
+  ELAN_REQUIRE(params_.trough_jobs_per_hour > 0 &&
+                   params_.peak_jobs_per_hour >= params_.trough_jobs_per_hour,
+               "trace: need peak >= trough > 0 arrivals per hour, got peak " +
+                   rate_text(params_.peak_jobs_per_hour) + " and trough " +
+                   rate_text(params_.trough_jobs_per_hour));
   require(params_.load > 0, "trace: load must be positive");
 }
 
-SchedJobSpec TraceGenerator::make_job(int id, Seconds submit, Rng& rng) const {
+SchedJobSpec TraceGenerator::make_job(int id, Seconds submit,
+                                      const std::vector<train::ModelSpec>& zoo,
+                                      Rng& rng) const {
   SchedJobSpec job;
   job.id = id;
   job.submit_time = submit;
 
-  const auto zoo = train::model_zoo();
   job.model = zoo[static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(zoo.size()) - 1))];
 
@@ -78,6 +95,7 @@ SchedJobSpec TraceGenerator::make_job(int id, Seconds submit, Rng& rng) const {
 
 std::vector<SchedJobSpec> TraceGenerator::generate() const {
   Rng rng(params_.seed);
+  const auto zoo = train::model_zoo();
   std::vector<SchedJobSpec> jobs;
   // `load` scales both rates; the default 1.0 multiplies exactly, keeping
   // historical seeds bit-stable.
@@ -97,7 +115,7 @@ std::vector<SchedJobSpec> TraceGenerator::generate() const {
     const double day_phase = 2.0 * kPi * (t / hours(24.0) - 15.0 / 24.0);
     const double rate = mean_rate + amplitude * std::cos(day_phase);
     if (!rng.chance(rate / peak_rate)) continue;
-    jobs.push_back(make_job(id++, t, rng));
+    jobs.push_back(make_job(id++, t, zoo, rng));
   }
   return jobs;
 }

@@ -19,9 +19,10 @@ namespace elan::sched {
 
 struct TraceParams {
   Seconds span = hours(48.0);
-  /// Mean arrivals per hour at the daily peak and trough. Defaults offer
-  /// ~75% of cluster capacity on average, so peaks overload (queues build)
-  /// and troughs drain — the Fig 1 utilisation pattern.
+  /// Mean arrivals per hour at the daily peak and trough, with peak >=
+  /// trough > 0. Defaults offer ~75% of cluster capacity on average, so
+  /// peaks overload (queues build) and troughs drain — the Fig 1
+  /// utilisation pattern.
   double peak_jobs_per_hour = 22.0;
   double trough_jobs_per_hour = 10.0;
   /// Log-normal duration (of the job running alone on req_res workers).
@@ -54,7 +55,8 @@ class TraceGenerator {
   const train::ThroughputModel* throughput_;
   TraceParams params_;
 
-  SchedJobSpec make_job(int id, Seconds submit, Rng& rng) const;
+  SchedJobSpec make_job(int id, Seconds submit, const std::vector<train::ModelSpec>& zoo,
+                        Rng& rng) const;
 };
 
 }  // namespace elan::sched

@@ -22,86 +22,113 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 // waterfill
 // ---------------------------------------------------------------------------
 
+// The waterfill started from the lower bounds.
+template <typename Gain>
+std::vector<int> fill(const std::vector<int>& lower, const std::vector<int>& upper, int budget,
+                      Gain&& gain) {
+  std::vector<int> widths = lower;
+  waterfill(widths, lower, upper, budget, gain);
+  return widths;
+}
+
 TEST(Waterfill, EqualGainsGoToTheEarliestJob) {
-  std::vector<int> widths{0, 0, 0};
-  waterfill(widths, {3, 3, 3}, 4, [](std::size_t, int) { return 1.0; });
   // Job 0 keeps winning the tie until it hits its upper bound.
-  EXPECT_EQ(widths, (std::vector<int>{3, 1, 0}));
+  EXPECT_EQ(fill({0, 0, 0}, {3, 3, 3}, 4, [](std::size_t, int) { return 1.0; }),
+            (std::vector<int>{3, 1, 0}));
 }
 
 TEST(Waterfill, GainsInterleaveAcrossJobs) {
   // Diminishing returns: job 0 gains 5, 3, 1 from its first three GPUs, job
   // 1 gains 4, 2. Grants go 5 (job 0), 4 (job 1), 3 (job 0).
   const std::vector<std::vector<double>> gains{{5, 3, 1}, {4, 2}};
-  std::vector<int> widths{0, 0};
   std::vector<std::pair<std::size_t, int>> calls;
-  waterfill(widths, {3, 2}, 3, [&](std::size_t job, int width) {
+  const auto widths = fill({0, 0}, {3, 2}, 3, [&](std::size_t job, int width) {
     calls.emplace_back(job, width);
     return gains[job][static_cast<std::size_t>(width)];
   });
   EXPECT_EQ(widths, (std::vector<int>{2, 1}));
-  // The gain is asked once per job and once per granted GPU, at the job's
-  // width at that moment.
+  // From the lower bounds, the gain is asked once per job and once per
+  // granted GPU, at the job's width at that moment.
   const std::vector<std::pair<std::size_t, int>> expected{
       {0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}};
   EXPECT_EQ(calls, expected);
 }
 
 TEST(Waterfill, NanGainsAreNeverGranted) {
-  std::vector<int> widths{1, 1};
-  waterfill(widths, {8, 8}, 6, [](std::size_t job, int) { return job == 0 ? kNaN : 1.0; });
-  EXPECT_EQ(widths, (std::vector<int>{1, 5}));
+  EXPECT_EQ(fill({1, 1}, {8, 8}, 6, [](std::size_t job, int) { return job == 0 ? kNaN : 1.0; }),
+            (std::vector<int>{1, 5}));
 }
 
 TEST(Waterfill, AJobWhoseGainTurnsNanGetsNoMore) {
   // Job 0's gain is NaN at width 2; later widths would pay, but it is not
-  // asked again.
-  std::vector<int> widths{0, 0};
-  waterfill(widths, {8, 8}, 8, [](std::size_t job, int width) {
+  // granted them.
+  const auto gain = [](std::size_t job, int width) {
     if (job == 0) return width == 2 ? kNaN : 10.0;
     return 1.0;
-  });
+  };
+  EXPECT_EQ(fill({0, 0}, {8, 8}, 8, gain), (std::vector<int>{2, 6}));
+  // Nor when it holds them now.
+  std::vector<int> widths{5, 0};
+  waterfill(widths, {0, 0}, {8, 8}, 8, gain);
   EXPECT_EQ(widths, (std::vector<int>{2, 6}));
 }
 
 TEST(Waterfill, StopsAtTheFirstNonPositiveGain) {
   // The best gain left is 0: the remaining budget stays unallocated.
-  std::vector<int> widths{0, 0};
-  waterfill(widths, {8, 8}, 8, [](std::size_t job, int width) {
-    return job == 0 ? 2.0 - width : 0.0;
-  });
-  EXPECT_EQ(widths, (std::vector<int>{2, 0}));
+  EXPECT_EQ(fill({0, 0}, {8, 8}, 8,
+                 [](std::size_t job, int width) { return job == 0 ? 2.0 - width : 0.0; }),
+            (std::vector<int>{2, 0}));
 
   // A job whose gain is negative at its width is never grown past it, even
-  // if a later width would pay.
-  std::vector<int> dip{4};
-  waterfill(dip, {8}, 8, [](std::size_t, int width) { return width == 4 ? -1.0 : 1.0; });
-  EXPECT_EQ(dip, (std::vector<int>{4}));
+  // if a later width would pay, nor kept there when it holds them now.
+  const auto dip = [](std::size_t, int width) { return width == 4 ? -1.0 : 1.0; };
+  EXPECT_EQ(fill({4}, {8}, 8, dip), (std::vector<int>{4}));
+  std::vector<int> widths{7};
+  waterfill(widths, {2}, {8}, 8, dip);
+  EXPECT_EQ(widths, (std::vector<int>{4}));
 }
 
 TEST(Waterfill, RespectsBoundsAndBudget) {
   // Lower bounds are kept even with nothing to gain; upper bounds cap the
   // grants; the budget counts the lower bounds too.
-  std::vector<int> widths{2, 3, 1};
-  waterfill(widths, {2, 5, 10}, 9, [](std::size_t, int) { return 1.0; });
+  const auto one = [](std::size_t, int) { return 1.0; };
+  EXPECT_EQ(fill({2, 3, 1}, {2, 5, 10}, 9, one), (std::vector<int>{2, 5, 2}));
+  EXPECT_EQ(fill({2, 3}, {4, 4}, 20, [](std::size_t, int) { return -1.0; }),
+            (std::vector<int>{2, 3}));
+  EXPECT_EQ(fill({3, 0}, {3, 1}, 10, one), (std::vector<int>{3, 1}));
+
+  // Widths held outside the bounds come back inside them.
+  std::vector<int> widths{0, 9, 4};
+  waterfill(widths, {2, 3, 1}, {2, 5, 10}, 9, one);
   EXPECT_EQ(widths, (std::vector<int>{2, 5, 2}));
-
-  std::vector<int> idle{2, 3};
-  waterfill(idle, {4, 4}, 20, [](std::size_t, int) { return -1.0; });
-  EXPECT_EQ(idle, (std::vector<int>{2, 3}));
-
-  std::vector<int> pinned{3, 0};
-  waterfill(pinned, {3, 1}, 10, [](std::size_t, int) { return 1.0; });
-  EXPECT_EQ(pinned, (std::vector<int>{3, 1}));
 }
 
 TEST(Waterfill, LowerBoundsAboveTheBudgetAreAnError) {
+  const auto one = [](std::size_t, int) { return 1.0; };
   std::vector<int> widths{3, 3};
-  EXPECT_THROW(waterfill(widths, {4, 4}, 5, [](std::size_t, int) { return 1.0; }),
-               InternalError);
+  EXPECT_THROW(waterfill(widths, {3, 3}, {4, 4}, 5, one), InternalError);
   std::vector<int> mismatched{1, 1};
-  EXPECT_THROW(waterfill(mismatched, {4}, 5, [](std::size_t, int) { return 1.0; }),
-               InternalError);
+  EXPECT_THROW(waterfill(mismatched, {1, 1}, {4}, 5, one), InternalError);
+  EXPECT_THROW(waterfill(mismatched, {1}, {4, 4}, 5, one), InternalError);
+}
+
+TEST(Waterfill, AKeptPrefixStopsAtADip) {
+  // Job 0 gains 4, then 1, then 10; job 1 gains 2 three times. From the
+  // lower bounds the grants go 4 (job 0), 2, 2, 2 (job 1), 1 (job 0), and
+  // the budget runs out before job 0's 10. Held at the answer, job 0's
+  // second GPU ties the level the fill stops at (its effective gain is 1,
+  // and so is that of the 10 behind the dip): the kept items must end
+  // below the dip, or the 10 would be kept without the 1 before it.
+  const std::vector<std::vector<double>> gains{{4, 1, 10}, {2, 2, 2}};
+  for (const std::vector<int>& start :
+       {std::vector<int>{0, 0}, std::vector<int>{2, 3}, std::vector<int>{3, 2},
+        std::vector<int>{3, 3}}) {
+    std::vector<int> widths = start;
+    waterfill(widths, {0, 0}, {3, 3}, 5, [&](std::size_t job, int width) {
+      return gains[job][static_cast<std::size_t>(width)];
+    });
+    EXPECT_EQ(widths, (std::vector<int>{2, 3})) << start[0] << "," << start[1];
+  }
 }
 
 // The rule as the header states it: every job's current gain in an array,
@@ -157,19 +184,42 @@ TEST(Waterfill, MatchesTheScanRule) {
     }
     const int budget =
         lower_sum + static_cast<int>(rng.uniform_int(0, std::max(0, 1100 - lower_sum)));
-    std::vector<std::pair<std::size_t, int>> tree_calls;
-    std::vector<std::pair<std::size_t, int>> scan_calls;
-    std::vector<int> widths = lower;
-    waterfill(widths, upper, budget, [&](std::size_t pos, int w) {
-      tree_calls.emplace_back(pos, w);
-      return gains[pos][static_cast<std::size_t>(w)];
-    });
     const auto expected = scan_waterfill(lower, upper, budget, [&](std::size_t pos, int w) {
-      scan_calls.emplace_back(pos, w);
       return gains[pos][static_cast<std::size_t>(w)];
     });
-    ASSERT_EQ(widths, expected) << "instance " << instance;
-    ASSERT_EQ(tree_calls, scan_calls) << "instance " << instance;
+    // Start from the lower bounds, from the answer, from widths inside the
+    // bounds and from widths anywhere around them.
+    std::vector<int> inside(n);
+    std::vector<int> around(n);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      inside[pos] = static_cast<int>(rng.uniform_int(lower[pos], upper[pos]));
+      around[pos] = static_cast<int>(rng.uniform_int(lower[pos] - 3, upper[pos] + 3));
+    }
+    const std::pair<const char*, const std::vector<int>*> starts[] = {
+        {"lower bounds", &lower}, {"answer", &expected}, {"inside", &inside}, {"around", &around}};
+    for (const auto& [which, start] : starts) {
+      std::vector<std::vector<int>> asked(n);  // each job's widths, in call order
+      std::vector<int> widths = *start;
+      waterfill(widths, lower, upper, budget, [&](std::size_t pos, int w) {
+        asked[pos].push_back(w);
+        return gains[pos][static_cast<std::size_t>(w)];
+      });
+      ASSERT_EQ(widths, expected) << "instance " << instance << ", start " << which;
+      // The gain is asked from the lower bound up, one width at a time,
+      // below the upper bound and at every granted width.
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        for (std::size_t k = 0; k < asked[pos].size(); ++k) {
+          ASSERT_EQ(asked[pos][k], lower[pos] + static_cast<int>(k))
+              << "instance " << instance << ", start " << which << ", job " << pos;
+        }
+        if (!asked[pos].empty()) {
+          ASSERT_LT(asked[pos].back(), upper[pos])
+              << "instance " << instance << ", start " << which << ", job " << pos;
+        }
+        ASSERT_GE(lower[pos] + static_cast<int>(asked[pos].size()), widths[pos])
+            << "instance " << instance << ", start " << which << ", job " << pos;
+      }
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 // (paper §VI-C; Figs 20-22).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sched/cluster.h"
 #include "sched/trace.h"
 
@@ -81,6 +83,30 @@ TEST(Trace, DiurnalPattern) {
     if (hour_of_day >= 0 && hour_of_day < 6) ++near_trough;
   }
   EXPECT_GT(near_peak, near_trough);
+}
+
+TEST(Trace, RejectsAPeakBelowTheTrough) {
+  SchedFixture f;
+  TraceParams p;
+  p.peak_jobs_per_hour = 5;
+  p.trough_jobs_per_hour = 20;
+  try {
+    static_cast<void>(TraceGenerator(f.throughput, p));
+    ADD_FAILURE() << "a peak below the trough was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("got peak 5 and trough 20"), std::string::npos)
+        << e.what();
+  }
+  p.peak_jobs_per_hour = 0;
+  p.trough_jobs_per_hour = 10;
+  EXPECT_THROW(TraceGenerator(f.throughput, p), InvalidArgument);
+  p.peak_jobs_per_hour = 10;
+  p.trough_jobs_per_hour = 0;
+  EXPECT_THROW(TraceGenerator(f.throughput, p), InvalidArgument);
+  // A flat rate is a peak equal to the trough.
+  p.trough_jobs_per_hour = 10;
+  p.span = hours(8.0);
+  EXPECT_FALSE(TraceGenerator(f.throughput, p).generate().empty());
 }
 
 // ---------------------------------------------------------------------------
