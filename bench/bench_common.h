@@ -90,8 +90,10 @@ inline void print_header(const std::string& title, const std::string& note = "")
   obs::init_from_env();
   const auto [disabled_ns, enabled_ns] = measure_flight_overhead();
   std::printf("\n=== %s ===\n", title.c_str());
-  std::printf("obs::event: disabled %.1f ns/op, flight recorder on %.1f ns/op\n",
-              disabled_ns, enabled_ns);
+  // A wall-clock figure: on stderr, so two runs of the same code print the
+  // same stdout.
+  std::fprintf(stderr, "obs::event: disabled %.1f ns/op, flight recorder on %.1f ns/op\n",
+               disabled_ns, enabled_ns);
   if (!note.empty()) std::printf("%s\n", note.c_str());
   std::printf("\n");
 }

@@ -124,39 +124,37 @@ void BM_NestedLockKnownEdge(benchmark::State& state) {
 BENCHMARK(BM_NestedLockKnownEdge)->Threads(1)->Threads(4);
 
 // One waterfill of the size a sched_replay rebalance runs (DESIGN.md §5m):
-// 110 jobs share 1,024 GPUs. Each job's gain mostly falls with its width
-// but rises now and then, from a seeded mix. `warm:0` starts every job at
-// its lower bound. `warm:1` starts at the answer for the same jobs with
-// every gain perturbed by up to 2 %, as a rebalance starts from the widths
-// the last one chose.
+// 110 jobs share 1,024 GPUs. Each job's steps mostly fall with its width
+// but rise now and then, from a seeded mix, and its scale (its remaining
+// work) is drawn once. `warm:0` starts every job at its lower bound.
+// `warm:1` starts at the answer for the same jobs with every scale
+// perturbed by up to 2 %, as a rebalance starts from the widths the last
+// one chose while each job's remaining work has moved on.
 void BM_Waterfill(benchmark::State& state) {
-  constexpr int kJobs = 110;
+  constexpr std::size_t kJobs = 110;
   Rng rng(2020);
   std::vector<int> lower(kJobs);
-  std::vector<int> upper(kJobs);
-  std::vector<std::vector<double>> gains(kJobs);
-  std::vector<std::vector<double>> perturbed(kJobs);
-  for (int j = 0; j < kJobs; ++j) {
+  std::vector<std::vector<double>> steps(kJobs);
+  std::vector<std::vector<double>> floors(kJobs);
+  std::vector<sched::JobGains> gains(kJobs);
+  std::vector<sched::JobGains> perturbed(kJobs);
+  for (std::size_t j = 0; j < kJobs; ++j) {
     lower[j] = static_cast<int>(rng.uniform_int(1, 4));
-    upper[j] = lower[j] + static_cast<int>(rng.uniform_int(4, 64));
-    double gain = rng.uniform(1.0, 100.0);
-    for (int w = 0; w < upper[j]; ++w) {
-      gain *= rng.uniform(0.7, 1.1);
-      gains[j].push_back(gain);
-      perturbed[j].push_back(gain * rng.uniform(0.98, 1.02));
+    const auto size = rng.uniform_int(4, 64);
+    double step = rng.uniform(1.0, 100.0);
+    for (std::int64_t k = 0; k < size; ++k) {
+      step *= rng.uniform(0.7, 1.1);
+      sched::append_step(steps[j], floors[j], step);
     }
+    const double scale = rng.uniform(0.5, 2.0);
+    gains[j] = sched::JobGains{scale, steps[j], floors[j]};
+    perturbed[j] = sched::JobGains{scale * rng.uniform(0.98, 1.02), steps[j], floors[j]};
   }
   std::vector<int> start = lower;
-  if (state.range(0) == 1) {
-    sched::waterfill(start, lower, upper, 1024, [&](std::size_t j, int w) {
-      return perturbed[j][static_cast<std::size_t>(w)];
-    });
-  }
+  if (state.range(0) == 1) sched::waterfill(start, lower, perturbed, 1024);
   for (auto _ : state) {
     std::vector<int> widths = start;
-    sched::waterfill(widths, lower, upper, 1024, [&](std::size_t j, int w) {
-      return gains[j][static_cast<std::size_t>(w)];
-    });
+    sched::waterfill(widths, lower, gains, 1024);
     benchmark::DoNotOptimize(widths.data());
   }
 }

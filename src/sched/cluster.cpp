@@ -16,11 +16,12 @@ namespace {
 // Memo keys: the looked-up configuration packed into one 64-bit integer.
 // The packing must be injective — the ELAN_CHECKs pin each field to its bit
 // budget (any realistic trace is orders of magnitude below them).
-std::uint64_t pack_ladder_key(int kind, int req, int base) {
+std::uint64_t pack_ladder_key(int kind, int req, int base, int min) {
   ELAN_CHECK(kind >= 0 && kind < (1 << 8), "ladder key: model kind out of range");
+  ELAN_CHECK(min >= 0 && min < (1 << 12), "ladder key: min_res out of range");
   ELAN_CHECK(req >= 0 && req < (1 << 12), "ladder key: req_res out of range");
   ELAN_CHECK(base >= 0 && base < (1 << 20), "ladder key: base batch out of range");
-  return (static_cast<std::uint64_t>(kind) << 32) |
+  return (static_cast<std::uint64_t>(kind) << 44) | (static_cast<std::uint64_t>(min) << 32) |
          (static_cast<std::uint64_t>(req) << 20) | static_cast<std::uint64_t>(base);
 }
 
@@ -306,41 +307,25 @@ void ClusterSim::rebalance() {
   // Allocation rule (paper §VI-C): every running job starts at min_res and
   // the waterfill hands out the rest of the cluster by marginal gain, the
   // estimated JCT reduction per added worker (as in Optimus). It repairs
-  // the allocation the jobs hold now rather than rebuilding it.
+  // the allocation the jobs hold now rather than rebuilding it. A job's
+  // gain is its remaining samples times its ladder's step, and its ladder
+  // holds steps up to the widest cap of its configuration: the job's own
+  // cap cuts them.
   const std::size_t n = running_.size();
   std::vector<int> target(n);
   std::vector<int> lower(n);
-  std::vector<int> cap(n);
-  // The gain reads a snapshot of each running job. The waterfill asks a
-  // job's gains at consecutive widths, so the estimate at w + 1 one gain
-  // computes is the estimate at w of the next: one division per gain.
-  struct Estimate {
-    const SchedJob* job;
-    std::span<Rung> ladder;
-    double remaining_samples;
-    int width;  // the width `remaining` estimates, -1 before the first gain
-    Seconds remaining;
-  };
-  std::vector<Estimate> estimates(n);
+  std::vector<JobGains> gains(n);
   for (std::size_t pos = 0; pos < n; ++pos) {
     const SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
+    const Ladder& ladder = ladders_[static_cast<std::size_t>(job.ladder)];
+    const auto room = static_cast<std::size_t>(
+        std::max(0, std::min(job.spec.max_res, params_.total_gpus) - job.spec.min_res));
     target[pos] = job.workers;
     lower[pos] = job.spec.min_res;
-    cap[pos] = job.spec.max_res;
-    estimates[pos] = Estimate{&job, ladders_[static_cast<std::size_t>(job.ladder)],
-                              job.remaining_samples, -1, 0.0};
+    gains[pos] = JobGains{job.remaining_samples, std::span(ladder.steps).first(room),
+                          std::span(ladder.floors).first(room)};
   }
-  // estimated_remaining over the snapshot: the same doubles.
-  const auto remaining_at = [&](const Estimate& e, int workers) {
-    return time_for(e.remaining_samples, rung(e.ladder, *e.job, workers).tput);
-  };
-  waterfill(target, lower, cap, params_.total_gpus, [&](std::size_t pos, int workers) {
-    Estimate& e = estimates[pos];
-    const Seconds now = e.width == workers ? e.remaining : remaining_at(e, workers);
-    e.width = workers + 1;
-    e.remaining = remaining_at(e, workers + 1);
-    return now - e.remaining;
-  });
+  waterfill(target, lower, gains, params_.total_gpus);
 
   // Apply shrinks before grows: in placement-aware mode the grown jobs take
   // concrete GPUs from the pool the shrunk jobs just returned.
@@ -373,6 +358,15 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
                          }),
           "cluster: trace must be sorted by submit time");
 
+  // A job that cannot start on the whole cluster would wait forever.
+  for (const auto& spec : trace) {
+    const int start = is_elastic(policy_) ? spec.min_res : spec.req_res;
+    ELAN_REQUIRE(start <= params_.total_gpus,
+                 "cluster: job " + std::to_string(spec.id) + " starts on " +
+                     std::to_string(start) + " GPUs, more than the cluster's " +
+                     std::to_string(params_.total_gpus));
+  }
+
   now_ = 0;
   jobs_.clear();
   jobs_.reserve(trace.size());
@@ -380,8 +374,8 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
     SchedJob job;
     job.spec = spec;
     job.remaining_samples = static_cast<double>(spec.total_samples);
-    const std::uint64_t key = pack_ladder_key(static_cast<int>(spec.model.kind),
-                                              spec.req_res, spec.base_total_batch);
+    const std::uint64_t key = pack_ladder_key(static_cast<int>(spec.model.kind), spec.req_res,
+                                              spec.base_total_batch, spec.min_res);
     if (const int* hit = ladder_of_.find(key)) {
       job.ladder = *hit;
     } else {
@@ -390,10 +384,20 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
       ladders_.emplace_back();
     }
     // Every width the replay prices lies in [1, max(min_res, req_res, max_res)].
-    auto& ladder = ladders_[static_cast<std::size_t>(job.ladder)];
+    Ladder& ladder = ladders_[static_cast<std::size_t>(job.ladder)];
     const auto widest =
         static_cast<std::size_t>(std::max({spec.min_res, spec.req_res, spec.max_res}));
-    if (ladder.size() <= widest) ladder.resize(widest + 1);
+    if (ladder.rungs.size() <= widest) ladder.rungs.resize(widest + 1);
+    // The waterfill reads the steps up to the job's cap; a width past the
+    // cluster is never granted, and may not be priceable.
+    if (is_elastic(policy_)) {
+      const int cap = std::min(spec.max_res, params_.total_gpus);
+      for (auto w = spec.min_res + static_cast<int>(ladder.steps.size()); w < cap; ++w) {
+        append_step(ladder.steps, ladder.floors,
+                    seconds_per_sample(job_throughput(job, w)) -
+                        seconds_per_sample(job_throughput(job, w + 1)));
+      }
+    }
     jobs_.push_back(std::move(job));
   }
   queue_.clear();

@@ -21,7 +21,8 @@
 // job's tuned configuration (req_res, base_total_batch) and with the elastic
 // system's runtime overhead, so a job's estimate depends only on its
 // configuration and its width: jobs of one configuration share a throughput
-// ladder.
+// ladder, and with it the steps of the waterfill's gains (a job's gain is
+// its remaining samples times its ladder's step).
 //
 // The elastic system executing the adjustments (Ideal / Elan / S&R) sets the
 // pause each reallocation costs and the runtime overhead — exactly the
@@ -37,10 +38,10 @@
 #pragma once
 
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "baselines/adjustment_cost.h"
+#include "common/error.h"
 #include "common/flat_hash.h"
 #include "sched/allocation.h"
 #include "sched/job.h"
@@ -78,7 +79,10 @@ class ClusterSim {
              const baselines::AdjustmentCostModel& costs, PolicyKind policy,
              baselines::System system, ClusterParams params = {});
 
-  /// Runs the trace to completion and returns the metrics.
+  /// Runs the trace to completion and returns the metrics. Throws
+  /// InvalidArgument, before replaying, when a job starts on more GPUs than
+  /// the cluster has: req_res under FIFO and BF, min_res under the elastic
+  /// policies.
   ScheduleMetrics run(const std::vector<SchedJobSpec>& trace);
 
  private:
@@ -111,15 +115,25 @@ class ClusterSim {
   mutable std::vector<JobTput> job_tput_;
 
   // One throughput ladder per job configuration (model kind, req_res,
-  // base_total_batch; see pack_ladder_key in the .cpp): rung w holds the
-  // batch hybrid scaling picks at w workers and the estimated throughput
-  // there. A rung is filled on first use and the rest of the replay reads
-  // it directly; SchedJob::ladder indexes ladders_.
+  // base_total_batch, min_res; see pack_ladder_key in the .cpp). Rung w
+  // holds the batch hybrid scaling picks at w workers and the estimated
+  // throughput there; a rung is filled on first use and the rest of the
+  // replay reads it directly. Under the elastic policies, run() fills the
+  // waterfill's steps (sched/allocation.h) from min_res up to the widest
+  // cap, min(max_res, total_gpus), of the configuration's jobs: step k is
+  // seconds_per_sample at min_res + k workers less that at one more, and
+  // floors[k] the smallest of steps[0..k]. SchedJob::ladder indexes
+  // ladders_.
   struct Rung {
     int batch = 0;  // 0: not filled yet
     double tput = 0.0;
   };
-  mutable std::vector<std::vector<Rung>> ladders_;
+  struct Ladder {
+    std::vector<Rung> rungs;
+    std::vector<double> steps;
+    std::vector<double> floors;
+  };
+  mutable std::vector<Ladder> ladders_;
   FlatMap64<int> ladder_of_;  // packed configuration -> index into ladders_
   // Adjustment pauses (see pack_pause_key): an Elan price runs the
   // replication scheduler, and a replay repeats a few hundred shapes
@@ -141,16 +155,14 @@ class ClusterSim {
   double measured_throughput(const SchedJob& job) const;
   double measured_throughput_cached(int index);
 
-  // Rung `workers` of `ladder`, the ladder of `job`'s configuration.
-  Rung& rung(std::span<Rung> ladder, const SchedJob& job, int workers) const {
-    ELAN_CHECK(workers > 0 && static_cast<std::size_t>(workers) < ladder.size(),
+  // Rung `workers` of the ladder of `job`'s configuration.
+  const Rung& rung(const SchedJob& job, int workers) const {
+    std::vector<Rung>& rungs = ladders_[static_cast<std::size_t>(job.ladder)].rungs;
+    ELAN_CHECK(workers > 0 && static_cast<std::size_t>(workers) < rungs.size(),
                "cluster: width outside the job's ladder");
-    Rung& r = ladder[static_cast<std::size_t>(workers)];
+    Rung& r = rungs[static_cast<std::size_t>(workers)];
     if (r.batch == 0) [[unlikely]] fill_rung(job, workers, r);
     return r;
-  }
-  const Rung& rung(const SchedJob& job, int workers) const {
-    return rung(ladders_[static_cast<std::size_t>(job.ladder)], job, workers);
   }
   void fill_rung(const SchedJob& job, int workers, Rung& r) const;
   double job_throughput(const SchedJob& job, int workers) const {
@@ -159,12 +171,11 @@ class ClusterSim {
   int hybrid_batch(const SchedJob& job, int workers) const {
     return rung(job, workers).batch;
   }
+  // Time to train the job's remaining samples at `workers` (backfill's
+  // reservations, E-SRTF's order); +inf when the throughput there is <= 0.
   Seconds estimated_remaining(const SchedJob& job, int workers) const {
-    return time_for(job.remaining_samples, job_throughput(job, workers));
-  }
-  /// Time to train `samples` at `tput` samples/s; +inf when `tput` <= 0.
-  static Seconds time_for(double samples, double tput) {
-    return tput <= 0 ? std::numeric_limits<double>::infinity() : samples / tput;
+    const double tput = job_throughput(job, workers);
+    return tput <= 0 ? std::numeric_limits<double>::infinity() : job.remaining_samples / tput;
   }
   bool all_done() const;
 };

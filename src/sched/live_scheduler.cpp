@@ -1,7 +1,6 @@
 #include "sched/live_scheduler.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -60,15 +59,6 @@ const ElasticJob* LiveScheduler::job(const std::string& job_id) const {
 std::uint64_t LiveScheduler::remaining_samples(const RunningJob& rj) const {
   const auto processed = rj.job->samples_processed();
   return processed >= rj.spec.target_samples ? 0 : rj.spec.target_samples - processed;
-}
-
-Seconds LiveScheduler::estimated_remaining(const RunningJob& rj, int workers) const {
-  const int tbs = HybridScaling(throughput_, rj.spec.model)
-                      .decide(rj.job->num_workers(), rj.job->total_batch(), workers)
-                      .total_batch;
-  const double tput = throughput_.throughput(rj.spec.model, workers, tbs);
-  if (tput <= 0) return std::numeric_limits<double>::infinity();
-  return static_cast<double>(remaining_samples(rj)) / tput;
 }
 
 void LiveScheduler::try_admit() {
@@ -178,26 +168,49 @@ void LiveScheduler::rebalance() {
   const int needed = reclaim ? queue_.front().first.min_workers - free_gpus() - owed : 0;
   if (reclaim ? needed <= 0 : free_.empty()) return;
 
-  std::vector<int> width;
-  std::vector<int> lower;
-  std::vector<int> cap;
+  const std::size_t n = jobs.size();
+  std::vector<int> width(n);
+  std::vector<int> lower(n);
+  std::vector<int> cap(n);
   int lower_sum = 0;
-  for (RunningJob* rj : jobs) {
-    const int cur = rj->job->num_workers();
+  for (std::size_t i = 0; i < n; ++i) {
+    const RunningJob& rj = *jobs[i];
+    const int cur = rj.job->num_workers();
     // In flight until settled: a landed scale-in still owes its GPUs.
-    const bool pinned = !rj->in_flight.empty() || rj->job->adjustment_pending();
-    width.push_back(cur);
-    lower.push_back(pinned || !reclaim ? cur : rj->spec.min_workers);
-    cap.push_back(pinned || reclaim ? cur : rj->spec.max_workers);
-    lower_sum += lower.back();
+    const bool pinned = !rj.in_flight.empty() || rj.job->adjustment_pending();
+    width[i] = cur;
+    lower[i] = pinned || !reclaim ? cur : rj.spec.min_workers;
+    // A growing job can take the free GPUs at most.
+    cap[i] = pinned || reclaim ? cur : std::min(rj.spec.max_workers, cur + free_gpus());
+    lower_sum += lower[i];
   }
   const int budget = reclaim ? held - needed : held + free_gpus();
   if (lower_sum > budget) return;  // the unpinned jobs cannot free enough yet
-  waterfill(width, lower, cap, budget, [&](std::size_t i, int workers) {
-    return estimated_remaining(*jobs[i], workers) -
-           estimated_remaining(*jobs[i], workers + 1);
-  });
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+
+  // Each job's steps over [lower, cap), with the batch hybrid scaling picks
+  // moving it from its current width and batch; its gain scales them by
+  // its remaining samples.
+  std::vector<std::vector<double>> steps(n);
+  std::vector<std::vector<double>> floors(n);
+  std::vector<JobGains> gains(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const RunningJob& rj = *jobs[i];
+    const HybridScaling hybrid(throughput_, rj.spec.model);
+    const auto per_sample = [&](int workers) {
+      const int tbs =
+          hybrid.decide(rj.job->num_workers(), rj.job->total_batch(), workers).total_batch;
+      return seconds_per_sample(throughput_.throughput(rj.spec.model, workers, tbs));
+    };
+    double here = per_sample(lower[i]);
+    for (int w = lower[i]; w < cap[i]; ++w) {
+      const double next = per_sample(w + 1);
+      append_step(steps[i], floors[i], here - next);
+      here = next;
+    }
+    gains[i] = JobGains{static_cast<double>(remaining_samples(rj)), steps[i], floors[i]};
+  }
+  waterfill(width, lower, gains, budget);
+  for (std::size_t i = 0; i < n; ++i) {
     const int cur = jobs[i]->job->num_workers();
     if (width[i] < cur) scale_in(*jobs[i], cur - width[i]);
     if (width[i] > cur) scale_out(*jobs[i], width[i] - cur);

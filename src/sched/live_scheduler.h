@@ -131,9 +131,6 @@ class LiveScheduler {
   void settle(RunningJob& rj);
   void finish_job(const std::string& job_id);
   std::uint64_t remaining_samples(const RunningJob& rj) const;
-  /// Remaining time at `workers` GPUs, with the batch hybrid scaling would
-  /// pick moving the job from its current width and batch.
-  Seconds estimated_remaining(const RunningJob& rj, int workers) const;
 };
 
 }  // namespace elan::sched

@@ -17,99 +17,121 @@ namespace elan::sched {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---------------------------------------------------------------------------
 // waterfill
 // ---------------------------------------------------------------------------
 
-// The waterfill started from the lower bounds.
-template <typename Gain>
-std::vector<int> fill(const std::vector<int>& lower, const std::vector<int>& upper, int budget,
-                      Gain&& gain) {
-  std::vector<int> widths = lower;
-  waterfill(widths, lower, upper, budget, gain);
+// A job's gains: item k gains scale * steps[k], with the floors append_step
+// keeps.
+struct Ladder {
+  double scale = 1.0;
+  std::vector<double> steps;
+  std::vector<double> floors;
+
+  Ladder(double s, const std::vector<double>& raw) : scale(s) {
+    for (const double step : raw) append_step(steps, floors, step);
+  }
+  explicit Ladder(const std::vector<double>& raw) : Ladder(1.0, raw) {}
+};
+
+// `n` equal steps.
+Ladder flat(std::size_t n, double step) { return Ladder(std::vector<double>(n, step)); }
+
+std::vector<JobGains> gains_of(const std::vector<Ladder>& jobs) {
+  std::vector<JobGains> gains;
+  for (const Ladder& job : jobs) gains.push_back(JobGains{job.scale, job.steps, job.floors});
+  return gains;
+}
+
+// The waterfill started from `widths`.
+std::vector<int> fill(std::vector<int> widths, const std::vector<int>& lower,
+                      const std::vector<Ladder>& jobs, int budget) {
+  waterfill(widths, lower, gains_of(jobs), budget);
   return widths;
+}
+
+// The waterfill started from the lower bounds.
+std::vector<int> fill(const std::vector<int>& lower, const std::vector<Ladder>& jobs,
+                      int budget) {
+  return fill(lower, lower, jobs, budget);
 }
 
 TEST(Waterfill, EqualGainsGoToTheEarliestJob) {
   // Job 0 keeps winning the tie until it hits its upper bound.
-  EXPECT_EQ(fill({0, 0, 0}, {3, 3, 3}, 4, [](std::size_t, int) { return 1.0; }),
-            (std::vector<int>{3, 1, 0}));
+  const Ladder three({1.0, 1.0, 1.0});
+  EXPECT_EQ(fill({0, 0, 0}, {three, three, three}, 4), (std::vector<int>{3, 1, 0}));
 }
 
 TEST(Waterfill, GainsInterleaveAcrossJobs) {
   // Diminishing returns: job 0 gains 5, 3, 1 from its first three GPUs, job
-  // 1 gains 4, 2. Grants go 5 (job 0), 4 (job 1), 3 (job 0).
-  const std::vector<std::vector<double>> gains{{5, 3, 1}, {4, 2}};
-  std::vector<std::pair<std::size_t, int>> calls;
-  const auto widths = fill({0, 0}, {3, 2}, 3, [&](std::size_t job, int width) {
-    calls.emplace_back(job, width);
-    return gains[job][static_cast<std::size_t>(width)];
-  });
-  EXPECT_EQ(widths, (std::vector<int>{2, 1}));
-  // From the lower bounds, the gain is asked once per job and once per
-  // granted GPU, at the job's width at that moment.
-  const std::vector<std::pair<std::size_t, int>> expected{
-      {0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}};
-  EXPECT_EQ(calls, expected);
+  // 1 gains 4, 2 (twice its steps of 2, 1). Grants go 5 (job 0), 4 (job 1),
+  // 3 (job 0).
+  EXPECT_EQ(fill({0, 0}, {Ladder({5, 3, 1}), Ladder(2.0, {2, 1})}, 3),
+            (std::vector<int>{2, 1}));
 }
 
 TEST(Waterfill, NanGainsAreNeverGranted) {
-  EXPECT_EQ(fill({1, 1}, {8, 8}, 6, [](std::size_t job, int) { return job == 0 ? kNaN : 1.0; }),
-            (std::vector<int>{1, 5}));
+  EXPECT_EQ(fill({1, 1}, {flat(7, kNaN), flat(7, 1.0)}, 6), (std::vector<int>{1, 5}));
 }
 
 TEST(Waterfill, AJobWhoseGainTurnsNanGetsNoMore) {
   // Job 0's gain is NaN at width 2; later widths would pay, but it is not
   // granted them.
-  const auto gain = [](std::size_t job, int width) {
-    if (job == 0) return width == 2 ? kNaN : 10.0;
-    return 1.0;
-  };
-  EXPECT_EQ(fill({0, 0}, {8, 8}, 8, gain), (std::vector<int>{2, 6}));
+  const std::vector<Ladder> jobs{Ladder({10, 10, kNaN, 10, 10, 10, 10, 10}), flat(8, 1.0)};
+  EXPECT_EQ(fill({0, 0}, jobs, 8), (std::vector<int>{2, 6}));
   // Nor when it holds them now.
-  std::vector<int> widths{5, 0};
-  waterfill(widths, {0, 0}, {8, 8}, 8, gain);
-  EXPECT_EQ(widths, (std::vector<int>{2, 6}));
+  EXPECT_EQ(fill({5, 0}, {0, 0}, jobs, 8), (std::vector<int>{2, 6}));
 }
 
 TEST(Waterfill, StopsAtTheFirstNonPositiveGain) {
   // The best gain left is 0: the remaining budget stays unallocated.
-  EXPECT_EQ(fill({0, 0}, {8, 8}, 8,
-                 [](std::size_t job, int width) { return job == 0 ? 2.0 - width : 0.0; }),
+  EXPECT_EQ(fill({0, 0}, {Ladder({2, 1, 0, -1, -2, -3, -4, -5}), flat(8, 0.0)}, 8),
             (std::vector<int>{2, 0}));
 
   // A job whose gain is negative at its width is never grown past it, even
   // if a later width would pay, nor kept there when it holds them now.
-  const auto dip = [](std::size_t, int width) { return width == 4 ? -1.0 : 1.0; };
-  EXPECT_EQ(fill({4}, {8}, 8, dip), (std::vector<int>{4}));
-  std::vector<int> widths{7};
-  waterfill(widths, {2}, {8}, 8, dip);
-  EXPECT_EQ(widths, (std::vector<int>{4}));
+  EXPECT_EQ(fill({4}, {Ladder({-1, 1, 1, 1})}, 8), (std::vector<int>{4}));
+  EXPECT_EQ(fill({7}, {2}, {Ladder({1, 1, -1, 1, 1, 1})}, 8), (std::vector<int>{4}));
+
+  // A job with no remaining work gains nothing, even from an infinite step.
+  EXPECT_EQ(fill({3, 1}, {1, 1}, {Ladder(0.0, {kInf, 1, 1}), Ladder({1, 1})}, 8),
+            (std::vector<int>{1, 3}));
 }
 
 TEST(Waterfill, RespectsBoundsAndBudget) {
   // Lower bounds are kept even with nothing to gain; upper bounds cap the
   // grants; the budget counts the lower bounds too.
-  const auto one = [](std::size_t, int) { return 1.0; };
-  EXPECT_EQ(fill({2, 3, 1}, {2, 5, 10}, 9, one), (std::vector<int>{2, 5, 2}));
-  EXPECT_EQ(fill({2, 3}, {4, 4}, 20, [](std::size_t, int) { return -1.0; }),
-            (std::vector<int>{2, 3}));
-  EXPECT_EQ(fill({3, 0}, {3, 1}, 10, one), (std::vector<int>{3, 1}));
+  const std::vector<Ladder> jobs{flat(0, 1.0), flat(2, 1.0), flat(9, 1.0)};
+  EXPECT_EQ(fill({2, 3, 1}, jobs, 9), (std::vector<int>{2, 5, 2}));
+  EXPECT_EQ(fill({2, 3}, {Ladder({-1, -1}), Ladder({-1})}, 20), (std::vector<int>{2, 3}));
+  EXPECT_EQ(fill({3, 0}, {flat(0, 1.0), flat(1, 1.0)}, 10), (std::vector<int>{3, 1}));
 
   // Widths held outside the bounds come back inside them.
-  std::vector<int> widths{0, 9, 4};
-  waterfill(widths, {2, 3, 1}, {2, 5, 10}, 9, one);
-  EXPECT_EQ(widths, (std::vector<int>{2, 5, 2}));
+  EXPECT_EQ(fill({0, 9, 4}, {2, 3, 1}, jobs, 9), (std::vector<int>{2, 5, 2}));
 }
 
 TEST(Waterfill, LowerBoundsAboveTheBudgetAreAnError) {
-  const auto one = [](std::size_t, int) { return 1.0; };
+  const Ladder one({1.0});
   std::vector<int> widths{3, 3};
-  EXPECT_THROW(waterfill(widths, {3, 3}, {4, 4}, 5, one), InternalError);
+  EXPECT_THROW(waterfill(widths, {3, 3}, gains_of({one, one}), 5), InternalError);
   std::vector<int> mismatched{1, 1};
-  EXPECT_THROW(waterfill(mismatched, {1, 1}, {4}, 5, one), InternalError);
-  EXPECT_THROW(waterfill(mismatched, {1}, {4, 4}, 5, one), InternalError);
+  EXPECT_THROW(waterfill(mismatched, {1, 1}, gains_of({one}), 5), InternalError);
+  EXPECT_THROW(waterfill(mismatched, {1}, gains_of({one, one}), 5), InternalError);
+}
+
+TEST(Waterfill, ScalesMustBeFiniteAndNonNegative) {
+  const Ladder one({1.0});
+  for (const double scale : {-1.0, -kInf, kInf, kNaN}) {
+    std::vector<int> widths{0};
+    EXPECT_THROW(waterfill(widths, {0}, {JobGains{scale, one.steps, one.floors}}, 4),
+                 InternalError)
+        << scale;
+  }
+  // One floor per step.
+  std::vector<int> widths{0};
+  EXPECT_THROW(waterfill(widths, {0}, {JobGains{1.0, one.steps, {}}}, 4), InternalError);
 }
 
 TEST(Waterfill, AKeptPrefixStopsAtADip) {
@@ -119,31 +141,45 @@ TEST(Waterfill, AKeptPrefixStopsAtADip) {
   // second GPU ties the level the fill stops at (its effective gain is 1,
   // and so is that of the 10 behind the dip): the kept items must end
   // below the dip, or the 10 would be kept without the 1 before it.
-  const std::vector<std::vector<double>> gains{{4, 1, 10}, {2, 2, 2}};
+  const std::vector<Ladder> jobs{Ladder({4, 1, 10}), Ladder({2, 2, 2})};
   for (const std::vector<int>& start :
        {std::vector<int>{0, 0}, std::vector<int>{2, 3}, std::vector<int>{3, 2},
         std::vector<int>{3, 3}}) {
-    std::vector<int> widths = start;
-    waterfill(widths, {0, 0}, {3, 3}, 5, [&](std::size_t job, int width) {
-      return gains[job][static_cast<std::size_t>(width)];
-    });
-    EXPECT_EQ(widths, (std::vector<int>{2, 3})) << start[0] << "," << start[1];
+    EXPECT_EQ(fill(start, {0, 0}, jobs, 5), (std::vector<int>{2, 3}))
+        << start[0] << "," << start[1];
   }
 }
 
-// The rule as the header states it: every job's current gain in an array,
-// scanned for the largest before each grant (ties to the earliest job).
-template <typename Gain>
-std::vector<int> scan_waterfill(std::vector<int> widths, const std::vector<int>& max_widths,
-                                int budget, Gain&& gain) {
+TEST(AppendStep, FloorsCountANanStepAsMinusInfinity) {
+  std::vector<double> steps;
+  std::vector<double> floors;
+  for (const double step : {3.0, 5.0, 1.0, kNaN, 2.0}) append_step(steps, floors, step);
+  EXPECT_EQ(steps.size(), 5u);
+  EXPECT_TRUE(std::isnan(steps[3]));
+  EXPECT_EQ(floors, (std::vector<double>{3.0, 3.0, 1.0, -kInf, -kInf}));
+  // A NaN first step is a floor of -inf too.
+  std::vector<double> nan_steps;
+  std::vector<double> nan_floors;
+  append_step(nan_steps, nan_floors, kNaN);
+  append_step(nan_steps, nan_floors, 4.0);
+  EXPECT_EQ(nan_floors, (std::vector<double>{-kInf, -kInf}));
+}
+
+// The rule as the header states it: every job's current gain, scale times
+// its step, in an array scanned for the largest before each grant (ties to
+// the earliest job).
+std::vector<int> scan_waterfill(std::vector<int> widths, const std::vector<Ladder>& jobs,
+                                int budget) {
   const std::size_t n = widths.size();
+  const std::vector<int> lower = widths;
   for (const int w : widths) budget -= w;
   std::vector<double> current(n);
   std::vector<bool> open(n);  // below its upper bound, gain not NaN
   const auto ask = [&](std::size_t pos) {
-    open[pos] = widths[pos] < max_widths[pos];
+    const auto k = static_cast<std::size_t>(widths[pos] - lower[pos]);
+    open[pos] = k < jobs[pos].steps.size();
     if (open[pos]) {
-      current[pos] = gain(pos, widths[pos]);
+      current[pos] = jobs[pos].scale * jobs[pos].steps[k];
       open[pos] = !std::isnan(current[pos]);
     }
   };
@@ -162,31 +198,41 @@ std::vector<int> scan_waterfill(std::vector<int> widths, const std::vector<int>&
 }
 
 TEST(Waterfill, MatchesTheScanRule) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   // A small palette makes exact ties, signed zeros and infinities common;
-  // drawing each width's gain on its own makes runs that rise and fall.
+  // drawing each width's step on its own makes runs that rise and fall, and
+  // some jobs' steps rise all the way. A scale of 0 zeroes a job's gains;
+  // the tiniest and the largest scales round distinct steps to equal
+  // gains, 0 and +inf.
   const double palette[] = {3.0, 2.0, 1.0, 0.5, 0.0, -0.0, -1.0, kInf, -kInf, kNaN};
   Rng rng(20201);
   for (int instance = 0; instance < 2400; ++instance) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 300));
     std::vector<int> lower(n);
     std::vector<int> upper(n);
-    std::vector<std::vector<double>> gains(n);
+    std::vector<Ladder> jobs;
     int lower_sum = 0;
     for (std::size_t pos = 0; pos < n; ++pos) {
       lower[pos] = static_cast<int>(rng.uniform_int(0, 3));
-      upper[pos] = lower[pos] + static_cast<int>(rng.uniform_int(0, 12));
+      const auto size = static_cast<std::size_t>(rng.uniform_int(0, 12));
+      upper[pos] = lower[pos] + static_cast<int>(size);
       lower_sum += lower[pos];
-      for (int w = 0; w < upper[pos]; ++w) {
+      std::vector<double> steps;
+      for (std::size_t k = 0; k < size; ++k) {
         const auto pick = rng.uniform_int(0, 13);
-        gains[pos].push_back(pick < 10 ? palette[pick] : rng.uniform(-2.0, 4.0));
+        steps.push_back(pick < 10 ? palette[pick] : rng.uniform(-2.0, 4.0));
       }
+      if (rng.uniform_int(0, 7) == 0) std::sort(steps.begin(), steps.end());
+      const auto which = rng.uniform_int(0, 9);
+      const double scale = which == 0   ? 0.0
+                           : which <= 3 ? 1.0
+                           : which == 4 ? std::numeric_limits<double>::denorm_min()
+                           : which == 5 ? 1e308
+                                        : rng.uniform(0.0, 8.0);
+      jobs.emplace_back(scale, steps);
     }
     const int budget =
         lower_sum + static_cast<int>(rng.uniform_int(0, std::max(0, 1100 - lower_sum)));
-    const auto expected = scan_waterfill(lower, upper, budget, [&](std::size_t pos, int w) {
-      return gains[pos][static_cast<std::size_t>(w)];
-    });
+    const auto expected = scan_waterfill(lower, jobs, budget);
     // Start from the lower bounds, from the answer, from widths inside the
     // bounds and from widths anywhere around them.
     std::vector<int> inside(n);
@@ -198,27 +244,8 @@ TEST(Waterfill, MatchesTheScanRule) {
     const std::pair<const char*, const std::vector<int>*> starts[] = {
         {"lower bounds", &lower}, {"answer", &expected}, {"inside", &inside}, {"around", &around}};
     for (const auto& [which, start] : starts) {
-      std::vector<std::vector<int>> asked(n);  // each job's widths, in call order
-      std::vector<int> widths = *start;
-      waterfill(widths, lower, upper, budget, [&](std::size_t pos, int w) {
-        asked[pos].push_back(w);
-        return gains[pos][static_cast<std::size_t>(w)];
-      });
-      ASSERT_EQ(widths, expected) << "instance " << instance << ", start " << which;
-      // The gain is asked from the lower bound up, one width at a time,
-      // below the upper bound and at every granted width.
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        for (std::size_t k = 0; k < asked[pos].size(); ++k) {
-          ASSERT_EQ(asked[pos][k], lower[pos] + static_cast<int>(k))
-              << "instance " << instance << ", start " << which << ", job " << pos;
-        }
-        if (!asked[pos].empty()) {
-          ASSERT_LT(asked[pos].back(), upper[pos])
-              << "instance " << instance << ", start " << which << ", job " << pos;
-        }
-        ASSERT_GE(lower[pos] + static_cast<int>(asked[pos].size()), widths[pos])
-            << "instance " << instance << ", start " << which << ", job " << pos;
-      }
+      ASSERT_EQ(fill(*start, lower, jobs, budget), expected)
+          << "instance " << instance << ", start " << which;
     }
   }
 }

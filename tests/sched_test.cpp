@@ -2,6 +2,7 @@
 // (paper §VI-C; Figs 20-22).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "sched/cluster.h"
@@ -300,6 +301,92 @@ TEST(Cluster, RejectsBadInput) {
   SchedFixture f;
   ClusterSim sim(f.throughput, f.costs, PolicyKind::kFifo, baselines::System::kElan);
   EXPECT_THROW(sim.run({}), InvalidArgument);
+}
+
+// A trace of one small job and one that starts on 200 GPUs, job 1.
+std::vector<SchedJobSpec> trace_with_a_wide_job(int req_res, int min_res) {
+  SchedJobSpec small;
+  small.id = 0;
+  small.model = train::resnet50();
+  small.req_res = 8;
+  small.min_res = 2;
+  small.max_res = 32;
+  small.base_total_batch = 256;
+  small.total_samples = 1'000'000;
+  SchedJobSpec wide = small;
+  wide.id = 1;
+  wide.submit_time = 10.0;
+  wide.req_res = req_res;
+  wide.min_res = min_res;
+  wide.max_res = req_res;
+  wide.base_total_batch = 32 * req_res;
+  return {small, wide};
+}
+
+void expect_rejected(SchedFixture& f, PolicyKind policy, const std::vector<SchedJobSpec>& trace) {
+  try {
+    f.run(policy, baselines::System::kElan, trace);
+    ADD_FAILURE() << to_string(policy) << " replayed a job wider than the cluster";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("job 1 starts on 200 GPUs, more than the cluster's 128"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cluster, StaticPoliciesRejectAJobWiderThanTheCluster) {
+  // FIFO and BF start a job on req_res GPUs: one wider than the cluster
+  // would hold the queue forever.
+  SchedFixture f;
+  for (auto policy : {PolicyKind::kFifo, PolicyKind::kBackfill}) {
+    expect_rejected(f, policy, trace_with_a_wide_job(200, 200));
+    expect_rejected(f, policy, trace_with_a_wide_job(200, 100));
+  }
+}
+
+TEST(Cluster, ElasticPoliciesRejectAJobWhoseLowerBoundExceedsTheCluster) {
+  // The elastic policies start a job on min_res GPUs.
+  SchedFixture f;
+  for (auto policy :
+       {PolicyKind::kElasticFifo, PolicyKind::kElasticBackfill, PolicyKind::kElasticSrtf}) {
+    expect_rejected(f, policy, trace_with_a_wide_job(200, 200));
+  }
+}
+
+TEST(Cluster, JobsSharingAConfigurationButNotMinResReplayAlike) {
+  // Jobs of one model, req_res and base batch whose min_res differ have
+  // their own ladders (and so their own steps and floors, which run from
+  // min_res up): a replay does not depend on which of them the simulator
+  // met first. The primed simulator first replays the same jobs all
+  // submitted at once, the higher min_res of each configuration first.
+  SchedFixture f;
+  auto trace = f.small_trace();
+  bool raise = false;
+  int raised = 0;
+  for (auto& job : trace) {
+    if (job.min_res < job.req_res && (raise = !raise)) {
+      ++job.min_res;
+      ++raised;
+    }
+  }
+  ASSERT_GT(raised, 10);
+  auto priming = trace;
+  const auto higher_min_res = [](const SchedJobSpec& a, const SchedJobSpec& b) {
+    return a.min_res > b.min_res;
+  };
+  std::stable_sort(priming.begin(), priming.end(), higher_min_res);
+  for (auto& job : priming) job.submit_time = 0.0;
+  ClusterSim fresh(f.throughput, f.costs, PolicyKind::kElasticBackfill, baselines::System::kElan);
+  ClusterSim primed(f.throughput, f.costs, PolicyKind::kElasticBackfill, baselines::System::kElan);
+  primed.run(priming);
+  const auto a = fresh.run(trace);
+  const auto b = primed.run(trace);
+  EXPECT_EQ(a.jobs_finished, static_cast<int>(trace.size()));
+  EXPECT_EQ(a.total_adjustments, b.total_adjustments);
+  EXPECT_EQ(a.completion_time.mean(), b.completion_time.mean());
+  EXPECT_EQ(a.pending_time.mean(), b.pending_time.mean());
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.average_utilization(), b.average_utilization());
 }
 
 TEST(Cluster, PolicyNames) {
