@@ -23,7 +23,9 @@ void print_gantt(const std::vector<Phase>& phases, Seconds t0, Seconds t1) {
   const double scale = kWidth / (t1 - t0);
   for (const auto& p : phases) {
     const int from = std::clamp(static_cast<int>((p.begin - t0) * scale), 0, kWidth);
-    const int to = std::clamp(static_cast<int>((p.end - t0) * scale), from + 1, kWidth);
+    // At least one column, unless the phase starts at the timeline's end.
+    const int to =
+        std::clamp(static_cast<int>((p.end - t0) * scale), std::min(from + 1, kWidth), kWidth);
     std::printf("  %-22s |%s%s%s| %.2fs\n", p.name.c_str(), std::string(from, ' ').c_str(),
                 std::string(to - from, '#').c_str(), std::string(kWidth - to, ' ').c_str(),
                 p.end - p.begin);

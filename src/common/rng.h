@@ -39,11 +39,6 @@ class Rng {
     return std::exponential_distribution<double>(rate)(engine_);
   }
 
-  /// Log-normal distribution parameterised by the underlying normal.
-  double lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
-
   /// Bernoulli trial.
   bool chance(double p) { return uniform() < p; }
 

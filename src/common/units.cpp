@@ -36,10 +36,4 @@ std::string format_seconds(Seconds s) {
   return format_with_suffix(s / 3600.0, "h");
 }
 
-std::string format_bandwidth(BytesPerSecond bps) {
-  if (bps < 1024.0 * 1024.0) return format_with_suffix(bps / 1024.0, "KiB/s");
-  if (bps < 1024.0 * 1024.0 * 1024.0) return format_with_suffix(bps / (1024.0 * 1024.0), "MiB/s");
-  return format_with_suffix(bps / (1024.0 * 1024.0 * 1024.0), "GiB/s");
-}
-
 }  // namespace elan

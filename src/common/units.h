@@ -41,7 +41,4 @@ std::string format_bytes(Bytes b);
 /// Human readable duration, e.g. "1.53 s" or "12.1 ms".
 std::string format_seconds(Seconds s);
 
-/// Human readable bandwidth, e.g. "12.3 GiB/s".
-std::string format_bandwidth(BytesPerSecond bps);
-
 }  // namespace elan

@@ -12,8 +12,6 @@ struct Dataset {
   std::string name;
   std::uint64_t num_samples = 0;
   Bytes sample_bytes = 0;  // average encoded sample size (IO modelling)
-
-  Bytes total_bytes() const { return num_samples * sample_bytes; }
 };
 
 /// Standard datasets referenced by the paper (Table I and §VI-B).

@@ -43,7 +43,6 @@ struct StateSnapshot {
   Bytes nominal_gpu_bytes = 0;
   Bytes nominal_cpu_bytes = 0;
 
-  Bytes nominal_total_bytes() const { return nominal_gpu_bytes + nominal_cpu_bytes; }
   /// Actual stored bytes (scaled), for serialisation cost in tests.
   Bytes stored_bytes() const;
   std::uint64_t checksum() const;

@@ -120,12 +120,6 @@ class WorkerProcess {
   /// container that finished starting but cannot reach the AM). The AM's
   /// report timeout eventually evicts this worker from the plan.
   void fault_suppress_report() { suppress_report_ = true; }
-  bool report_suppressed() const { return suppress_report_; }
-
-  /// Coordinates re-sent because no decision arrived within
-  /// `decision_timeout` (normally zero; nonzero after an AM crash ate the
-  /// reply).
-  std::uint64_t decision_resends() const { return decision_resends_; }
 
   /// Total Launching time and Initializing time actually incurred (Fig 11
   /// breakdown inputs).
@@ -162,6 +156,8 @@ class WorkerProcess {
   transport::TimerId decision_timer_ = 0;
   /// The pending start or init delay of launch(), 0 otherwise.
   transport::TimerId launch_timer_ = 0;
+  /// Coordinates re-sent because no decision arrived within
+  /// `decision_timeout` (nonzero after an AM crash ate the reply).
   std::uint64_t decision_resends_ = 0;
   bool suppress_report_ = false;
   Seconds measured_start_ = 0;

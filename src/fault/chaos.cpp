@@ -164,8 +164,6 @@ void ChaosRunner::set_flight_prefix(std::string prefix) {
   flight_prefix_storage() = std::move(prefix);
 }
 
-std::string ChaosRunner::flight_prefix() { return flight_prefix_storage(); }
-
 ChaosPlan ChaosRunner::scripted_failure_plan() {
   ChaosPlan plan;
   plan.seed = 0xdead;  // provenance marker; nothing is sampled from it

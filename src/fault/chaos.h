@@ -146,7 +146,6 @@ class ChaosRunner {
   /// via ELAN_FLIGHT or elan_chaos --flight). Falls back to the ELAN_FLIGHT
   /// path as prefix when unset.
   static void set_flight_prefix(std::string prefix);
-  static std::string flight_prefix();
 
   /// Runs one scenario in a fresh simulated cluster and checks invariants.
   static ChaosResult run_plan(const ChaosPlan& plan);

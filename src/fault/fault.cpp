@@ -75,11 +75,10 @@ int FaultInjector::pick_victim() const {
 
 void FaultInjector::kill(int requested, const char* why) {
   const int victim = requested >= 0 ? requested : pick_victim();
+  // A victim already dead, unknown, or the last survivor is left alone.
   if (victim >= 0 && job_.fault_kill_worker(victim)) {
     ++kills_;
     record(std::string("kill_worker:") + std::to_string(victim) + " (" + why + ")");
-  } else {
-    ++no_ops_;  // already dead, unknown, or the last survivor
   }
 }
 
@@ -89,7 +88,6 @@ void FaultInjector::crash_and_recover(Seconds downtime) {
   record("crash_master downtime=" + std::to_string(downtime));
   sim_.schedule(downtime, [this] {
     job_.recover_master();
-    ++master_recoveries_;
     record("recover_master");
   });
 }
@@ -165,7 +163,6 @@ void FaultInjector::arm(const FaultPlan& plan) {
     if (prev_launched) prev_launched(worker);
     if (suppress_pending_ > 0) {
       --suppress_pending_;
-      ++reports_suppressed_;
       worker.fault_suppress_report();
       record("suppress_report:" + std::to_string(worker.id()));
     }

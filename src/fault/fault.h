@@ -102,12 +102,6 @@ class FaultInjector {
 
   int kills() const { return kills_; }
   int master_crashes() const { return master_crashes_; }
-  int master_recoveries() const { return master_recoveries_; }
-  int reports_suppressed() const { return reports_suppressed_; }
-  /// Events that resolved to nothing at fire time (victim already dead,
-  /// no adjustment to interrupt, ...). Not an error: random plans race the
-  /// workload they perturb.
-  int no_ops() const { return no_ops_; }
   /// Human-readable log of what actually fired, in fire order.
   const std::vector<std::string>& injected() const { return injected_; }
 
@@ -139,9 +133,6 @@ class FaultInjector {
 
   int kills_ = 0;
   int master_crashes_ = 0;
-  int master_recoveries_ = 0;
-  int reports_suppressed_ = 0;
-  int no_ops_ = 0;
   std::vector<std::string> injected_;
 
   void fire(const FaultEvent& event);

@@ -29,13 +29,12 @@ void MiniDlEngine::compute_gradients(std::uint64_t, const data::SampleRange& sha
     // Epoch-end fragmentation can leave a replica without data this
     // iteration; it contributes a zero gradient to the allreduce.
     std::fill(gradients_.begin(), gradients_.end(), 0.0);
-    last_loss_ = 0.0f;
     return;
   }
   const auto begin = static_cast<int>(shard.begin % static_cast<std::uint64_t>(data_->size()));
   const auto end = std::min(begin + static_cast<int>(shard.size()), data_->size());
   const auto batch = data_->slice(begin, end);
-  last_loss_ = model_.loss(batch.features, batch.labels, /*train=*/true);
+  model_.loss(batch.features, batch.labels, /*train=*/true);  // forward + backward
   gradients_ = model_.flatten_gradients();
 }
 

@@ -38,14 +38,12 @@ class MiniDlEngine final : public train::TrainingEngine {
   std::uint64_t state_checksum() const override { return model_.state_checksum(); }
 
   const Mlp& model() const { return model_; }
-  float last_loss() const { return last_loss_; }
 
  private:
   std::shared_ptr<const LabeledData> data_;
   MiniDlEngineConfig config_;
   Mlp model_;
   std::vector<double> gradients_;
-  float last_loss_ = 0.0f;
 };
 
 /// A ModelSpec describing the MLP to the simulator (timing, state sizes,

@@ -176,9 +176,4 @@ double DataParallelTrainer::accuracy() const {
   return model.accuracy(data_->features, data_->labels);
 }
 
-float DataParallelTrainer::full_loss() const {
-  auto& model = *replicas_.begin()->second.model;
-  return model.loss(data_->features, data_->labels, false);
-}
-
 }  // namespace elan::minidl

@@ -66,7 +66,6 @@ class DataParallelTrainer {
 
   /// Evaluation on the full dataset using replica 0.
   double accuracy() const;
-  float full_loss() const;
 
   const Mlp& replica(int id) const;
 

@@ -111,6 +111,4 @@ bool flight_requested() { return !flight_path_storage().empty(); }
 
 std::string flight_path() { return flight_path_storage(); }
 
-void dump_now() { dump_observability(); }
-
 }  // namespace elan::obs

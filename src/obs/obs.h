@@ -39,10 +39,6 @@ bool flight_requested();
 /// The ELAN_FLIGHT destination ("" when unset).
 std::string flight_path();
 
-/// Flushes the pending exit dumps immediately (also runs atexit; tools call
-/// this to write files before printing a "wrote ..." line).
-void dump_now();
-
 /// One simulated run's observability context, bound to the calling thread
 /// while the scope lives (DESIGN.md §5d, §5i):
 ///   - the thread's tracer and flight-recorder timestamps come from

@@ -74,35 +74,19 @@ void ClusterSim::fill_rung(const SchedJob& job, int workers, Rung& r) const {
            (1.0 - costs_->runtime_overhead(system_, job.spec.model, workers, r.batch));
 }
 
-double ClusterSim::measured_throughput(const SchedJob& job) const {
-  if (!params_.placement_aware) return job_throughput(job, job.effective_workers(now_));
+double ClusterSim::measured_throughput(const SchedJob& job, int workers, int batch) const {
+  if (!params_.placement_aware) return job_throughput(job, workers);
   // The job's real placement sets the communication bottleneck. During an
   // adjustment's start window the previous width applies; approximate the
-  // previous placement by the first prev_workers GPUs of the current set.
+  // previous placement by the first `workers` GPUs of the current set.
   std::span<const topo::GpuId> members = job.gpus;
-  const int eff = job.effective_workers(now_);
-  if (static_cast<int>(members.size()) > eff && eff > 0) {
-    members = members.first(static_cast<std::size_t>(eff));
+  if (static_cast<int>(members.size()) > workers && workers > 0) {
+    members = members.first(static_cast<std::size_t>(workers));
   }
-  const int tbs = job.effective_batch(now_);
-  double tput = throughput_->throughput_on(job.spec.model, members, tbs);
+  double tput = throughput_->throughput_on(job.spec.model, members, batch);
   tput *= 1.0 - costs_->runtime_overhead(system_, job.spec.model,
-                                         static_cast<int>(members.size()), tbs);
+                                         static_cast<int>(members.size()), batch);
   return tput;
-}
-
-double ClusterSim::measured_throughput_cached(int index) {
-  const SchedJob& job = jobs_[static_cast<std::size_t>(index)];
-  // The measured throughput is a pure function of the adjustment-timeline
-  // phase now_ falls in: the allocation, batch, and placement are all
-  // constant between allocation changes (which invalidate the cache).
-  const int phase = now_ < job.pause_start ? 0 : (now_ < job.paused_until ? 1 : 2);
-  JobTput& cached = job_tput_[static_cast<std::size_t>(index)];
-  if (cached.phase != phase) {
-    cached.tput = measured_throughput(job);
-    cached.phase = phase;
-  }
-  return cached.tput;
 }
 
 void ClusterSim::start_job(int index, int workers) {
@@ -117,7 +101,7 @@ void ClusterSim::start_job(int index, int workers) {
   if (params_.placement_aware) {
     job.gpus = take_gpus(free_pool_, workers, {});
   }
-  job_tput_[static_cast<std::size_t>(index)].phase = -1;
+  job.tput_after_pause = measured_throughput(job, workers, job.total_batch);
   running_.push_back(index);
   metrics_.pending_time.add(job.pending_time());
 }
@@ -143,10 +127,10 @@ Seconds ClusterSim::adjustment_pause(AdjustmentType type, const SchedJob& job,
                                      int new_workers) {
   const std::uint64_t key =
       pack_pause_key(type, static_cast<int>(job.spec.model.kind), job.workers, new_workers);
-  if (const double* hit = pause_cache_.find(key)) return *hit;
+  if (const auto hit = pause_cache_.find(key); hit != pause_cache_.end()) return hit->second;
   const Seconds pause =
       costs_->pause_time(system_, type, job.spec.model, job.workers, new_workers);
-  pause_cache_.insert(key, pause);
+  pause_cache_.try_emplace(key, pause);
   return pause;
 }
 
@@ -181,21 +165,24 @@ void ClusterSim::apply_allocation(SchedJob& job, int new_workers) {
   }
   job.workers = new_workers;
   job.total_batch = hybrid_batch(job, new_workers);
-  job_tput_[static_cast<std::size_t>(&job - jobs_.data())].phase = -1;
+  job.tput_after_pause = measured_throughput(job, new_workers, job.total_batch);
+  if (start_window > 0) {
+    job.tput_before_pause = measured_throughput(job, job.prev_workers, job.prev_total_batch);
+  }
   ++job.adjustments;
   ++metrics_.total_adjustments;
 }
 
-bool ClusterSim::progress_running() {
+void ClusterSim::progress_running() {
   std::vector<int> finished;
   for (int index : running_) {
     SchedJob& job = jobs_[static_cast<std::size_t>(index)];
     if (job.paused(now_)) continue;
-    job.remaining_samples -= measured_throughput_cached(index) * kTick;
+    const double tput = now_ < job.pause_start ? job.tput_before_pause : job.tput_after_pause;
+    job.remaining_samples -= tput * kTick;
     if (job.remaining_samples <= 0) finished.push_back(index);
   }
   for (int index : finished) finish_job(index);
-  return !finished.empty();
 }
 
 void ClusterSim::schedule_static() {
@@ -245,17 +232,10 @@ void ClusterSim::schedule_elastic() {
   // Admission rule: a job can start once min_res GPUs are free. E-FIFO
   // admits strictly in order; E-BF lets any queued job slip in; E-SRTF
   // admits the shortest-estimated job first (the paper's future-work
-  // "more complicated policy").
-  if (policy_ == PolicyKind::kElasticSrtf) {
-    std::stable_sort(queue_.begin(), queue_.end(), [&](int a, int b) {
-      const auto& ja = jobs_[static_cast<std::size_t>(a)];
-      const auto& jb = jobs_[static_cast<std::size_t>(b)];
-      return estimated_remaining(ja, ja.spec.req_res) <
-             estimated_remaining(jb, jb.spec.req_res);
-    });
-  }
+  // "more complicated policy"; admit_arrivals keeps its queue in that
+  // order). Every min_res is at least 1, so a full cluster admits nothing.
   bool admitted = false;
-  for (auto it = queue_.begin(); it != queue_.end();) {
+  for (auto it = queue_.begin(); it != queue_.end() && free_gpus_ > 0;) {
     const SchedJob& job = jobs_[static_cast<std::size_t>(*it)];
     if (job.spec.min_res <= free_gpus_) {
       start_job(*it, job.spec.min_res);
@@ -272,34 +252,6 @@ void ClusterSim::schedule_elastic() {
     rebalance_requested_ = false;
     next_rebalance_ = now_ + kRebalanceInterval;
   }
-}
-
-bool ClusterSim::scheduling_is_noop() const {
-  // True only when the scheduling pass at now_ is provably a no-op, so the
-  // replay loop may skip it without perturbing a single decision.
-  if (is_elastic(policy_)) {
-    if (rebalance_requested_ || now_ >= next_rebalance_) return false;
-    if (queue_.empty()) return true;
-    if (free_gpus_ <= 0) return true;  // min_res >= 1: nothing can be admitted
-    if (policy_ == PolicyKind::kElasticFifo) {
-      // Strict ordering: the scan stops at the head either way.
-      return jobs_[static_cast<std::size_t>(queue_.front())].spec.min_res > free_gpus_;
-    }
-    // E-BF / E-SRTF scan the whole queue. (E-SRTF's admission re-sort is
-    // idempotent while nothing is admitted: a pending job's estimated
-    // remaining time never changes.)
-    for (int index : queue_) {
-      if (jobs_[static_cast<std::size_t>(index)].spec.min_res <= free_gpus_) return false;
-    }
-    return true;
-  }
-  if (queue_.empty()) return true;
-  if (policy_ == PolicyKind::kFifo) {
-    return jobs_[static_cast<std::size_t>(queue_.front())].spec.req_res > free_gpus_;
-  }
-  // Backfill: the shadow-time condition is time-dependent; conservatively
-  // run the full pass whenever GPUs are free and jobs wait.
-  return free_gpus_ == 0;
 }
 
 void ClusterSim::rebalance() {
@@ -340,9 +292,20 @@ void ClusterSim::rebalance() {
 
 void ClusterSim::admit_arrivals(const std::vector<SchedJobSpec>& trace,
                                 std::size_t& next_arrival) {
+  const std::size_t first = next_arrival;
   while (next_arrival < trace.size() && trace[next_arrival].submit_time <= now_) {
     queue_.push_back(static_cast<int>(next_arrival));
     ++next_arrival;
+  }
+  // E-SRTF's queue stays in order of estimated remaining time. A pending
+  // job's estimate never changes, so only arrivals can unsort it.
+  if (policy_ == PolicyKind::kElasticSrtf && next_arrival > first) {
+    std::stable_sort(queue_.begin(), queue_.end(), [&](int a, int b) {
+      const auto& ja = jobs_[static_cast<std::size_t>(a)];
+      const auto& jb = jobs_[static_cast<std::size_t>(b)];
+      return estimated_remaining(ja, ja.spec.req_res) <
+             estimated_remaining(jb, jb.spec.req_res);
+    });
   }
 }
 
@@ -358,13 +321,25 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
                          }),
           "cluster: trace must be sorted by submit time");
 
-  // A job that cannot start on the whole cluster would wait forever.
+  // The replay prices a job only at widths in [min_res, max_res], and a job
+  // that cannot start on the whole cluster would wait forever.
   for (const auto& spec : trace) {
+    ELAN_REQUIRE(1 <= spec.min_res && spec.min_res <= spec.req_res &&
+                     spec.req_res <= spec.max_res,
+                 "cluster: job " + std::to_string(spec.id) + " has min_res " +
+                     std::to_string(spec.min_res) + ", req_res " + std::to_string(spec.req_res) +
+                     ", max_res " + std::to_string(spec.max_res) +
+                     "; needs 1 <= min_res <= req_res <= max_res");
     const int start = is_elastic(policy_) ? spec.min_res : spec.req_res;
     ELAN_REQUIRE(start <= params_.total_gpus,
                  "cluster: job " + std::to_string(spec.id) + " starts on " +
                      std::to_string(start) + " GPUs, more than the cluster's " +
                      std::to_string(params_.total_gpus));
+    ELAN_REQUIRE(policy_ != PolicyKind::kElasticSrtf || spec.req_res <= params_.total_gpus,
+                 "cluster: job " + std::to_string(spec.id) + " has req_res " +
+                     std::to_string(spec.req_res) + ", more than the cluster's " +
+                     std::to_string(params_.total_gpus) +
+                     "; E-SRTF orders the queue by each job's time at req_res");
   }
 
   now_ = 0;
@@ -374,24 +349,29 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
     SchedJob job;
     job.spec = spec;
     job.remaining_samples = static_cast<double>(spec.total_samples);
-    const std::uint64_t key = pack_ladder_key(static_cast<int>(spec.model.kind), spec.req_res,
-                                              spec.base_total_batch, spec.min_res);
-    if (const int* hit = ladder_of_.find(key)) {
-      job.ladder = *hit;
-    } else {
-      job.ladder = static_cast<int>(ladders_.size());
-      ladder_of_.insert(key, job.ladder);
-      ladders_.emplace_back();
-    }
-    // Every width the replay prices lies in [1, max(min_res, req_res, max_res)].
+    const auto [entry, fresh] = ladder_of_.try_emplace(
+        pack_ladder_key(static_cast<int>(spec.model.kind), spec.req_res, spec.base_total_batch,
+                        spec.min_res),
+        static_cast<int>(ladders_.size()));
+    if (fresh) ladders_.emplace_back();
+    job.ladder = entry->second;
+    // Fill every rung the replay can read: FIFO and BF run a job at req_res,
+    // the elastic policies anywhere from min_res up to its cap, which also
+    // holds E-SRTF's req_res. A width past the cluster is never granted, and
+    // may not be priceable.
+    const bool elastic = is_elastic(policy_);
+    const int lo = elastic ? spec.min_res : spec.req_res;
+    const int cap = elastic ? std::min(spec.max_res, params_.total_gpus) : spec.req_res;
     Ladder& ladder = ladders_[static_cast<std::size_t>(job.ladder)];
-    const auto widest =
-        static_cast<std::size_t>(std::max({spec.min_res, spec.req_res, spec.max_res}));
-    if (ladder.rungs.size() <= widest) ladder.rungs.resize(widest + 1);
-    // The waterfill reads the steps up to the job's cap; a width past the
-    // cluster is never granted, and may not be priceable.
-    if (is_elastic(policy_)) {
-      const int cap = std::min(spec.max_res, params_.total_gpus);
+    if (ladder.rungs.size() <= static_cast<std::size_t>(cap)) {
+      ladder.rungs.resize(static_cast<std::size_t>(cap) + 1);
+    }
+    for (int w = lo; w <= cap; ++w) {
+      Rung& r = ladder.rungs[static_cast<std::size_t>(w)];
+      if (r.batch == 0) fill_rung(job, w, r);
+    }
+    // The waterfill reads the steps up to the job's cap.
+    if (elastic) {
       for (auto w = spec.min_res + static_cast<int>(ladder.steps.size()); w < cap; ++w) {
         append_step(ladder.steps, ladder.floors,
                     seconds_per_sample(job_throughput(job, w)) -
@@ -412,25 +392,18 @@ ScheduleMetrics ClusterSim::run(const std::vector<SchedJobSpec>& trace) {
   metrics_ = ScheduleMetrics{};
   next_rebalance_ = 0;
   rebalance_requested_ = false;
-  job_tput_.assign(jobs_.size(), JobTput{});
 
   // The clock always advances by exact `kTick` increments (never t0 + i*kTick
   // in one multiply — repeated addition keeps the sums, and so the pinned
-  // metrics, bit-identical). The scheduling pass is elided only on ticks
-  // where it is provably a no-op.
+  // metrics, bit-identical).
   std::size_t next_arrival = 0;
   while (next_arrival < trace.size() || !all_done()) {
-    const bool arrivals_due =
-        next_arrival < trace.size() && trace[next_arrival].submit_time <= now_;
-    if (arrivals_due) admit_arrivals(trace, next_arrival);
-    const bool finished_any = progress_running();
-    const bool lean = !arrivals_due && !finished_any && scheduling_is_noop();
-    if (!lean) {
-      if (is_elastic(policy_)) {
-        schedule_elastic();
-      } else {
-        schedule_static();
-      }
+    admit_arrivals(trace, next_arrival);
+    progress_running();
+    if (is_elastic(policy_)) {
+      schedule_elastic();
+    } else {
+      schedule_static();
     }
     const int busy = params_.total_gpus - free_gpus_;
     metrics_.utilization.push_back(

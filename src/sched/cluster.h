@@ -29,20 +29,20 @@
 // paper's Fig 22 ablation.
 //
 // Replay advances the clock in exact `kTick` increments. Every tick
-// integrates each running job's progress from a per-job cached throughput;
-// the scheduling pass then runs unless it is provably a no-op (no arrival
-// due, no job finished, no rebalance horizon crossed, no admission
-// possible). Skipping a no-op pass changes no decision:
+// integrates each running job's progress from the throughput priced when its
+// allocation last changed, then runs the scheduling pass; a pass with
+// nothing to admit or rebalance stops at its first test.
 // tests/sched_golden_test.cpp pins every bit of the metrics for all five
-// policies.
+// policies under all three systems.
 #pragma once
 
+#include <cstdint>
 #include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/adjustment_cost.h"
 #include "common/error.h"
-#include "common/flat_hash.h"
 #include "sched/allocation.h"
 #include "sched/job.h"
 #include "sched/metrics.h"
@@ -80,9 +80,11 @@ class ClusterSim {
              baselines::System system, ClusterParams params = {});
 
   /// Runs the trace to completion and returns the metrics. Throws
-  /// InvalidArgument, before replaying, when a job starts on more GPUs than
-  /// the cluster has: req_res under FIFO and BF, min_res under the elastic
-  /// policies.
+  /// InvalidArgument, before replaying, when a job's bounds break
+  /// 1 <= min_res <= req_res <= max_res, when a job starts on more GPUs than
+  /// the cluster has (req_res under FIFO and BF, min_res under the elastic
+  /// policies), or, under E-SRTF, which orders the queue by each job's time
+  /// at req_res, when req_res does.
   ScheduleMetrics run(const std::vector<SchedJobSpec>& trace);
 
  private:
@@ -103,29 +105,18 @@ class ClusterSim {
   Seconds next_rebalance_ = 0;
   bool rebalance_requested_ = false;
 
-  // Per-job measured-throughput memo for the progress integration. A
-  // job's measured throughput is constant within one phase of its
-  // adjustment timeline (pre-window / paused / steady), so the cached value
-  // is bit-identical to a fresh computation until the phase flips or the
-  // allocation changes (start_job / apply_allocation invalidate).
-  struct JobTput {
-    double tput = 0.0;
-    int phase = -1;  // 0 pre-window, 1 paused, 2 steady; -1 invalid
-  };
-  mutable std::vector<JobTput> job_tput_;
-
   // One throughput ladder per job configuration (model kind, req_res,
   // base_total_batch, min_res; see pack_ladder_key in the .cpp). Rung w
   // holds the batch hybrid scaling picks at w workers and the estimated
-  // throughput there; a rung is filled on first use and the rest of the
-  // replay reads it directly. Under the elastic policies, run() fills the
-  // waterfill's steps (sched/allocation.h) from min_res up to the widest
-  // cap, min(max_res, total_gpus), of the configuration's jobs: step k is
-  // seconds_per_sample at min_res + k workers less that at one more, and
-  // floors[k] the smallest of steps[0..k]. SchedJob::ladder indexes
-  // ladders_.
+  // throughput there. run() fills every rung the replay can read: req_res
+  // under FIFO and BF, and [min_res, min(max_res, total_gpus)] under the
+  // elastic policies, where it also fills the waterfill's steps
+  // (sched/allocation.h) up to the widest such cap of the configuration's
+  // jobs: step k is seconds_per_sample at min_res + k workers less that at
+  // one more, and floors[k] the smallest of steps[0..k]. SchedJob::ladder
+  // indexes ladders_.
   struct Rung {
-    int batch = 0;  // 0: not filled yet
+    int batch = 0;  // 0: not filled
     double tput = 0.0;
   };
   struct Ladder {
@@ -133,36 +124,34 @@ class ClusterSim {
     std::vector<double> steps;
     std::vector<double> floors;
   };
-  mutable std::vector<Ladder> ladders_;
-  FlatMap64<int> ladder_of_;  // packed configuration -> index into ladders_
+  std::vector<Ladder> ladders_;
+  std::unordered_map<std::uint64_t, int> ladder_of_;  // packed configuration -> ladders_ index
   // Adjustment pauses (see pack_pause_key): an Elan price runs the
-  // replication scheduler, and a replay repeats a few hundred shapes
-  // thousands of times.
-  FlatMap64<double> pause_cache_;
+  // replication scheduler, and a 5k-job replay prices about 20,000
+  // adjustments of about a thousand shapes.
+  std::unordered_map<std::uint64_t, Seconds> pause_cache_;
 
   void admit_arrivals(const std::vector<SchedJobSpec>& trace, std::size_t& next_arrival);
-  bool progress_running();
+  void progress_running();
   void schedule_static();
   void schedule_elastic();
-  bool scheduling_is_noop() const;
   void rebalance();
   void start_job(int index, int workers);
   void finish_job(int index);
   void apply_allocation(SchedJob& job, int new_workers);
   Seconds adjustment_pause(AdjustmentType type, const SchedJob& job, int new_workers);
 
-  // Placement-aware mode: the job's throughput on its actual GPUs.
-  double measured_throughput(const SchedJob& job) const;
-  double measured_throughput_cached(int index);
+  // The job's throughput at `workers` and `batch`; in placement-aware mode,
+  // on its actual GPUs.
+  double measured_throughput(const SchedJob& job, int workers, int batch) const;
 
   // Rung `workers` of the ladder of `job`'s configuration.
   const Rung& rung(const SchedJob& job, int workers) const {
-    std::vector<Rung>& rungs = ladders_[static_cast<std::size_t>(job.ladder)].rungs;
-    ELAN_CHECK(workers > 0 && static_cast<std::size_t>(workers) < rungs.size(),
-               "cluster: width outside the job's ladder");
-    Rung& r = rungs[static_cast<std::size_t>(workers)];
-    if (r.batch == 0) [[unlikely]] fill_rung(job, workers, r);
-    return r;
+    const std::vector<Rung>& rungs = ladders_[static_cast<std::size_t>(job.ladder)].rungs;
+    ELAN_CHECK(workers > 0 && static_cast<std::size_t>(workers) < rungs.size() &&
+                   rungs[static_cast<std::size_t>(workers)].batch != 0,
+               "cluster: no filled rung at this width");
+    return rungs[static_cast<std::size_t>(workers)];
   }
   void fill_rung(const SchedJob& job, int workers, Rung& r) const;
   double job_throughput(const SchedJob& job, int workers) const {

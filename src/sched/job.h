@@ -50,6 +50,11 @@ struct SchedJob {
   Seconds paused_until = 0;
   int prev_workers = 0;
   int prev_total_batch = 0;
+  /// Samples per second before pause_start (priced when a scale-out has a
+  /// start window) and from paused_until on (priced whenever the allocation
+  /// changes).
+  double tput_before_pause = 0;
+  double tput_after_pause = 0;
   int adjustments = 0;
   /// Index of ClusterSim's throughput ladder for this job's configuration.
   int ladder = -1;

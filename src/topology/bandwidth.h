@@ -29,11 +29,6 @@ class BandwidthModel {
   const LinkParams& params(LinkLevel level) const;
   void set_params(LinkLevel level, const LinkParams& params);
 
-  /// Ethernet control-plane link used for coordination messages and CPU-state
-  /// replication ("web socket" in the paper).
-  const LinkParams& control_params() const { return control_; }
-  void set_control_params(const LinkParams& params) { control_ = params; }
-
   /// Effective bandwidth for a `size`-byte transfer over `level` (excludes
   /// the fixed latency term).
   BytesPerSecond effective_bandwidth(LinkLevel level, Bytes size) const;
@@ -41,7 +36,9 @@ class BandwidthModel {
   /// Wall-clock (virtual) time to move `size` bytes over `level`.
   Seconds transfer_time(LinkLevel level, Bytes size) const;
 
-  /// Time to move `size` bytes over the control (Ethernet) link.
+  /// Time to move `size` bytes over the Ethernet control-plane link used for
+  /// coordination messages and CPU-state replication ("web socket" in the
+  /// paper).
   Seconds control_transfer_time(Bytes size) const;
 
   /// Measured bandwidth including latency, i.e. size / transfer_time. This is
@@ -51,7 +48,6 @@ class BandwidthModel {
   /// CPU<->GPU copy bandwidth over PCIe (used by checkpoint-based baselines
   /// and by the Litz context-switch model).
   Seconds host_device_copy_time(Bytes size) const;
-  BytesPerSecond host_device_bandwidth() const { return host_device_.peak_bandwidth; }
 
  private:
   LinkParams l1_, l2_, l3_, l4_;

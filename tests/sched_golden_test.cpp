@@ -1,9 +1,12 @@
 // Golden pins of ClusterSim's decisions: every bit of the replay metrics for
 // all five policies, count-based on the paper testbed (5 policies x 3 seeds)
 // and placement-aware on a 1024-GPU cluster (the only mode that runs
-// take_gpus / release_gpus). They are the replay loop's only bit-identity
-// reference: a change to the loop's no-op skipping, its throughput memo or
-// the shared allocation rule that alters any decision moves them.
+// take_gpus / release_gpus), under Elan. S&R rows (start windows, long
+// pauses) and Ideal rows (no pause, no window) pin the throughput a job
+// trains at before, during and after an adjustment. They are the replay
+// loop's only bit-identity reference: a change to the scheduling pass, the
+// throughput pricing or the shared allocation rule that alters any decision
+// moves them.
 //
 // On a mismatch the test prints the row the code now computes, in source
 // form. Re-pin only for a change that is meant to alter scheduling.
@@ -137,17 +140,55 @@ constexpr GoldenRow kPlacementAware[] = {
      {291, 1044, 0x40e9b7c000000000, 0x40643dc0934a7732, 0x40aee243d7f0ea4f, 0x3fc729b6861f7d60}},
 };
 
+// The count-based seed-2020 trace and the placement-aware trace under the
+// other two systems.
+constexpr GoldenRow kCountBasedSnr[] = {
+    {2020, PolicyKind::kFifo,
+     {793, 0, 0x410ed5c000000000, 0x40d5ff7db86a4e87, 0x40dba0f1c69e9ab8, 0x3fe973bec6bb4cde}},
+    {2020, PolicyKind::kBackfill,
+     {793, 0, 0x410e122000000000, 0x40cf2c913b3ddabc, 0x40d537bcabd3398f, 0x3fea19511b7c70db}},
+    {2020, PolicyKind::kElasticFifo,
+     {793, 3309, 0x410897f000000000, 0x40b809beb5c1c2ff, 0x40c3bd01e5b16cf7, 0x3feb8a254e03c2cf}},
+    {2020, PolicyKind::kElasticBackfill,
+     {793, 3229, 0x410802e000000000, 0x4096d5990628f197, 0x40b5627d2d33b80c, 0x3feba3dde731f608}},
+    {2020, PolicyKind::kElasticSrtf,
+     {793, 3290, 0x410853d000000000, 0x40957fe8705e885c, 0x40b45a03261991f0, 0x3fecae0fe0599b3f}},
+};
+constexpr GoldenRow kCountBasedIdeal[] = {
+    {2020, PolicyKind::kFifo,
+     {793, 0, 0x410ed07000000000, 0x40d5eb07e3ac7c5e, 0x40db8ac7530c5d62, 0x3fe970fe6b02119b}},
+    {2020, PolicyKind::kBackfill,
+     {793, 0, 0x410e19a000000000, 0x40cf880c8cea90d1, 0x40d563c5b5d52968, 0x3fea0b8162cd3e8d}},
+    {2020, PolicyKind::kElasticFifo,
+     {793, 3345, 0x41081fa000000000, 0x40b36a1cf98cd18b, 0x40c1292a40158056, 0x3feb7f04ce45822b}},
+    {2020, PolicyKind::kElasticBackfill,
+     {793, 3388, 0x4107ffc000000000, 0x409403d511c818a3, 0x40b4228067a21ffd, 0x3feb3aa8838fa84b}},
+    {2020, PolicyKind::kElasticSrtf,
+     {793, 3331, 0x4108592000000000, 0x408f9fd60b07509e, 0x40b2d10c82c025cb, 0x3feb2d0660e59324}},
+};
+constexpr GoldenRow kPlacementAwareSnr[] = {
+    {2020, PolicyKind::kFifo,
+     {291, 0, 0x40e3254000000000, 0x406b2a65f6b32724, 0x40b6495dbe398ead, 0x3fcc57c04b31bce6}},
+    {2020, PolicyKind::kBackfill,
+     {291, 0, 0x40e3254000000000, 0x406aebb7c731d554, 0x40b647684cbd841f, 0x3fcc57c04b31bce6}},
+    {2020, PolicyKind::kElasticFifo,
+     {291, 980, 0x40e917c000000000, 0x40819bcf27763ec9, 0x40b116adcc4ce948, 0x3fc8c14d194d194d}},
+    {2020, PolicyKind::kElasticBackfill,
+     {291, 1037, 0x40e8e20000000000, 0x4073230e088bb886, 0x40b029fa55899cbe, 0x3fc85aab78640ca8}},
+    {2020, PolicyKind::kElasticSrtf,
+     {291, 1112, 0x40e97f8000000000, 0x406a3aac5778361a, 0x40afbe67085371c9, 0x3fc7f14edd0d93ae}},
+};
+
 constexpr PolicyKind kPolicies[] = {PolicyKind::kFifo, PolicyKind::kBackfill,
                                     PolicyKind::kElasticFifo, PolicyKind::kElasticBackfill,
                                     PolicyKind::kElasticSrtf};
 
 void expect_rows(const Testbed& bed, const std::vector<SchedJobSpec>& trace,
-                 std::uint64_t seed, ClusterParams params, const GoldenRow* rows,
-                 std::size_t n_rows) {
+                 std::uint64_t seed, ClusterParams params, baselines::System system,
+                 const GoldenRow* rows, std::size_t n_rows) {
   for (const PolicyKind policy : kPolicies) {
-    const Golden actual = golden_of(
-        ClusterSim(bed.throughput, bed.costs, policy, baselines::System::kElan, params)
-            .run(trace));
+    const Golden actual =
+        golden_of(ClusterSim(bed.throughput, bed.costs, policy, system, params).run(trace));
     const GoldenRow* row = nullptr;
     for (std::size_t i = 0; i < n_rows; ++i) {
       if (rows[i].seed == seed && rows[i].policy == policy) row = &rows[i];
@@ -168,8 +209,20 @@ TEST(ClusterGolden, CountBasedMatrix) {
     TraceParams tp;
     tp.seed = seed;
     const auto trace = TraceGenerator(bed.throughput, tp).generate();
-    expect_rows(bed, trace, seed, ClusterParams{}, kCountBased, std::size(kCountBased));
+    expect_rows(bed, trace, seed, ClusterParams{}, baselines::System::kElan, kCountBased,
+                std::size(kCountBased));
   }
+}
+
+TEST(ClusterGolden, CountBasedSnrAndIdeal) {
+  const Testbed bed(16);
+  TraceParams tp;
+  tp.seed = 2020;
+  const auto trace = TraceGenerator(bed.throughput, tp).generate();
+  expect_rows(bed, trace, tp.seed, ClusterParams{}, baselines::System::kShutdownRestart,
+              kCountBasedSnr, std::size(kCountBasedSnr));
+  expect_rows(bed, trace, tp.seed, ClusterParams{}, baselines::System::kIdeal,
+              kCountBasedIdeal, std::size(kCountBasedIdeal));
 }
 
 TEST(ClusterGolden, PlacementAware) {
@@ -180,8 +233,10 @@ TEST(ClusterGolden, PlacementAware) {
   ClusterParams params;
   params.total_gpus = bed.topology.total_gpus();
   params.placement_aware = true;
-  expect_rows(bed, trace, kPlacementSeed, params, kPlacementAware,
+  expect_rows(bed, trace, kPlacementSeed, params, baselines::System::kElan, kPlacementAware,
               std::size(kPlacementAware));
+  expect_rows(bed, trace, kPlacementSeed, params, baselines::System::kShutdownRestart,
+              kPlacementAwareSnr, std::size(kPlacementAwareSnr));
 }
 
 }  // namespace

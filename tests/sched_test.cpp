@@ -323,24 +323,30 @@ std::vector<SchedJobSpec> trace_with_a_wide_job(int req_res, int min_res) {
   return {small, wide};
 }
 
-void expect_rejected(SchedFixture& f, PolicyKind policy, const std::vector<SchedJobSpec>& trace) {
+// Expects run() to refuse `trace` with an InvalidArgument naming `message`.
+void expect_rejected(SchedFixture& f, PolicyKind policy, const std::vector<SchedJobSpec>& trace,
+                     const std::string& message) {
   try {
     f.run(policy, baselines::System::kElan, trace);
-    ADD_FAILURE() << to_string(policy) << " replayed a job wider than the cluster";
+    ADD_FAILURE() << to_string(policy) << " replayed a job it should reject: " << message;
   } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("job 1 starts on 200 GPUs, more than the cluster's 128"),
-              std::string::npos)
-        << e.what();
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << to_string(policy) << ": " << e.what();
+  } catch (const Error& e) {
+    ADD_FAILURE() << to_string(policy) << " failed mid-replay: " << e.what();
   }
 }
+
+constexpr const char* kWiderThanTheCluster =
+    "job 1 starts on 200 GPUs, more than the cluster's 128";
 
 TEST(Cluster, StaticPoliciesRejectAJobWiderThanTheCluster) {
   // FIFO and BF start a job on req_res GPUs: one wider than the cluster
   // would hold the queue forever.
   SchedFixture f;
   for (auto policy : {PolicyKind::kFifo, PolicyKind::kBackfill}) {
-    expect_rejected(f, policy, trace_with_a_wide_job(200, 200));
-    expect_rejected(f, policy, trace_with_a_wide_job(200, 100));
+    expect_rejected(f, policy, trace_with_a_wide_job(200, 200), kWiderThanTheCluster);
+    expect_rejected(f, policy, trace_with_a_wide_job(200, 100), kWiderThanTheCluster);
   }
 }
 
@@ -349,7 +355,41 @@ TEST(Cluster, ElasticPoliciesRejectAJobWhoseLowerBoundExceedsTheCluster) {
   SchedFixture f;
   for (auto policy :
        {PolicyKind::kElasticFifo, PolicyKind::kElasticBackfill, PolicyKind::kElasticSrtf}) {
-    expect_rejected(f, policy, trace_with_a_wide_job(200, 200));
+    expect_rejected(f, policy, trace_with_a_wide_job(200, 200), kWiderThanTheCluster);
+  }
+}
+
+// A trace of one small job and job 1 with the given bounds.
+std::vector<SchedJobSpec> trace_with_bounds(int min_res, int req_res, int max_res) {
+  auto trace = trace_with_a_wide_job(req_res, min_res);
+  trace[1].max_res = max_res;
+  return trace;
+}
+
+TEST(Cluster, RejectsInconsistentJobBounds) {
+  // The replay prices a job at req_res, or anywhere in [min_res, max_res]
+  // under the elastic policies: run() rejects, before replaying, a job whose
+  // bounds break 1 <= min_res <= req_res <= max_res.
+  SchedFixture f;
+  struct Bounds {
+    int min_res, req_res, max_res;
+  };
+  for (const Bounds b : {Bounds{0, 8, 32}, Bounds{16, 8, 32}, Bounds{2, 8, 4}}) {
+    const std::string message = "job 1 has min_res " + std::to_string(b.min_res) +
+                                ", req_res " + std::to_string(b.req_res) + ", max_res " +
+                                std::to_string(b.max_res);
+    for (auto policy : {PolicyKind::kFifo, PolicyKind::kElasticBackfill}) {
+      expect_rejected(f, policy, trace_with_bounds(b.min_res, b.req_res, b.max_res), message);
+    }
+  }
+  // E-SRTF orders the queue by each job's time at req_res, so req_res must
+  // fit the cluster even though the job starts on min_res GPUs.
+  expect_rejected(f, PolicyKind::kElasticSrtf, trace_with_bounds(2, 200, 200),
+                  "job 1 has req_res 200, more than the cluster's 128");
+  for (auto policy : {PolicyKind::kElasticFifo, PolicyKind::kElasticBackfill}) {
+    EXPECT_EQ(f.run(policy, baselines::System::kElan, trace_with_bounds(2, 200, 200))
+                  .jobs_finished,
+              2);
   }
 }
 
