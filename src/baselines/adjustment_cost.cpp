@@ -62,7 +62,17 @@ ChunkSchedule AdjustmentCostModel::elan_replication_schedule(const train::ModelS
 Seconds AdjustmentCostModel::elan_replication_time(const train::ModelSpec& model,
                                                    int workers_before, int new_workers) const {
   if (new_workers <= 0) return 0.0;
-  return elan_replication_schedule(model, workers_before, new_workers).total_time;
+  const std::tuple key{model.gpu_state_bytes(), workers_before, new_workers};
+  {
+    MutexLock lock(makespans_mu_);
+    if (const auto hit = makespans_.find(key); hit != makespans_.end()) return hit->second;
+  }
+  // A shape that throws (it does not fit the cluster) is never stored.
+  const Seconds makespan =
+      elan_replication_schedule(model, workers_before, new_workers).total_time;
+  MutexLock lock(makespans_mu_);
+  makespans_.try_emplace(key, makespan);
+  return makespan;
 }
 
 Seconds AdjustmentCostModel::new_worker_ready_time() const {

@@ -8,7 +8,11 @@
 // the ElasticJob runtime executes, and a test cross-validates the two.
 #pragma once
 
+#include <map>
+#include <tuple>
+
 #include "comm/group.h"
+#include "common/sync.h"
 #include "elan/messages.h"
 #include "elan/replication.h"
 #include "elan/worker.h"
@@ -49,7 +53,11 @@ class AdjustmentCostModel {
   /// cluster.
   ChunkSchedule elan_replication_schedule(const train::ModelSpec& model, int workers_before,
                                           int new_workers) const;
-  /// That schedule's makespan; 0 when nobody joins.
+  /// That schedule's makespan; 0 when nobody joins. The model remembers
+  /// each makespan it prices: given its topology, bandwidth and worker
+  /// parameters, the schedule depends on `model` only through its state
+  /// bytes, so a shape is planned once per cost model. Safe to call from
+  /// several threads.
   Seconds elan_replication_time(const train::ModelSpec& model, int workers_before,
                                 int new_workers) const;
   Seconds group_reconstruct_time(int workers) const;
@@ -64,6 +72,12 @@ class AdjustmentCostModel {
   const storage::SimFilesystem* fs_;
   WorkerParams worker_params_;
   comm::GroupParams group_params_;
+  // Makespans by (gpu_state_bytes, workers_before, new_workers). A leaf
+  // lock: nothing else is taken while it is held, and the schedule is
+  // planned outside it.
+  mutable Mutex makespans_mu_{"replication_makespans"};
+  mutable std::map<std::tuple<Bytes, int, int>, Seconds> makespans_
+      ELAN_GUARDED_BY(makespans_mu_);
 
   Seconds expected_max_start(int workers) const;
   Seconds snr_pause(AdjustmentType type, const train::ModelSpec& model, int workers_before,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <memory>
+#include <functional>
 
 #include "common/error.h"
 
@@ -31,13 +31,22 @@ constexpr std::int64_t kNoGain =
 /// better of nodes 2i and 2i+1 (larger key, then lower position), so node 1
 /// names the largest key, the lowest position on a tie. Leaves lie in
 /// position order, so of two children with equal keys the left one wins.
+/// Its nodes live in a vector the caller keeps, so a tree allocates only
+/// when it is wider than every tree built in that vector before.
 class WinnerTree {
  public:
-  /// Positions 0..n-1 (n > 0), position pos keyed `key_of(pos)`.
+  struct Node {
+    std::int64_t key;
+    std::size_t pos;
+  };
+
+  /// Positions 0..n-1 (n > 0), position pos keyed `key_of(pos)`, built in
+  /// `storage`.
   template <typename KeyOf>
-  WinnerTree(std::size_t n, KeyOf&& key_of) {
+  WinnerTree(std::vector<Node>& storage, std::size_t n, KeyOf&& key_of) {
     while (m_ < n) m_ *= 2;
-    nodes_ = std::make_unique_for_overwrite<Node[]>(2 * m_);  // node 0 is unused
+    if (storage.size() < 2 * m_) storage.resize(2 * m_);  // node 0 is unused
+    nodes_ = storage.data();
     for (std::size_t pos = 0; pos < m_; ++pos) {
       nodes_[m_ + pos] = Node{pos < n ? key_of(pos) : kNoGain, pos};
     }
@@ -68,12 +77,8 @@ class WinnerTree {
   }
 
  private:
-  struct Node {
-    std::int64_t key;
-    std::size_t pos;
-  };
   std::size_t m_ = 1;
-  std::unique_ptr<Node[]> nodes_;
+  Node* nodes_ = nullptr;
 };
 
 }  // namespace
@@ -122,7 +127,16 @@ void waterfill(std::vector<int>& widths, const std::vector<int>& min_widths,
       if (k < size) left = effective(k);
     }
   };
-  std::vector<Job> jobs(n);
+  // The fill's storage, one per thread and reused from call to call: the
+  // job records and the nodes of two winner trees. Step 3's tree reuses the
+  // nodes of step 2's `low`, which is gone by then.
+  struct Scratch {
+    std::vector<Job> jobs;
+    std::vector<WinnerTree::Node> trees[2];
+  };
+  thread_local Scratch scratch;
+  std::vector<Job>& jobs = scratch.jobs;
+  jobs.resize(n);
 
   // 1. Keep the items each job holds now while their effective gain is
   // positive. The floors do not increase, so when the top held item's is
@@ -159,8 +173,8 @@ void waterfill(std::vector<int>& widths, const std::vector<int>& min_widths,
   // lowest effective gain, `high` the job whose first item left has the
   // highest. Both start from step 1's keys.
   if (kept > budget || highest_left >= lowest_kept) {
-    WinnerTree low(n, [&](std::size_t i) { return jobs[i].low_key(); });
-    WinnerTree high(n, [&](std::size_t i) { return jobs[i].high_key(); });
+    WinnerTree low(scratch.trees[0], n, [&](std::size_t i) { return jobs[i].low_key(); });
+    WinnerTree high(scratch.trees[1], n, [&](std::size_t i) { return jobs[i].high_key(); });
     const auto move = [&](std::size_t i, int by) {  // job i keeps `by` more items
       jobs[i].keep(jobs[i].kept + by);
       kept += by;
@@ -191,7 +205,7 @@ void waterfill(std::vector<int>& widths, const std::vector<int>& min_widths,
     return job.kept < job.size ? job.raw(job.kept) : kNoGain;
   };
   if (budget > 0) {
-    WinnerTree tree(n, next_gain);
+    WinnerTree tree(scratch.trees[0], n, next_gain);
     while (budget > 0 && tree.top_key() > 0) {  // key > 0: gain > +0.0
       const std::size_t i = tree.top();
       ++jobs[i].kept;
@@ -204,10 +218,13 @@ void waterfill(std::vector<int>& widths, const std::vector<int>& min_widths,
 
 GpuPool::GpuPool(const topo::Topology& topology)
     : per_node_(topology.spec().gpus_per_node()),
+      words_((static_cast<std::size_t>(topology.nodes()) + 63) / 64),
       mask_(static_cast<std::size_t>(topology.nodes()), 0),
       free_on_(static_cast<std::size_t>(topology.nodes()), 0) {
   ELAN_REQUIRE(per_node_ <= 64, "GpuPool: at most 64 GPUs per node, got " +
                                     std::to_string(per_node_));
+  buckets_.assign(static_cast<std::size_t>(per_node_) * words_, 0);
+  bucket_nodes_.assign(static_cast<std::size_t>(per_node_) + 1, 0);
 }
 
 std::uint64_t GpuPool::bit_of(topo::GpuId gpu) const {
@@ -220,11 +237,25 @@ bool GpuPool::contains(topo::GpuId gpu) const {
   return (mask_[static_cast<std::size_t>(node_of(gpu))] & bit) != 0;
 }
 
+void GpuPool::rebucket(std::size_t node, int from, int to) {
+  const std::uint64_t bit = std::uint64_t{1} << (node % 64);
+  const std::size_t word = node / 64;
+  if (from > 0) {
+    buckets_[static_cast<std::size_t>(from - 1) * words_ + word] &= ~bit;
+    --bucket_nodes_[static_cast<std::size_t>(from)];
+  }
+  if (to > 0) {
+    buckets_[static_cast<std::size_t>(to - 1) * words_ + word] |= bit;
+    ++bucket_nodes_[static_cast<std::size_t>(to)];
+  }
+}
+
 void GpuPool::insert(topo::GpuId gpu) {
   const std::uint64_t bit = bit_of(gpu);
   const auto node = static_cast<std::size_t>(node_of(gpu));
   ELAN_CHECK((mask_[node] & bit) == 0, "GpuPool: GPU is already free");
   mask_[node] |= bit;
+  rebucket(node, free_on_[node], free_on_[node] + 1);
   ++free_on_[node];
   ++free_;
 }
@@ -234,48 +265,68 @@ void GpuPool::erase(topo::GpuId gpu) {
   const auto node = static_cast<std::size_t>(node_of(gpu));
   ELAN_CHECK((mask_[node] & bit) != 0, "GpuPool: GPU is not free");
   mask_[node] &= ~bit;
+  rebucket(node, free_on_[node], free_on_[node] - 1);
   --free_on_[node];
   --free_;
+}
+
+int GpuPool::fullest_node() const {
+  for (int c = per_node_; c >= 1; --c) {
+    if (bucket_nodes_[static_cast<std::size_t>(c)] == 0) continue;
+    const std::uint64_t* bucket = &buckets_[static_cast<std::size_t>(c - 1) * words_];
+    std::size_t word = 0;
+    while (bucket[word] == 0) ++word;  // the bucket holds a node
+    return static_cast<int>(word * 64) + std::countr_zero(bucket[word]);
+  }
+  return -1;
 }
 
 std::vector<topo::GpuId> take_gpus(GpuPool& pool, int count,
                                    const std::vector<topo::GpuId>& near) {
   ELAN_CHECK(pool.size() >= count, "take_gpus: pool exhausted");
-  std::vector<int> affinity(static_cast<std::size_t>(pool.nodes()), 0);
+  // One integer per node holding some of the job's GPUs, larger first in
+  // the rule's order: more of the job's GPUs, then more free GPUs, then the
+  // lower node id (the low 32 bits hold kNodeBits - node). Neither count
+  // exceeds the 64 GPUs of a node. A job spans a few nodes, so a linear
+  // search counts its GPUs on each.
+  constexpr std::uint64_t kNodeBits = 0xffffffffu;
+  constexpr std::uint64_t kOnNode = std::uint64_t{1} << 48;
+  std::vector<std::uint64_t> mine;
   for (auto g : near) {
     ELAN_CHECK(g >= 0 && g < pool.nodes() * pool.gpus_per_node(),
                "take_gpus: GPU id out of range");
-    ++affinity[static_cast<std::size_t>(pool.node_of(g))];
+    const std::uint64_t node = kNodeBits - static_cast<std::uint64_t>(pool.node_of(g));
+    const auto it = std::find_if(mine.begin(), mine.end(),
+                                 [&](std::uint64_t key) { return (key & kNodeBits) == node; });
+    if (it == mine.end()) {
+      mine.push_back(kOnNode | node);
+    } else {
+      *it += kOnNode;
+    }
   }
-  // One integer per node with a free GPU, larger first in the rule's order:
-  // more of the job's GPUs, then more free GPUs, then the lower node id
-  // (the low 32 bits hold kNodeBits - node). Neither count exceeds the 64
-  // GPUs of a node.
-  constexpr std::uint64_t kNodeBits = 0xffffffffu;
-  std::vector<std::uint64_t> keys;
-  for (int node = 0; node < pool.nodes(); ++node) {
-    if (pool.free_on(node) == 0) continue;
-    keys.push_back(static_cast<std::uint64_t>(affinity[static_cast<std::size_t>(node)]) << 48 |
-                   static_cast<std::uint64_t>(pool.free_on(node)) << 32 |
-                   (kNodeBits - static_cast<std::uint64_t>(node)));
-  }
-  // A take needs a few nodes: pick the best one left until enough GPUs are
-  // taken rather than order them all. The pool holds `count` free GPUs, so
-  // a node is left whenever more are needed.
+  const auto node_of_key = [](std::uint64_t key) {
+    return static_cast<int>(kNodeBits - (key & kNodeBits));
+  };
+  std::erase_if(mine, [&](std::uint64_t key) { return pool.free_on(node_of_key(key)) == 0; });
+  for (auto& key : mine) key |= static_cast<std::uint64_t>(pool.free_on(node_of_key(key))) << 32;
+  std::sort(mine.begin(), mine.end(), std::greater<>());
+
+  // Drain the job's nodes in that order, then the fullest node left until
+  // `count` GPUs are taken. Every other node ranks below the job's and in
+  // the pool's fullest-first order, and a node is drained whole unless the
+  // take ends in it, so the order holds as the pool shrinks. The pool holds
+  // `count` free GPUs, so a node is left whenever more are needed.
   std::vector<topo::GpuId> out;
   out.reserve(static_cast<std::size_t>(count));
-  while (static_cast<int>(out.size()) < count) {
-    const auto best = std::max_element(keys.begin(), keys.end());
-    const std::uint64_t key = *best;
-    *best = keys.back();
-    keys.pop_back();
-    const auto node = static_cast<int>(kNodeBits - (key & kNodeBits));
+  const auto drain = [&](int node) {
     for (std::uint64_t mask = pool.free_mask(node);
          mask != 0 && static_cast<int>(out.size()) < count; mask &= mask - 1) {
       out.push_back(node * pool.gpus_per_node() + std::countr_zero(mask));
+      pool.erase(out.back());
     }
-  }
-  for (auto g : out) pool.erase(g);
+  };
+  for (auto key : mine) drain(node_of_key(key));
+  while (static_cast<int>(out.size()) < count) drain(pool.fullest_node());
   return out;
 }
 

@@ -66,7 +66,9 @@ void waterfill(std::vector<int>& widths, const std::vector<int>& min_widths,
 
 /// The free GPUs of a cluster: per node, a bitmask of its free GPUs and
 /// their count. GPU ids are node-major (topo::Topology), so GPU g sits on
-/// node g / gpus_per_node.
+/// node g / gpus_per_node. The nodes are also bucketed by free count: one
+/// bitset over the nodes per count from 1 to gpus_per_node, with the number
+/// of nodes in each, so the fullest node is found without a scan.
 class GpuPool {
  public:
   /// An empty pool over `topology`'s nodes; at most 64 GPUs per node.
@@ -87,14 +89,25 @@ class GpuPool {
   /// Node `node`'s free GPUs: bit i stands for GPU node * gpus_per_node + i.
   std::uint64_t free_mask(int node) const { return mask_[static_cast<std::size_t>(node)]; }
   int free_on(int node) const { return free_on_[static_cast<std::size_t>(node)]; }
+  /// The node with the most free GPUs, the lowest id on a tie; -1 when the
+  /// pool is empty.
+  int fullest_node() const;
 
  private:
   int per_node_;
+  std::size_t words_;  // 64-bit words of one bucket's bitset
   std::vector<std::uint64_t> mask_;
   std::vector<int> free_on_;
+  // Bucket c (1..per_node_) is words [(c - 1) * words_, c * words_): bit n
+  // is set when node n has exactly c free GPUs. bucket_nodes_[c] counts them.
+  std::vector<std::uint64_t> buckets_;
+  std::vector<int> bucket_nodes_;
   int free_ = 0;
 
   std::uint64_t bit_of(topo::GpuId gpu) const;
+  /// Moves `node` from the bucket of `from` free GPUs to that of `to`; a
+  /// count of 0 has no bucket.
+  void rebucket(std::size_t node, int from, int to);
 };
 
 /// Takes `count` GPUs out of `pool`, compact first. Nodes holding more of

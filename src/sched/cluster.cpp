@@ -264,28 +264,29 @@ void ClusterSim::rebalance() {
   // holds steps up to the widest cap of its configuration: the job's own
   // cap cuts them.
   const std::size_t n = running_.size();
-  std::vector<int> target(n);
-  std::vector<int> lower(n);
-  std::vector<JobGains> gains(n);
+  held_.resize(n);
+  target_.resize(n);
+  lower_.resize(n);
+  gains_.resize(n);
   for (std::size_t pos = 0; pos < n; ++pos) {
     const SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
     const Ladder& ladder = ladders_[static_cast<std::size_t>(job.ladder)];
     const auto room = static_cast<std::size_t>(
         std::max(0, std::min(job.spec.max_res, params_.total_gpus) - job.spec.min_res));
-    target[pos] = job.workers;
-    lower[pos] = job.spec.min_res;
-    gains[pos] = JobGains{job.remaining_samples, std::span(ladder.steps).first(room),
-                          std::span(ladder.floors).first(room)};
+    held_[pos] = target_[pos] = job.workers;
+    lower_[pos] = job.spec.min_res;
+    gains_[pos] = JobGains{job.remaining_samples, std::span(ladder.steps).first(room),
+                           std::span(ladder.floors).first(room)};
   }
-  waterfill(target, lower, gains, params_.total_gpus);
+  waterfill(target_, lower_, gains_, params_.total_gpus);
 
   // Apply shrinks before grows: in placement-aware mode the grown jobs take
-  // concrete GPUs from the pool the shrunk jobs just returned.
+  // concrete GPUs from the pool the shrunk jobs just returned. A job whose
+  // width holds is not touched.
   for (const bool shrink_pass : {true, false}) {
     for (std::size_t pos = 0; pos < n; ++pos) {
-      SchedJob& job = jobs_[static_cast<std::size_t>(running_[pos])];
-      if ((target[pos] < job.workers) != shrink_pass) continue;
-      apply_allocation(job, target[pos]);
+      if (target_[pos] == held_[pos] || (target_[pos] < held_[pos]) != shrink_pass) continue;
+      apply_allocation(jobs_[static_cast<std::size_t>(running_[pos])], target_[pos]);
     }
   }
 }

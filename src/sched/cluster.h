@@ -54,6 +54,12 @@ namespace elan::sched {
 /// complicated scheduling policy"): elastic admission ordered by shortest
 /// estimated remaining time, which trades a little fairness for mean JCT.
 enum class PolicyKind { kFifo, kBackfill, kElasticFifo, kElasticBackfill, kElasticSrtf };
+/// Every PolicyKind, in declaration order: a tool parses a policy's name by
+/// matching to_string over this list.
+inline constexpr PolicyKind kAllPolicies[] = {PolicyKind::kFifo, PolicyKind::kBackfill,
+                                              PolicyKind::kElasticFifo,
+                                              PolicyKind::kElasticBackfill,
+                                              PolicyKind::kElasticSrtf};
 
 const char* to_string(PolicyKind policy);
 bool is_elastic(PolicyKind policy);
@@ -126,10 +132,18 @@ class ClusterSim {
   };
   std::vector<Ladder> ladders_;
   std::unordered_map<std::uint64_t, int> ladder_of_;  // packed configuration -> ladders_ index
-  // Adjustment pauses (see pack_pause_key): an Elan price runs the
-  // replication scheduler, and a 5k-job replay prices about 20,000
-  // adjustments of about a thousand shapes.
+  // Adjustment pauses (see pack_pause_key): a 5k-job replay prices about
+  // 20,000 adjustments of about a thousand shapes. This per-replay map is
+  // the lock-free front of the cost model's own makespan memo, which lives
+  // as long as the cost model and so across replays.
   std::unordered_map<std::uint64_t, Seconds> pause_cache_;
+  // rebalance()'s arrays, one entry per running job in running_ order,
+  // reused from call to call: the widths held on entry, the waterfill's
+  // widths (its answer on return), its lower bounds and its gains.
+  std::vector<int> held_;
+  std::vector<int> target_;
+  std::vector<int> lower_;
+  std::vector<JobGains> gains_;
 
   void admit_arrivals(const std::vector<SchedJobSpec>& trace, std::size_t& next_arrival);
   void progress_running();

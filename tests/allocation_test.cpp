@@ -316,6 +316,65 @@ TEST(GpuPool, ChecksEveryReturnAndTake) {
   EXPECT_THROW(GpuPool{wide}, InvalidArgument);
 }
 
+TEST(GpuPool, FullestNodeMatchesAScan) {
+  // Nodes of 8, 12 and 64 GPUs. A bucket is a bitset over the nodes, so 65
+  // and 130 nodes leave its last word partly used.
+  const topo::TopologySpec shapes[] = {
+      topo::TopologySpec{},
+      topo::TopologySpec{.sockets_per_node = 2,
+                         .bridges_per_socket = 1,
+                         .switches_per_bridge = 2,
+                         .gpus_per_switch = 3},
+      topo::TopologySpec{.sockets_per_node = 2,
+                         .bridges_per_socket = 1,
+                         .switches_per_bridge = 2,
+                         .gpus_per_switch = 16}};
+  const auto scan = [](const GpuPool& pool) {  // most free GPUs, lowest id
+    int fullest = -1;
+    for (int node = 0; node < pool.nodes(); ++node) {
+      if (pool.free_on(node) > (fullest < 0 ? 0 : pool.free_on(fullest))) fullest = node;
+    }
+    return fullest;
+  };
+  Rng rng(2020);
+  for (topo::TopologySpec spec : shapes) {
+    for (const int nodes : {1, 65, 130}) {
+      spec.nodes = nodes;
+      const topo::Topology topology(spec);
+      GpuPool pool(topology);
+      EXPECT_EQ(pool.fullest_node(), -1);
+      std::vector<topo::GpuId> free;
+      std::vector<topo::GpuId> taken;
+      for (topo::GpuId g = 0; g < topology.total_gpus(); ++g) taken.push_back(g);
+      // Rounds that mostly fill the pool, then mostly drain it, until it is
+      // full or empty.
+      for (int round = 0; round < 4; ++round) {
+        const bool filling = round % 2 == 0;
+        while (filling ? !taken.empty() : !free.empty()) {
+          const bool insert = free.empty() || (!taken.empty() && rng.chance(filling ? 0.7 : 0.3));
+          auto& from = insert ? taken : free;
+          auto& to = insert ? free : taken;
+          const auto k = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1));
+          const topo::GpuId g = from[k];
+          from[k] = from.back();
+          from.pop_back();
+          to.push_back(g);
+          if (insert) {
+            pool.insert(g);
+          } else {
+            pool.erase(g);
+          }
+          ASSERT_EQ(pool.fullest_node(), scan(pool))
+              << topology.spec().gpus_per_node() << " GPUs per node, " << nodes
+              << " nodes, round " << round << ", " << (insert ? "insert " : "erase ") << g;
+        }
+      }
+      EXPECT_EQ(pool.fullest_node(), -1);
+    }
+  }
+}
+
 TEST(ReleaseGpus, LeastPopulatedNodeGoesFirst) {
   PlacementFixture f;
   std::vector<topo::GpuId> held{0, 1, 8, 2, 3};  // four on node 0, one on node 1

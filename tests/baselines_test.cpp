@@ -3,8 +3,15 @@
 // ElasticJob runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "baselines/adjustment_cost.h"
 #include "baselines/litz.h"
+#include "common/rng.h"
 #include "elan/job.h"
 
 namespace elan::baselines {
@@ -129,6 +136,112 @@ TEST(AdjustmentCost, RefusesAdjustmentsBeyondTheCluster) {
   EXPECT_THROW(f.costs.elan_replication_time(m, 48, 32), InvalidArgument);
   EXPECT_THROW(f.costs.elan_replication_schedule(m, 65, 0), InvalidArgument);
   EXPECT_GT(f.costs.elan_replication_time(m, 48, 16), 0.0);  // exactly full
+}
+
+/// The production-scale cluster, 128 servers x 8 GPUs, on which ClusterSim
+/// replays share one cost model.
+struct BigClusterFixture {
+  topo::Topology topology{topo::TopologySpec{.nodes = 128}};
+  topo::BandwidthModel bandwidth;
+  storage::SimFilesystem fs;
+};
+
+struct ReplicationShape {
+  const train::ModelSpec* model;
+  int before;
+  int joiners;
+};
+
+/// Every zoo model at a grid of (workers before, joiners) that fits 1,024
+/// GPUs, joiners of 0 included.
+std::vector<ReplicationShape> shape_grid(const std::vector<train::ModelSpec>& zoo,
+                                         std::initializer_list<int> befores,
+                                         std::initializer_list<int> joiners) {
+  std::vector<ReplicationShape> grid;
+  for (const auto& model : zoo) {
+    for (const int before : befores) {
+      for (const int joining : joiners) {
+        if (before + joining <= 1024) grid.push_back({&model, before, joining});
+      }
+    }
+  }
+  return grid;
+}
+
+std::uint64_t bits(Seconds t) { return std::bit_cast<std::uint64_t>(t); }
+
+TEST(AdjustmentCost, RemembersReplicationMakespans) {
+  // A cost model prices each replication shape once. A model that has
+  // priced the grid, in shuffled order, must answer every shape with the
+  // bits a fresh model computes; a memo keyed on less than the state bytes
+  // and the shape hands one model's price to another.
+  const BigClusterFixture f;
+  const auto zoo = train::model_zoo();
+  const auto grid = shape_grid(zoo, {1, 2, 7, 8, 64, 300, 1000}, {0, 1, 3, 8, 24, 64, 200});
+  auto shuffled = grid;
+  Rng rng(2020);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
+  const AdjustmentCostModel warm(f.topology, f.bandwidth, f.fs);
+  for (const auto& s : shuffled) {
+    static_cast<void>(warm.elan_replication_time(*s.model, s.before, s.joiners));
+  }
+  const AdjustmentCostModel fresh(f.topology, f.bandwidth, f.fs);
+  for (const auto& s : grid) {
+    EXPECT_EQ(bits(warm.elan_replication_time(*s.model, s.before, s.joiners)),
+              bits(fresh.elan_replication_time(*s.model, s.before, s.joiners)))
+        << s.model->name << " " << s.before << " + " << s.joiners;
+  }
+
+  // Equal shapes of two specs with different state bytes: each its own price.
+  const train::ModelSpec resnet = train::resnet50();
+  train::ModelSpec edited = resnet;
+  edited.parameters *= 3;
+  ASSERT_NE(edited.gpu_state_bytes(), resnet.gpu_state_bytes());
+  const Seconds resnet_price = warm.elan_replication_time(resnet, 8, 8);
+  const Seconds edited_price = warm.elan_replication_time(edited, 8, 8);
+  EXPECT_NE(edited_price, resnet_price);
+  EXPECT_EQ(bits(edited_price),
+            bits(AdjustmentCostModel(f.topology, f.bandwidth, f.fs)
+                     .elan_replication_time(edited, 8, 8)));
+
+  // A shape past the cluster still throws, each time it is asked.
+  EXPECT_THROW(warm.elan_replication_time(resnet, 1000, 25), InvalidArgument);
+  EXPECT_THROW(warm.elan_replication_time(resnet, 1000, 25), InvalidArgument);
+}
+
+TEST(AdjustmentCost, ConcurrentPricesMatchSerial) {
+  // Four threads price one grid on a shared cost model. Two start at its
+  // head and two at its middle, so each pair misses, plans and stores the
+  // same shapes at once while the other pair stores different ones.
+  const BigClusterFixture f;
+  const auto zoo = train::model_zoo();
+  const auto grid = shape_grid(zoo, {1, 8, 64}, {1, 16, 100});
+  const AdjustmentCostModel serial(f.topology, f.bandwidth, f.fs);
+  std::vector<Seconds> expected;
+  for (const auto& s : grid) {
+    expected.push_back(serial.elan_replication_time(*s.model, s.before, s.joiners));
+  }
+  constexpr std::size_t kThreads = 4;
+  const AdjustmentCostModel shared(f.topology, f.bandwidth, f.fs);
+  std::vector<std::vector<Seconds>> got(kThreads, std::vector<Seconds>(grid.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        const std::size_t i = (k + t / 2 * grid.size() / 2) % grid.size();
+        got[t][i] = shared.elan_replication_time(*grid[i].model, grid[i].before,
+                                                 grid[i].joiners);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(bits(got[t][i]), bits(expected[i]))
+          << "thread " << t << ", " << grid[i].model->name << " " << grid[i].before << " + "
+          << grid[i].joiners;
+    }
+  }
 }
 
 TEST(AdjustmentCost, SnrScaleOutIsTensOfSeconds) {

@@ -2,11 +2,12 @@
 // line (paper §VI-C methodology) on a generated or imported trace.
 //
 //   elan_cluster_sim --policy E-BF --system Elan --hours 48 --seed 2020
-//   elan_cluster_sim --trace-out trace.csv          # just generate a trace
+//   elan_cluster_sim --trace-out trace.csv          # write the trace, then replay it
 //   elan_cluster_sim --trace-in trace.csv --policy FIFO
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "common/flags.h"
 #include "obs/obs.h"
@@ -18,12 +19,20 @@ namespace {
 
 using namespace elan;
 
+/// "FIFO, BF, ...": every policy's name.
+std::string policy_names() {
+  std::string names;
+  for (const auto policy : sched::kAllPolicies) {
+    names += (names.empty() ? "" : ", ") + std::string(sched::to_string(policy));
+  }
+  return names;
+}
+
 sched::PolicyKind parse_policy(const std::string& s) {
-  if (s == "FIFO") return sched::PolicyKind::kFifo;
-  if (s == "BF") return sched::PolicyKind::kBackfill;
-  if (s == "E-FIFO") return sched::PolicyKind::kElasticFifo;
-  if (s == "E-BF") return sched::PolicyKind::kElasticBackfill;
-  throw InvalidArgument("policy must be FIFO, BF, E-FIFO or E-BF");
+  for (const auto policy : sched::kAllPolicies) {
+    if (s == sched::to_string(policy)) return policy;
+  }
+  throw InvalidArgument("policy must be one of " + policy_names());
 }
 
 baselines::System parse_system(const std::string& s) {
@@ -37,7 +46,7 @@ baselines::System parse_system(const std::string& s) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  flags.define("policy", "E-BF", "scheduling policy: FIFO, BF, E-FIFO, E-BF");
+  flags.define("policy", "E-BF", "scheduling policy: " + policy_names());
   flags.define("system", "Elan", "elasticity mechanism: Ideal, Elan, SnR");
   flags.define("gpus", "128", "cluster size in GPUs (multiple of 8)");
   flags.define("hours", "48", "trace span in hours");

@@ -1,13 +1,14 @@
-# Runs elan_adjustment_estimator once and checks its exit code and output:
+# Runs a tool (elan_adjustment_estimator, elan_cluster_sim) once and checks
+# its exit code and output:
 #
-#   cmake -DESTIMATOR=<binary> "-DARGS=<flags>" -DEXIT=<code> "-DMATCH=<regex>"
+#   cmake -DTOOL=<binary> "-DARGS=<flags>" -DEXIT=<code> "-DMATCH=<regex>"
 #         ["-DNO_MATCH=<regex>"] -P estimator_test.cmake
 #
 # MATCH must match stdout+stderr and NO_MATCH (when given) must not. Whenever
-# a schedule is listed, its makespan must equal the replication time that the
-# Elan pause line prices.
+# the estimator lists a schedule, its makespan must equal the replication
+# time that the Elan pause line prices.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
-execute_process(COMMAND "${ESTIMATOR}" ${args}
+execute_process(COMMAND "${TOOL}" ${args}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 set(all "${out}${err}")
 if(NOT rc EQUAL EXIT)
